@@ -217,10 +217,6 @@ class NominalMapping:
     def as_dict(self) -> dict[str, str]:
         return {a: b for a, b in self.pairs if a is not None and b is not None}
 
-    def bound(self) -> frozenset[tuple[str, str]]:
-        return frozenset((a, b) for a, b in self.pairs
-                         if a is not None and b is not None)
-
 
 def _is_value_name(name: str) -> bool:
     return name in VALUE_NAME_SET
@@ -235,22 +231,28 @@ def pair_resolution(p: Production, q: Production, strength: str) -> list[Nominal
     if strength == "strong":
         if not strong_equiv(p, q):
             raise ResolutionError("productions are not strongly prodsig-equivalent")
-        sp, sq = prodsig(p), prodsig(q)
-        inverse = {fp: name for name, fp in sq.items()}
-        return [NominalMapping(frozenset(
-            (name, inverse[fp]) for name, fp in sp.items()))]
-    if strength != "weak":
+    elif strength != "weak":
         raise ResolutionError(f"unknown equivalence strength {strength!r}")
-    if not weak_equiv(p, q):
+    elif not weak_equiv(p, q):
         raise ResolutionError("productions are not weakly prodsig-equivalent")
-    sp, sq = prodsig(p), prodsig(q)
+    return [NominalMapping(pairs)
+            for pairs in _signature_relations(prodsig(p), prodsig(q), strength)]
+
+
+def _signature_relations(sp: dict[str, Footprint], sq: dict[str, Footprint],
+                         strength: str) -> list[frozenset[tuple[str | None, str | None]]]:
+    """The relations of `pair_resolution` for two signatures already known
+    to be equivalent at `strength`."""
+    if strength == "strong":
+        inverse = {fp: name for name, fp in sq.items()}
+        return [frozenset((name, inverse[fp]) for name, fp in sp.items())]
     classes: dict[Footprint, tuple[list[str], list[str]]] = {}
     for name, fp in sp.items():
         classes.setdefault(fp.weak(), ([], []))[0].append(name)
     for name, fp in sq.items():
         classes.setdefault(fp.weak(), ([], []))[1].append(name)
     per_class: list[list[list[tuple[str | None, str | None]]]] = []
-    for fp, (left, right) in classes.items():
+    for left, right in classes.values():
         options: list[list[tuple[str | None, str | None]]] = []
         if len(left) <= len(right):
             for image in itertools.permutations(right, len(left)):
@@ -263,11 +265,8 @@ def pair_resolution(p: Production, q: Production, strength: str) -> list[Nominal
                 pairs += [(l, None) for l in left if l not in domain]
                 options.append(pairs)
         per_class.append(options)
-    candidates = []
-    for combo in itertools.product(*per_class):
-        pairs = [pair for chunk in combo for pair in chunk]
-        candidates.append(NominalMapping(frozenset(pairs)))
-    return candidates
+    return [frozenset(pair for chunk in combo for pair in chunk)
+            for combo in itertools.product(*per_class)]
 
 
 def _grammar_names(g: Grammar) -> list[str]:
@@ -306,32 +305,97 @@ class _Binding:
         return clone
 
 
-def _consistent_relations(sprod: Production, mprod: Production, strength: str,
-                          binding: _Binding) -> list[list[tuple[str, str]]]:
-    """Relations for the pair that extend the current binding without
-    conflict; each returned relation includes the lhs pair and drops omega
-    entries."""
-    out = []
-    for candidate in pair_resolution(sprod, mprod, strength):
-        pairs = [(sprod.lhs, mprod.lhs)]
-        pairs += [(a, b) for a, b in sorted(candidate.pairs,
-                                            key=lambda ab: (ab[0] is None, ab))
-                  if a is not None and b is not None]
-        probe = binding.copy()
-        ok = True
-        for a, b in pairs:
-            if not probe.compatible(a, b):
-                ok = False
-                break
-            probe.bind(a, b)
-        if ok:
-            out.append(pairs)
-    return out
+_Relation = tuple[tuple[str, str], ...]
 
 
-def _equiv_at(sprod: Production, mprod: Production, strength: str) -> bool:
-    return strong_equiv(sprod, mprod) if strength == "strong" \
-        else weak_equiv(sprod, mprod)
+def _binds_alone(rel: _Relation) -> bool:
+    probe = _Binding()
+    for a, b in rel:
+        if not probe.compatible(a, b):
+            return False
+        probe.bind(a, b)
+    return True
+
+
+class _SignatureIndex:
+    """The signatures of one grammar's productions, each computed once, with
+    the keys the equivalences compare: two productions are weakly
+    (strongly) prodsig-equivalent exactly when their weak (strong) keys are
+    equal.  A signature whose footprints are not pairwise distinct has no
+    strong key.  Production indices are bucketed by key in ascending
+    order."""
+
+    def __init__(self, g: Grammar) -> None:
+        self.productions = g.productions
+        self.sigs = [prodsig(prod) for prod in g.productions]
+        self.keys: dict[str, list[frozenset[Footprint] | None]] = {"weak": [], "strong": []}
+        self.buckets: dict[str, dict[frozenset[Footprint], list[int]]] = {
+            "weak": {}, "strong": {}}
+        for i, sig in enumerate(self.sigs):
+            fps = list(sig.values())
+            strong = frozenset(fps)
+            keys = {"weak": frozenset(fp.weak() for fp in fps),
+                    "strong": strong if len(strong) == len(fps) else None}
+            for strength, key in keys.items():
+                self.keys[strength].append(key)
+                if key is not None:
+                    self.buckets[strength].setdefault(key, []).append(i)
+
+    def exact_targets(self) -> set[tuple[str, frozenset[tuple[str, Footprint]]]]:
+        return {(prod.lhs, frozenset(sig.items()))
+                for prod, sig in zip(self.productions, self.sigs)}
+
+
+class _Resolution:
+    """State of one nominal resolution: both grammars' signature indexes and
+    a memo of the relations each production pair induces."""
+
+    def __init__(self, master: Grammar, servant: Grammar) -> None:
+        self.master = _SignatureIndex(master)
+        self.servant = _SignatureIndex(servant)
+        self._relations: dict[tuple[int, int, str], list[_Relation]] = {}
+        self._viable: dict[tuple[int, int, str], list[_Relation]] = {}
+
+    def candidates(self, si: int, strength: str) -> list[int]:
+        """Master productions equivalent to servant production `si`."""
+        key = self.servant.keys[strength][si]
+        return self.master.buckets[strength].get(key, []) if key is not None else []
+
+    def relations(self, si: int, mi: int, strength: str) -> list[_Relation]:
+        """The pair's `pair_resolution` relations, each with the lhs pair
+        first and the omega entries dropped."""
+        memo_key = (si, mi, strength)
+        found = self._relations.get(memo_key)
+        if found is None:
+            lhs = (self.servant.productions[si].lhs, self.master.productions[mi].lhs)
+            found = [(lhs,) + tuple(sorted((a, b) for a, b in pairs
+                                           if a is not None and b is not None))
+                     for pairs in _signature_relations(
+                         self.servant.sigs[si], self.master.sigs[mi], strength)]
+            self._relations[memo_key] = found
+        return found
+
+    def consistent(self, si: int, mi: int, strength: str,
+                   binding: _Binding) -> list[_Relation]:
+        """The pair's relations that extend the binding without conflict."""
+        memo_key = (si, mi, strength)
+        viable = self._viable.get(memo_key)
+        if viable is None:
+            # a relation that binds on its own is a one-to-one partial map,
+            # so it can clash only with pairs the binding already holds
+            viable = [rel for rel in self.relations(si, mi, strength)
+                      if _binds_alone(rel)]
+            self._viable[memo_key] = viable
+        fwd, rev = binding.fwd, binding.rev
+        return [rel for rel in viable
+                if all(fwd.get(a, b) == b and rev.get(b, a) == a for a, b in rel)]
+
+
+# Limits of the complete-matching search: expanded nodes, and distinct full
+# bindings held before the search stops.  Hitting either leaves the
+# candidate list incomplete, which the search reports as capped.
+SEARCH_NODE_CAP = 30000
+SEARCH_MAX_BINDINGS = 7
 
 
 def nominal_resolution(master: Grammar, servant: Grammar) -> NominalMapping:
@@ -352,6 +416,13 @@ def nominal_resolution(master: Grammar, servant: Grammar) -> NominalMapping:
     win.  A single winner is adopted, several raise ResolutionAmbiguity,
     none (structurally alien grammars) keeps the greedy partial result with
     omega for the unresolved names.
+
+    The search for complete matchings stops after SEARCH_NODE_CAP nodes, or
+    once it holds SEARCH_MAX_BINDINGS distinct bindings and would look for
+    more.  Either way its candidate list is incomplete, so no winner is
+    chosen from it: a greedy result that binds every servant name is kept,
+    and otherwise ResolutionAmbiguity is raised with the candidates found
+    (or the greedy partial binding when there are none).
     """
     for label, g in (("master", master), ("servant", servant)):
         violations = anf_check(g)
@@ -363,16 +434,17 @@ def nominal_resolution(master: Grammar, servant: Grammar) -> NominalMapping:
     for rs, rm in zip(servant.roots, master.roots):
         seed.bind(rs, rm)
 
-    binding = _greedy_fixpoint(master, servant, seed.copy())
+    res = _Resolution(master, servant)
+    binding = _greedy_fixpoint(res, seed.copy())
 
-    candidates, capped = _complete_matchings(master, servant, seed)
+    candidates, capped = _complete_matchings(res, seed)
     if capped:
         open_names = [name for name in _grammar_names(servant)
                       if name not in binding.fwd]
         if open_names:
             raise ResolutionAmbiguity(candidates or [dict(binding.fwd)])
     elif candidates:
-        best = _best_bindings(master, servant, candidates)
+        best = _best_bindings(res, candidates)
         if len(best) == 1:
             binding = _Binding()
             for a, b in sorted(best[0].items()):
@@ -390,23 +462,25 @@ def nominal_resolution(master: Grammar, servant: Grammar) -> NominalMapping:
     return NominalMapping(frozenset(pairs))
 
 
-def _greedy_fixpoint(master: Grammar, servant: Grammar,
-                     binding: _Binding) -> _Binding:
-    unmatched_s = list(range(len(servant.productions)))
-    unmatched_m = list(range(len(master.productions)))
+def _shared_pairs(relations: list[_Relation]) -> list[tuple[str, str]]:
+    shared = set(relations[0])
+    for rel in relations[1:]:
+        shared &= set(rel)
+    return sorted(shared)
+
+
+def _greedy_fixpoint(res: _Resolution, binding: _Binding) -> _Binding:
+    unmatched_s = list(range(len(res.servant.productions)))
+    unmatched_m = set(range(len(res.master.productions)))
     matched: list[tuple[int, int, str]] = []
 
     def narrow() -> bool:
         moved = False
         for si, mi, strength in matched:
-            relations = _consistent_relations(
-                servant.productions[si], master.productions[mi], strength, binding)
+            relations = res.consistent(si, mi, strength, binding)
             if not relations:
                 continue
-            shared = set(relations[0])
-            for rel in relations[1:]:
-                shared &= set(rel)
-            for a, b in sorted(shared):
+            for a, b in _shared_pairs(relations):
                 if binding.fwd.get(a) != b:
                     binding.bind(a, b)
                     moved = True
@@ -418,20 +492,15 @@ def _greedy_fixpoint(master: Grammar, servant: Grammar,
         for strength in ("strong", "weak"):
             for si in list(unmatched_s):
                 options = []
-                for mi in unmatched_m:
-                    sprod = servant.productions[si]
-                    mprod = master.productions[mi]
-                    if not _equiv_at(sprod, mprod, strength):
+                for mi in res.candidates(si, strength):
+                    if mi not in unmatched_m:
                         continue
-                    relations = _consistent_relations(sprod, mprod, strength, binding)
+                    relations = res.consistent(si, mi, strength, binding)
                     if relations:
                         options.append((mi, relations))
                 if len(options) == 1:
                     mi, relations = options[0]
-                    shared = set(relations[0])
-                    for rel in relations[1:]:
-                        shared &= set(rel)
-                    for a, b in sorted(shared):
+                    for a, b in _shared_pairs(relations):
                         binding.bind(a, b)
                     unmatched_s.remove(si)
                     unmatched_m.remove(mi)
@@ -444,18 +513,21 @@ def _greedy_fixpoint(master: Grammar, servant: Grammar,
     return binding
 
 
-def _complete_matchings(master: Grammar, servant: Grammar, seed: _Binding,
-                        cap: int = 30000) -> tuple[list[dict[str, str]], bool]:
+def _complete_matchings(res: _Resolution, seed: _Binding,
+                        cap: int = SEARCH_NODE_CAP) -> tuple[list[dict[str, str]], bool]:
     """Distinct full bindings reachable by pairing every servant production
     injectively with a weakly equivalent master production, consistently
-    with the seed.  Returns (bindings, budget-exhausted)."""
-    total = len(servant.productions)
+    with the seed.  Returns (bindings, capped): capped is set when the
+    search stopped at `cap` nodes or at SEARCH_MAX_BINDINGS bindings before
+    it was done, so the bindings may be incomplete."""
     results: list[dict[str, str]] = []
     seen: set[tuple] = set()
     budget = [cap]
+    capped = [False]
 
     def dfs(current: _Binding, open_s: list[int], used_m: set[int]) -> None:
-        if budget[0] <= 0 or len(results) > 6:
+        if budget[0] <= 0 or len(results) >= SEARCH_MAX_BINDINGS:
+            capped[0] = True
             return
         budget[0] -= 1
         if not open_s:
@@ -467,16 +539,11 @@ def _complete_matchings(master: Grammar, servant: Grammar, seed: _Binding,
         # fail-first: expand the production with the fewest consistent options
         scored = []
         for si in open_s:
-            sprod = servant.productions[si]
             options = []
-            for mi in range(len(master.productions)):
+            for mi in res.candidates(si, "weak"):
                 if mi in used_m:
                     continue
-                mprod = master.productions[mi]
-                if not weak_equiv(sprod, mprod):
-                    continue
-                relations = _consistent_relations(sprod, mprod, "weak", current)
-                for rel in relations:
+                for rel in res.consistent(si, mi, "weak", current):
                     options.append((mi, rel))
             if not options:
                 return  # dead branch
@@ -489,28 +556,26 @@ def _complete_matchings(master: Grammar, servant: Grammar, seed: _Binding,
                 branch.bind(a, b)
             dfs(branch, rest, used_m | {mi})
 
-    dfs(seed.copy(), list(range(total)), set())
-    return results, budget[0] <= 0
+    dfs(seed.copy(), list(range(len(res.servant.productions))), set())
+    return results, capped[0]
 
 
-def _exact_score(master: Grammar, servant: Grammar, fwd: dict[str, str]) -> int:
+def _exact_score(targets: set, servant: _SignatureIndex, fwd: dict[str, str]) -> int:
     """How many servant productions map exactly (lhs and footprint-equal
-    signature) onto some master production under the binding."""
-    targets = {(prod.lhs, frozenset(prodsig(prod).items()))
-               for prod in master.productions}
+    signature) onto one of the master's `targets` under the binding."""
     score = 0
-    for prod in servant.productions:
+    for prod, sig in zip(servant.productions, servant.sigs):
         mapped = (fwd.get(prod.lhs),
-                  frozenset((fwd.get(name, name), fp)
-                            for name, fp in prodsig(prod).items()))
+                  frozenset((fwd.get(name, name), fp) for name, fp in sig.items()))
         if mapped in targets:
             score += 1
     return score
 
 
-def _best_bindings(master: Grammar, servant: Grammar,
+def _best_bindings(res: _Resolution,
                    candidates: list[dict[str, str]]) -> list[dict[str, str]]:
-    scored = [(_exact_score(master, servant, fwd), fwd) for fwd in candidates]
+    targets = res.master.exact_targets()
+    scored = [(_exact_score(targets, res.servant, fwd), fwd) for fwd in candidates]
     best = max(score for score, _ in scored)
     return [fwd for score, fwd in scored if score == best]
 

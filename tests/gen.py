@@ -8,6 +8,8 @@ Three flavors:
                       no reserved value names) with roots = tops
   random_anf       -- grammars that already satisfy abstract normal form,
                       for the nominal-resolution oracle tests
+  rooted_anf       -- abstract-normal-form grammars of an exact production
+                      count, every name defined, for resolution at scale
 """
 
 from __future__ import annotations
@@ -195,6 +197,48 @@ def random_anf(rng: random.Random, vocab: int = 5) -> Grammar:
 
     g = Grammar((defined[0],), tuple(productions))
     assert not anf_check(g), anf_check(g)
+    return g
+
+
+def rooted_anf(rng: random.Random, size: int) -> Grammar:
+    """A grammar in abstract normal form with exactly `size` productions:
+    every name is defined, either by one sequence rule or by two or three
+    chain rules, and is reachable from the root n0 through a parent defined
+    before it."""
+    counts: list[int] = []
+    while sum(counts) < size:
+        left = size - sum(counts)
+        chain = left >= 2 and rng.random() < 0.25
+        counts.append(rng.randint(2, min(3, left)) if chain else 1)
+    names = [f"n{i}" for i in range(len(counts))]
+
+    # a chain-defined parent takes at most as many children as it has rules;
+    # each chain name adds at least one free slot, so a parent always exists
+    children: dict[str, list[str]] = {name: [] for name in names}
+    for i in range(1, len(names)):
+        open_parents = [names[j] for j in range(i)
+                        if counts[j] == 1 or len(children[names[j]]) < counts[j]]
+        children[rng.choice(open_parents)].append(names[i])
+
+    productions: list[Production] = []
+    for name, count in zip(names, counts):
+        refs = list(children[name])
+        others = [cand for cand in names[1:] if cand != name and cand not in refs]
+        if count > 1:
+            refs += rng.sample(others, min(count - len(refs), len(others)))
+            productions.extend(Production(name, n(target)) for target in refs)
+            continue
+        pieces = [_marked(rng, ref) for ref in refs]
+        while len(pieces) < 2 or rng.random() < 0.3:
+            if rng.random() < 0.4 and others:
+                pieces.append(_marked(rng, rng.choice(others)))
+            else:
+                pieces.append(VALUE_STR if rng.random() < 0.5 else VALUE_INT)
+        rng.shuffle(pieces)
+        productions.append(Production(name, seq(*pieces)))
+
+    g = Grammar((names[0],), tuple(productions))
+    assert len(g.productions) == size and not anf_check(g), anf_check(g)
     return g
 
 

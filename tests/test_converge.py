@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gramconv.converge import (
+    SEARCH_MAX_BINDINGS,
     Footprint,
     MatchError,
     NominalMapping,
@@ -20,6 +21,7 @@ from gramconv.converge import (
     structural_match,
     weak_equiv,
 )
+from gramconv.converge import _Binding, _complete_matchings, _Resolution
 from gramconv.grammar import (
     VALUE_INT,
     VALUE_STR,
@@ -35,7 +37,7 @@ from gramconv.grammar import (
 from gramconv.transform import apply_script, rename_nonterminal
 from conftest import FL_MAPPING
 
-from gen import random_anf
+from gen import random_anf, random_grammar, rooted_anf
 from oracles import resolution_oracle
 
 
@@ -312,6 +314,112 @@ def _apply_bijection(g, phi):
                    tuple(Production(phi.get(prod.lhs, prod.lhs),
                                     rename_expr(prod.rhs, phi), prod.label)
                          for prod in g.productions))
+
+
+# -- signature index and search limits -------------------------------------------
+
+
+def test_signature_index_agrees_with_pairwise_definitions():
+    # the bucket lookup stands in for strong_equiv/weak_equiv, and the memo
+    # for pair_resolution, on arbitrary (not only normalized) productions
+    rng = random.Random(83)
+    keyed = {"strong": 0, "weak": 0}
+    for _ in range(80):
+        master, servant = (random_grammar(rng) if rng.random() < 0.5
+                           else random_anf(rng, vocab=rng.randint(2, 6))
+                           for _ in range(2))
+        res = _Resolution(master, servant)
+        for si, sprod in enumerate(servant.productions):
+            for mi, mprod in enumerate(master.productions):
+                for strength, equiv in (("strong", strong_equiv), ("weak", weak_equiv)):
+                    found = mi in res.candidates(si, strength)
+                    assert found == equiv(sprod, mprod)
+                    if not found:
+                        continue
+                    keyed[strength] += 1
+                    want = [((sprod.lhs, mprod.lhs),)
+                            + tuple(sorted((a, b) for a, b in mapping.pairs
+                                           if a is not None and b is not None))
+                            for mapping in pair_resolution(sprod, mprod, strength)]
+                    assert res.relations(si, mi, strength) == want
+    assert keyed["strong"] >= 100 and keyed["weak"] > keyed["strong"]
+
+
+def _root_seed(master, servant):
+    seed = _Binding()
+    seed.bind(servant.roots[0], master.roots[0])
+    return seed
+
+
+def test_complete_matchings_reports_node_budget(fl_master_abstract, jaxb_anf):
+    res = _Resolution(fl_master_abstract, jaxb_anf)
+    seed = _root_seed(fl_master_abstract, jaxb_anf)
+    assert _complete_matchings(res, seed, cap=1) == ([], True)
+    results, capped = _complete_matchings(res, seed)
+    assert results and not capped
+
+
+def _twins_master():
+    # four twins a..d: weakly equivalent rules (+ against *) whose exact
+    # signatures differ, none of them strongly comparable
+    def twin(marker, k_marker):
+        return seq(marker(VALUE_INT), marker(VALUE_STR), k_marker(n("k")))
+    return Grammar(("r",), (p("r", seq(n("a"), n("b"), n("c"), n("d"))),
+                            p("a", twin(plus, star)), p("b", twin(star, plus)),
+                            p("c", twin(plus, plus)), p("d", twin(star, star)),
+                            p("k", seq(VALUE_INT, VALUE_INT))))
+
+
+def test_binding_limit_never_picks_a_winner_from_a_truncated_list():
+    master = _twins_master()
+    phi = {"r": "R", "a": "S", "b": "Q", "c": "P", "d": "T", "k": "K"}
+    renamed = _apply_bijection(master, phi).productions
+    # servant twins in the order of masters c, b, a, d: the planted binding
+    # is not among the first bindings the search finds, and one of those
+    # scores more exact matches than the rest
+    servant = Grammar(("R",), tuple(renamed[i] for i in (0, 3, 2, 1, 4, 5)))
+    planted = {v: k for k, v in phi.items()}
+
+    results, capped = _complete_matchings(_Resolution(master, servant),
+                                          _root_seed(master, servant))
+    assert capped and len(results) == SEARCH_MAX_BINDINGS
+    assert not any(planted.items() <= found.items() for found in results)
+    with pytest.raises(ResolutionAmbiguity):
+        nominal_resolution(master, servant)
+
+
+def _weak_profiles(g):
+    """Per defined name, its rules' signatures with the names of
+    nonterminals forgotten and + read as *; a renaming onto the grammar
+    itself that preserves exact signatures keeps every name's profile."""
+    rules = {}
+    for prod in g.productions:
+        shape = sorted((name if name in ("str", "int") else "n", f.weak().render())
+                       for name, f in prodsig(prod).items())
+        rules.setdefault(prod.lhs, []).append(tuple(shape))
+    return {name: tuple(sorted(shapes)) for name, shapes in rules.items()}
+
+
+def test_nominal_resolution_at_scale_finds_the_planted_renaming():
+    rng = random.Random(40)
+    for _ in range(3):
+        master = rooted_anf(rng, 40)
+        names = list(dict.fromkeys(prod.lhs for prod in master.productions))
+        image = [f"s{i}" for i in range(len(names))]
+        rng.shuffle(image)
+        phi = dict(zip(names, image))
+        renamed = list(_apply_bijection(master, phi).productions)
+        rng.shuffle(renamed)
+        servant = Grammar((phi[master.roots[0]],), tuple(renamed))
+        planted = {v: k for k, v in phi.items()}
+        try:
+            got = nominal_resolution(master, servant).as_dict()
+        except ResolutionAmbiguity as err:
+            profiles = _weak_profiles(master)
+            assert len(set(profiles.values())) < len(profiles)
+            assert any(planted.items() <= cand.items() for cand in err.candidates)
+            continue
+        assert {k: got.get(k) for k in planted} == planted
 
 
 # -- structural matching ---------------------------------------------------------
