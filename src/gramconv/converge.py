@@ -21,7 +21,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from .grammar import (
-    Choice,
     Expr,
     Grammar,
     Nonterminal,
@@ -34,9 +33,10 @@ from .grammar import (
     Sequence,
     Star,
     Terminal,
-    ValueInt,
-    ValueStr,
+    VALUE_NAMES,
+    names_in_order,
     render_production,
+    subterms,
 )
 from .mutate import Mutation, anf_check, mutate
 from .transform import TransformStep, apply_script
@@ -102,14 +102,15 @@ class Footprint:
 _EMPTY_FP = Footprint(())
 
 
+# the signature name of each built-in value class
+_VALUE_KIND = {type(value): name for name, value in VALUE_NAMES.items()}
+_MARKER_OF = {Optional: "?", Star: "*", Plus: "+"}
+
+
 def _leaf_name(expr: Expr) -> str | None:
     if isinstance(expr, Nonterminal):
         return expr.name
-    if isinstance(expr, ValueStr):
-        return "str"
-    if isinstance(expr, ValueInt):
-        return "int"
-    return None
+    return _VALUE_KIND.get(type(expr))
 
 
 def _unwrapped_leaf(expr: Expr) -> str | None:
@@ -125,12 +126,9 @@ def footprint(name: str, expr: Expr) -> Footprint:
     parts; occurrences under a choice do not count."""
     if _leaf_name(expr) == name:
         return Footprint(("1",))
-    if isinstance(expr, Optional) and _unwrapped_leaf(expr.body) == name:
-        return Footprint(("?",))
-    if isinstance(expr, Star) and _unwrapped_leaf(expr.body) == name:
-        return Footprint(("*",))
-    if isinstance(expr, Plus) and _unwrapped_leaf(expr.body) == name:
-        return Footprint(("+",))
+    marker = _MARKER_OF.get(type(expr))
+    if marker is not None and _unwrapped_leaf(expr.body) == name:
+        return Footprint((marker,))
     if isinstance(expr, Selectable):
         return footprint(name, expr.body)
     if isinstance(expr, (SepListStar, SepListPlus)):
@@ -143,37 +141,11 @@ def footprint(name: str, expr: Expr) -> Footprint:
     return _EMPTY_FP
 
 
-def _signature_names(expr: Expr) -> list[str]:
-    seen: dict[str, None] = {}
-
-    def walk(node: Expr) -> None:
-        name = _leaf_name(node)
-        if name is not None:
-            seen.setdefault(name)
-            return
-        if isinstance(node, Selectable):
-            walk(node.body)
-        elif isinstance(node, (Optional, Star, Plus)):
-            walk(node.body)
-        elif isinstance(node, Sequence):
-            for part in node.parts:
-                walk(part)
-        elif isinstance(node, Choice):
-            for alt in node.alternatives:
-                walk(alt)
-        elif isinstance(node, (SepListStar, SepListPlus)):
-            walk(node.item)
-            walk(node.separator)
-
-    walk(expr)
-    return list(seen)
-
-
 def prodsig(prod: Production) -> dict[str, Footprint]:
     """Production signature: name -> footprint, one entry per name with a
     non-empty footprint in the rule's rhs, in first-occurrence order."""
     sig: dict[str, Footprint] = {}
-    for name in _signature_names(prod.rhs):
+    for name in dict.fromkeys(filter(None, map(_leaf_name, subterms(prod.rhs)))):
         fp = footprint(name, prod.rhs)
         if fp:
             sig[name] = fp
@@ -267,17 +239,6 @@ def _signature_relations(sp: dict[str, Footprint], sq: dict[str, Footprint],
         per_class.append(options)
     return [frozenset(pair for chunk in combo for pair in chunk)
             for combo in itertools.product(*per_class)]
-
-
-def _grammar_names(g: Grammar) -> list[str]:
-    """All names taking part in signatures: defined and used nonterminals
-    plus the value names that occur, in first-appearance order."""
-    seen: dict[str, None] = {}
-    for prod in g.productions:
-        seen.setdefault(prod.lhs)
-        for name in _signature_names(prod.rhs):
-            seen.setdefault(name)
-    return list(seen)
 
 
 class _Binding:
@@ -439,7 +400,7 @@ def nominal_resolution(master: Grammar, servant: Grammar) -> NominalMapping:
 
     candidates, capped = _complete_matchings(res, seed)
     if capped:
-        open_names = [name for name in _grammar_names(servant)
+        open_names = [name for name in names_in_order(servant, _leaf_name)
                       if name not in binding.fwd]
         if open_names:
             raise ResolutionAmbiguity(candidates or [dict(binding.fwd)])
@@ -453,10 +414,10 @@ def nominal_resolution(master: Grammar, servant: Grammar) -> NominalMapping:
             raise ResolutionAmbiguity(best)
 
     pairs: list[tuple[str | None, str | None]] = []
-    for name in _grammar_names(servant):
+    for name in names_in_order(servant, _leaf_name):
         pairs.append((name, binding.fwd.get(name)))
     mapped = {b for _, b in pairs if b is not None}
-    for name in _grammar_names(master):
+    for name in names_in_order(master, _leaf_name):
         if name not in mapped:
             pairs.append((None, name))
     return NominalMapping(frozenset(pairs))
@@ -607,14 +568,6 @@ class MatchReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _value_kind(expr: Expr) -> str | None:
-    if isinstance(expr, ValueStr):
-        return "str"
-    if isinstance(expr, ValueInt):
-        return "int"
-    return None
-
-
 class _Aligner:
     """Alignment of one servant rhs onto one master rhs under a name mapping.
 
@@ -638,16 +591,16 @@ class _Aligner:
         if s_name is not None:
             if isinstance(m, Nonterminal):
                 return self.mapping.get(s_name) == m.name
-            kind = _value_kind(m)
+            kind = _VALUE_KIND.get(type(m))
             if kind is not None:
                 # a nonterminal standing where the master has a built-in value
                 if emit:
                     self._emit_set(path, m, s)
                 return True
             return False
-        s_kind = _value_kind(s)
+        s_kind = _VALUE_KIND.get(type(s))
         if s_kind is not None:
-            return _value_kind(m) == s_kind
+            return _VALUE_KIND.get(type(m)) == s_kind
         if isinstance(s, Terminal):
             return isinstance(m, Terminal) and s.text == m.text
         if type(s) is type(m) and isinstance(s, (Optional, Star, Plus)):
@@ -713,7 +666,7 @@ def structural_match(master: Grammar, servant: Grammar,
     total name mapping; the recorded trace rewrites the servant rules onto
     the master shapes (modulo renaming)."""
     name_map = mapping.as_dict()
-    servant_names = set(_grammar_names(servant))
+    servant_names = set(names_in_order(servant, _leaf_name))
     covered = {a for a, _ in mapping.pairs if a is not None}
     missing = sorted(servant_names - covered - VALUE_NAME_SET)
     if missing:

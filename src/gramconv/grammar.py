@@ -10,7 +10,9 @@ hashable; every operation in this package is a pure function over them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 
 class GrammarError(ValueError):
@@ -215,6 +217,70 @@ def sepplus(item: Expr, separator: Expr) -> SepListPlus:
 
 
 # --------------------------------------------------------------------------
+# The node table: how each expression class is taken apart and put back
+# together.  Generic tree walks go through `children` and `with_children`;
+# code whose meaning differs per class (rendering, footprints, alignment)
+# keeps its own dispatch.
+
+
+class NodeKind(NamedTuple):
+    child_fields: tuple[str, ...]  # in child order; () for a leaf
+    variadic: bool                 # the one child field holds any number of children
+    build: Callable[..., Expr]     # smart constructor: other fields, then children
+
+
+NODE_TABLE: dict[type, NodeKind] = {
+    Epsilon: NodeKind((), False, lambda: EPSILON),
+    Empty: NodeKind((), False, lambda: EMPTY),
+    Anything: NodeKind((), False, lambda: ANYTHING),
+    ValueStr: NodeKind((), False, lambda: VALUE_STR),
+    ValueInt: NodeKind((), False, lambda: VALUE_INT),
+    Terminal: NodeKind((), False, Terminal),
+    Nonterminal: NodeKind((), False, Nonterminal),
+    Selectable: NodeKind(("body",), False, sel),
+    Sequence: NodeKind(("parts",), True, seq),
+    Choice: NodeKind(("alternatives",), True, choice),
+    Optional: NodeKind(("body",), False, opt),
+    Star: NodeKind(("body",), False, star),
+    Plus: NodeKind(("body",), False, plus),
+    SepListStar: NodeKind(("item", "separator"), False, sepstar),
+    SepListPlus: NodeKind(("item", "separator"), False, sepplus),
+}
+
+# derived from NODE_TABLE for each composite class: getter and rebuilder
+_GET: dict[type, Callable[[Expr], tuple[Expr, ...]]] = {}
+_PUT: dict[type, Callable[[Expr, list[Expr]], Expr]] = {}
+
+
+def _derive(cls: type, kind: NodeKind) -> None:
+    get = attrgetter(*kind.child_fields)  # one field: its value; several: a tuple
+    single = len(kind.child_fields) == 1 and not kind.variadic
+    _GET[cls] = (lambda node: (get(node),)) if single else get
+    other = [f.name for f in fields(cls) if f.name not in kind.child_fields]
+    build = kind.build
+    _PUT[cls] = (lambda node, kids: build(*[getattr(node, f) for f in other], *kids)
+                 ) if other else (lambda node, kids: build(*kids))
+
+
+for _cls, _kind in NODE_TABLE.items():
+    if _kind.child_fields:
+        _derive(_cls, _kind)
+
+
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The direct subexpressions of expr, in order; () for a leaf."""
+    get = _GET.get(type(expr))
+    return get(expr) if get is not None else ()
+
+
+def with_children(expr: Expr, kids) -> Expr:
+    """expr with its children replaced by kids, reassembled with the smart
+    constructors (so the result is canonical); a leaf is returned as is."""
+    put = _PUT.get(type(expr))
+    return put(expr, kids) if put is not None else expr
+
+
+# --------------------------------------------------------------------------
 # Productions and grammars
 
 
@@ -266,20 +332,13 @@ class Vocabulary:
 
 def subterms(expr: Expr):
     """Yield expr and all its subexpressions, pre-order."""
-    yield expr
-    if isinstance(expr, Selectable):
-        yield from subterms(expr.body)
-    elif isinstance(expr, Sequence):
-        for part in expr.parts:
-            yield from subterms(part)
-    elif isinstance(expr, Choice):
-        for alt in expr.alternatives:
-            yield from subterms(alt)
-    elif isinstance(expr, (Optional, Star, Plus)):
-        yield from subterms(expr.body)
-    elif isinstance(expr, (SepListStar, SepListPlus)):
-        yield from subterms(expr.item)
-        yield from subterms(expr.separator)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        get = _GET.get(type(node))
+        if get is not None:
+            stack.extend(reversed(get(node)))
 
 
 def rebuild(expr: Expr, fn) -> Expr:
@@ -287,25 +346,10 @@ def rebuild(expr: Expr, fn) -> Expr:
     have been rebuilt.  Composite nodes are reassembled with the smart
     constructors, so fn may return epsilon/empty to delete a node and the
     surrounding structure renormalizes."""
-    if isinstance(expr, Selectable):
-        out: Expr = sel(expr.selector, rebuild(expr.body, fn))
-    elif isinstance(expr, Sequence):
-        out = seq(*(rebuild(part, fn) for part in expr.parts))
-    elif isinstance(expr, Choice):
-        out = choice(*(rebuild(alt, fn) for alt in expr.alternatives))
-    elif isinstance(expr, Optional):
-        out = opt(rebuild(expr.body, fn))
-    elif isinstance(expr, Star):
-        out = star(rebuild(expr.body, fn))
-    elif isinstance(expr, Plus):
-        out = plus(rebuild(expr.body, fn))
-    elif isinstance(expr, SepListStar):
-        out = sepstar(rebuild(expr.item, fn), rebuild(expr.separator, fn))
-    elif isinstance(expr, SepListPlus):
-        out = sepplus(rebuild(expr.item, fn), rebuild(expr.separator, fn))
-    else:
-        out = expr
-    return fn(out)
+    get = _GET.get(type(expr))
+    if get is not None:
+        expr = _PUT[type(expr)](expr, [rebuild(kid, fn) for kid in get(expr)])
+    return fn(expr)
 
 
 def replace_subterm(expr: Expr, old: Expr, new: Expr) -> Expr:
@@ -313,25 +357,10 @@ def replace_subterm(expr: Expr, old: Expr, new: Expr) -> Expr:
     top-down (matched nodes are not descended into)."""
     if expr == old:
         return new
-    if isinstance(expr, Selectable):
-        return sel(expr.selector, replace_subterm(expr.body, old, new))
-    if isinstance(expr, Sequence):
-        return seq(*(replace_subterm(part, old, new) for part in expr.parts))
-    if isinstance(expr, Choice):
-        return choice(*(replace_subterm(alt, old, new) for alt in expr.alternatives))
-    if isinstance(expr, Optional):
-        return opt(replace_subterm(expr.body, old, new))
-    if isinstance(expr, Star):
-        return star(replace_subterm(expr.body, old, new))
-    if isinstance(expr, Plus):
-        return plus(replace_subterm(expr.body, old, new))
-    if isinstance(expr, SepListStar):
-        return sepstar(replace_subterm(expr.item, old, new),
-                       replace_subterm(expr.separator, old, new))
-    if isinstance(expr, SepListPlus):
-        return sepplus(replace_subterm(expr.item, old, new),
-                       replace_subterm(expr.separator, old, new))
-    return expr
+    kids = children(expr)
+    if not kids:
+        return expr
+    return with_children(expr, [replace_subterm(kid, old, new) for kid in kids])
 
 
 def rename_expr(expr: Expr, mapping: dict[str, str]) -> Expr:
@@ -345,10 +374,20 @@ def rename_expr(expr: Expr, mapping: dict[str, str]) -> Expr:
 
 def expr_names(expr: Expr) -> list[str]:
     """Nonterminal names occurring in expr, in first-occurrence order."""
+    return list(dict.fromkeys(sub.name for sub in subterms(expr)
+                              if isinstance(sub, Nonterminal)))
+
+
+def names_in_order(g: Grammar, name_of=None) -> list[str]:
+    """Left-hand sides in first-appearance order.  With `name_of`, each
+    rule's lhs is followed by the names name_of gives to the subterms of its
+    rhs (None for a subterm without one)."""
     seen: dict[str, None] = {}
-    for sub in subterms(expr):
-        if isinstance(sub, Nonterminal) and sub.name not in seen:
-            seen[sub.name] = None
+    for prod in g.productions:
+        seen.setdefault(prod.lhs)
+        if name_of is not None:
+            # updating a key keeps its first position
+            seen.update(dict.fromkeys(filter(None, map(name_of, subterms(prod.rhs)))))
     return list(seen)
 
 

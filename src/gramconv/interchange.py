@@ -15,13 +15,10 @@ grammar files round-trip byte-identically.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .grammar import (
-    ANYTHING,
-    EMPTY,
-    EPSILON,
-    VALUE_INT,
-    VALUE_STR,
+    NODE_TABLE,
     Anything,
     Choice,
     Empty,
@@ -40,15 +37,18 @@ from .grammar import (
     Terminal,
     ValueInt,
     ValueStr,
-    choice,
-    opt,
-    plus,
-    seq,
-    sel,
-    sepplus,
-    sepstar,
-    star,
 )
+
+# the expression tag of each class; a node's other JSON keys are its
+# dataclass fields, in declaration order
+_CLASS_OF_TAG = {
+    "epsilon": Epsilon, "empty": Empty, "any": Anything, "valstr": ValueStr,
+    "valint": ValueInt, "t": Terminal, "n": Nonterminal, "sel": Selectable,
+    "seq": Sequence, "choice": Choice, "opt": Optional, "star": Star,
+    "plus": Plus, "sepstar": SepListStar, "sepplus": SepListPlus,
+}
+_TAG_OF_CLASS = {cls: tag for tag, cls in _CLASS_OF_TAG.items()}
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _TAG_OF_CLASS}
 
 
 class InterchangeError(ValueError):
@@ -61,40 +61,18 @@ class InterchangeError(ValueError):
 
 
 def expr_to_json(expr: Expr) -> dict:
-    if isinstance(expr, Epsilon):
-        return {"tag": "epsilon"}
-    if isinstance(expr, Empty):
-        return {"tag": "empty"}
-    if isinstance(expr, Anything):
-        return {"tag": "any"}
-    if isinstance(expr, ValueStr):
-        return {"tag": "valstr"}
-    if isinstance(expr, ValueInt):
-        return {"tag": "valint"}
-    if isinstance(expr, Terminal):
-        return {"tag": "t", "text": expr.text}
-    if isinstance(expr, Nonterminal):
-        return {"tag": "n", "name": expr.name}
-    if isinstance(expr, Selectable):
-        return {"tag": "sel", "selector": expr.selector, "body": expr_to_json(expr.body)}
-    if isinstance(expr, Sequence):
-        return {"tag": "seq", "parts": [expr_to_json(part) for part in expr.parts]}
-    if isinstance(expr, Choice):
-        return {"tag": "choice",
-                "alternatives": [expr_to_json(alt) for alt in expr.alternatives]}
-    if isinstance(expr, Optional):
-        return {"tag": "opt", "body": expr_to_json(expr.body)}
-    if isinstance(expr, Star):
-        return {"tag": "star", "body": expr_to_json(expr.body)}
-    if isinstance(expr, Plus):
-        return {"tag": "plus", "body": expr_to_json(expr.body)}
-    if isinstance(expr, SepListStar):
-        return {"tag": "sepstar", "item": expr_to_json(expr.item),
-                "separator": expr_to_json(expr.separator)}
-    if isinstance(expr, SepListPlus):
-        return {"tag": "sepplus", "item": expr_to_json(expr.item),
-                "separator": expr_to_json(expr.separator)}
-    raise TypeError(f"not an expression: {expr!r}")
+    tag = _TAG_OF_CLASS.get(type(expr))
+    if tag is None:
+        raise TypeError(f"not an expression: {expr!r}")
+    doc = {"tag": tag}
+    for name in _FIELDS[type(expr)]:
+        value = getattr(expr, name)
+        if isinstance(value, Expr):
+            value = expr_to_json(value)
+        elif isinstance(value, tuple):
+            value = [expr_to_json(kid) for kid in value]
+        doc[name] = value
+    return doc
 
 
 def grammar_to_json(g: Grammar) -> dict:
@@ -125,46 +103,20 @@ def _want(doc: dict, key: str, kind, path: str):
 
 def expr_from_json(doc, path: str = "rhs") -> Expr:
     tag = _want(doc, "tag", str, path)
-    if tag == "epsilon":
-        return EPSILON
-    if tag == "empty":
-        return EMPTY
-    if tag == "any":
-        return ANYTHING
-    if tag == "valstr":
-        return VALUE_STR
-    if tag == "valint":
-        return VALUE_INT
-    if tag == "t":
-        return Terminal(_want(doc, "text", str, path))
-    if tag == "n":
-        return Nonterminal(_want(doc, "name", str, path))
-    if tag == "sel":
-        return sel(_want(doc, "selector", str, path),
-                   expr_from_json(_want(doc, "body", dict, path), f"{path}.body"))
-    if tag == "seq":
-        parts = _want(doc, "parts", list, path)
-        return seq(*(expr_from_json(part, f"{path}.parts[{i}]")
-                     for i, part in enumerate(parts)))
-    if tag == "choice":
-        alts = _want(doc, "alternatives", list, path)
-        return choice(*(expr_from_json(alt, f"{path}.alternatives[{i}]")
-                        for i, alt in enumerate(alts)))
-    if tag == "opt":
-        return opt(expr_from_json(_want(doc, "body", dict, path), f"{path}.body"))
-    if tag == "star":
-        return star(expr_from_json(_want(doc, "body", dict, path), f"{path}.body"))
-    if tag == "plus":
-        return plus(expr_from_json(_want(doc, "body", dict, path), f"{path}.body"))
-    if tag == "sepstar":
-        return sepstar(expr_from_json(_want(doc, "item", dict, path), f"{path}.item"),
-                       expr_from_json(_want(doc, "separator", dict, path),
-                                      f"{path}.separator"))
-    if tag == "sepplus":
-        return sepplus(expr_from_json(_want(doc, "item", dict, path), f"{path}.item"),
-                       expr_from_json(_want(doc, "separator", dict, path),
-                                      f"{path}.separator"))
-    raise InterchangeError(path, f"unknown expression tag {tag!r}")
+    cls = _CLASS_OF_TAG.get(tag)
+    if cls is None:
+        raise InterchangeError(path, f"unknown expression tag {tag!r}")
+    kind = NODE_TABLE[cls]
+    values: list = []
+    for name in _FIELDS[cls]:
+        if name not in kind.child_fields:
+            values.append(_want(doc, name, str, path))
+        elif kind.variadic:
+            values.extend(expr_from_json(kid, f"{path}.{name}[{i}]")
+                          for i, kid in enumerate(_want(doc, name, list, path)))
+        else:
+            values.append(expr_from_json(_want(doc, name, dict, path), f"{path}.{name}"))
+    return kind.build(*values)
 
 
 def grammar_from_json(doc) -> Grammar:

@@ -43,7 +43,9 @@ from .grammar import (
     Terminal,
     ValueInt,
     ValueStr,
+    children,
     expr_names,
+    names_in_order,
     opt,
     reachable,
     rebuild,
@@ -55,11 +57,14 @@ from .grammar import (
     vocabulary,
 )
 from .transform import (
+    TransformError,
     TransformStep,
+    _names,
     apply_step,
     detect_yaccified,
     dnf,
     fresh_name,
+    _sole_definition,
 )
 
 
@@ -128,22 +133,6 @@ class _Recorder:
         self.trace.append(step)
 
 
-def _defined_order(g: Grammar) -> list[str]:
-    seen: dict[str, None] = {}
-    for prod in g.productions:
-        seen.setdefault(prod.lhs)
-    return list(seen)
-
-
-def _all_names_order(g: Grammar) -> list[str]:
-    seen: dict[str, None] = {}
-    for prod in g.productions:
-        seen.setdefault(prod.lhs)
-        for name in expr_names(prod.rhs):
-            seen.setdefault(name)
-    return list(seen)
-
-
 def _local_rules(g: Grammar, name: str) -> list[tuple[int, Production]]:
     return [(pos, prod)
             for pos, prod in enumerate(p for p in g.productions if p.lhs == name)]
@@ -164,7 +153,7 @@ def _is_trivial_rhs(rhs: Expr) -> bool:
 def _rewrite_rules(rec: _Recorder, fn) -> None:
     """Rewrite every rule rhs with fn (a rebuild node function), one recorded
     step per changed rule."""
-    for name in _defined_order(rec.grammar):
+    for name in names_in_order(rec.grammar):
         for pos, prod in _local_rules(rec.grammar, name):
             new = rebuild(prod.rhs, fn)
             if new != prod.rhs:
@@ -181,7 +170,7 @@ def _remove_selectors(rec: _Recorder, params: dict) -> None:
 
 
 def _remove_labels(rec: _Recorder, params: dict) -> None:
-    for name in _defined_order(rec.grammar):
+    for name in names_in_order(rec.grammar):
         for pos, prod in _local_rules(rec.grammar, name):
             if prod.label is not None:
                 rec.do("set-label", lhs=name, pos=pos, label=None, previous=prod.label)
@@ -212,7 +201,8 @@ def apply_convention(convention: str, name: str) -> str:
 
 def _disciplined_rename(rec: _Recorder, params: dict) -> None:
     convention = params["convention"]
-    names = _all_names_order(rec.grammar)
+    names = names_in_order(
+        rec.grammar, lambda sub: sub.name if isinstance(sub, Nonterminal) else None)
     taken = set(names)
     targets = {name: apply_convention(convention, name) for name in names}
     by_target: dict[str, list[str]] = {}
@@ -234,7 +224,7 @@ def _disciplined_rename(rec: _Recorder, params: dict) -> None:
 def _non_leaf_tops(g: Grammar) -> list[str]:
     top_set = tops(g)
     result = []
-    for name in _defined_order(g):
+    for name in names_in_order(g):
         if name not in top_set:
             continue
         if any(expr_names(prod.rhs) for prod in g.rules_of(name)):
@@ -251,7 +241,7 @@ def _reroot_to_top(rec: _Recorder, params: dict) -> None:
 def _eliminate_unreachable(rec: _Recorder) -> None:
     g = rec.grammar
     keep = reachable(g, g.roots)
-    for name in _defined_order(g):
+    for name in names_in_order(g):
         if name not in keep:
             rec.do("eliminate", name=name)
 
@@ -290,7 +280,7 @@ def _all_vertical(rec: _Recorder, params: dict) -> None:
     # iterate until no choice-shaped rhs is left
     for _ in range(64):
         before = len(rec.trace)
-        for name in _defined_order(rec.grammar):
+        for name in names_in_order(rec.grammar):
             rules = rec.grammar.rules_of(name)
             if len(rules) == 1 and isinstance(rules[0].rhs, Choice):
                 if rules[0].label is not None:
@@ -328,7 +318,7 @@ def _split_choice_rules(rec: _Recorder, name: str) -> None:
 
 
 def _all_horizontal(rec: _Recorder, params: dict) -> None:
-    for name in _defined_order(rec.grammar):
+    for name in names_in_order(rec.grammar):
         if len(rec.grammar.rules_of(name)) <= 1:
             continue
         # nested choice rules would flatten into the merged one, and a bare
@@ -357,31 +347,22 @@ def _all_horizontal(rec: _Recorder, params: dict) -> None:
             rec.do("horizontal", name=name)
 
 
-def _nested_choice_offender(rhs: Expr):
-    """Deepest-first (choice, path) nested under a non-sequence constructor;
-    sequence-over-choice nesting is handled by distribution instead."""
-    def walk(node: Expr, path: tuple[int, ...]):
-        kids: list[tuple[int, Expr]] = []
-        if isinstance(node, Selectable):
-            kids = [(0, node.body)]
-        elif isinstance(node, (Optional, Star, Plus)):
-            kids = [(0, node.body)]
-        elif isinstance(node, (SepListStar, SepListPlus)):
-            kids = [(0, node.item), (1, node.separator)]
-        elif isinstance(node, Sequence):
-            kids = list(enumerate(node.parts))
-        elif isinstance(node, Choice):
-            kids = list(enumerate(node.alternatives))
-        for i, kid in kids:
-            deeper = walk(kid, path + (i,))
-            if deeper is not None:
-                return deeper
-        if isinstance(node, (Selectable, Optional, Star, Plus, SepListStar, SepListPlus)):
-            for i, kid in kids:
-                if isinstance(kid, Choice):
-                    return kid
+def _deepest(rhs: Expr, offender):
+    """The first non-None offender(node) over the nodes of rhs in post-order,
+    that is, deepest first."""
+    for kid in children(rhs):
+        found = _deepest(kid, offender)
+        if found is not None:
+            return found
+    return offender(rhs)
+
+
+def _nested_choice(node: Expr):
+    """A choice child of a constructor other than sequence; sequence-over-
+    choice nesting is handled by distribution instead."""
+    if isinstance(node, (Sequence, Choice)):
         return None
-    return walk(rhs, ())
+    return next((kid for kid in children(node) if isinstance(kid, Choice)), None)
 
 
 def _distribute_all(rec: _Recorder, params: dict) -> None:
@@ -389,19 +370,18 @@ def _distribute_all(rec: _Recorder, params: dict) -> None:
     # under repetitions (which no amount of distribution can reach)
     for _ in range(64):
         changed = False
-        for name in _defined_order(rec.grammar):
+        for name in names_in_order(rec.grammar):
             for pos, prod in _local_rules(rec.grammar, name):
                 expanded = dnf(prod.rhs)
                 if expanded != prod.rhs:
                     rec.do("set-node", lhs=name, pos=pos, path=[], expr=expanded,
                            previous=prod.rhs)
                     changed = True
-        for name in _defined_order(rec.grammar):
+        for name in names_in_order(rec.grammar):
             for pos, prod in _local_rules(rec.grammar, name):
-                offender = _nested_choice_offender(prod.rhs)
+                offender = _deepest(prod.rhs, _nested_choice)
                 if offender is not None:
-                    voc = vocabulary(rec.grammar)
-                    fresh = fresh_name(name, set(voc.defined | voc.used))
+                    fresh = fresh_name(name, _names(rec.grammar))
                     rec.do("extract", name=fresh, expr=offender)
                     changed = True
         if not changed:
@@ -415,7 +395,7 @@ def _potentially_horizontal_to_vertical(rec: _Recorder, params: dict) -> None:
 
 
 def _deyaccify_all(rec: _Recorder, params: dict) -> None:
-    for name in _defined_order(rec.grammar):
+    for name in names_in_order(rec.grammar):
         found = detect_yaccified(rec.grammar, name)
         if found is not None:
             rec.do("deyaccify", name=name, style=found[0])
@@ -423,23 +403,18 @@ def _deyaccify_all(rec: _Recorder, params: dict) -> None:
 
 def _inline_target(rec: _Recorder, name: str) -> dict | None:
     """Recorded-operand args for inlining `name`, or None when not eligible."""
-    g = rec.grammar
-    if name in g.roots:
+    try:
+        at, body = _sole_definition(rec.grammar, name, "inline")
+    except TransformError:
         return None
-    positions = [i for i, prod in enumerate(g.productions) if prod.lhs == name]
-    if len(positions) != 1:
-        return None
-    body = g.productions[positions[0]].rhs
-    if name in expr_names(body):
-        return None
-    return {"name": name, "body": body, "index": positions[0]}
+    return {"name": name, "body": body, "index": at}
 
 
 def _remove_lazy(rec: _Recorder, params: dict) -> None:
     while True:
         g = rec.grammar
         acted = False
-        for name in _defined_order(g):
+        for name in names_in_order(g):
             args = _inline_target(rec, name)
             if args is None:
                 continue
@@ -477,45 +452,22 @@ def _encode_seplists(rec: _Recorder, params: dict) -> None:
 _GROUPY = (Sequence, Choice, SepListStar, SepListPlus)
 
 
-def _grouped_offender(rhs: Expr):
-    """Deepest-first composite subexpression that a bracket-free postfix
-    notation could not write without group brackets."""
-    def walk(node: Expr):
-        kids: list[Expr] = []
-        if isinstance(node, Selectable):
-            kids = [node.body]
-        elif isinstance(node, (Optional, Star, Plus)):
-            kids = [node.body]
-        elif isinstance(node, (SepListStar, SepListPlus)):
-            kids = [node.item, node.separator]
-        elif isinstance(node, Sequence):
-            kids = list(node.parts)
-        elif isinstance(node, Choice):
-            kids = list(node.alternatives)
-        for kid in kids:
-            deeper = walk(kid)
-            if deeper is not None:
-                return deeper
-        if isinstance(node, (Optional, Star, Plus)) and isinstance(node.body, _GROUPY):
-            return node.body
-        if isinstance(node, (SepListStar, SepListPlus)):
-            for part in (node.item, node.separator):
-                if isinstance(part, _GROUPY):
-                    return part
-        if isinstance(node, Sequence):
-            for part in node.parts:
-                if isinstance(part, Choice):
-                    return part
-        return None
-    return walk(rhs)
+def _grouped(node: Expr):
+    """A composite child that a bracket-free postfix notation could not
+    write under node without group brackets."""
+    if isinstance(node, Sequence):
+        return next((part for part in node.parts if isinstance(part, Choice)), None)
+    if isinstance(node, (Optional, Star, Plus, SepListStar, SepListPlus)):
+        return next((kid for kid in children(node) if isinstance(kid, _GROUPY)), None)
+    return None
 
 
 def _fold_groups(rec: _Recorder, params: dict) -> None:
     for _ in range(1024):
         found = None
-        for name in _defined_order(rec.grammar):
+        for name in names_in_order(rec.grammar):
             for _pos, prod in _local_rules(rec.grammar, name):
-                offender = _grouped_offender(prod.rhs)
+                offender = _deepest(prod.rhs, _grouped)
                 if offender is not None:
                     found = (name, offender)
                     break
@@ -524,8 +476,7 @@ def _fold_groups(rec: _Recorder, params: dict) -> None:
         if found is None:
             return
         host, offender = found
-        voc = vocabulary(rec.grammar)
-        fresh = fresh_name(host, set(voc.defined | voc.used))
+        fresh = fresh_name(host, _names(rec.grammar))
         rec.do("extract", name=fresh, expr=offender)
     raise MutationError("fold-groups did not converge")
 
@@ -533,7 +484,7 @@ def _fold_groups(rec: _Recorder, params: dict) -> None:
 def _inline_trivial(rec: _Recorder) -> None:
     while True:
         acted = False
-        for name in _defined_order(rec.grammar):
+        for name in names_in_order(rec.grammar):
             rules = rec.grammar.rules_of(name)
             if len(rules) == 1 and _is_trivial_rhs(rules[0].rhs):
                 args = _inline_target(rec, name)
@@ -548,7 +499,7 @@ def _inline_trivial(rec: _Recorder) -> None:
 def _fix_chain_mixing(rec: _Recorder) -> None:
     while True:
         acted = False
-        for name in _defined_order(rec.grammar):
+        for name in names_in_order(rec.grammar):
             rules = rec.grammar.rules_of(name)
             if len(rules) < 2:
                 continue
@@ -556,8 +507,7 @@ def _fix_chain_mixing(rec: _Recorder) -> None:
             if all(flags) or not any(flags):
                 continue
             body = next(prod.rhs for prod in rules if not _is_chain_rhs(prod.rhs))
-            voc = vocabulary(rec.grammar)
-            fresh = fresh_name(name, set(voc.defined | voc.used))
+            fresh = fresh_name(name, _names(rec.grammar))
             rec.do("extract", name=fresh, expr=body, scope=name)
             acted = True
             break
@@ -645,45 +595,34 @@ class AnfViolation:
 
 
 def anf_check(g: Grammar) -> list[AnfViolation]:
-    """All violated abstract-normal-form conditions (empty list means ANF)."""
+    """All violated abstract-normal-form conditions (empty list means ANF),
+    condition by condition."""
     out: list[AnfViolation] = []
     for prod in g.productions:
         if prod.label is not None:
             out.append(AnfViolation(1, f"rule {prod.lhs} carries label {prod.label!r}"))
-    for prod in g.productions:
+        if isinstance(prod.rhs, Choice):
+            out.append(AnfViolation(5, f"rule {prod.lhs} is horizontal"))
         for sub in subterms(prod.rhs):
             if isinstance(sub, Selectable):
                 out.append(AnfViolation(
                     2, f"rule {prod.lhs} names a subexpression {sub.selector!r}"))
-    for prod in g.productions:
-        for sub in subterms(prod.rhs):
-            if isinstance(sub, Terminal):
+            elif isinstance(sub, Terminal):
                 out.append(AnfViolation(
                     3, f"rule {prod.lhs} contains terminal {sub.text!r}"))
-    for prod in g.productions:
-        for sub in subterms(prod.rhs):
-            for kid in _kids(sub):
+            elif isinstance(sub, (SepListStar, SepListPlus)):
+                out.append(AnfViolation(
+                    6, f"rule {prod.lhs} contains a separator list"))
+            for kid in children(sub):
                 if isinstance(kid, Choice):
                     out.append(AnfViolation(
                         4, f"rule {prod.lhs} nests a choice under "
                            f"{type(sub).__name__.lower()}"))
-    for prod in g.productions:
-        if isinstance(prod.rhs, Choice):
-            out.append(AnfViolation(5, f"rule {prod.lhs} is horizontal"))
-    for prod in g.productions:
-        for sub in subterms(prod.rhs):
-            if isinstance(sub, (SepListStar, SepListPlus)):
-                out.append(AnfViolation(
-                    6, f"rule {prod.lhs} contains a separator list"))
-    for name in _defined_order(g):
+    for name in names_in_order(g):
         rules = g.rules_of(name)
         if len(rules) == 1 and _is_trivial_rhs(rules[0].rhs):
             out.append(AnfViolation(
                 7, f"{name} is trivially defined as {render_expr(rules[0].rhs)}"))
-    for name in _defined_order(g):
-        rules = g.rules_of(name)
-        if len(rules) < 2:
-            continue
         flags = [_is_chain_rhs(prod.rhs) for prod in rules]
         if any(flags) and not all(flags):
             out.append(AnfViolation(8, f"{name} mixes chain and non-chain rules"))
@@ -692,23 +631,11 @@ def anf_check(g: Grammar) -> list[AnfViolation]:
         out.append(AnfViolation(
             9, f"top nonterminals {sorted(top_set)} differ from roots {sorted(g.roots)}"))
     else:
-        voc = vocabulary(g)
-        loose = sorted((voc.defined | voc.used) - reachable(g, g.roots))
+        loose = sorted(_names(g) - reachable(g, g.roots))
         if loose:
             out.append(AnfViolation(
                 9, f"unreachable from the roots: {', '.join(loose)}"))
+    # the walks above find several conditions at once; a stable sort lists
+    # each condition's violations in the order they were found
+    out.sort(key=lambda violation: violation.condition)
     return out
-
-
-def _kids(node: Expr) -> tuple[Expr, ...]:
-    if isinstance(node, Selectable):
-        return (node.body,)
-    if isinstance(node, (Optional, Star, Plus)):
-        return (node.body,)
-    if isinstance(node, Sequence):
-        return node.parts
-    if isinstance(node, Choice):
-        return node.alternatives
-    if isinstance(node, (SepListStar, SepListPlus)):
-        return (node.item, node.separator)
-    return ()

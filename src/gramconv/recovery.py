@@ -43,6 +43,7 @@ from .grammar import (
     ValueInt,
     ValueStr,
     VALUE_NAMES,
+    children,
     choice,
     opt,
     plus,
@@ -409,45 +410,30 @@ def _level(expr: Expr) -> int:
     return _ATOM
 
 
+# the role each postfix or separator-list constructor needs
+_WRAPPER_ROLES = {Star: "star-postfix", Plus: "plus-postfix", Optional: "option",
+                  SepListStar: "seplist-star", SepListPlus: "seplist-plus"}
+
+
 def _census(g: Grammar) -> tuple[set[str], list[str]]:
     """Roles a notation must provide to express g, and the constructs that no
     notation role can express at all."""
     needed: set[str] = {"defining"}
     impossible: list[str] = []
     group_needed = False
-
-    def need_group(expr: Expr) -> bool:
-        return not isinstance(expr, Epsilon) and _level(expr) < _ATOM
-
     for prod in g.productions:
         if prod.label is not None:
             impossible.append(f"production label {prod.label!r}")
         for sub in subterms(prod.rhs):
-            if isinstance(sub, Terminal):
+            role = _WRAPPER_ROLES.get(type(sub))
+            if role is not None:
+                needed.add(role)
+                # an operand that is empty or not atomic is written grouped
+                group_needed = group_needed or any(
+                    isinstance(kid, Epsilon) or _level(kid) < _ATOM for kid in children(sub))
+            elif isinstance(sub, Terminal):
                 needed.add("terminal-start-quote")
                 needed.add("terminal-end-quote")
-            elif isinstance(sub, Star):
-                needed.add("star-postfix")
-                group_needed = group_needed or need_group(sub.body) \
-                    or isinstance(sub.body, Epsilon)
-            elif isinstance(sub, Plus):
-                needed.add("plus-postfix")
-                group_needed = group_needed or need_group(sub.body) \
-                    or isinstance(sub.body, Epsilon)
-            elif isinstance(sub, Optional):
-                needed.add("option")
-                group_needed = group_needed or need_group(sub.body) \
-                    or isinstance(sub.body, Epsilon)
-            elif isinstance(sub, SepListStar):
-                needed.add("seplist-star")
-                group_needed = group_needed or any(
-                    need_group(part) or isinstance(part, Epsilon)
-                    for part in (sub.item, sub.separator))
-            elif isinstance(sub, SepListPlus):
-                needed.add("seplist-plus")
-                group_needed = group_needed or any(
-                    need_group(part) or isinstance(part, Epsilon)
-                    for part in (sub.item, sub.separator))
             elif isinstance(sub, Sequence):
                 group_needed = group_needed or any(
                     isinstance(part, Choice) for part in sub.parts)

@@ -8,9 +8,12 @@ when its applicability precondition fails.
 
 A transformation script is a list of TransformStep records applied left to
 right; on the first violated precondition the whole script fails atomically
-(the error carries the untouched input grammar).  Scripts serialize to JSON
-as [{"op": name, "args": {...}}, ...] with embedded expressions in the
-grammar interchange encoding.
+(the error carries the untouched input grammar).  Each operator is one entry
+of the registry `_OPS`, which apply_step, bidirectionalize and
+step_from_json all read; a step whose arguments do not meet the entry's
+spec fails like a violated precondition.  Scripts serialize to JSON as
+[{"op": name, "args": {...}}, ...] with embedded expressions in the grammar
+interchange encoding.
 
 `bidirectionalize` pairs a step with its inverse.  Steps whose inverse
 depends on the grammar (inline, unchain, distribute, deyaccify, and the
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .grammar import (
     EPSILON,
@@ -38,28 +42,24 @@ from .grammar import (
     Grammar,
     GrammarError,
     Nonterminal,
-    Optional,
     Plus,
     Production,
     Selectable,
-    SepListPlus,
-    SepListStar,
     Sequence,
     Star,
+    children,
     choice,
     expr_names,
-    opt,
     plus,
     render_expr,
     rename_expr,
     replace_subterm,
     sel,
-    sepplus,
-    sepstar,
     seq,
     star,
     subterms,
     vocabulary,
+    with_children,
 )
 from .interchange import expr_from_json, expr_to_json
 
@@ -104,11 +104,26 @@ def _rule_positions(g: Grammar, name: str) -> list[int]:
     return [i for i, prod in enumerate(g.productions) if prod.lhs == name]
 
 
-def _with_productions(g: Grammar, productions) -> Grammar:
+def _with_productions(g: Grammar, productions, roots=None) -> Grammar:
     try:
-        return Grammar(g.roots, tuple(productions))
+        return Grammar(g.roots if roots is None else tuple(roots), tuple(productions))
     except GrammarError as exc:
         raise TransformError(str(exc)) from exc
+
+
+def _replace_in_rules(g: Grammar, old: Expr, new: Expr,
+                      scope: str | None = None) -> list[Production] | None:
+    """g's rules with each occurrence of `old` in the rules of `scope` (all
+    rules when None) replaced by `new`; None when there is no occurrence."""
+    hit = False
+    out = []
+    for prod in g.productions:
+        in_scope = scope is None or prod.lhs == scope
+        if in_scope and any(sub == old for sub in subterms(prod.rhs)):
+            hit = True
+            prod = Production(prod.lhs, replace_subterm(prod.rhs, old, new), prod.label)
+        out.append(prod)
+    return out if hit else None
 
 
 def fresh_name(base: str, taken: set[str]) -> str:
@@ -151,20 +166,8 @@ def extract(g: Grammar, name: str, expr: Expr, scope: str | None = None,
     """
     if name in _names(g):
         raise TransformError(f"extract: {name!r} is not fresh")
-    hit = False
-    out: list[Production] = []
-    for prod in g.productions:
-        if scope is not None and prod.lhs != scope:
-            out.append(prod)
-            continue
-        if any(sub == expr for sub in subterms(prod.rhs)):
-            hit = True
-            out.append(Production(prod.lhs,
-                                  replace_subterm(prod.rhs, expr, Nonterminal(name)),
-                                  prod.label))
-        else:
-            out.append(prod)
-    if not hit:
+    out = _replace_in_rules(g, expr, Nonterminal(name), scope)
+    if out is None:
         where = f" in rules of {scope!r}" if scope else ""
         raise TransformError(f"extract: {render_expr(expr)} does not occur{where}")
     at = len(out) if index is None else index
@@ -172,23 +175,30 @@ def extract(g: Grammar, name: str, expr: Expr, scope: str | None = None,
     return _with_productions(g, out)
 
 
-def inline(g: Grammar, name: str) -> Grammar:
-    """Substitute the sole definition of `name` for each of its uses and drop
-    the defining rule."""
+def _sole_definition(g: Grammar, name: str, op: str) -> tuple[int, Expr]:
+    """Position and body of the one rule defining `name`, which must be
+    neither a root nor self-referential (the precondition of inlining)."""
     positions = _rule_positions(g, name)
     if len(positions) != 1:
         raise TransformError(
-            f"inline: {name!r} must be defined by exactly one rule, has {len(positions)}")
+            f"{op}: {name!r} must be defined by exactly one rule, has {len(positions)}")
     if name in g.roots:
-        raise TransformError(f"inline: {name!r} is a root")
+        raise TransformError(f"{op}: {name!r} is a root")
     body = g.productions[positions[0]].rhs
     if name in expr_names(body):
-        raise TransformError(f"inline: {name!r} is self-referential")
+        raise TransformError(f"{op}: {name!r} is self-referential")
+    return positions[0], body
+
+
+def inline(g: Grammar, name: str) -> Grammar:
+    """Substitute the sole definition of `name` for each of its uses and drop
+    the defining rule."""
+    at, body = _sole_definition(g, name, "inline")
     out = [
         Production(prod.lhs,
                    replace_subterm(prod.rhs, Nonterminal(name), body),
                    prod.label)
-        for i, prod in enumerate(g.productions) if i != positions[0]
+        for i, prod in enumerate(g.productions) if i != at
     ]
     return _with_productions(g, out)
 
@@ -231,18 +241,10 @@ def chain(g: Grammar, production: Production, target: Expr | None = None,
 def unchain(g: Grammar, name: str) -> Grammar:
     """Reverse a chain: `name` is defined once, used exactly once, and that
     use is the entire rhs of some rule."""
-    positions = _rule_positions(g, name)
-    if len(positions) != 1:
-        raise TransformError(
-            f"unchain: {name!r} must be defined by exactly one rule, has {len(positions)}")
-    if name in g.roots:
-        raise TransformError(f"unchain: {name!r} is a root")
-    body = g.productions[positions[0]].rhs
-    if name in expr_names(body):
-        raise TransformError(f"unchain: {name!r} is self-referential")
+    at, body = _sole_definition(g, name, "unchain")
     uses = []
     for i, prod in enumerate(g.productions):
-        if i == positions[0]:
+        if i == at:
             continue
         uses.extend((i, sub) for sub in subterms(prod.rhs)
                     if sub == Nonterminal(name))
@@ -253,7 +255,7 @@ def unchain(g: Grammar, name: str) -> Grammar:
         raise TransformError(f"unchain: the use of {name!r} is not a whole rule body")
     out = []
     for i, prod in enumerate(g.productions):
-        if i == positions[0]:
+        if i == at:
             continue
         if i == use_at:
             out.append(Production(prod.lhs, body, prod.label))
@@ -309,20 +311,6 @@ def horizontal(g: Grammar, name: str) -> Grammar:
 
 def dnf(expr: Expr, _cap: int = 4096) -> Expr:
     """Fully distribute sequences over choices, everywhere in the tree."""
-    if isinstance(expr, Selectable):
-        return sel(expr.selector, dnf(expr.body))
-    if isinstance(expr, Optional):
-        return opt(dnf(expr.body))
-    if isinstance(expr, Star):
-        return star(dnf(expr.body))
-    if isinstance(expr, Plus):
-        return plus(dnf(expr.body))
-    if isinstance(expr, SepListStar):
-        return sepstar(dnf(expr.item), dnf(expr.separator))
-    if isinstance(expr, SepListPlus):
-        return sepplus(dnf(expr.item), dnf(expr.separator))
-    if isinstance(expr, Choice):
-        return choice(*(dnf(alt) for alt in expr.alternatives))
     if isinstance(expr, Sequence):
         factors = []
         total = 1
@@ -335,7 +323,8 @@ def dnf(expr: Expr, _cap: int = 4096) -> Expr:
             factors.append(alts)
         combos = [seq(*combo) for combo in itertools.product(*factors)]
         return choice(*combos)
-    return expr
+    kids = children(expr)
+    return with_children(expr, [dnf(kid) for kid in kids]) if kids else expr
 
 
 def factor(g: Grammar, name: str, from_expr: Expr, to_expr: Expr) -> Grammar:
@@ -343,19 +332,10 @@ def factor(g: Grammar, name: str, from_expr: Expr, to_expr: Expr) -> Grammar:
     must be equivalent under distribution of sequence over choice."""
     if dnf(from_expr) != dnf(to_expr):
         raise TransformError("factor: operands are not equivalent by distribution")
-    positions = _rule_positions(g, name)
-    if not positions:
+    if not _rule_positions(g, name):
         raise TransformError(f"factor: {name!r} is not defined")
-    out = list(g.productions)
-    hit = False
-    for i in positions:
-        prod = out[i]
-        if any(sub == from_expr for sub in subterms(prod.rhs)):
-            hit = True
-            out[i] = Production(prod.lhs,
-                                replace_subterm(prod.rhs, from_expr, to_expr),
-                                prod.label)
-    if not hit:
+    out = _replace_in_rules(g, from_expr, to_expr, name)
+    if out is None:
         raise TransformError(
             f"factor: {render_expr(from_expr)} does not occur in rules of {name!r}")
     return _with_productions(g, out)
@@ -467,41 +447,15 @@ def yaccify(g: Grammar, name: str, style: str) -> Grammar:
 # --------------------------------------------------------------------------
 # low-level editing steps (used by mutations and match traces)
 
-_CHILD_CTORS = {
-    Selectable: lambda node, kids: sel(node.selector, kids[0]),
-    Optional: lambda node, kids: opt(kids[0]),
-    Star: lambda node, kids: star(kids[0]),
-    Plus: lambda node, kids: plus(kids[0]),
-    Sequence: lambda node, kids: seq(*kids),
-    Choice: lambda node, kids: choice(*kids),
-    SepListStar: lambda node, kids: sepstar(kids[0], kids[1]),
-    SepListPlus: lambda node, kids: sepplus(kids[0], kids[1]),
-}
-
-
-def _children(node: Expr) -> list[Expr]:
-    if isinstance(node, Selectable):
-        return [node.body]
-    if isinstance(node, (Optional, Star, Plus)):
-        return [node.body]
-    if isinstance(node, Sequence):
-        return list(node.parts)
-    if isinstance(node, Choice):
-        return list(node.alternatives)
-    if isinstance(node, (SepListStar, SepListPlus)):
-        return [node.item, node.separator]
-    return []
-
-
 def _replace_at_path(node: Expr, path: list[int], new: Expr) -> Expr:
     if not path:
         return new
-    kids = _children(node)
+    kids = list(children(node))
     head = path[0]
-    if not kids or head >= len(kids):
+    if head >= len(kids):
         raise TransformError(f"set-node: path step {head} out of range")
     kids[head] = _replace_at_path(kids[head], path[1:], new)
-    return _CHILD_CTORS[type(node)](node, kids)
+    return with_children(node, kids)
 
 
 def _locate(g: Grammar, lhs: str, pos: int) -> int:
@@ -530,10 +484,7 @@ def set_label(g: Grammar, lhs: str, pos: int, label: str | None) -> Grammar:
 
 
 def set_roots(g: Grammar, roots) -> Grammar:
-    try:
-        return Grammar(tuple(roots), g.productions)
-    except GrammarError as exc:
-        raise TransformError(str(exc)) from exc
+    return _with_productions(g, g.productions, roots)
 
 
 def define(g: Grammar, name: str, rhs: Expr) -> Grammar:
@@ -597,64 +548,128 @@ def permute(g: Grammar, lhs: str, pos: int, order: list[int]) -> Grammar:
 # step records, scripts, bidirectionalization
 
 
-def _arg(step: TransformStep, key: str, required: bool = True):
-    if key in step.args:
-        return step.args[key]
-    if required:
-        raise TransformError(f"{step.op}: missing argument {key!r}")
-    return None
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_index(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+def _is_name(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+# argument kind -> (test, description)
+_KINDS = {
+    "name": (_is_name, "a non-empty string"),
+    "names": (_list_of(_is_name), "a list of non-empty strings"),
+    "label": (lambda value: isinstance(value, str), "a string"),
+    "style": (lambda value: value in ("left", "right"), "'left' or 'right'"),
+    "index": (_is_index, "a non-negative integer"),
+    "path": (_list_of(_is_index), "a list of non-negative integers"),
+    "order": (_list_of(_is_int), "a list of integers"),
+    "expr": (lambda value: isinstance(value, Expr), "an expression"),
+}
+
+
+class _Op:
+    """A registry entry: the operator function, its argument spec (`key:kind`
+    pairs, "?" marking an argument that may be absent or null; those before
+    a "|" are passed to the function in order, those after it are recorded
+    for the inverse only), and the builder mapping the step's arguments to
+    its inverse's (op, arguments).  The builder reads the recorded operands
+    it needs by key; None marks a step that drops what an inverse needs."""
+
+    def __init__(self, fn: Callable[..., Grammar], spec: str,
+                 inverse: Callable[[dict], tuple[str, dict]] | None) -> None:
+        passed, _, recorded = spec.partition("|")
+        self.fn = fn
+        self.passed = tuple(item.split(":")[0] for item in passed.split())
+        self.args = dict(item.split(":") for item in (passed + recorded).split())
+        self.inverse = inverse
+
+
+def _present(args: dict, *keys: str) -> dict:
+    return {key: args[key] for key in keys if args.get(key) is not None}
+
+
+def _swap_previous(args: dict, key: str) -> dict:
+    swapped = dict(args)
+    swapped[key], swapped["previous"] = args["previous"], args.get(key)
+    return swapped
+
+
+_OPS: dict[str, _Op] = {
+    "rename": _Op(rename_nonterminal, "from:name to:name",
+                  lambda a: ("rename", {"from": a["to"], "to": a["from"]})),
+    "extract": _Op(extract, "name:name expr:expr scope:name? index:index?",
+                   lambda a: ("inline", {"name": a["name"]})),
+    "inline": _Op(inline, "name:name | body:expr? index:index?", lambda a: (
+        "extract", {"name": a["name"], "expr": a["body"], **_present(a, "index")})),
+    "chain": _Op(lambda g, lhs, name, label, target, index: chain(
+                     g, Production(lhs, Nonterminal(name), label), target, index),
+                 "lhs:name name:name label:label? target:expr? index:index?",
+                 lambda a: ("unchain", {"name": a["name"]})),
+    "unchain": _Op(unchain, "name:name | lhs:name? body:expr? index:index?", lambda a: (
+        "chain", {"lhs": a["lhs"], "name": a["name"], "target": a["body"],
+                  **_present(a, "index")})),
+    "vertical": _Op(vertical, "name:name", lambda a: ("horizontal", {"name": a["name"]})),
+    "horizontal": _Op(horizontal, "name:name", lambda a: ("vertical", {"name": a["name"]})),
+    "factor": _Op(factor, "name:name from:expr to:expr", lambda a: (
+        "factor", {"name": a["name"], "from": a["to"], "to": a["from"]})),
+    "distribute": _Op(distribute, "name:name | before:expr?", lambda a: (
+        "factor", {"name": a["name"], "from": dnf(a["before"]), "to": a["before"]})),
+    "deyaccify": _Op(deyaccify, "name:name style:style?",
+                     lambda a: ("yaccify", {"name": a["name"], "style": a["style"]})),
+    "yaccify": _Op(yaccify, "name:name style:style",
+                   lambda a: ("deyaccify", {"name": a["name"], "style": a["style"]})),
+    "set-node": _Op(set_node, "lhs:name pos:index path:path expr:expr | previous:expr?",
+                    lambda a: ("set-node", _swap_previous(a, "expr"))),
+    "set-label": _Op(set_label, "lhs:name pos:index label:label? | previous:label?",
+                     lambda a: ("set-label", _swap_previous(a, "label"))),
+    "set-roots": _Op(set_roots, "roots:names | previous:names?",
+                     lambda a: ("set-roots", _swap_previous(a, "roots"))),
+    "define": _Op(define, "name:name rhs:expr",
+                  lambda a: ("eliminate", {"name": a["name"]})),
+    "eliminate": _Op(eliminate, "name:name", None),
+    "insert-rule": _Op(insert_rule, "lhs:name pos:index rhs:expr label:label?", lambda a: (
+        "remove-rule", {"lhs": a["lhs"], "pos": a["pos"], "rhs": a["rhs"]})),
+    "remove-rule": _Op(remove_rule, "lhs:name pos:index rhs:expr? | label:label?",
+                       lambda a: ("insert-rule", {"lhs": a["lhs"], "pos": a["pos"],
+                                                  "rhs": a["rhs"], **_present(a, "label")})),
+    # part i moved to position order[i], so the inverse sorts positions by order
+    "permute": _Op(permute, "lhs:name pos:index order:order", lambda a: (
+        "permute", {"lhs": a["lhs"], "pos": a["pos"], "order": sorted(
+            range(1, len(a["order"]) + 1), key=lambda k: a["order"][k - 1])})),
+}
+
+
+def _checked(step: TransformStep) -> _Op:
+    """The registry entry of the step's operator, once the step's arguments
+    meet the entry's spec."""
+    op = _OPS.get(step.op) if isinstance(step.op, str) else None
+    if op is None:
+        raise TransformError(f"unsupported operator {step.op!r}")
+    for key, kind in op.args.items():
+        optional = kind.endswith("?")
+        if key not in step.args and not optional:
+            raise TransformError(f"{step.op}: missing argument {key!r}")
+        value = step.args.get(key)
+        test, what = _KINDS[kind.rstrip("?")]
+        if not (value is None and optional or test(value)):
+            raise TransformError(
+                f"{step.op}: argument {key!r} must be {what}, got {value!r}")
+    return op
 
 
 def apply_step(g: Grammar, step: TransformStep) -> Grammar:
-    op = step.op
-    if op == "rename":
-        return rename_nonterminal(g, _arg(step, "from"), _arg(step, "to"))
-    if op == "extract":
-        return extract(g, _arg(step, "name"), _arg(step, "expr"),
-                       scope=_arg(step, "scope", required=False),
-                       index=_arg(step, "index", required=False))
-    if op == "inline":
-        return inline(g, _arg(step, "name"))
-    if op == "chain":
-        production = Production(_arg(step, "lhs"), Nonterminal(_arg(step, "name")),
-                                _arg(step, "label", required=False))
-        return chain(g, production, target=_arg(step, "target", required=False),
-                     index=_arg(step, "index", required=False))
-    if op == "unchain":
-        return unchain(g, _arg(step, "name"))
-    if op == "vertical":
-        return vertical(g, _arg(step, "name"))
-    if op == "horizontal":
-        return horizontal(g, _arg(step, "name"))
-    if op == "factor":
-        return factor(g, _arg(step, "name"), _arg(step, "from"), _arg(step, "to"))
-    if op == "distribute":
-        return distribute(g, _arg(step, "name"))
-    if op == "deyaccify":
-        return deyaccify(g, _arg(step, "name"), style=_arg(step, "style", required=False))
-    if op == "yaccify":
-        return yaccify(g, _arg(step, "name"), _arg(step, "style"))
-    if op == "set-node":
-        return set_node(g, _arg(step, "lhs"), _arg(step, "pos"),
-                        _arg(step, "path"), _arg(step, "expr"))
-    if op == "set-label":
-        return set_label(g, _arg(step, "lhs"), _arg(step, "pos"),
-                         _arg(step, "label", required=False))
-    if op == "set-roots":
-        return set_roots(g, _arg(step, "roots"))
-    if op == "define":
-        return define(g, _arg(step, "name"), _arg(step, "rhs"))
-    if op == "eliminate":
-        return eliminate(g, _arg(step, "name"))
-    if op == "insert-rule":
-        return insert_rule(g, _arg(step, "lhs"), _arg(step, "pos"),
-                           _arg(step, "rhs"), _arg(step, "label", required=False))
-    if op == "remove-rule":
-        return remove_rule(g, _arg(step, "lhs"), _arg(step, "pos"),
-                           _arg(step, "rhs", required=False))
-    if op == "permute":
-        return permute(g, _arg(step, "lhs"), _arg(step, "pos"), _arg(step, "order"))
-    raise TransformError(f"unsupported operator {op!r}")
+    op = _checked(step)
+    return op.fn(g, *(step.args.get(key) for key in op.passed))
 
 
 def apply_script(g: Grammar, steps) -> Grammar:
@@ -674,95 +689,21 @@ def apply_script(g: Grammar, steps) -> Grammar:
 def bidirectionalize(step: TransformStep) -> BidirectionalStep:
     """Pair a step with its inverse.  Grammar-dependent inverses need the
     recorded operands described in the module docstring."""
-    op = step.op
-    if op == "rename":
-        back = TransformStep("rename", {"from": _arg(step, "to"),
-                                        "to": _arg(step, "from")})
-    elif op == "extract":
-        back = TransformStep("inline", {"name": _arg(step, "name")})
-    elif op == "inline":
-        body = _arg(step, "body", required=False)
-        if body is None:
-            raise TransformError("cannot invert inline without the recorded body")
-        args = {"name": _arg(step, "name"), "expr": body}
-        if "index" in step.args:
-            args["index"] = step.args["index"]
-        back = TransformStep("extract", args)
-    elif op == "chain":
-        back = TransformStep("unchain", {"name": _arg(step, "name")})
-    elif op == "unchain":
-        lhs = _arg(step, "lhs", required=False)
-        body = _arg(step, "body", required=False)
-        if lhs is None or body is None:
-            raise TransformError(
-                "cannot invert unchain without the recorded rule and body")
-        args = {"lhs": lhs, "name": _arg(step, "name"), "target": body}
-        if "index" in step.args:
-            args["index"] = step.args["index"]
-        back = TransformStep("chain", args)
-    elif op == "vertical":
-        back = TransformStep("horizontal", {"name": _arg(step, "name")})
-    elif op == "horizontal":
-        back = TransformStep("vertical", {"name": _arg(step, "name")})
-    elif op == "factor":
-        back = TransformStep("factor", {"name": _arg(step, "name"),
-                                        "from": _arg(step, "to"),
-                                        "to": _arg(step, "from")})
-    elif op == "distribute":
-        before = _arg(step, "before", required=False)
-        if before is None:
-            raise TransformError(
-                "cannot invert distribute without the recorded original rhs")
-        back = TransformStep("factor", {"name": _arg(step, "name"),
-                                        "from": dnf(before), "to": before})
-    elif op == "deyaccify":
-        style = _arg(step, "style", required=False)
-        if style is None:
-            raise TransformError(
-                "cannot invert deyaccify without the recorded recursion style")
-        back = TransformStep("yaccify", {"name": _arg(step, "name"), "style": style})
-    elif op == "yaccify":
-        back = TransformStep("deyaccify", {"name": _arg(step, "name"),
-                                           "style": _arg(step, "style")})
-    elif op in ("set-node", "set-label", "set-roots"):
-        key = {"set-node": "expr", "set-label": "label", "set-roots": "roots"}[op]
-        if "previous" not in step.args:
-            raise TransformError(f"cannot invert {op} without the recorded previous value")
-        args = dict(step.args)
-        args[key], args["previous"] = args["previous"], args.get(key)
-        back = TransformStep(op, args)
-    elif op == "define":
-        back = TransformStep("eliminate", {"name": _arg(step, "name")})
-    elif op == "insert-rule":
-        back = TransformStep("remove-rule", {"lhs": _arg(step, "lhs"),
-                                             "pos": _arg(step, "pos"),
-                                             "rhs": _arg(step, "rhs")})
-    elif op == "remove-rule":
-        rhs = _arg(step, "rhs", required=False)
-        if rhs is None:
-            raise TransformError(
-                "cannot invert remove-rule without the recorded rule body")
-        args = {"lhs": _arg(step, "lhs"), "pos": _arg(step, "pos"), "rhs": rhs}
-        if step.args.get("label") is not None:
-            args["label"] = step.args["label"]
-        back = TransformStep("insert-rule", args)
-    elif op == "permute":
-        order = _arg(step, "order")
-        inverse = [0] * len(order)
-        for i, target in enumerate(order):
-            inverse[target - 1] = i + 1
-        back = TransformStep("permute", {"lhs": _arg(step, "lhs"),
-                                         "pos": _arg(step, "pos"),
-                                         "order": inverse})
-    else:
-        raise TransformError(f"unsupported operator {op!r}")
+    op = _checked(step)
+    if op.inverse is None:
+        raise TransformError(f"cannot invert {step.op}: it drops rules it does not record")
+    try:
+        back_op, back_args = op.inverse(step.args)
+    except KeyError as exc:
+        raise TransformError(
+            f"cannot invert {step.op} without the recorded {exc.args[0]!r}") from None
+    back = TransformStep(back_op, back_args)
+    _checked(back)  # a null recorded operand leaves the inverse malformed
     return BidirectionalStep(step, back)
 
 
 # --------------------------------------------------------------------------
 # script (de)serialization
-
-_EXPR_ARGS = {"expr", "body", "target", "from", "to", "before", "rhs", "previous"}
 
 
 def step_to_json(step: TransformStep) -> dict:
@@ -781,9 +722,11 @@ def step_from_json(doc: dict) -> TransformStep:
     raw_args = doc.get("args", {})
     if not isinstance(raw_args, dict):
         raise TransformError("step 'args' must be an object")
+    op = _OPS.get(doc["op"]) if isinstance(doc["op"], str) else None
+    kinds = op.args if op is not None else {}
     args = {}
     for key, value in raw_args.items():
-        if key in _EXPR_ARGS and isinstance(value, dict):
+        if kinds.get(key, "").startswith("expr") and isinstance(value, dict):
             args[key] = expr_from_json(value, f"args.{key}")
         else:
             args[key] = value

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gramconv.cli import main
 from gramconv.interchange import deserialize, serialize
 
@@ -187,3 +189,28 @@ def test_deterministic_outputs(tmp_path, data_dir):
               "--mutation", "normalize-anf", "--out", str(out)])
     assert read(out1) == read(out2)
     assert read(tmp_path / "a.json.trace") == read(tmp_path / "b.json.trace")
+
+
+@pytest.mark.parametrize("step", [
+    {"op": "set-label", "args": {"lhs": "expression", "pos": -1, "label": "x"}},
+    {"op": "set-node", "args": {"lhs": "program", "pos": 0, "path": [-1],
+                                "expr": {"tag": "n", "name": "q"}}},
+    {"op": "insert-rule", "args": {"lhs": "expression", "pos": -1,
+                                   "rhs": {"tag": "n", "name": "q"}}},
+    {"op": "rename", "args": {"from": "program", "to": 5}},
+    {"op": "set-label", "args": {"lhs": "expression", "pos": "0", "label": "x"}},
+    {"op": "set-node", "args": {"lhs": "program", "pos": 0, "path": 5,
+                                "expr": {"tag": "n", "name": "q"}}},
+    {"op": "define", "args": {"name": "q", "rhs": "x"}},
+])
+def test_transform_malformed_argument_is_domain_error(tmp_path, data_dir, capsys, step):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([step]), encoding="utf-8")
+    out = tmp_path / "out.json"
+    code = main(["transform", str(data_dir / "fl_master_abstract.json"),
+                 "--script", str(script), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: step 0 (") and "argument" in err
+    assert "Traceback" not in err
+    assert not out.exists()

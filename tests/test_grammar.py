@@ -124,3 +124,68 @@ def test_rules_of_preserves_order(fl_master):
     rules = fl_master.rules_of("expr")
     assert [r.rhs for r in rules] == [
         VALUE_STR, fl_master.productions[3].rhs, n("apply"), n("binary"), n("cond")]
+
+
+# -- the node table -----------------------------------------------------------
+
+
+def _one_of_each_class():
+    from gramconv.grammar import (
+        ANYTHING, VALUE_INT, opt, sel, sepplus, sepstar, star)
+    return [EPSILON, EMPTY, ANYTHING, VALUE_STR, VALUE_INT, t("x"), n("a"),
+            sel("s", n("a")), seq(n("a"), t("x")), choice(n("a"), t("x")),
+            opt(n("a")), star(n("a")), plus(n("a")),
+            sepstar(n("a"), t(",")), sepplus(n("a"), t(","))]
+
+
+def _recursive_preorder(expr):
+    # the reference walk reads the dataclass fields, not the node table
+    import dataclasses
+    from gramconv.grammar import Expr
+    yield expr
+    for f in dataclasses.fields(expr):
+        value = getattr(expr, f.name)
+        for kid in value if isinstance(value, tuple) else (value,):
+            if isinstance(kid, Expr):
+                yield from _recursive_preorder(kid)
+
+
+def test_node_table_covers_every_expression_class():
+    from gramconv.grammar import NODE_TABLE, Expr
+    samples = _one_of_each_class()
+    assert {type(e) for e in samples} == set(NODE_TABLE) == set(Expr.__subclasses__())
+
+
+def test_with_children_of_children_is_identity():
+    from gramconv.grammar import children, with_children
+    for expr in _one_of_each_class():
+        assert with_children(expr, children(expr)) == expr
+    for g in corpus(31, 60) + corpus(32, 60, expressible=True):
+        for prod in g.productions:
+            for sub in subterms(prod.rhs):
+                assert with_children(sub, children(sub)) == sub
+
+
+def test_with_children_renormalizes():
+    from gramconv.grammar import with_children
+    assert with_children(seq(n("a"), n("b")), [EPSILON, n("b")]) == n("b")
+    assert with_children(choice(n("a"), n("b")), [choice(n("c"), n("d")), n("b")]) \
+        == choice(n("c"), n("d"), n("b"))
+    assert with_children(n("a"), []) == n("a")
+
+
+def test_subterms_is_the_recursive_preorder():
+    from gen import random_grammar
+    rng = random.Random(5)
+    for _ in range(200):
+        g = random_grammar(rng, expressible=rng.random() < 0.5)
+        for prod in g.productions:
+            assert list(subterms(prod.rhs)) == list(_recursive_preorder(prod.rhs))
+
+
+def test_subterms_walks_deep_nesting_without_recursion():
+    from gramconv.grammar import star as star_
+    expr = n("a")
+    for _ in range(5000):
+        expr = star_(seq(n("b"), expr))
+    assert sum(1 for _ in subterms(expr)) == 1 + 5000 * 3

@@ -304,3 +304,23 @@ def test_lossy_kinds_are_marked():
     assert run(g, "encode-seplists").invertible
     assert run(g, "all-vertical").invertible
     assert run(g, "deyaccify-all").invertible
+
+
+def test_anf_check_lists_violations_condition_by_condition():
+    # each rule breaks conditions 2, 3, 4 and 6 in an interleaved walk order
+    g = Grammar(("a",), (
+        p("a", seq(sel("s", t("x")), star(choice(n("b"), n("c"))),
+                   sepplus(n("b"), t(";")))),
+        p("b", seq(t("y"), sel("r", opt(choice(n("c"), t("z")))))),
+    ))
+    assert [str(v) for v in anf_check(g)] == [
+        "condition 2: rule a names a subexpression 's'",
+        "condition 2: rule b names a subexpression 'r'",
+        "condition 3: rule a contains terminal 'x'",
+        "condition 3: rule a contains terminal ';'",
+        "condition 3: rule b contains terminal 'y'",
+        "condition 3: rule b contains terminal 'z'",
+        "condition 4: rule a nests a choice under star",
+        "condition 4: rule b nests a choice under optional",
+        "condition 6: rule a contains a separator list",
+    ]

@@ -323,3 +323,96 @@ def test_bidirectional_roundtrip_on_fl(fl_master):
     pair = bidirectionalize(step)
     there = apply_script(fl_master, [pair.forward])
     assert apply_script(there, [pair.backward]) == fl_master
+
+
+# -- the operator registry ----------------------------------------------------
+
+
+def _sample_steps():
+    """One step per registry operator, carrying every argument its spec
+    names (recorded operands included)."""
+    from gramconv.transform import _OPS
+    samples = {"name": "a", "names": ["a", "b"], "label": "l", "style": "left",
+               "index": 1, "path": [0, 1], "order": [2, 1],
+               "expr": seq(n("a"), star(t("x")))}
+    return [TransformStep(op, {key: samples[kind.rstrip("?")]
+                               for key, kind in entry.args.items()})
+            for op, entry in _OPS.items()]
+
+
+def test_every_inverse_is_a_registry_operator():
+    from gramconv.transform import _OPS
+    for step in _sample_steps():
+        if _OPS[step.op].inverse is None:
+            # eliminate drops whole rule blocks and records none of them
+            assert step.op == "eliminate"
+            with pytest.raises(TransformError):
+                bidirectionalize(step)
+            continue
+        backward = bidirectionalize(step).backward
+        assert backward.op in _OPS
+        for key in _OPS[backward.op].args:
+            assert key in backward.args or _OPS[backward.op].args[key].endswith("?")
+
+
+def test_step_json_roundtrip_for_every_operator():
+    import json
+    from gramconv.transform import step_from_json, step_to_json
+    recorded = set()
+    for step in _sample_steps():
+        doc = json.loads(json.dumps(step_to_json(step)))
+        assert step_from_json(doc) == step
+        recorded |= set(step.args)
+    assert {"body", "before", "previous"} <= recorded
+
+
+def test_missing_recorded_operand_blocks_inversion():
+    with pytest.raises(TransformError, match="recorded 'body'"):
+        bidirectionalize(TransformStep("inline", {"name": "a"}))
+    with pytest.raises(TransformError, match="recorded 'previous'"):
+        bidirectionalize(TransformStep("set-label", {"lhs": "a", "pos": 0, "label": "x"}))
+
+
+@pytest.mark.parametrize("op, args", [
+    ("set-label", {"lhs": "expr", "pos": -1, "label": "x"}),
+    ("set-label", {"lhs": "expr", "pos": True, "label": "x"}),
+    ("set-label", {"lhs": "expr", "pos": "0", "label": "x"}),
+    ("set-node", {"lhs": "expr", "pos": 0, "path": [-1], "expr": n("q")}),
+    ("set-node", {"lhs": "expr", "pos": 0, "path": 5, "expr": n("q")}),
+    ("insert-rule", {"lhs": "expr", "pos": -1, "rhs": n("q")}),
+    ("rename", {"from": "program", "to": 5}),
+    ("rename", {"from": "program", "to": ""}),
+    ("define", {"name": "q", "rhs": "x"}),
+    ("set-roots", {"roots": "program"}),
+    ("permute", {"lhs": "binary", "pos": 0, "order": [3, 2, False]}),
+    ("yaccify", {"name": "expr", "style": "up"}),
+])
+def test_malformed_arguments_are_rejected(fl_master, op, args):
+    with pytest.raises(ScriptError, match="argument"):
+        apply_script(fl_master, [TransformStep(op, args)])
+
+
+def test_missing_argument_message_is_kept(fl_master):
+    with pytest.raises(ScriptError, match="rename: missing argument 'to'"):
+        apply_script(fl_master, [TransformStep("rename", {"from": "expr"})])
+    with pytest.raises(TransformError, match="unsupported operator 'negotiate'"):
+        apply_script(fl_master, [TransformStep("negotiate", {})])
+
+
+def test_readme_documents_every_registry_operator():
+    from pathlib import Path
+    from gramconv.transform import _OPS
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Transformation scripts")[1].split("\n### ")[0]
+    rows = [line.split("|")[1].strip().strip("`") for line in section.splitlines()
+            if line.startswith("| `")]
+    assert rows == list(_OPS)
+
+
+def test_null_recorded_operand_blocks_inversion():
+    with pytest.raises(TransformError, match="'rhs'"):
+        bidirectionalize(TransformStep("remove-rule", {"lhs": "a", "pos": 0, "rhs": None}))
+    pair = bidirectionalize(TransformStep("set-label", {"lhs": "a", "pos": 0, "label": "x",
+                                                        "previous": None}))
+    assert pair.backward == TransformStep("set-label", {"lhs": "a", "pos": 0, "label": None,
+                                                        "previous": "x"})
