@@ -238,6 +238,8 @@ def main(argv=None) -> int:
             TransformError, cv.ResolutionError, cv.MatchError,
             ValueError) as exc:
         return _fail(str(exc), DOMAIN_ERROR)
+    except RecursionError:
+        return _fail("input is nested too deeply", DOMAIN_ERROR)
 
 
 if __name__ == "__main__":

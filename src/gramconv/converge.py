@@ -672,22 +672,13 @@ def structural_match(master: Grammar, servant: Grammar,
     if missing:
         raise MatchError(f"mapping does not cover servant names: {', '.join(missing)}")
 
-    master_rules: dict[str, list[int]] = {}
-    for i, prod in enumerate(master.productions):
-        master_rules.setdefault(prod.lhs, []).append(i)
-
     matched_master: set[int] = set()
     rows: list[tuple[int, PairMatch]] = []
     residue: list[tuple[int, Residue]] = []
     trace: list[TransformStep] = []
 
-    by_lhs: dict[str, list[int]] = {}
-    for i, prod in enumerate(servant.productions):
-        by_lhs.setdefault(prod.lhs, []).append(i)
-
-    for s_nt, rule_indices in by_lhs.items():
-        m_nt = name_map.get(s_nt)
-        candidates = master_rules.get(m_nt, []) if m_nt is not None else []
+    for s_nt, rule_indices in servant.blocks.items():
+        candidates = master.blocks.get(name_map.get(s_nt), ())
         for pos, si in enumerate(rule_indices):
             sprod = servant.productions[si]
             best: tuple[int, list[TransformStep]] | None = None

@@ -5,6 +5,8 @@ A grammar is an ordered list of production rules over ordered roots.  Several
 rules may share a left-hand side (vertical style); a horizontal definition is
 a single rule whose right-hand side is a Choice.  All values are immutable and
 hashable; every operation in this package is a pure function over them.
+Each grammar derives its rule blocks and name set once, when it is built,
+and the analyses read those facts instead of walking the rules again.
 """
 
 from __future__ import annotations
@@ -301,18 +303,37 @@ def p(lhs: str, rhs: Expr, label: str | None = None) -> Production:
 
 @dataclass(frozen=True)
 class Grammar:
+    """`blocks` maps each lhs to its rule positions, lhs in first-appearance
+    order; it and the used names and terminals behind `names` are derived
+    once and are not fields, so repr, ==, hash and fields() ignore them."""
+
     roots: tuple[str, ...] = ()
     productions: tuple[Production, ...] = ()
 
     def __post_init__(self) -> None:
-        voc = vocabulary(self)
-        known = voc.defined | voc.used
+        blocks: dict[str, list[int]] = {}
+        used: set[str] = set()
+        terminals: set[str] = set()
+        for i, prod in enumerate(self.productions):
+            blocks.setdefault(prod.lhs, []).append(i)
+            for sub in subterms(prod.rhs):
+                if isinstance(sub, Nonterminal):
+                    used.add(sub.name)
+                elif isinstance(sub, Terminal):
+                    terminals.add(sub.text)
+        object.__setattr__(self, "blocks", {lhs: tuple(at) for lhs, at in blocks.items()})
+        object.__setattr__(self, "_used", frozenset(used))
+        object.__setattr__(self, "_terminals", frozenset(terminals))
         for root in self.roots:
-            if root not in known:
+            if root not in blocks and root not in used:
                 raise GrammarError(f"declared root {root!r} is neither defined nor used")
 
+    @property
+    def names(self) -> frozenset[str]:  # every defined or used nonterminal
+        return self._used.union(self.blocks)
+
     def rules_of(self, name: str) -> tuple[Production, ...]:
-        return tuple(prod for prod in self.productions if prod.lhs == name)
+        return tuple(self.productions[i] for i in self.blocks.get(name, ()))
 
 
 def grammar(roots, productions) -> Grammar:
@@ -382,12 +403,13 @@ def names_in_order(g: Grammar, name_of=None) -> list[str]:
     """Left-hand sides in first-appearance order.  With `name_of`, each
     rule's lhs is followed by the names name_of gives to the subterms of its
     rhs (None for a subterm without one)."""
+    if name_of is None:
+        return list(g.blocks)
     seen: dict[str, None] = {}
     for prod in g.productions:
         seen.setdefault(prod.lhs)
-        if name_of is not None:
-            # updating a key keeps its first position
-            seen.update(dict.fromkeys(filter(None, map(name_of, subterms(prod.rhs)))))
+        # updating a key keeps its first position
+        seen.update(dict.fromkeys(filter(None, map(name_of, subterms(prod.rhs)))))
     return list(seen)
 
 
@@ -396,23 +418,12 @@ def names_in_order(g: Grammar, name_of=None) -> list[str]:
 
 
 def vocabulary(g: Grammar) -> Vocabulary:
-    defined = []
-    used: dict[str, None] = {}
-    terminals: dict[str, None] = {}
-    for prod in g.productions:
-        defined.append(prod.lhs)
-        for sub in subterms(prod.rhs):
-            if isinstance(sub, Nonterminal):
-                used.setdefault(sub.name)
-            elif isinstance(sub, Terminal):
-                terminals.setdefault(sub.text)
-    return Vocabulary(frozenset(defined), frozenset(used), frozenset(terminals))
+    return Vocabulary(frozenset(g.blocks), g._used, g._terminals)
 
 
 def tops(g: Grammar) -> set[str]:
     """Nonterminals defined in the grammar but never used: root candidates."""
-    voc = vocabulary(g)
-    return set(voc.defined - voc.used)
+    return set(g.blocks).difference(g._used)
 
 
 def reachable(g: Grammar, from_names) -> set[str]:
@@ -420,15 +431,12 @@ def reachable(g: Grammar, from_names) -> set[str]:
     starting names themselves."""
     result: set[str] = set()
     work = list(from_names)
-    rules: dict[str, list[Production]] = {}
-    for prod in g.productions:
-        rules.setdefault(prod.lhs, []).append(prod)
     while work:
         name = work.pop()
         if name in result:
             continue
         result.add(name)
-        for prod in rules.get(name, ()):
+        for prod in g.rules_of(name):
             for ref in expr_names(prod.rhs):
                 if ref not in result:
                     work.append(ref)

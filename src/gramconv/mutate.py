@@ -34,7 +34,6 @@ from .grammar import (
     Nonterminal,
     Optional,
     Plus,
-    Production,
     Selectable,
     SepListPlus,
     SepListStar,
@@ -54,12 +53,10 @@ from .grammar import (
     star,
     subterms,
     tops,
-    vocabulary,
 )
 from .transform import (
     TransformError,
     TransformStep,
-    _names,
     apply_step,
     detect_yaccified,
     dnf,
@@ -133,11 +130,6 @@ class _Recorder:
         self.trace.append(step)
 
 
-def _local_rules(g: Grammar, name: str) -> list[tuple[int, Production]]:
-    return [(pos, prod)
-            for pos, prod in enumerate(p for p in g.productions if p.lhs == name)]
-
-
 def _is_chain_rhs(rhs: Expr) -> bool:
     return isinstance(rhs, (Nonterminal, ValueStr, ValueInt, Epsilon, Empty, Anything))
 
@@ -154,7 +146,7 @@ def _rewrite_rules(rec: _Recorder, fn) -> None:
     """Rewrite every rule rhs with fn (a rebuild node function), one recorded
     step per changed rule."""
     for name in names_in_order(rec.grammar):
-        for pos, prod in _local_rules(rec.grammar, name):
+        for pos, prod in enumerate(rec.grammar.rules_of(name)):
             new = rebuild(prod.rhs, fn)
             if new != prod.rhs:
                 rec.do("set-node", lhs=name, pos=pos, path=[], expr=new,
@@ -171,7 +163,7 @@ def _remove_selectors(rec: _Recorder, params: dict) -> None:
 
 def _remove_labels(rec: _Recorder, params: dict) -> None:
     for name in names_in_order(rec.grammar):
-        for pos, prod in _local_rules(rec.grammar, name):
+        for pos, prod in enumerate(rec.grammar.rules_of(name)):
             if prod.label is not None:
                 rec.do("set-label", lhs=name, pos=pos, label=None, previous=prod.label)
 
@@ -252,8 +244,7 @@ def _eliminate_top(rec: _Recorder, params: dict) -> None:
 
 def _extract_subgrammar(rec: _Recorder, params: dict) -> None:
     roots = list(params["roots"])
-    voc = vocabulary(rec.grammar)
-    missing = [name for name in roots if name not in voc.defined]
+    missing = [name for name in roots if name not in rec.grammar.blocks]
     if missing:
         raise MutationError(
             f"extract-subgrammar: undefined nonterminal(s) {', '.join(missing)}")
@@ -266,7 +257,7 @@ def _hoist_top_selectors(rec: _Recorder, name: str) -> None:
     # an unlabeled rule whose whole rhs is a selectable is the same rule with
     # the selector as its label; putting it in that form keeps the
     # horizontal/vertical round trips exact
-    for pos, prod in _local_rules(rec.grammar, name):
+    for pos, prod in enumerate(rec.grammar.rules_of(name)):
         if prod.label is None and isinstance(prod.rhs, Selectable):
             rec.do("set-label", lhs=name, pos=pos, label=prod.rhs.selector,
                    previous=None)
@@ -301,7 +292,7 @@ def _split_choice_rules(rec: _Recorder, name: str) -> None:
     in place (labels are stripped first: they cannot survive the split)."""
     while True:
         target = None
-        for pos, prod in _local_rules(rec.grammar, name):
+        for pos, prod in enumerate(rec.grammar.rules_of(name)):
             if isinstance(prod.rhs, Choice):
                 target = (pos, prod)
                 break
@@ -334,10 +325,10 @@ def _all_horizontal(rec: _Recorder, params: dict) -> None:
         # an empty-language alternative would silently vanish in the merged
         # choice; dropping it as a recorded step keeps the trace invertible
         while True:
-            locs = _local_rules(rec.grammar, name)
-            if len(locs) <= 1:
+            rules = rec.grammar.rules_of(name)
+            if len(rules) <= 1:
                 break
-            victim = next(((pos, prod) for pos, prod in locs
+            victim = next(((pos, prod) for pos, prod in enumerate(rules)
                            if isinstance(prod.rhs, Empty)), None)
             if victim is None:
                 break
@@ -371,17 +362,17 @@ def _distribute_all(rec: _Recorder, params: dict) -> None:
     for _ in range(64):
         changed = False
         for name in names_in_order(rec.grammar):
-            for pos, prod in _local_rules(rec.grammar, name):
+            for pos, prod in enumerate(rec.grammar.rules_of(name)):
                 expanded = dnf(prod.rhs)
                 if expanded != prod.rhs:
                     rec.do("set-node", lhs=name, pos=pos, path=[], expr=expanded,
                            previous=prod.rhs)
                     changed = True
         for name in names_in_order(rec.grammar):
-            for pos, prod in _local_rules(rec.grammar, name):
+            for pos, prod in enumerate(rec.grammar.rules_of(name)):
                 offender = _deepest(prod.rhs, _nested_choice)
                 if offender is not None:
-                    fresh = fresh_name(name, _names(rec.grammar))
+                    fresh = fresh_name(name, rec.grammar.names)
                     rec.do("extract", name=fresh, expr=offender)
                     changed = True
         if not changed:
@@ -466,7 +457,7 @@ def _fold_groups(rec: _Recorder, params: dict) -> None:
     for _ in range(1024):
         found = None
         for name in names_in_order(rec.grammar):
-            for _pos, prod in _local_rules(rec.grammar, name):
+            for prod in rec.grammar.rules_of(name):
                 offender = _deepest(prod.rhs, _grouped)
                 if offender is not None:
                     found = (name, offender)
@@ -476,7 +467,7 @@ def _fold_groups(rec: _Recorder, params: dict) -> None:
         if found is None:
             return
         host, offender = found
-        fresh = fresh_name(host, _names(rec.grammar))
+        fresh = fresh_name(host, rec.grammar.names)
         rec.do("extract", name=fresh, expr=offender)
     raise MutationError("fold-groups did not converge")
 
@@ -507,7 +498,7 @@ def _fix_chain_mixing(rec: _Recorder) -> None:
             if all(flags) or not any(flags):
                 continue
             body = next(prod.rhs for prod in rules if not _is_chain_rhs(prod.rhs))
-            fresh = fresh_name(name, _names(rec.grammar))
+            fresh = fresh_name(name, rec.grammar.names)
             rec.do("extract", name=fresh, expr=body, scope=name)
             acted = True
             break
@@ -631,7 +622,7 @@ def anf_check(g: Grammar) -> list[AnfViolation]:
         out.append(AnfViolation(
             9, f"top nonterminals {sorted(top_set)} differ from roots {sorted(g.roots)}"))
     else:
-        loose = sorted(_names(g) - reachable(g, g.roots))
+        loose = sorted(g.names - reachable(g, g.roots))
         if loose:
             out.append(AnfViolation(
                 9, f"unreachable from the roots: {', '.join(loose)}"))

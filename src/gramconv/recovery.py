@@ -53,7 +53,6 @@ from .grammar import (
     star,
     subterms,
     tops,
-    vocabulary,
 )
 from .notation import NotationSpec
 
@@ -384,7 +383,7 @@ def recover(text: str, notation: NotationSpec) -> RecoveryReport:
                 first_use.setdefault(token.text, token.line)
         productions.append(Production(lhs, rhs))
     g = Grammar((), tuple(productions))
-    for name in sorted(vocabulary(g).used - frozenset(defined)):
+    for name in sorted(g.names - defined):
         line = first_use.get(name, 1)
         warnings.append((line, f"nonterminal {name!r} is used but never defined"))
         heuristics.append(HeuristicEvent(

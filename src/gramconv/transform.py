@@ -58,7 +58,6 @@ from .grammar import (
     seq,
     star,
     subterms,
-    vocabulary,
     with_children,
 )
 from .interchange import expr_from_json, expr_to_json
@@ -95,15 +94,6 @@ class ScriptError(TransformError):
 # helpers
 
 
-def _names(g: Grammar) -> set[str]:
-    voc = vocabulary(g)
-    return set(voc.defined | voc.used)
-
-
-def _rule_positions(g: Grammar, name: str) -> list[int]:
-    return [i for i, prod in enumerate(g.productions) if prod.lhs == name]
-
-
 def _with_productions(g: Grammar, productions, roots=None) -> Grammar:
     try:
         return Grammar(g.roots if roots is None else tuple(roots), tuple(productions))
@@ -116,17 +106,17 @@ def _replace_in_rules(g: Grammar, old: Expr, new: Expr,
     """g's rules with each occurrence of `old` in the rules of `scope` (all
     rules when None) replaced by `new`; None when there is no occurrence."""
     hit = False
-    out = []
-    for prod in g.productions:
-        in_scope = scope is None or prod.lhs == scope
-        if in_scope and any(sub == old for sub in subterms(prod.rhs)):
+    out = list(g.productions)
+    positions = range(len(out)) if scope is None else g.blocks.get(scope, ())
+    for i in positions:
+        prod = out[i]
+        if any(sub == old for sub in subterms(prod.rhs)):
             hit = True
-            prod = Production(prod.lhs, replace_subterm(prod.rhs, old, new), prod.label)
-        out.append(prod)
+            out[i] = Production(prod.lhs, replace_subterm(prod.rhs, old, new), prod.label)
     return out if hit else None
 
 
-def fresh_name(base: str, taken: set[str]) -> str:
+def fresh_name(base: str, taken: frozenset[str]) -> str:
     """base + '_k' with the smallest k >= 1 that avoids a collision."""
     k = 1
     while f"{base}_{k}" in taken:
@@ -141,10 +131,9 @@ def fresh_name(base: str, taken: set[str]) -> str:
 def rename_nonterminal(g: Grammar, x: str, y: str) -> Grammar:
     """Replace every occurrence of nonterminal x (defining and applied) by y;
     roots follow."""
-    names = _names(g)
-    if x not in names:
+    if x not in g.names:
         raise TransformError(f"rename: nonterminal {x!r} does not occur")
-    if y in names:
+    if y in g.names:
         raise TransformError(f"rename: nonterminal {y!r} is already present")
     roots = tuple(y if r == x else r for r in g.roots)
     prods = tuple(
@@ -164,7 +153,7 @@ def extract(g: Grammar, name: str, expr: Expr, scope: str | None = None,
     the defining rule name -> expr.  With `scope`, only rules of that
     nonterminal are rewritten.  Occurrences are whole-node structural matches.
     """
-    if name in _names(g):
+    if name in g.names:
         raise TransformError(f"extract: {name!r} is not fresh")
     out = _replace_in_rules(g, expr, Nonterminal(name), scope)
     if out is None:
@@ -178,7 +167,7 @@ def extract(g: Grammar, name: str, expr: Expr, scope: str | None = None,
 def _sole_definition(g: Grammar, name: str, op: str) -> tuple[int, Expr]:
     """Position and body of the one rule defining `name`, which must be
     neither a root nor self-referential (the precondition of inlining)."""
-    positions = _rule_positions(g, name)
+    positions = g.blocks.get(name, ())
     if len(positions) != 1:
         raise TransformError(
             f"{op}: {name!r} must be defined by exactly one rule, has {len(positions)}")
@@ -215,10 +204,10 @@ def chain(g: Grammar, production: Production, target: Expr | None = None,
     if not isinstance(production.rhs, Nonterminal):
         raise TransformError("chain: the introduced rhs must be a bare nonterminal")
     fresh = production.rhs.name
-    if fresh in _names(g):
+    if fresh in g.names:
         raise TransformError(f"chain: {fresh!r} is not fresh")
     lhs = production.lhs
-    positions = _rule_positions(g, lhs)
+    positions = g.blocks.get(lhs, ())
     if not positions:
         raise TransformError(f"chain: {lhs!r} is not defined")
     if target is None:
@@ -273,7 +262,7 @@ def unchain(g: Grammar, name: str) -> Grammar:
 
 
 def vertical(g: Grammar, name: str) -> Grammar:
-    positions = _rule_positions(g, name)
+    positions = g.blocks.get(name, ())
     if len(positions) != 1:
         raise TransformError(f"vertical: {name!r} must be defined by exactly one rule")
     at = positions[0]
@@ -292,7 +281,7 @@ def vertical(g: Grammar, name: str) -> Grammar:
 
 
 def horizontal(g: Grammar, name: str) -> Grammar:
-    positions = _rule_positions(g, name)
+    positions = g.blocks.get(name, ())
     if len(positions) < 2:
         raise TransformError(f"horizontal: {name!r} must be defined by at least two rules")
     alts = []
@@ -332,7 +321,7 @@ def factor(g: Grammar, name: str, from_expr: Expr, to_expr: Expr) -> Grammar:
     must be equivalent under distribution of sequence over choice."""
     if dnf(from_expr) != dnf(to_expr):
         raise TransformError("factor: operands are not equivalent by distribution")
-    if not _rule_positions(g, name):
+    if name not in g.blocks:
         raise TransformError(f"factor: {name!r} is not defined")
     out = _replace_in_rules(g, from_expr, to_expr, name)
     if out is None:
@@ -344,7 +333,7 @@ def factor(g: Grammar, name: str, from_expr: Expr, to_expr: Expr) -> Grammar:
 def distribute(g: Grammar, name: str) -> Grammar:
     """Surface the inner choices of `name`'s rules into top-level choices of
     choice-free sequences (pure distribution; choices under repetition stay)."""
-    positions = _rule_positions(g, name)
+    positions = g.blocks.get(name, ())
     if not positions:
         raise TransformError(f"distribute: {name!r} is not defined")
     out = list(g.productions)
@@ -368,7 +357,7 @@ def detect_yaccified(g: Grammar, name: str):
     """Return (style, base, step) when `name` is defined by a recursive
     base/step rule pair, else None.  style is 'left' or 'right' by the side
     the recursion sits on."""
-    positions = _rule_positions(g, name)
+    positions = g.blocks.get(name, ())
     if len(positions) != 2:
         return None
     me = Nonterminal(name)
@@ -403,7 +392,7 @@ def deyaccify(g: Grammar, name: str, style: str | None = None) -> Grammar:
         rhs = seq(base, star(step))
     else:
         rhs = seq(star(step), base)
-    positions = _rule_positions(g, name)
+    positions = g.blocks.get(name, ())
     out = [prod for i, prod in enumerate(g.productions) if i != positions[1]]
     out[positions[0]] = Production(name, rhs)
     return _with_productions(g, out)
@@ -414,7 +403,7 @@ def yaccify(g: Grammar, name: str, style: str) -> Grammar:
     the requested recursion style."""
     if style not in ("left", "right"):
         raise TransformError(f"yaccify: unknown style {style!r}")
-    positions = _rule_positions(g, name)
+    positions = g.blocks.get(name, ())
     if len(positions) != 1:
         raise TransformError(f"yaccify: {name!r} must be defined by exactly one rule")
     rhs = g.productions[positions[0]].rhs
@@ -459,7 +448,7 @@ def _replace_at_path(node: Expr, path: list[int], new: Expr) -> Expr:
 
 
 def _locate(g: Grammar, lhs: str, pos: int) -> int:
-    positions = _rule_positions(g, lhs)
+    positions = g.blocks.get(lhs, ())
     if pos >= len(positions):
         raise TransformError(f"{lhs!r} has no rule #{pos}")
     return positions[pos]
@@ -493,8 +482,7 @@ def define(g: Grammar, name: str, rhs: Expr) -> Grammar:
 
 def eliminate(g: Grammar, name: str) -> Grammar:
     """Drop every rule of `name` (used for unreachable definitions)."""
-    positions = _rule_positions(g, name)
-    if not positions:
+    if name not in g.blocks:
         raise TransformError(f"eliminate: {name!r} is not defined")
     out = [prod for prod in g.productions if prod.lhs != name]
     return _with_productions(g, out)
@@ -504,7 +492,7 @@ def insert_rule(g: Grammar, lhs: str, pos: int, rhs: Expr,
                 label: str | None = None) -> Grammar:
     """Insert a rule into the rule block of `lhs` at local position `pos`
     (appended to the block when pos equals the block size)."""
-    positions = _rule_positions(g, lhs)
+    positions = g.blocks.get(lhs, ())
     if pos > len(positions):
         raise TransformError(f"insert-rule: {lhs!r} has no slot #{pos}")
     if positions:

@@ -204,7 +204,16 @@ def rooted_anf(rng: random.Random, size: int) -> Grammar:
     """A grammar in abstract normal form with exactly `size` productions:
     every name is defined, either by one sequence rule or by two or three
     chain rules, and is reachable from the root n0 through a parent defined
-    before it."""
+    before it.  A draw in which a chain-defined name finds too few distinct
+    targets is discarded and drawn again from the same generator."""
+    while True:
+        g = _rooted_anf_draw(rng, size)
+        if g is not None:
+            assert len(g.productions) == size and not anf_check(g), anf_check(g)
+            return g
+
+
+def _rooted_anf_draw(rng: random.Random, size: int) -> Grammar | None:
     counts: list[int] = []
     while sum(counts) < size:
         left = size - sum(counts)
@@ -225,7 +234,9 @@ def rooted_anf(rng: random.Random, size: int) -> Grammar:
         refs = list(children[name])
         others = [cand for cand in names[1:] if cand != name and cand not in refs]
         if count > 1:
-            refs += rng.sample(others, min(count - len(refs), len(others)))
+            if count - len(refs) > len(others):
+                return None
+            refs += rng.sample(others, count - len(refs))
             productions.extend(Production(name, n(target)) for target in refs)
             continue
         pieces = [_marked(rng, ref) for ref in refs]
@@ -236,10 +247,7 @@ def rooted_anf(rng: random.Random, size: int) -> Grammar:
                 pieces.append(VALUE_STR if rng.random() < 0.5 else VALUE_INT)
         rng.shuffle(pieces)
         productions.append(Production(name, seq(*pieces)))
-
-    g = Grammar((names[0],), tuple(productions))
-    assert len(g.productions) == size and not anf_check(g), anf_check(g)
-    return g
+    return Grammar((names[0],), tuple(productions))
 
 
 def corpus(seed: int, count: int, **kwargs) -> list[Grammar]:

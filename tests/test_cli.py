@@ -214,3 +214,29 @@ def test_transform_malformed_argument_is_domain_error(tmp_path, data_dir, capsys
     assert err.startswith("error: step 0 (") and "argument" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_deeply_nested_grammar_file_is_domain_error(tmp_path, capsys):
+    depth = 3000
+    rhs = '{"tag":"star","body":' * depth + '{"tag":"n","name":"b"}' + "}" * depth
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"roots":["a"],"productions":[{"label":null,"lhs":"a","rhs":'
+                    + rhs + "}]}", encoding="utf-8")
+    assert main(["prodsig", str(deep)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_grammar_text_is_domain_error(tmp_path, data_dir, capsys):
+    depth = 3000
+    deep = tmp_path / "deep.ebnf"
+    deep.write_text("a ::= " + "(" * depth + " b " + ")" * depth + " ;\n",
+                    encoding="utf-8")
+    code = main(["recover", str(deep),
+                 "--notation", str(data_dir / "factorial.edd"),
+                 "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -34,6 +34,7 @@ from gramconv.grammar import (
     star,
     t,
 )
+from gramconv.mutate import anf_check
 from gramconv.transform import apply_script, rename_nonterminal
 from conftest import FL_MAPPING
 
@@ -400,6 +401,14 @@ def _weak_profiles(g):
     return {name: tuple(sorted(shapes)) for name, shapes in rules.items()}
 
 
+@pytest.mark.parametrize("size", [4, 6, 8])
+def test_rooted_anf_has_exactly_the_requested_rules(size):
+    for seed in range(200):
+        g = rooted_anf(random.Random(seed), size)
+        assert len(g.productions) == size
+        assert not anf_check(g)
+
+
 def test_nominal_resolution_at_scale_finds_the_planted_renaming():
     rng = random.Random(40)
     for _ in range(3):
@@ -547,6 +556,37 @@ def test_replay_convergence_reaches_master_shape(fl_master_abstract, jaxb_model)
     want = sorted(((prod.lhs, prod.rhs) for prod in fl_master_abstract.productions),
                   key=repr)
     assert got == want
+
+
+def test_replay_law_on_random_master_servant_pairs():
+    # the traces replayed on the raw servant, renamed by the mapping, give
+    # the master's rules; the servant's rule blocks are scattered, so the
+    # match reads them from its rule-block index
+    from collections import Counter
+
+    from gramconv.converge import replay_convergence
+    from gramconv.grammar import Production, names_in_order, rename_expr
+    rng = random.Random(30)
+    for size in (12, 16, 20):
+        for _ in range(10):
+            master = rooted_anf(rng, size)
+            names = names_in_order(master)
+            image = [f"s{i}" for i in range(len(names))]
+            rng.shuffle(image)
+            phi = dict(zip(names, image))
+            rules = [Production(phi[prod.lhs], rename_expr(prod.rhs, phi))
+                     for prod in master.productions]
+            rng.shuffle(rules)
+            servant = Grammar((phi[master.roots[0]],), tuple(rules))
+            report = guided_converge(master, servant)
+            assert report.residue == []
+            replayed = replay_convergence(servant, report)
+            mapping = report.mapping.as_dict()
+            got = Counter((mapping.get(prod.lhs, prod.lhs),
+                           rename_expr(prod.rhs, mapping), prod.label)
+                          for prod in replayed.productions)
+            assert got == Counter((prod.lhs, prod.rhs, prod.label)
+                                  for prod in master.productions)
 
 
 # -- metrics and rendering -----------------------------------------------------------

@@ -189,3 +189,57 @@ def test_subterms_walks_deep_nesting_without_recursion():
     for _ in range(5000):
         expr = star_(seq(n("b"), expr))
     assert sum(1 for _ in subterms(expr)) == 1 + 5000 * 3
+
+
+def _fact_corpus():
+    """200 generated grammars, half with their rules shuffled so that rule
+    blocks of one nonterminal are scattered."""
+    from gen import random_anf, rooted_anf
+    rng = random.Random(17)
+    out = corpus(41, 40) + corpus(42, 30, expressible=True)
+    out += [random_anf(rng, rng.randint(2, 6)) for _ in range(15)]
+    out += [rooted_anf(rng, rng.choice((4, 8, 12))) for _ in range(15)]
+    for g in list(out):
+        rules = list(g.productions)
+        rng.shuffle(rules)
+        out.append(Grammar(g.roots, tuple(rules)))
+    return out
+
+
+def _walk_reachable(g, start):
+    found = set(start)
+    while True:
+        more = {sub.name for prod in g.productions if prod.lhs in found
+                for sub in subterms(prod.rhs) if isinstance(sub, Nonterminal)}
+        if more <= found:
+            return found
+        found |= more
+
+
+def test_stored_facts_agree_with_a_fresh_walk():
+    from dataclasses import fields
+    rng = random.Random(18)
+    for g in _fact_corpus():
+        blocks = {}
+        for i, prod in enumerate(g.productions):
+            blocks.setdefault(prod.lhs, []).append(i)
+        assert list(g.blocks) == list(blocks)
+        assert {lhs: list(at) for lhs, at in g.blocks.items()} == blocks
+        for name in list(blocks) + ["missing"]:
+            assert g.rules_of(name) == tuple(prod for prod in g.productions
+                                             if prod.lhs == name)
+        walked = [sub for prod in g.productions for sub in subterms(prod.rhs)]
+        used = {sub.name for sub in walked if isinstance(sub, Nonterminal)}
+        voc = vocabulary(g)
+        assert voc.defined == set(blocks)
+        assert voc.used == used
+        assert voc.terminals == {sub.text for sub in walked if isinstance(sub, Terminal)}
+        assert g.names == set(blocks) | used
+        assert tops(g) == set(blocks) - used
+        start = rng.sample(sorted(g.names), min(2, len(g.names)))
+        for names in (g.roots, start):
+            assert reachable(g, names) == _walk_reachable(g, names)
+        twin = Grammar(tuple(g.roots), tuple(g.productions))
+        assert twin == g and hash(twin) == hash((g.roots, g.productions))
+        assert repr(twin) == f"Grammar(roots={g.roots!r}, productions={g.productions!r})"
+    assert [f.name for f in fields(Grammar)] == ["roots", "productions"]
