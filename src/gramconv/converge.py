@@ -385,12 +385,20 @@ def nominal_resolution(master: Grammar, servant: Grammar) -> NominalMapping:
     and otherwise ResolutionAmbiguity is raised with the candidates found
     (or the greedy partial binding when there are none).
     """
-    for label, g in (("master", master), ("servant", servant)):
-        violations = anf_check(g)
-        if violations:
-            shown = "; ".join(str(v) for v in violations)
-            raise ResolutionError(f"{label} grammar is not in abstract normal form: {shown}")
+    _require_anf("master", master)
+    _require_anf("servant", servant)
+    return _resolve(master, servant)
 
+
+def _require_anf(label: str, g: Grammar) -> None:
+    violations = anf_check(g)
+    if violations:
+        shown = "; ".join(str(v) for v in violations)
+        raise ResolutionError(f"{label} grammar is not in abstract normal form: {shown}")
+
+
+def _resolve(master: Grammar, servant: Grammar) -> NominalMapping:
+    """nominal_resolution of two grammars already checked to be in ANF."""
     seed = _Binding()
     for rs, rm in zip(servant.roots, master.roots):
         seed.bind(rs, rm)
@@ -640,17 +648,27 @@ class _Aligner:
         return type(s) is type(m)  # epsilon / empty / any
 
     def _sequence_order(self, s_parts, m_parts) -> tuple[int, ...] | None:
+        """The 1-based master position of each servant part: the identity
+        when it fits, else the lexicographically first permutation under
+        which every part fits its target, or None when there is none."""
         k = len(s_parts)
-        identity = tuple(range(1, k + 1))
         if all(self._walk(s_parts[i], m_parts[i], (), emit=False) for i in range(k)):
-            return identity
-        if k > 8:
-            return None
-        for perm in itertools.permutations(range(1, k + 1)):
-            if all(self._walk(s_parts[i], m_parts[perm[i] - 1], (), emit=False)
-                   for i in range(k)):
-                return perm
-        return None
+            return tuple(range(1, k + 1))
+        # with the name map fixed, whether a part fits a target does not
+        # depend on the rest of the assignment
+        fits = [[j for j in range(k) if self._walk(s, m_parts[j], (), emit=False)]
+                for s in s_parts]
+        order: list[int] = []
+        taken: set[int] = set()
+        for i in range(k):
+            # the smallest target that still leaves the later parts a target each
+            target = next((j for j in fits[i] if j not in taken
+                           and _assignable(fits[i + 1:], taken | {j})), None)
+            if target is None:
+                return None
+            order.append(target + 1)
+            taken.add(target)
+        return tuple(order)
 
     def _emit_set(self, path: tuple[int, ...], m: Expr, s: Expr,
                   replacement: Expr | None = None) -> None:
@@ -658,6 +676,37 @@ class _Aligner:
             "set-node", {"lhs": self.lhs, "pos": self.pos, "path": list(path),
                          "expr": replacement if replacement is not None else m,
                          "previous": s}))
+
+
+def _assignable(rows: list[list[int]], taken: set[int]) -> bool:
+    """Whether each row can have a column of its own from its list, none of
+    them in `taken`: a perfect matching grown by augmenting paths."""
+    owner: dict[int, int] = {}  # column -> row
+    held: dict[int, int] = {}   # row -> column
+    for start in range(len(rows)):
+        came: dict[int, int] = {}  # column -> the row the search reached it from
+        queue = [start]
+        free = None
+        for row in queue:
+            for col in rows[row]:
+                if col in taken or col in came:
+                    continue
+                came[col] = row
+                if col not in owner:
+                    free = col
+                    break
+                queue.append(owner[col])
+            if free is not None:
+                break
+        if free is None:
+            return False
+        col = free
+        while col is not None:  # flip the path back to `start`
+            row = came[col]
+            prev = held.get(row)
+            held[row], owner[col] = col, row
+            col = prev
+    return True
 
 
 def structural_match(master: Grammar, servant: Grammar,
@@ -732,7 +781,8 @@ def guided_converge(master: Grammar, servant_raw: Grammar,
             observer(phase, g)
 
     master_anf = master
-    if anf_check(master):
+    normalized = bool(anf_check(master))
+    if normalized:
         master_anf = mutate(master, Mutation("normalize-anf")).grammar
         warnings.append("master grammar was not in abstract normal form; normalized")
     note("master-anf", master_anf)
@@ -742,7 +792,11 @@ def guided_converge(master: Grammar, servant_raw: Grammar,
     normal = mutate(design.grammar, Mutation("normalize-anf"))
     note("servant-anf", normal.grammar)
 
-    mapping = nominal_resolution(master_anf, normal.grammar)
+    # a master found in ANF above is not checked again
+    if normalized:
+        _require_anf("master", master_anf)
+    _require_anf("servant", normal.grammar)
+    mapping = _resolve(master_anf, normal.grammar)
     report = structural_match(master_anf, normal.grammar, mapping)
     report.normalization_trace = design.trace + normal.trace
     report.warnings = warnings + report.warnings

@@ -5,14 +5,16 @@ A grammar is an ordered list of production rules over ordered roots.  Several
 rules may share a left-hand side (vertical style); a horizontal definition is
 a single rule whose right-hand side is a Choice.  All values are immutable and
 hashable; every operation in this package is a pure function over them.
-Each grammar derives its rule blocks and name set once, when it is built,
-and the analyses read those facts instead of walking the rules again.
+Each grammar derives its rule blocks when it is built, and its used names
+and terminals the first time they are asked for; the analyses read those
+facts instead of walking the rules again.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from functools import cached_property
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -304,29 +306,49 @@ def p(lhs: str, rhs: Expr, label: str | None = None) -> Production:
 @dataclass(frozen=True)
 class Grammar:
     """`blocks` maps each lhs to its rule positions, lhs in first-appearance
-    order; it and the used names and terminals behind `names` are derived
-    once and are not fields, so repr, ==, hash and fields() ignore them."""
+    order, and is derived when the grammar is built; the used names and
+    terminals behind `names` are derived on first use.  None of them is a
+    field, so repr, ==, hash and fields() ignore them."""
 
     roots: tuple[str, ...] = ()
     productions: tuple[Production, ...] = ()
 
     def __post_init__(self) -> None:
         blocks: dict[str, list[int]] = {}
-        used: set[str] = set()
-        terminals: set[str] = set()
         for i, prod in enumerate(self.productions):
             blocks.setdefault(prod.lhs, []).append(i)
+        object.__setattr__(self, "blocks", {lhs: tuple(at) for lhs, at in blocks.items()})
+        for root in self.roots:
+            if root not in blocks and root not in self._used:
+                raise GrammarError(f"declared root {root!r} is neither defined nor used")
+
+    @cached_property
+    def _used(self) -> frozenset[str]:
+        used: set[str] = set()
+        terminals: set[str] = set()
+        for prod in self.productions:
             for sub in subterms(prod.rhs):
                 if isinstance(sub, Nonterminal):
                     used.add(sub.name)
                 elif isinstance(sub, Terminal):
                     terminals.add(sub.text)
-        object.__setattr__(self, "blocks", {lhs: tuple(at) for lhs, at in blocks.items()})
-        object.__setattr__(self, "_used", frozenset(used))
-        object.__setattr__(self, "_terminals", frozenset(terminals))
-        for root in self.roots:
-            if root not in blocks and root not in used:
-                raise GrammarError(f"declared root {root!r} is neither defined nor used")
+        self.__dict__["_terminals"] = frozenset(terminals)
+        return frozenset(used)
+
+    @cached_property
+    def _terminals(self) -> frozenset[str]:
+        self._used  # derives and stores the terminals too
+        return self.__dict__["_terminals"]
+
+    def _inherit_names(self, parent: Grammar, added: str) -> None:
+        """Take the parent's used names, plus `added`, and its terminals, if
+        the parent has derived them.  Sound for an edit that folds parent
+        subexpressions into uses of the new name `added` and keeps them in
+        that name's rule."""
+        known = parent.__dict__
+        if "_used" in known:
+            self.__dict__["_used"] = known["_used"] | {added}
+            self.__dict__["_terminals"] = known["_terminals"]
 
     @property
     def names(self) -> frozenset[str]:  # every defined or used nonterminal
@@ -360,6 +382,22 @@ def subterms(expr: Expr):
         get = _GET.get(type(node))
         if get is not None:
             stack.extend(reversed(get(node)))
+
+
+def occurs(sub: Expr, expr: Expr) -> bool:
+    """Whether `sub` is expr or one of its subexpressions.  Only nodes of
+    sub's class are compared, and in no particular order."""
+    cls = type(sub)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is cls and node == sub:
+            return True
+        get = _GET.get(kind)
+        if get is not None:
+            stack.extend(get(node))
+    return False
 
 
 def rebuild(expr: Expr, fn) -> Expr:

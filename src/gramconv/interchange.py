@@ -51,6 +51,20 @@ _TAG_OF_CLASS = {cls: tag for tag, cls in _CLASS_OF_TAG.items()}
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _TAG_OF_CLASS}
 
 
+def _decoder(cls: type) -> tuple:
+    """The smart constructor of cls and, for each of its fields in order,
+    the field name and JSON kind: str for a plain value, dict for one
+    child, list for a variadic one."""
+    kind = NODE_TABLE[cls]
+    child_kind = list if kind.variadic else dict
+    return kind.build, tuple((name, child_kind if name in kind.child_fields else str)
+                             for name in _FIELDS[cls])
+
+
+# tag -> (builder, ((field name, JSON kind), ...))
+_DECODERS = {tag: _decoder(cls) for tag, cls in _CLASS_OF_TAG.items()}
+
+
 class InterchangeError(ValueError):
     """Malformed interchange document; carries the offending document path."""
 
@@ -103,20 +117,23 @@ def _want(doc: dict, key: str, kind, path: str):
 
 def expr_from_json(doc, path: str = "rhs") -> Expr:
     tag = _want(doc, "tag", str, path)
-    cls = _CLASS_OF_TAG.get(tag)
-    if cls is None:
+    decoder = _DECODERS.get(tag)
+    if decoder is None:
         raise InterchangeError(path, f"unknown expression tag {tag!r}")
-    kind = NODE_TABLE[cls]
+    build, spec = decoder
     values: list = []
-    for name in _FIELDS[cls]:
-        if name not in kind.child_fields:
-            values.append(_want(doc, name, str, path))
-        elif kind.variadic:
-            values.extend(expr_from_json(kid, f"{path}.{name}[{i}]")
-                          for i, kid in enumerate(_want(doc, name, list, path)))
+    for name, kind in spec:
+        value = doc.get(name)
+        if not isinstance(value, kind):
+            _want(doc, name, kind, path)  # raises the missing-field or type error
+        if kind is str:
+            values.append(value)
+        elif kind is dict:
+            values.append(expr_from_json(value, f"{path}.{name}"))
         else:
-            values.append(expr_from_json(_want(doc, name, dict, path), f"{path}.{name}"))
-    return kind.build(*values)
+            values.extend(expr_from_json(kid, f"{path}.{name}[{i}]")
+                          for i, kid in enumerate(value))
+    return build(*values)
 
 
 def grammar_from_json(doc) -> Grammar:

@@ -50,6 +50,7 @@ from .grammar import (
     children,
     choice,
     expr_names,
+    occurs,
     plus,
     render_expr,
     rename_expr,
@@ -110,7 +111,7 @@ def _replace_in_rules(g: Grammar, old: Expr, new: Expr,
     positions = range(len(out)) if scope is None else g.blocks.get(scope, ())
     for i in positions:
         prod = out[i]
-        if any(sub == old for sub in subterms(prod.rhs)):
+        if occurs(old, prod.rhs):
             hit = True
             out[i] = Production(prod.lhs, replace_subterm(prod.rhs, old, new), prod.label)
     return out if hit else None
@@ -161,7 +162,9 @@ def extract(g: Grammar, name: str, expr: Expr, scope: str | None = None,
         raise TransformError(f"extract: {render_expr(expr)} does not occur{where}")
     at = len(out) if index is None else index
     out.insert(at, Production(name, expr))
-    return _with_productions(g, out)
+    result = _with_productions(g, out)
+    result._inherit_names(g, name)  # expr now sits in the rule of `name`
+    return result
 
 
 def _sole_definition(g: Grammar, name: str, op: str) -> tuple[int, Expr]:

@@ -545,6 +545,106 @@ def test_guided_converge_normalizes_unnormalized_master(jaxb_model):
     assert report.residue == []
 
 
+def _counting_anf_check(monkeypatch):
+    """Patch converge's anf_check to record the grammars it is called on."""
+    import gramconv.converge as converge_module
+    checked = []
+
+    def counting(g):
+        checked.append(g)
+        return anf_check(g)
+    monkeypatch.setattr(converge_module, "anf_check", counting)
+    return checked
+
+
+def test_guided_converge_checks_each_grammar_for_anf_once(monkeypatch, fl_master_abstract,
+                                                          jaxb_model):
+    checked = _counting_anf_check(monkeypatch)
+    observed = {}
+    guided_converge(fl_master_abstract, jaxb_model,
+                    observer=lambda phase, g: observed.setdefault(phase, g))
+    assert [id(g) for g in checked] == [id(fl_master_abstract), id(observed["servant-anf"])]
+
+
+def test_guided_converge_rechecks_a_normalized_master(monkeypatch, jaxb_model):
+    checked = _counting_anf_check(monkeypatch)
+    observed = {}
+    guided_converge(jaxb_model, jaxb_model,
+                    observer=lambda phase, g: observed.setdefault(phase, g))
+    assert [id(g) for g in checked] == [
+        id(jaxb_model), id(observed["master-anf"]), id(observed["servant-anf"])]
+
+
+def test_nominal_resolution_names_the_grammar_that_is_not_in_anf(fl_master_abstract,
+                                                                 jaxb_model):
+    shown = "; ".join(str(v) for v in anf_check(jaxb_model))
+    with pytest.raises(ResolutionError) as servant_error:
+        nominal_resolution(fl_master_abstract, jaxb_model)
+    assert str(servant_error.value) == (
+        f"servant grammar is not in abstract normal form: {shown}")
+    with pytest.raises(ResolutionError) as master_error:
+        nominal_resolution(jaxb_model, fl_master_abstract)
+    assert str(master_error.value) == (
+        f"master grammar is not in abstract normal form: {shown}")
+
+
+@pytest.mark.parametrize("k", [9, 10, 12])
+def test_guided_converge_permutes_a_long_sequence(k):
+    # a{i} is defined by str and i + 1 ints, so each name has its own
+    # signature; no two names of the long rule share a marker, so resolving
+    # them stays cheap.  The servant renames the names and shuffles the parts.
+    from collections import Counter
+
+    from gramconv.converge import replay_convergence
+    from gramconv.grammar import rename_expr
+
+    def grammar_of(prefix, root, shuffle):
+        a = [n(f"{prefix}{i}") for i in range(9)]
+        parts = [a[0], opt(a[1]), star(a[2]), plus(a[3]), a[4], opt(a[5]), star(a[6]),
+                 plus(a[7]), VALUE_STR, VALUE_INT, a[8], a[8]][:k]
+        shuffle(parts)
+        return Grammar((root,), (p(root, seq(*parts)),) + tuple(
+            p(f"{prefix}{i}", seq(VALUE_STR, *[VALUE_INT] * (i + 1)))
+            for i in range(9) if a[i] in parts or opt(a[i]) in parts
+            or star(a[i]) in parts or plus(a[i]) in parts))
+
+    master = grammar_of("a", "m", lambda parts: None)
+    servant = grammar_of("b", "s", random.Random(30).shuffle)
+    report = guided_converge(master, servant)
+    assert report.residue == []
+    permutes = [step for step in report.structural_trace if step.op == "permute"]
+    assert len(permutes) == 1 and len(permutes[0].args["order"]) == k
+    replayed = replay_convergence(servant, report)
+    mapping = report.mapping.as_dict()
+    got = Counter((mapping.get(prod.lhs, prod.lhs), rename_expr(prod.rhs, mapping))
+                  for prod in replayed.productions)
+    assert got == Counter((prod.lhs, prod.rhs) for prod in master.productions)
+
+
+def test_sequence_order_is_the_first_fitting_permutation():
+    # on random part-fits-target tables, the order equals the first
+    # permutation that itertools yields under which every part fits
+    import itertools
+
+    from gramconv.converge import _Aligner
+
+    class TableAligner(_Aligner):
+        def __init__(self, fits):
+            self.fits = fits
+
+        def _walk(self, s, m, path, emit):
+            return self.fits[s][m]
+
+    rng = random.Random(5)
+    for _ in range(2000):
+        k = rng.randint(1, 7)
+        density = rng.random()
+        fits = [[rng.random() < density for _ in range(k)] for _ in range(k)]
+        want = next((perm for perm in itertools.permutations(range(1, k + 1))
+                     if all(fits[i][perm[i] - 1] for i in range(k))), None)
+        assert TableAligner(fits)._sequence_order(range(k), range(k)) == want
+
+
 def test_replay_convergence_reaches_master_shape(fl_master_abstract, jaxb_model):
     from gramconv.converge import replay_convergence
     from gramconv.grammar import rename_expr

@@ -243,3 +243,102 @@ def test_stored_facts_agree_with_a_fresh_walk():
         assert twin == g and hash(twin) == hash((g.roots, g.productions))
         assert repr(twin) == f"Grammar(roots={g.roots!r}, productions={g.productions!r})"
     assert [f.name for f in fields(Grammar)] == ["roots", "productions"]
+
+
+def _walked_facts(g):
+    """defined, used and terminal names of g by a fresh walk of its rules."""
+    walked = [sub for prod in g.productions for sub in subterms(prod.rhs)]
+    return ({prod.lhs for prod in g.productions},
+            {sub.name for sub in walked if isinstance(sub, Nonterminal)},
+            {sub.text for sub in walked if isinstance(sub, Terminal)})
+
+
+def _assert_facts_match_a_walk(g):
+    defined, used, terminals = _walked_facts(g)
+    assert g.names == defined | used
+    voc = vocabulary(g)
+    assert (voc.defined, voc.used, voc.terminals) == (defined, used, terminals)
+    assert tops(g) == defined - used
+
+
+def test_lazy_facts_agree_with_a_walk_at_every_normalize_anf_step():
+    # each intermediate grammar of the replayed trace is checked, which
+    # derives its facts, so every extract step starts from a parent with
+    # derived facts and carries them over instead of deriving them
+    from gramconv.mutate import Mutation, mutate
+    from gramconv.transform import apply_step
+    carried = 0
+    for g in corpus(43, 100, max_productions=12):
+        current = g
+        _assert_facts_match_a_walk(current)
+        for step in mutate(g, Mutation("normalize-anf")).trace:
+            current = apply_step(current, step)
+            carried += step.op == "extract" and "_used" in vars(current)
+            _assert_facts_match_a_walk(current)
+    assert carried > 20
+
+
+def test_extract_carries_facts_that_agree_with_a_walk():
+    # normalize-anf removes terminals before it extracts, so extract here
+    # every composite subterm of grammars that keep theirs
+    from gramconv.transform import extract, fresh_name
+    carried = 0
+    for g in corpus(46, 100):
+        _assert_facts_match_a_walk(g)
+        composites = {sub for prod in g.productions for sub in subterms(prod.rhs)
+                      if not isinstance(sub, (Nonterminal, Terminal))}
+        for sub in sorted(composites, key=repr):
+            folded = extract(g, fresh_name("x", g.names), sub)
+            carried += "_used" in vars(folded)
+            _assert_facts_match_a_walk(folded)
+    assert carried > 100
+
+
+def test_a_root_that_is_only_used_is_accepted():
+    g = Grammar(("b",), (p("a", seq(n("b"), t("x"))),))
+    assert g.names == {"a", "b"}
+    assert tops(g) == {"a"}
+
+
+def test_a_root_neither_defined_nor_used_fails_at_construction():
+    with pytest.raises(GrammarError, match="declared root 'z' is neither defined nor used"):
+        Grammar(("z",), (p("a", n("b")),))
+    with pytest.raises(GrammarError, match="declared root 'z' is neither defined nor used"):
+        Grammar(("a", "z"), (p("a", n("b")),))
+
+
+def test_deriving_the_facts_leaves_repr_eq_and_hash_alone():
+    for g in corpus(44, 50):
+        before = (repr(g), hash(g))
+        twin = Grammar(g.roots, g.productions)
+        _assert_facts_match_a_walk(g)
+        assert (repr(g), hash(g)) == before
+        assert g == twin and twin == g and hash(twin) == hash(g)
+        assert repr(twin) == repr(g)
+
+
+def test_facts_derived_from_several_threads_at_once_agree():
+    # a thread may read the used names while another is deriving them
+    import sys
+    import threading
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for g in corpus(45, 20, max_productions=12):
+            want = _walked_facts(g)
+            start = threading.Barrier(8)
+            seen = []
+
+            def read():
+                start.wait(timeout=10)
+                voc = vocabulary(g)
+                seen.append((voc.defined, voc.used, voc.terminals))
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert seen == [want] * 8
+    finally:
+        sys.setswitchinterval(interval)
