@@ -363,27 +363,25 @@ def nominal_resolution(master: Grammar, servant: Grammar) -> NominalMapping:
     """Infer the servant-to-master name mapping by pairing prodsig-equivalent
     productions.
 
-    Seeded with the root-to-root pair, rounds of a greedy fixpoint commit
-    every production pair that is the unique consistent choice at its
+    Seeded with the root-to-root pair, the complete consistent matchings
+    are searched first: every servant production is paired injectively with
+    a weakly equivalent master production.  Among the distinct full bindings
+    found, those with the most exactly-matching productions win.  A single
+    winner is adopted, and several raise ResolutionAmbiguity.
+
+    The search stops after SEARCH_NODE_CAP nodes, or once it holds
+    SEARCH_MAX_BINDINGS distinct bindings and would look for more.  Either
+    way its candidate list is incomplete, so no winner is chosen from it.
+    Only then, or when the search finds no complete matching (structurally
+    alien grammars), a greedy fixpoint runs: from the same seed, its rounds
+    commit every production pair that is the unique consistent choice at its
     strength (strong first, then weak), binding the paired left-hand sides
-    and the unambiguous part of the induced relation; matched pairs are
-    re-narrowed as the binding grows.
-
-    A greedy commitment of a spuriously exact relation can poison the rest
-    of the run (a swapped pair of repetition markers makes the wrong
-    bijection look footprint-perfect), so the result is adjudicated against
-    the complete consistent matchings reachable from the seed: among the
-    distinct full bindings, those with the most exactly-matching productions
-    win.  A single winner is adopted, several raise ResolutionAmbiguity,
-    none (structurally alien grammars) keeps the greedy partial result with
+    and the unambiguous part of the induced relation, and matched pairs are
+    re-narrowed as the binding grows.  After a capped search its result is
+    kept when it binds every servant name, and otherwise ResolutionAmbiguity
+    is raised with the candidates found (or the greedy partial binding when
+    there are none).  After a search that found nothing it is kept, with
     omega for the unresolved names.
-
-    The search for complete matchings stops after SEARCH_NODE_CAP nodes, or
-    once it holds SEARCH_MAX_BINDINGS distinct bindings and would look for
-    more.  Either way its candidate list is incomplete, so no winner is
-    chosen from it: a greedy result that binds every servant name is kept,
-    and otherwise ResolutionAmbiguity is raised with the candidates found
-    (or the greedy partial binding when there are none).
     """
     _require_anf("master", master)
     _require_anf("servant", servant)
@@ -404,26 +402,20 @@ def _resolve(master: Grammar, servant: Grammar) -> NominalMapping:
         seed.bind(rs, rm)
 
     res = _Resolution(master, servant)
-    binding = _greedy_fixpoint(res, seed.copy())
-
     candidates, capped = _complete_matchings(res, seed)
-    if capped:
-        open_names = [name for name in names_in_order(servant, _leaf_name)
-                      if name not in binding.fwd]
-        if open_names:
-            raise ResolutionAmbiguity(candidates or [dict(binding.fwd)])
-    elif candidates:
+    if candidates and not capped:
         best = _best_bindings(res, candidates)
-        if len(best) == 1:
-            binding = _Binding()
-            for a, b in sorted(best[0].items()):
-                binding.bind(a, b)
-        else:
+        if len(best) > 1:
             raise ResolutionAmbiguity(best)
+        fwd = best[0]
+    else:
+        fwd = _greedy_fixpoint(res, seed).fwd
+        if capped and any(name not in fwd for name in names_in_order(servant, _leaf_name)):
+            raise ResolutionAmbiguity(candidates or [dict(fwd)])
 
     pairs: list[tuple[str | None, str | None]] = []
     for name in names_in_order(servant, _leaf_name):
-        pairs.append((name, binding.fwd.get(name)))
+        pairs.append((name, fwd.get(name)))
     mapped = {b for _, b in pairs if b is not None}
     for name in names_in_order(master, _leaf_name):
         if name not in mapped:
@@ -579,103 +571,86 @@ class MatchReport:
 class _Aligner:
     """Alignment of one servant rhs onto one master rhs under a name mapping.
 
-    Records the steps that rewrite the servant side into the master's shape:
-    sequence permutations, repetition widenings (+ against *), and bindings
-    of servant nonterminals against built-in master values.  Paths address
-    the servant tree as it stands when the step applies (parent adjustments
-    are emitted before descending)."""
+    `walk` returns the steps that rewrite the servant side into the master's
+    shape, or None when the two do not align: sequence permutations,
+    repetition widenings (+ against *), and bindings of servant nonterminals
+    against built-in master values.  Paths address the servant tree as it
+    stands when the step applies (parent adjustments come before the steps
+    below them)."""
 
     def __init__(self, mapping: dict[str, str], lhs: str, pos: int) -> None:
         self.mapping = mapping
         self.lhs = lhs
         self.pos = pos
-        self.steps: list[TransformStep] = []
 
-    def align(self, s_rhs: Expr, m_rhs: Expr) -> bool:
-        return self._walk(s_rhs, m_rhs, (), emit=True)
-
-    def _walk(self, s: Expr, m: Expr, path: tuple[int, ...], emit: bool) -> bool:
-        s_name = s.name if isinstance(s, Nonterminal) else None
-        if s_name is not None:
+    def walk(self, s: Expr, m: Expr, path: tuple[int, ...]) -> list[TransformStep] | None:
+        if isinstance(s, Nonterminal):
             if isinstance(m, Nonterminal):
-                return self.mapping.get(s_name) == m.name
-            kind = _VALUE_KIND.get(type(m))
-            if kind is not None:
-                # a nonterminal standing where the master has a built-in value
-                if emit:
-                    self._emit_set(path, m, s)
-                return True
-            return False
-        s_kind = _VALUE_KIND.get(type(s))
-        if s_kind is not None:
-            return _VALUE_KIND.get(type(m)) == s_kind
-        if isinstance(s, Terminal):
-            return isinstance(m, Terminal) and s.text == m.text
+                return [] if self.mapping.get(s.name) == m.name else None
+            # a nonterminal standing where the master has a built-in value
+            return [self._set(path, m, s)] if type(m) in _VALUE_KIND else None
         if type(s) is type(m) and isinstance(s, (Optional, Star, Plus)):
-            return self._walk(s.body, m.body, path + (0,), emit)
+            return self.walk(s.body, m.body, path + (0,))
         if isinstance(s, (Star, Plus)) and isinstance(m, (Star, Plus)):
             # + against *: widen the servant side onto the master's kind
-            if not self._walk(s.body, m.body, path + (0,), emit=False):
-                return False
-            if emit:
-                rewrapped = Star(s.body) if isinstance(m, Star) else Plus(s.body)
-                self._emit_set(path, m, s, replacement=rewrapped)
-                self._walk(s.body, m.body, path + (0,), emit=True)
-            return True
+            inner = self.walk(s.body, m.body, path + (0,))
+            rewrapped = Star(s.body) if isinstance(m, Star) else Plus(s.body)
+            return None if inner is None else [self._set(path, rewrapped, s)] + inner
         if isinstance(s, Sequence) and isinstance(m, Sequence):
-            if len(s.parts) != len(m.parts):
-                return False
-            order = self._sequence_order(s.parts, m.parts)
-            if order is None:
-                return False
-            if emit:
-                if order != tuple(range(1, len(s.parts) + 1)):
-                    if path:
-                        return False  # permutations are recorded at rule level only
-                    self.steps.append(TransformStep(
-                        "permute", {"lhs": self.lhs, "pos": self.pos,
-                                    "order": list(order)}))
-                for i, target in enumerate(order):
-                    self._walk(s.parts[i], m.parts[target - 1],
-                               path + (target - 1,), emit=True)
-            return True
+            return self._sequence(s.parts, m.parts, path)
         if type(s) is type(m) and isinstance(s, (SepListStar, SepListPlus)):
-            return (self._walk(s.item, m.item, path + (0,), emit)
-                    and self._walk(s.separator, m.separator, path + (1,), emit))
+            item = self.walk(s.item, m.item, path + (0,))
+            separator = self.walk(s.separator, m.separator, path + (1,))
+            return None if item is None or separator is None else item + separator
         if type(s) is type(m) and isinstance(s, Selectable):
-            return (s.selector == m.selector
-                    and self._walk(s.body, m.body, path + (0,), emit))
-        return type(s) is type(m)  # epsilon / empty / any
+            return self.walk(s.body, m.body, path + (0,)) if s.selector == m.selector else None
+        if isinstance(s, Terminal):
+            return [] if isinstance(m, Terminal) and s.text == m.text else None
+        return [] if type(s) is type(m) else None  # values / epsilon / empty / any
 
-    def _sequence_order(self, s_parts, m_parts) -> tuple[int, ...] | None:
-        """The 1-based master position of each servant part: the identity
-        when it fits, else the lexicographically first permutation under
-        which every part fits its target, or None when there is none."""
+    def _sequence(self, s_parts, m_parts, path) -> list[TransformStep] | None:
         k = len(s_parts)
-        if all(self._walk(s_parts[i], m_parts[i], (), emit=False) for i in range(k)):
-            return tuple(range(1, k + 1))
-        # with the name map fixed, whether a part fits a target does not
-        # depend on the rest of the assignment
-        fits = [[j for j in range(k) if self._walk(s, m_parts[j], (), emit=False)]
-                for s in s_parts]
-        order: list[int] = []
-        taken: set[int] = set()
-        for i in range(k):
-            # the smallest target that still leaves the later parts a target each
-            target = next((j for j in fits[i] if j not in taken
-                           and _assignable(fits[i + 1:], taken | {j})), None)
-            if target is None:
-                return None
-            order.append(target + 1)
-            taken.add(target)
-        return tuple(order)
+        if len(m_parts) != k:
+            return None
+        diagonal = [self.walk(s_parts[i], m_parts[i], path + (i,)) for i in range(k)]
+        if None not in diagonal:
+            return [step for cell in diagonal for step in cell]
+        if path:
+            return None  # permutations are recorded at rule level only
+        # a part is walked at the position it moves to, so the chosen order
+        # reuses the steps of its cells
+        table = [[diagonal[i] if j == i else self.walk(s_parts[i], m_parts[j], (j,))
+                  for j in range(k)] for i in range(k)]
+        order = _sequence_order(table)
+        if order is None:
+            return None
+        steps = [TransformStep("permute", {"lhs": self.lhs, "pos": self.pos,
+                                           "order": list(order)})]
+        return steps + [step for i, target in enumerate(order)
+                        for step in table[i][target - 1]]
 
-    def _emit_set(self, path: tuple[int, ...], m: Expr, s: Expr,
-                  replacement: Expr | None = None) -> None:
-        self.steps.append(TransformStep(
-            "set-node", {"lhs": self.lhs, "pos": self.pos, "path": list(path),
-                         "expr": replacement if replacement is not None else m,
-                         "previous": s}))
+    def _set(self, path: tuple[int, ...], expr: Expr, previous: Expr) -> TransformStep:
+        return TransformStep("set-node", {"lhs": self.lhs, "pos": self.pos,
+                                          "path": list(path), "expr": expr,
+                                          "previous": previous})
+
+
+def _sequence_order(fits: list[list]) -> tuple[int, ...] | None:
+    """The 1-based master position of each servant part: the
+    lexicographically first permutation under which every part fits its
+    target (a cell fits unless it is None), or None when there is none."""
+    rows = [[j for j, cell in enumerate(row) if cell is not None] for row in fits]
+    order: list[int] = []
+    taken: set[int] = set()
+    for i, row in enumerate(rows):
+        # the smallest target that still leaves the later parts a target each
+        target = next((j for j in row if j not in taken
+                       and _assignable(rows[i + 1:], taken | {j})), None)
+        if target is None:
+            return None
+        order.append(target + 1)
+        taken.add(target)
+    return tuple(order)
 
 
 def _assignable(rows: list[list[int]], taken: set[int]) -> bool:
@@ -730,16 +705,16 @@ def structural_match(master: Grammar, servant: Grammar,
         candidates = master.blocks.get(name_map.get(s_nt), ())
         for pos, si in enumerate(rule_indices):
             sprod = servant.productions[si]
+            aligner = _Aligner(name_map, s_nt, pos)
             best: tuple[int, list[TransformStep]] | None = None
             for mi in candidates:
                 if mi in matched_master:
                     continue
-                aligner = _Aligner(name_map, s_nt, pos)
-                if aligner.align(sprod.rhs, master.productions[mi].rhs):
-                    if best is None or len(aligner.steps) < len(best[1]):
-                        best = (mi, aligner.steps)
-                        if not aligner.steps:
-                            break
+                steps = aligner.walk(sprod.rhs, master.productions[mi].rhs, ())
+                if steps is not None and (best is None or len(steps) < len(best[1])):
+                    best = (mi, steps)
+                    if not steps:
+                        break
             if best is None:
                 residue.append((si, Residue("servant", sprod)))
                 continue

@@ -369,8 +369,9 @@ def _distribute_all(rec: _Recorder, params: dict) -> None:
                            previous=prod.rhs)
                     changed = True
         for name in names_in_order(rec.grammar):
-            for pos, prod in enumerate(rec.grammar.rules_of(name)):
-                offender = _deepest(prod.rhs, _nested_choice)
+            # each extract folds its offender in every rule, so re-read the rule
+            for pos in range(len(rec.grammar.rules_of(name))):
+                offender = _deepest(rec.grammar.rules_of(name)[pos].rhs, _nested_choice)
                 if offender is not None:
                     fresh = fresh_name(name, rec.grammar.names)
                     rec.do("extract", name=fresh, expr=offender)
@@ -454,22 +455,16 @@ def _grouped(node: Expr):
 
 
 def _fold_groups(rec: _Recorder, params: dict) -> None:
-    for _ in range(1024):
-        found = None
-        for name in names_in_order(rec.grammar):
-            for prod in rec.grammar.rules_of(name):
-                offender = _deepest(prod.rhs, _grouped)
-                if offender is not None:
-                    found = (name, offender)
+    # offenders are found deepest first, so a fold leaves no offender in the
+    # group it extracts, nor in the rules already scanned
+    for name in names_in_order(rec.grammar):
+        for pos in range(len(rec.grammar.rules_of(name))):
+            while True:
+                offender = _deepest(rec.grammar.rules_of(name)[pos].rhs, _grouped)
+                if offender is None:
                     break
-            if found:
-                break
-        if found is None:
-            return
-        host, offender = found
-        fresh = fresh_name(host, rec.grammar.names)
-        rec.do("extract", name=fresh, expr=offender)
-    raise MutationError("fold-groups did not converge")
+                fresh = fresh_name(name, rec.grammar.names)
+                rec.do("extract", name=fresh, expr=offender)
 
 
 def _inline_trivial(rec: _Recorder) -> None:
@@ -488,22 +483,17 @@ def _inline_trivial(rec: _Recorder) -> None:
 
 
 def _fix_chain_mixing(rec: _Recorder) -> None:
-    while True:
-        acted = False
-        for name in names_in_order(rec.grammar):
+    # a scoped extract edits only the block it folds in, and each one leaves
+    # that block one non-chain rule fewer
+    for name in names_in_order(rec.grammar):
+        while True:
             rules = rec.grammar.rules_of(name)
-            if len(rules) < 2:
-                continue
             flags = [_is_chain_rhs(prod.rhs) for prod in rules]
             if all(flags) or not any(flags):
-                continue
+                break
             body = next(prod.rhs for prod in rules if not _is_chain_rhs(prod.rhs))
             fresh = fresh_name(name, rec.grammar.names)
             rec.do("extract", name=fresh, expr=body, scope=name)
-            acted = True
-            break
-        if not acted:
-            return
 
 
 def _normalize_anf(rec: _Recorder, params: dict) -> None:

@@ -21,7 +21,7 @@ from gramconv.converge import (
     structural_match,
     weak_equiv,
 )
-from gramconv.converge import _Binding, _complete_matchings, _Resolution
+from gramconv.converge import _Binding, _complete_matchings, _leaf_name, _Resolution
 from gramconv.grammar import (
     VALUE_INT,
     VALUE_STR,
@@ -389,6 +389,68 @@ def test_binding_limit_never_picks_a_winner_from_a_truncated_list():
         nominal_resolution(master, servant)
 
 
+def test_no_complete_matching_keeps_the_greedy_binding(fl_master_abstract, jaxb_anf):
+    # Extra's rule has no weakly equivalent master rule, so no complete
+    # matching exists and the greedy binding is the result
+    servant = Grammar(jaxb_anf.roots, jaxb_anf.productions + (
+        p("Expr", n("Extra")), p("Extra", seq(VALUE_INT, VALUE_STR, VALUE_STR))))
+    res = _Resolution(fl_master_abstract, servant)
+    assert _complete_matchings(res, _root_seed(fl_master_abstract, servant)) == ([], False)
+    got = nominal_resolution(fl_master_abstract, servant).as_dict()
+    want = {"Program": "program", "Function": "function", "Ops": "operator",
+            "str": "str", "int": "int"}
+    assert {name: got.get(name) for name in want} == want
+
+
+def _planted_servant(rng, master, node_fn=lambda node: node):
+    """A renamed, rule-shuffled copy of master, whose rhs nodes `node_fn`
+    may rebuild, and the planted servant-to-master renaming."""
+    from gramconv.grammar import Production, names_in_order, rebuild, rename_expr
+    names = names_in_order(master)
+    image = [f"s{i}" for i in range(len(names))]
+    rng.shuffle(image)
+    phi = dict(zip(names, image))
+    rules = [Production(phi[prod.lhs], rebuild(rename_expr(prod.rhs, phi), node_fn))
+             for prod in master.productions]
+    rng.shuffle(rules)
+    return Grammar((phi[master.roots[0]],), tuple(rules)), {v: k for k, v in phi.items()}
+
+
+def _capped_pairs(monkeypatch):
+    """Renamed, rule-shuffled rooted_anf pairs whose search for complete
+    matchings stops at a binding limit of one, each with the planted
+    renaming and the search's candidates."""
+    import gramconv.converge as converge
+    monkeypatch.setattr(converge, "SEARCH_MAX_BINDINGS", 1)
+    rng = random.Random(1)
+    for _ in range(300):
+        master = rooted_anf(rng, rng.randint(8, 10))
+        servant, planted = _planted_servant(rng, master)
+        candidates, capped = _complete_matchings(_Resolution(master, servant),
+                                                 _root_seed(master, servant))
+        if capped:
+            yield master, servant, planted, candidates
+
+
+def test_capped_search_keeps_a_complete_greedy_binding_and_refuses_a_partial_one(
+        monkeypatch):
+    # a greedy binding of every servant name is the planted renaming here;
+    # one that leaves names open is refused with the capped candidates
+    from gramconv.grammar import names_in_order
+    outcomes = {"kept": 0, "refused": 0}
+    for master, servant, planted, candidates in _capped_pairs(monkeypatch):
+        try:
+            got = nominal_resolution(master, servant).as_dict()
+        except ResolutionAmbiguity as err:
+            outcomes["refused"] += 1
+            assert candidates and err.candidates == tuple(candidates)
+            continue
+        outcomes["kept"] += 1
+        values = {name: name for name in ("str", "int")}
+        assert got == {name: {**values, **planted}[name]
+                       for name in names_in_order(servant, _leaf_name)}
+    assert outcomes["kept"] >= 5 and outcomes["refused"] >= 5
+
 def _weak_profiles(g):
     """Per defined name, its rules' signatures with the names of
     nonterminals forgotten and + read as *; a renaming onto the grammar
@@ -477,6 +539,27 @@ def test_structural_match_records_permutation():
     assert permutes[0].args["order"] == [3, 1, 2]
     replayed = apply_script(servant, report.structural_trace)
     assert replayed.rules_of("m2")[0].rhs == seq(n("a2"), n("b2"), n("c2"))
+
+
+def test_structural_match_steps_below_a_moved_part_follow_its_move():
+    # z+ moves to the master's second place, is widened to a star there, and
+    # only then is its z bound to the master's int
+    from gramconv.transform import TransformStep
+    master = Grammar(("r",), (p("r", seq(n("x"), star(VALUE_INT))), p("x", VALUE_STR)))
+    servant = Grammar(("R",), (p("R", seq(plus(n("Z")), n("X"))), p("X", VALUE_STR),
+                               p("Z", VALUE_STR)))
+    mapping = NominalMapping(frozenset(
+        [("R", "r"), ("X", "x"), ("Z", None), ("str", "str"), ("int", "int")]))
+    report = structural_match(master, servant, mapping)
+    at = {"lhs": "R", "pos": 0}
+    assert report.structural_trace == [
+        TransformStep("permute", {**at, "order": [2, 1]}),
+        TransformStep("set-node", {**at, "path": [1], "expr": star(n("Z")),
+                                   "previous": plus(n("Z"))}),
+        TransformStep("set-node", {**at, "path": [1, 0], "expr": VALUE_INT,
+                                   "previous": n("Z")})]
+    replayed = apply_script(servant, report.structural_trace)
+    assert replayed.rules_of("R")[0].rhs == seq(n("X"), star(VALUE_INT))
 
 
 def test_structural_match_permutation_under_identity_naming():
@@ -626,14 +709,7 @@ def test_sequence_order_is_the_first_fitting_permutation():
     # permutation that itertools yields under which every part fits
     import itertools
 
-    from gramconv.converge import _Aligner
-
-    class TableAligner(_Aligner):
-        def __init__(self, fits):
-            self.fits = fits
-
-        def _walk(self, s, m, path, emit):
-            return self.fits[s][m]
+    from gramconv.converge import _sequence_order
 
     rng = random.Random(5)
     for _ in range(2000):
@@ -642,7 +718,9 @@ def test_sequence_order_is_the_first_fitting_permutation():
         fits = [[rng.random() < density for _ in range(k)] for _ in range(k)]
         want = next((perm for perm in itertools.permutations(range(1, k + 1))
                      if all(fits[i][perm[i] - 1] for i in range(k))), None)
-        assert TableAligner(fits)._sequence_order(range(k), range(k)) == want
+        # a cell that fits holds the steps of its walk, one that does not None
+        cells = [[[] if fit else None for fit in row] for row in fits]
+        assert _sequence_order(cells) == want
 
 
 def test_replay_convergence_reaches_master_shape(fl_master_abstract, jaxb_model):
@@ -687,6 +765,89 @@ def test_replay_law_on_random_master_servant_pairs():
                           for prod in replayed.productions)
             assert got == Counter((prod.lhs, prod.rhs, prod.label)
                                   for prod in master.productions)
+
+
+def _grouped_master(rng, size):
+    """A rooted_anf grammar in which some sequence rules put two or three of
+    their parts under a repeated group."""
+    from gramconv.grammar import Production, Sequence
+    rules = []
+    for prod in rooted_anf(rng, size).productions:
+        parts = prod.rhs.parts if isinstance(prod.rhs, Sequence) else ()
+        if len(parts) >= 3 and rng.random() < 0.6:
+            k = rng.randint(2, min(3, len(parts) - 1))
+            at = rng.randint(0, len(parts) - k)
+            group = rng.choice((star, plus))(seq(*parts[at:at + k]))
+            prod = Production(prod.lhs, seq(*parts[:at], group, *parts[at + k:]))
+        rules.append(prod)
+    return Grammar((rules[0].lhs,), tuple(rules))
+
+
+def _shuffled_sequences(rng):
+    """A node function that shuffles the parts of every sequence."""
+    from gramconv.grammar import Sequence
+
+    def shuffle(node):
+        if isinstance(node, Sequence):
+            parts = list(node.parts)
+            rng.shuffle(parts)
+            return seq(*parts)
+        return node
+    return shuffle
+
+
+def test_replay_law_with_residue_on_shuffled_groups():
+    # permutations are recorded at rule level only, so a pair whose group
+    # was shuffled goes to the residue; the replayed servant, renamed, is
+    # then the matched master rules plus the renamed servant residue
+    from collections import Counter
+
+    from gramconv.converge import replay_convergence
+    from gramconv.grammar import rename_expr
+    rng = random.Random(6)
+    residues = []
+    for _ in range(100):
+        master = _grouped_master(rng, rng.randint(8, 12))
+        servant, _ = _planted_servant(rng, master, _shuffled_sequences(rng))
+        try:
+            report = guided_converge(master, servant)
+        except ResolutionAmbiguity:
+            continue
+        mapping = report.mapping.as_dict()
+
+        def renamed(prods):
+            return Counter((mapping.get(prod.lhs, prod.lhs), rename_expr(prod.rhs, mapping))
+                           for prod in prods)
+        residue = [entry.production for entry in report.residue if entry.side == "servant"]
+        got = renamed(replay_convergence(servant, report).productions)
+        assert got == Counter((pair.right.lhs, pair.right.rhs)
+                              for pair in report.pairs) + renamed(residue)
+        residues.append(len(report.residue))
+    assert len(residues) >= 90
+    assert residues.count(0) >= 20 and len(residues) - residues.count(0) >= 20
+
+
+def test_permutation_inside_a_group_goes_to_the_residue(tmp_path):
+    from gramconv.cli import main
+    from gramconv.interchange import serialize
+
+    def grammar_of(r, x, a, b, group):
+        return Grammar((r,), (p(r, seq(n(x), star(seq(*map(n, group))))),
+                              p(x, VALUE_INT), p(a, VALUE_STR),
+                              p(b, seq(VALUE_INT, VALUE_INT))))
+    master = grammar_of("r", "x", "a", "b", ("a", "b"))
+    servant = grammar_of("R", "X", "A", "B", ("B", "A"))
+    report = guided_converge(master, servant)
+    assert report.mapping.as_dict() == {"R": "r", "X": "x", "A": "a", "B": "b",
+                                        "int": "int", "str": "str"}
+    assert [(entry.side, entry.production) for entry in report.residue] == [
+        ("servant", servant.productions[0]), ("master", master.productions[0])]
+    assert report.structural_trace == []
+    paths = []
+    for name, g in (("master", master), ("servant", servant)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(serialize(g), encoding="utf-8")
+    assert main(["converge", *map(str, paths)]) == 3
 
 
 # -- metrics and rendering -----------------------------------------------------------

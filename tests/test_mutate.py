@@ -153,6 +153,19 @@ def test_distribute_all_surfaces_and_folds():
                 assert not isinstance(kid, Choice)
 
 
+def test_distribute_all_reads_each_rule_after_the_previous_extract():
+    # extracting x's first (a|b) folds it in x's second rule too, so that
+    # rule offers nothing more to extract
+    g = Grammar(("r",), (p("r", seq(n("x"), n("y"))),
+                         p("x", star(choice(n("a"), n("b")))),
+                         p("x", seq(n("c"), star(choice(n("a"), n("b"))))),
+                         p("y", n("a")), p("y", n("b"))))
+    result = run(g, "normalize-anf")
+    assert [step.op for step in result.trace].count("extract") == 1
+    assert result.grammar.rules_of("x_1") == (p("x_1", n("a")), p("x_1", n("b")))
+    assert "x_2" not in result.grammar.names
+
+
 def test_deyaccify_all():
     g = Grammar((), (p("A", n("B")), p("A", seq(n("A"), n("B"))),
                      p("B", n("C")), p("B", seq(n("B"), n("C"))), p("C", t("c"))))
