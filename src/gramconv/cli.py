@@ -63,10 +63,6 @@ def _load_notation(path: str) -> notation.NotationSpec:
     return notation.parse_spec(_read_text(path))
 
 
-def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
 def cmd_recover(args) -> int:
     spec = _load_notation(args.notation)
     report = recovery.recover(_read_text(args.text), spec)
@@ -78,7 +74,7 @@ def cmd_recover(args) -> int:
                   file=sys.stderr)
     _write_text(args.out, interchange.serialize(report.grammar))
     if args.report:
-        _write_text(args.report, _dump_json({
+        _write_text(args.report, interchange.dumps({
             "warnings": [{"line": line, "message": message}
                          for line, message in report.warnings],
             "heuristics": [{"line": event.line, "name": event.name,
@@ -122,7 +118,7 @@ def cmd_mutate(args) -> int:
     mutation = _parse_mutation(args.mutation)
     result = mutate(_load_grammar(args.grammar), mutation)
     _write_text(args.out, interchange.serialize(result.grammar))
-    _write_text(args.out + ".trace", _dump_json(script_to_json(result.trace)))
+    _write_text(args.out + ".trace", interchange.dumps(script_to_json(result.trace)))
     print(f"{mutation.kind}: {result.changed_count} change(s)", file=sys.stderr)
     return 0
 
@@ -131,7 +127,7 @@ def cmd_transform(args) -> int:
     steps = script_from_json(json.loads(_read_text(args.script)))
     result = apply_script(_load_grammar(args.grammar), steps)
     _write_text(args.out, interchange.serialize(result))
-    _write_text(args.out + ".trace", _dump_json(script_to_json(steps)))
+    _write_text(args.out + ".trace", interchange.dumps(script_to_json(steps)))
     return 0
 
 
@@ -166,7 +162,7 @@ def cmd_converge(args) -> int:
         print(f"warning: {message}", file=sys.stderr)
     sys.stdout.write(cv.render_match_report(report))
     if args.report:
-        _write_text(args.report, _dump_json(cv.report_to_json(report)))
+        _write_text(args.report, interchange.dumps(cv.report_to_json(report)))
     return RESIDUE if report.residue else 0
 
 

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .grammar import (
+    Choice,
     Expr,
     Grammar,
     Nonterminal,
@@ -598,6 +599,8 @@ class _Aligner:
             return None if inner is None else [self._set(path, rewrapped, s)] + inner
         if isinstance(s, Sequence) and isinstance(m, Sequence):
             return self._sequence(s.parts, m.parts, path)
+        if isinstance(s, Choice) and isinstance(m, Choice):
+            return self._sequence(s.alternatives, m.alternatives, path, permute=False)
         if type(s) is type(m) and isinstance(s, (SepListStar, SepListPlus)):
             item = self.walk(s.item, m.item, path + (0,))
             separator = self.walk(s.separator, m.separator, path + (1,))
@@ -608,14 +611,17 @@ class _Aligner:
             return [] if isinstance(m, Terminal) and s.text == m.text else None
         return [] if type(s) is type(m) else None  # values / epsilon / empty / any
 
-    def _sequence(self, s_parts, m_parts, path) -> list[TransformStep] | None:
+    def _sequence(self, s_parts, m_parts, path,
+                  permute: bool = True) -> list[TransformStep] | None:
+        """Sequence parts, or choice alternatives with `permute` off, aligned
+        position by position; a rule-level sequence may also be permuted."""
         k = len(s_parts)
         if len(m_parts) != k:
             return None
         diagonal = [self.walk(s_parts[i], m_parts[i], path + (i,)) for i in range(k)]
         if None not in diagonal:
             return [step for cell in diagonal for step in cell]
-        if path:
+        if path or not permute:
             return None  # permutations are recorded at rule level only
         # a part is walked at the position it moves to, so the chosen order
         # reuses the steps of its cells
@@ -817,11 +823,8 @@ def sig_metrics(g: Grammar) -> SigMetrics:
 
 
 def report_to_json(report: MatchReport) -> dict:
-    from .interchange import expr_to_json
+    from .interchange import production_to_json as prod_json
     from .transform import step_to_json
-
-    def prod_json(prod: Production) -> dict:
-        return {"label": prod.label, "lhs": prod.lhs, "rhs": expr_to_json(prod.rhs)}
 
     def show(name: str | None) -> str:
         return "omega" if name is None else name

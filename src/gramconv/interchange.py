@@ -9,13 +9,17 @@ and every expression is a tagged node: {"tag": "epsilon" | "empty" | "any" |
 "valstr" | "valint" | "t" | "n" | "sel" | "seq" | "choice" | "opt" | "star" |
 "plus" | "sepstar" | "sepplus", ...tag-specific fields}.  Serialization is
 deterministic (UTF-8, two-space indent, fields in schema order), so committed
-grammar files round-trip byte-identically.
+grammar files round-trip byte-identically.  `dumps` writes those bytes: it
+lays out the containers itself, since any indent sends `json.dumps` to its
+pure-Python encoder, encodes strings with the C string encoder and leaves
+every other scalar to `json.dumps`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import fields
+from json.encoder import encode_basestring as _encode_str
 
 from .grammar import (
     NODE_TABLE,
@@ -89,18 +93,54 @@ def expr_to_json(expr: Expr) -> dict:
     return doc
 
 
+def production_to_json(prod: Production) -> dict:
+    return {"label": prod.label, "lhs": prod.lhs, "rhs": expr_to_json(prod.rhs)}
+
+
 def grammar_to_json(g: Grammar) -> dict:
-    return {
-        "roots": list(g.roots),
-        "productions": [
-            {"label": prod.label, "lhs": prod.lhs, "rhs": expr_to_json(prod.rhs)}
-            for prod in g.productions
-        ],
-    }
+    return {"roots": list(g.roots),
+            "productions": [production_to_json(prod) for prod in g.productions]}
+
+
+def dumps(doc) -> str:
+    """What `json.dumps` writes for doc with a two-space indent and
+    `ensure_ascii` off, and a newline, byte for byte.  A circular document
+    raises RecursionError, not ValueError."""
+    out: list[str] = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, write) -> None:
+    if type(value) is str:
+        write(_encode_str(value))
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            # json.dumps converts a key that is not a string, or rejects it
+            text = _encode_str(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
+            write(sep + text + ": ")
+            _write(item, inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write(item, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+    elif value is None:
+        write("null")
+    else:  # numbers, booleans, empty containers, str subclasses, errors
+        write(json.dumps(value, ensure_ascii=False))
 
 
 def serialize(g: Grammar) -> str:
-    return json.dumps(grammar_to_json(g), indent=2, ensure_ascii=False) + "\n"
+    return dumps(grammar_to_json(g))
 
 
 def _want(doc: dict, key: str, kind, path: str):

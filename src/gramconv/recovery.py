@@ -4,12 +4,12 @@
 notation spec; `unparse` renders a grammar back into such a dialect so that
 recovery yields the same grammar again.
 
-Tokenization is longest-match over the spec lexemes (with a word-boundary
-guard for lexemes that look like names), then quoted terminals, then maximal
-name runs over letters, digits, `_` and `-`.  The right-hand side grammar is
-alternation over concatenation over separator-list infixes over postfix
-operators; group brackets override.  The reserved names `str` and `int`
-denote the built-in values.
+Tokenization walks one compiled pattern per notation: longest match over the
+spec lexemes (with a word-boundary guard for lexemes that look like names),
+then quoted terminals, then maximal name runs over letters, digits, `_` and
+`-`.  The right-hand side grammar is alternation over concatenation over
+separator-list infixes over postfix operators; group brackets override.  The
+reserved names `str` and `int` denote the built-in values.
 
 A recovered grammar carries no explicit root declaration, so recovery adopts
 the defined-but-never-used nonterminals as roots.  Recovery never aborts on
@@ -20,7 +20,10 @@ without a left-hand side) are errors.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from .grammar import (
     EPSILON,
@@ -56,7 +59,8 @@ from .grammar import (
 )
 from .notation import NotationSpec
 
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+_NAME_CHAR = "[A-Za-z0-9_-]"
+_NAME_RUN = _NAME_CHAR + "+"
 
 
 class RecoveryError(ValueError):
@@ -86,75 +90,70 @@ class RecoveryReport:
     heuristics: list[HeuristicEvent]
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     line: int
     kind: str  # "lex" | "name" | "terminal"
     text: str
     role: str | None = None
 
 
-def _tokenize(text: str, notation: NotationSpec) -> list[_Token]:
+def _scanner(notation: NotationSpec) -> tuple[re.Pattern, dict[str, str]]:
+    """The notation's token pattern, which matches at every position: a run
+    of non-newline whitespace, then a newline, a comment to the end of its
+    line, a lexeme, a name run, the end of the text or any other character,
+    the first that fits.  Also the role of each lexeme."""
     roles = notation.as_dict()
+    role_of: dict[str, str] = {}
+    for role, lexeme in sorted(roles.items(), key=lambda item: -len(item[1])):
+        if role not in ("line-comment-start", "terminal-end-quote"):
+            role_of.setdefault(lexeme, role)
+    # longest first; a lexeme made of name characters only counts at a word boundary
+    lexemes = "|".join(
+        re.escape(lexeme) + (f"(?!{_NAME_CHAR})" if re.fullmatch(_NAME_RUN, lexeme) else "")
+        for lexeme in role_of)
     comment = roles.get("line-comment-start")
-    quote_open = roles.get("terminal-start-quote")
-    quote_close = roles.get("terminal-end-quote")
-    lexemes = sorted(
-        ((lexeme, role) for role, lexeme in roles.items()
-         if role not in ("line-comment-start", "terminal-end-quote")),
-        key=lambda item: -len(item[0]))
+    alternatives = [r"(?P<nl>\n)",
+                    f"(?P<comment>(?={re.escape(comment)})[^\n]*)" if comment else None,
+                    f"(?P<lex>{lexemes})", f"(?P<name>{_NAME_RUN})", r"(?P<end>\Z)",
+                    "(?P<bad>.)"]
+    pattern = r"[^\S\n]*(?:" + "|".join(filter(None, alternatives)) + ")"
+    return re.compile(pattern, re.DOTALL), role_of
+
+
+def _tokenize(text: str, notation: NotationSpec) -> list[_Token]:
+    scanner, role_of = _scanner(notation)
+    quote_close = notation.get("terminal-end-quote")
     tokens: list[_Token] = []
+    append = tokens.append
+    token = partial(tuple.__new__, _Token)  # skips NamedTuple's Python-level __new__
     pos = 0
     line = 1
-    length = len(text)
-    while pos < length:
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        if comment and text.startswith(comment, pos):
-            end = text.find("\n", pos)
-            pos = length if end == -1 else end
-            continue
-        matched = None
-        for lexeme, role in lexemes:
-            if not text.startswith(lexeme, pos):
-                continue
-            # a lexeme made of name characters only counts at a word boundary
-            if (set(lexeme) <= _NAME_CHARS
-                    and pos + len(lexeme) < length
-                    and text[pos + len(lexeme)] in _NAME_CHARS):
-                continue
-            matched = (lexeme, role)
-            break
-        if matched is not None:
-            lexeme, role = matched
-            if role == "terminal-start-quote":
-                end = text.find(quote_close, pos + len(lexeme))
+    while True:
+        for m in scanner.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "lex":
+                lexeme = m.group(m.lastindex)
+                role = role_of[lexeme]
+                if role != "terminal-start-quote":
+                    append(token((line, "lex", lexeme, role)))
+                    continue
+                end = text.find(quote_close, m.end())
                 if end == -1:
                     raise RecoveryError(line, "unterminated terminal quote")
-                body = text[pos + len(lexeme):end]
+                body = text[m.end():end]
                 if "\n" in body:
                     raise RecoveryError(line, "terminal quote spans lines")
-                tokens.append(_Token(line, "terminal", body))
+                append(token((line, "terminal", body, None)))
                 pos = end + len(quote_close)
-                continue
-            tokens.append(_Token(line, "lex", lexeme, role))
-            pos += len(lexeme)
-            continue
-        if ch in _NAME_CHARS:
-            end = pos
-            while end < length and text[end] in _NAME_CHARS:
-                end += 1
-            tokens.append(_Token(line, "name", text[pos:end]))
-            pos = end
-            continue
-        raise RecoveryError(line, f"unexpected character {ch!r}")
-    return tokens
+                break  # rescan after the closing quote
+            elif kind == "name":
+                append(token((line, "name", m.group(m.lastindex), None)))
+            elif kind == "nl":
+                line += 1
+            elif kind == "bad":
+                raise RecoveryError(line, f"unexpected character {m.group(m.lastindex)!r}")
+        else:
+            return tokens
 
 
 class _RhsParser:
@@ -329,7 +328,7 @@ def _split_rules(tokens: list[_Token], notation: NotationSpec, last_line: int,
 
 def _opens_rule(tokens: list[_Token], at: int) -> bool:
     token = tokens[at]
-    rest = tokens[at:]
+    rest = tokens[at:at + 4]  # a rule opens with at most four tokens
     if token.kind == "name":
         return (len(rest) > 1 and rest[1].kind == "lex" and rest[1].role == "defining")
     if token.kind == "lex" and token.role == "nonterminal-start":

@@ -4,7 +4,9 @@
 expansion; it knows nothing about the transformation machinery.
 `resolution_oracle` enumerates all vocabulary bijections between two grammars
 and keeps those under which every production has a weakly signature-equal
-counterpart, root correspondence fixed.
+counterpart, root correspondence fixed.  `tokenize` is the character-by-
+character recovery tokenizer that the compiled scanner replaced; it yields
+`(line, kind, text, role)` tuples.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from gramconv.grammar import (
     ValueStr,
     vocabulary,
 )
+from gramconv.notation import NotationSpec
+from gramconv.recovery import RecoveryError
 
 VALUE_NAMES = ("str", "int")
 
@@ -191,3 +195,69 @@ def resolution_oracle(master: Grammar, servant: Grammar) -> list[dict[str, str]]
         return []
     best = max(count for count, _ in scored)
     return [phi for count, phi in scored if count == best]
+
+
+_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+
+
+def tokenize(text: str, notation: NotationSpec) -> list[tuple]:
+    """Longest-match tokenizing by trying every lexeme at every character."""
+    roles = notation.as_dict()
+    comment = roles.get("line-comment-start")
+    quote_close = roles.get("terminal-end-quote")
+    lexemes = sorted(
+        ((lexeme, role) for role, lexeme in roles.items()
+         if role not in ("line-comment-start", "terminal-end-quote")),
+        key=lambda item: -len(item[0]))
+    tokens: list[tuple] = []
+    pos = 0
+    line = 1
+    length = len(text)
+    while pos < length:
+        ch = text[pos]
+        if ch == "\n":
+            line += 1
+            pos += 1
+            continue
+        if ch.isspace():
+            pos += 1
+            continue
+        if comment and text.startswith(comment, pos):
+            end = text.find("\n", pos)
+            pos = length if end == -1 else end
+            continue
+        matched = None
+        for lexeme, role in lexemes:
+            if not text.startswith(lexeme, pos):
+                continue
+            # a lexeme made of name characters only counts at a word boundary
+            if (set(lexeme) <= _NAME_CHARS
+                    and pos + len(lexeme) < length
+                    and text[pos + len(lexeme)] in _NAME_CHARS):
+                continue
+            matched = (lexeme, role)
+            break
+        if matched is not None:
+            lexeme, role = matched
+            if role == "terminal-start-quote":
+                end = text.find(quote_close, pos + len(lexeme))
+                if end == -1:
+                    raise RecoveryError(line, "unterminated terminal quote")
+                body = text[pos + len(lexeme):end]
+                if "\n" in body:
+                    raise RecoveryError(line, "terminal quote spans lines")
+                tokens.append((line, "terminal", body, None))
+                pos = end + len(quote_close)
+                continue
+            tokens.append((line, "lex", lexeme, role))
+            pos += len(lexeme)
+            continue
+        if ch in _NAME_CHARS:
+            end = pos
+            while end < length and text[end] in _NAME_CHARS:
+                end += 1
+            tokens.append((line, "name", text[pos:end], None))
+            pos = end
+            continue
+        raise RecoveryError(line, f"unexpected character {ch!r}")
+    return tokens

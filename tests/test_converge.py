@@ -26,6 +26,7 @@ from gramconv.grammar import (
     VALUE_INT,
     VALUE_STR,
     Grammar,
+    choice,
     n,
     opt,
     p,
@@ -35,7 +36,7 @@ from gramconv.grammar import (
     t,
 )
 from gramconv.mutate import anf_check
-from gramconv.transform import apply_script, rename_nonterminal
+from gramconv.transform import TransformStep, apply_script, rename_nonterminal
 from conftest import FL_MAPPING
 
 from gen import random_anf, random_grammar, rooted_anf
@@ -589,6 +590,51 @@ def test_structural_match_unmatchable_goes_to_residue():
     report = structural_match(master, servant, mapping)
     sides = {entry.side for entry in report.residue}
     assert sides == {"servant", "master"}
+
+
+def test_structural_match_does_not_pair_choices_of_other_alternatives():
+    # choices align alternative by alternative, so b (c | c | b) is not b (b | c)
+    shared = (p("b", VALUE_STR), p("c", VALUE_INT))
+    master = Grammar(("a",), (p("a", seq(n("b"), choice(n("b"), n("c")))),) + shared)
+    servant = Grammar(("a",), (p("a", seq(n("b"), choice(n("c"), n("c"), n("b")))),) + shared)
+    mapping = NominalMapping(frozenset(
+        [("a", "a"), ("b", "b"), ("c", "c"), ("str", "str"), ("int", "int")]))
+    report = structural_match(master, servant, mapping)
+    assert [(entry.side, entry.production) for entry in report.residue] == [
+        ("servant", servant.productions[0]), ("master", master.productions[0])]
+    assert report.structural_trace == []
+
+
+def test_structural_match_aligns_renamed_choices_and_replays():
+    # the second alternative is widened to a star and its Z bound to int,
+    # in place: choices are never permuted
+    from collections import Counter
+
+    from gramconv.grammar import rename_expr
+    master = Grammar(("r",), (p("r", seq(n("x"), choice(n("y"), star(VALUE_INT)))),
+                              p("x", VALUE_STR), p("y", seq(VALUE_INT, VALUE_STR))))
+    servant = Grammar(("R",), (p("R", seq(n("X"), choice(n("Y"), plus(n("Z"))))),
+                               p("X", VALUE_STR), p("Y", seq(VALUE_INT, VALUE_STR)),
+                               p("Z", VALUE_STR)))
+    mapping = NominalMapping(frozenset(
+        [("R", "r"), ("X", "x"), ("Y", "y"), ("Z", None), ("str", "str"), ("int", "int")]))
+    report = structural_match(master, servant, mapping)
+    at = {"lhs": "R", "pos": 0}
+    assert report.structural_trace == [
+        TransformStep("set-node", {**at, "path": [1, 1], "expr": star(n("Z")),
+                                   "previous": plus(n("Z"))}),
+        TransformStep("set-node", {**at, "path": [1, 1, 0], "expr": VALUE_INT,
+                                   "previous": n("Z")})]
+    names = mapping.as_dict()
+
+    def renamed(prods):
+        return Counter((names.get(prod.lhs, prod.lhs), rename_expr(prod.rhs, names))
+                       for prod in prods)
+    residue = [entry.production for entry in report.residue if entry.side == "servant"]
+    assert [prod.lhs for prod in residue] == ["Z"]
+    replayed = apply_script(servant, report.structural_trace)
+    assert renamed(replayed.productions) == Counter(
+        (pair.right.lhs, pair.right.rhs) for pair in report.pairs) + renamed(residue)
 
 
 # -- the pipeline ------------------------------------------------------------------

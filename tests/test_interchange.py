@@ -1,7 +1,11 @@
+import json
+import random
+
 import pytest
 
+from gramconv.cli import main
 from gramconv.grammar import Grammar, n, p, seq, t
-from gramconv.interchange import InterchangeError, deserialize, serialize
+from gramconv.interchange import InterchangeError, deserialize, dumps, serialize
 
 from gen import corpus
 
@@ -59,3 +63,70 @@ def test_deserialize_normalizes_degenerate_nesting():
 def test_serialized_form_is_stable():
     g = Grammar((), (p("a", seq(t("x"), n("b"))),))
     assert serialize(g) == serialize(deserialize(serialize(g)))
+
+
+def _indented(doc) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+_CHARS = ['"', "\\", "/", "\b", "\f", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "é",
+          "\u2028", "\u00a0", "\ud7ff", "\ufeff", "😀", "\U0010ffff", "a", "Z", " ", ":", ","]
+_FLOATS = [0.0, -0.0, 1.5, -2.25e-10, 1e300, 3.141592653589793, float("nan"),
+           float("inf"), float("-inf")]
+
+
+def _random_doc(rng: random.Random, depth: int):
+    roll = rng.random() if depth else rng.random() * 0.6
+    if roll < 0.2:
+        return "".join(rng.choices(_CHARS, k=rng.randint(0, 6)))
+    if roll < 0.3:
+        return rng.choice([0, 1, -7, 2**70, -(2**64)])
+    if roll < 0.4:
+        return rng.choice(_FLOATS + [True, False, None])
+    if roll < 0.6:
+        return [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))]
+    kids = [_random_doc(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if roll < 0.8:
+        return kids if rng.random() < 0.7 else tuple(kids)
+    keys = ["".join(rng.choices(_CHARS, k=rng.randint(0, 3))) for _ in kids]
+    return dict(zip(keys, kids))
+
+
+def test_dumps_matches_json_indent_on_random_documents():
+    rng = random.Random(13)
+    for _ in range(600):
+        doc = _random_doc(rng, 4)
+        assert dumps(doc) == _indented(doc), doc
+    for doc in ({}, [], (), "", {"": {}}, [[]], {"a": [{}, [], ()]}, [[1, 2], [3]],
+                {1: "int key", 2.5: "float key", False: 0, None: [None]}):
+        assert dumps(doc) == _indented(doc)
+
+
+def test_dumps_raises_what_json_dumps_raises():
+    for doc in ([object()], {"a": {1, 2}}, {(1, 2): 0}):
+        with pytest.raises(TypeError) as ours:
+            dumps(doc)
+        with pytest.raises(TypeError) as theirs:
+            _indented(doc)
+        assert str(ours.value) == str(theirs.value)
+
+
+def test_dumps_matches_json_indent_on_committed_documents(data_dir):
+    for path in sorted(data_dir.glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        assert dumps(json.loads(text)) == _indented(json.loads(text)) == text, path.name
+
+
+def test_dumps_matches_json_indent_on_cli_traces_and_reports(tmp_path, data_dir):
+    assert main(["recover", str(data_dir / "fl_master.ebnf"),
+                 "--notation", str(data_dir / "factorial.edd"),
+                 "--out", str(tmp_path / "fl.json"),
+                 "--report", str(tmp_path / "recover.json")]) == 0
+    assert main(["mutate", str(data_dir / "jaxb_model.json"), "--mutation", "normalize-anf",
+                 "--out", str(tmp_path / "anf.json")]) == 0
+    assert main(["converge", str(data_dir / "fl_master_abstract.json"),
+                 str(data_dir / "jaxb_model.json"),
+                 "--report", str(tmp_path / "converge.json")]) == 0
+    for name in ("recover.json", "anf.json.trace", "converge.json"):
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert text == _indented(json.loads(text)), name

@@ -15,9 +15,10 @@ from gramconv.grammar import (
     t,
     vocabulary,
 )
-from gramconv.notation import parse_spec, spec
-from gramconv.recovery import RecoveryError, UnparseError, recover, unparse
+from gramconv.notation import ROLES, NotationError, parse_spec, spec
+from gramconv.recovery import RecoveryError, UnparseError, _tokenize, recover, unparse
 
+import oracles
 from gen import random_expressible
 
 BASIC = spec({"defining": "::=", "terminator": ";", "definition-separator": "|",
@@ -205,3 +206,115 @@ def test_roundtrip_random_sample(data_dir):
     for _ in range(100):
         g = random_expressible(rng)
         assert recover(unparse(g, ref), ref).grammar == g
+
+
+def test_rule_starts_split_alike_with_and_without_brackets():
+    # without a terminator a rule ends where a later line opens one, by
+    # `name defining` or `<name> defining`; a line that opens none continues
+    plain = spec({"defining": ":", "definition-separator": "|"})
+    bracketed = spec({"defining": "::=", "definition-separator": "|",
+                      "nonterminal-start": "<", "nonterminal-end": ">"})
+    text = "a : b\n  c\n| d\nb : e f\n  g\nc :\n"
+    expected = Grammar(("a",), (p("a", choice(seq(n("b"), n("c")), n("d"))),
+                                p("b", seq(n("e"), n("f"), n("g"))), p("c", seq())))
+    assert recover(text, plain).grammar == expected
+    angled = "<a> ::= <b>\n  <c>\n| <d>\n<b> ::= <e> <f>\n  <g>\n<c> ::=\n"
+    assert recover(angled, bracketed).grammar == expected
+    # a bracketed name that is not followed by the defining symbol continues
+    report = recover("<a> ::= <b>\n<c> <d>\n<e> ::= <f>\n", bracketed)
+    assert [prod.lhs for prod in report.grammar.productions] == ["a", "e"]
+    assert report.grammar.productions[0].rhs == seq(n("b"), n("c"), n("d"))
+
+
+# lexemes that look like names, that prefix one another, that the two quote
+# roles may share, and that hold whitespace
+_LEXEMES = ["::=", ":", "=", ":=", ";", ".", "|", "||", "(", ")", "[", "]", "{",
+            "}", "*", "+", "?", "#*", "#+", "#", "//", "--", "-", "is", "end",
+            "e", "en", "<", ">", "<<", '"', "'", "`", ",", "@", "é", "\u2192",
+            " |", "a b", "=\n"]
+_SPACES = [" ", "  ", "\t", "\n", "\r\n", "\u00a0", "\u2028", "\u3000", "\x0b",
+           "\x1c", ""]
+_STRAYS = ["$", "%", "~", "\\", "😀", "ß", "\x00", "\x85"]
+
+
+def _random_notation(rng: random.Random):
+    while True:
+        mapping = {"defining": rng.choice(_LEXEMES)}
+        for role in rng.sample(ROLES, rng.randint(0, len(ROLES))):
+            mapping.setdefault(role, rng.choice(_LEXEMES))
+        if "terminal-start-quote" in mapping and rng.random() < 0.6:
+            mapping["terminal-end-quote"] = mapping["terminal-start-quote"]
+        try:
+            return spec(mapping)
+        except NotationError:
+            continue
+
+
+def _random_text(rng: random.Random, notation) -> str:
+    roles = notation.as_dict()
+    lexemes = list(roles.values())
+    pieces = []
+    for _ in range(rng.randint(0, 40)):
+        roll = rng.random()
+        if roll < 0.3:
+            pieces.append(rng.choice(lexemes))
+        elif roll < 0.6:
+            pieces.append(rng.choice(["a", "b9", "x-y", "is", "end", "ends", "e_1",
+                                      "-", "str", "int"]))
+        elif roll < 0.9:
+            pieces.append(rng.choice(_SPACES))
+        elif roll < 0.98 and "terminal-start-quote" in roles:
+            pieces.append(roles["terminal-start-quote"] + rng.choice(["x", "a b", "", ";"])
+                          + roles["terminal-end-quote"])
+        elif roll > 0.99:
+            pieces.append(rng.choice(_STRAYS))
+    return "".join(pieces)
+
+
+def _token_stream(tokenizer, text, notation):
+    try:
+        return [tuple(token) for token in tokenizer(text, notation)]
+    except RecoveryError as exc:
+        return ("error", exc.line, str(exc))
+
+
+def test_tokenizer_matches_the_character_loop_on_random_notations():
+    rng = random.Random(97)
+    for _ in range(400):
+        notation = _random_notation(rng)
+        for _ in range(6):
+            text = _random_text(rng, notation)
+            assert _token_stream(_tokenize, text, notation) == \
+                _token_stream(oracles.tokenize, text, notation), (notation, text)
+
+
+def test_tokenizer_matches_the_character_loop_on_fuzzed_texts(data_dir):
+    rng = random.Random(98)
+    notations = [BASIC, reference_spec(data_dir),
+                 spec({"defining": "is", "terminator": "end", "definition-separator": "|",
+                       "terminal-start-quote": "'", "terminal-end-quote": "'",
+                       "line-comment-start": "--"})]
+    texts = [(data_dir / "fl_master.ebnf").read_text(encoding="utf-8"),
+             unparse(random_expressible(random.Random(5), 12), notations[1]),
+             "a is 'x' b end -- note\nc is d | 'y' end\n"]
+    for text in texts:
+        for notation in notations:
+            assert _token_stream(_tokenize, text, notation) == \
+                _token_stream(oracles.tokenize, text, notation)
+        for _ in range(150):
+            chars = list(text)
+            for _ in range(rng.randint(1, 4)):  # insert, delete or replace
+                at = rng.randrange(len(chars) + 1)
+                piece = rng.choice(_SPACES + _STRAYS + ['"', "'", "\n", "//", "#"])
+                roll = rng.random()
+                if roll < 0.4:
+                    chars.insert(at, piece)
+                elif chars and at < len(chars):
+                    if roll < 0.7:
+                        del chars[at]
+                    else:
+                        chars[at] = piece
+            fuzzed = "".join(chars)
+            for notation in notations:
+                assert _token_stream(_tokenize, fuzzed, notation) == \
+                    _token_stream(oracles.tokenize, fuzzed, notation), fuzzed
