@@ -22,13 +22,7 @@ from . import converge as cv
 from . import interchange, notation, recovery
 from .grammar import Grammar
 from .mutate import MUTATION_KINDS, Mutation, MutationError, mutate
-from .transform import (
-    ScriptError,
-    TransformError,
-    apply_script,
-    script_from_json,
-    script_to_json,
-)
+from .transform import apply_script, script_from_json, script_to_json
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -229,10 +223,7 @@ def main(argv=None) -> int:
         return _fail(f"{exc.filename} is a directory", USAGE_ERROR)
     except json.JSONDecodeError as exc:
         return _fail(f"malformed JSON: {exc}", DOMAIN_ERROR)
-    except (recovery.RecoveryError, recovery.UnparseError, notation.NotationError,
-            interchange.InterchangeError, MutationError, ScriptError,
-            TransformError, cv.ResolutionError, cv.MatchError,
-            ValueError) as exc:
+    except ValueError as exc:  # every domain error class derives from it
         return _fail(str(exc), DOMAIN_ERROR)
     except RecursionError:
         return _fail("input is nested too deeply", DOMAIN_ERROR)

@@ -8,7 +8,9 @@ Tokenization walks one compiled pattern per notation: longest match over the
 spec lexemes (with a word-boundary guard for lexemes that look like names),
 then quoted terminals, then maximal name runs over letters, digits, `_` and
 `-`.  The right-hand side grammar is alternation over concatenation over
-separator-list infixes over postfix operators; group brackets override.  The
+separator-list infixes over postfix operators; group brackets override.  A
+rule body is parsed in one loop over its tokens that keeps the open brackets
+on an explicit stack, so a body nests as deeply as memory allows.  The
 reserved names `str` and `int` denote the built-in values.
 
 A recovered grammar carries no explicit root declaration, so recovery adopts
@@ -23,10 +25,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
+from itertools import chain
+from typing import Callable, NamedTuple
 
 from .grammar import (
-    EPSILON,
     Anything,
     Choice,
     Empty,
@@ -55,7 +57,6 @@ from .grammar import (
     seq,
     star,
     subterms,
-    tops,
 )
 from .notation import NotationSpec
 
@@ -156,140 +157,81 @@ def _tokenize(text: str, notation: NotationSpec) -> list[_Token]:
             return tokens
 
 
-class _RhsParser:
-    def __init__(self, tokens: list[_Token], end_line: int) -> None:
-        self.tokens = tokens
-        self.at = 0
-        self.end_line = end_line
+# postfix operators and separator-list infixes by role; the bracket roles
+# that open a nested body, each with the role that closes it
+_POSTFIX = {"star-postfix": star, "plus-postfix": plus, "option-postfix": opt}
+_INFIX = {"seplist-star": sepstar, "seplist-plus": sepplus}
+_BRACKETS = {"group-start": "group-end", "option-start": "option-end"}
+_CLOSERS = ("group-end", "option-end", "nonterminal-end")
 
-    def _line(self) -> int:
-        if self.at < len(self.tokens):
-            return self.tokens[self.at].line
-        return self.end_line
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.at] if self.at < len(self.tokens) else None
+def _name_expr(name: str) -> Expr:
+    value = VALUE_NAMES.get(name)
+    return Nonterminal(name) if value is None else value
 
-    def take(self) -> _Token:
-        token = self.tokens[self.at]
-        self.at += 1
-        return token
 
-    def parse(self) -> Expr:
-        expr = self.alternation(closing=None)
-        if self.at != len(self.tokens):
-            token = self.tokens[self.at]
-            raise RecoveryError(token.line, f"unbalanced {token.text!r}")
-        return expr
-
-    def alternation(self, closing: str | None) -> Expr:
-        alternatives = [self.concatenation(closing)]
-        while True:
-            token = self.peek()
-            if token is not None and token.kind == "lex" \
-                    and token.role == "definition-separator":
-                self.take()
-                alternatives.append(self.concatenation(closing))
-            else:
-                break
-        return choice(*alternatives) if len(alternatives) > 1 else alternatives[0]
-
-    def concatenation(self, closing: str | None) -> Expr:
-        parts: list[Expr] = []
-        while True:
-            token = self.peek()
-            if token is None:
-                break
-            if token.kind == "lex" and token.role in ("definition-separator",):
-                break
-            if token.kind == "lex" and closing is not None and token.role == closing:
-                break
-            if token.kind == "lex" and token.role in ("group-end", "option-end",
-                                                      "nonterminal-end"):
-                break
-            if token.kind == "lex" and token.role == "concatenation":
-                self.take()
+def _parse_rhs(tokens: list[_Token], end_line: int) -> Expr:
+    """A rule body's expression, parsed in one pass.  An operand stays open to
+    postfix operators until the next token; it then joins the current
+    concatenation, or becomes the separator of a pending separator-list infix.
+    An open bracket pushes the enclosing body's state and its closer pops it,
+    so nesting costs no recursion."""
+    stack: list[tuple[_Token, list[Expr], list[Expr], Callable | None]] = []
+    alternatives: list[Expr] = []
+    parts: list[Expr] = []
+    infix = None  # a separator-list constructor waiting for its separator
+    operand = None
+    stream = chain(tokens, [_Token(end_line, "end", "")])
+    for token in stream:
+        kind, role = token.kind, token.role
+        if operand is not None:
+            if role in _POSTFIX:
+                operand = _POSTFIX[role](operand)
                 continue
-            parts.append(self.seplist_term(closing))
-        if not parts:
-            return EPSILON
-        return seq(*parts)
-
-    def seplist_term(self, closing: str | None) -> Expr:
-        expr = self.postfixed(closing)
-        while True:
-            token = self.peek()
-            if token is not None and token.kind == "lex" \
-                    and token.role in ("seplist-star", "seplist-plus"):
-                self.take()
-                separator = self.postfixed(closing)
-                ctor = sepstar if token.role == "seplist-star" else sepplus
-                expr = ctor(expr, separator)
+            if infix is None:
+                parts.append(operand)
             else:
-                break
-        return expr
-
-    def postfixed(self, closing: str | None) -> Expr:
-        expr = self.primary(closing)
-        while True:
-            token = self.peek()
-            if token is not None and token.kind == "lex" and token.role in (
-                    "star-postfix", "plus-postfix", "option-postfix"):
-                self.take()
-                if token.role == "star-postfix":
-                    expr = star(expr)
-                elif token.role == "plus-postfix":
-                    expr = plus(expr)
-                else:
-                    expr = opt(expr)
-            else:
-                break
-        return expr
-
-    def primary(self, closing: str | None) -> Expr:
-        token = self.peek()
-        if token is None:
-            raise RecoveryError(self._line(), "expected an expression")
-        if token.kind == "terminal":
-            self.take()
+                parts[-1] = infix(parts[-1], operand)
+            operand = None
+            infix = _INFIX.get(role)
+            if infix is not None:
+                continue
+        if kind == "terminal":
             if not token.text:
                 raise RecoveryError(token.line, "empty terminal")
-            return Terminal(token.text)
-        if token.kind == "name":
-            self.take()
-            return self._name_expr(token.text)
-        if token.kind == "lex" and token.role == "group-start":
-            self.take()
-            inner = self.alternation("group-end")
-            closer = self.peek()
-            if closer is None or closer.kind != "lex" or closer.role != "group-end":
-                raise RecoveryError(token.line, "unbalanced group brackets")
-            self.take()
-            return inner
-        if token.kind == "lex" and token.role == "option-start":
-            self.take()
-            inner = self.alternation("option-end")
-            closer = self.peek()
-            if closer is None or closer.kind != "lex" or closer.role != "option-end":
-                raise RecoveryError(token.line, "unbalanced option brackets")
-            self.take()
-            return opt(inner)
-        if token.kind == "lex" and token.role == "nonterminal-start":
-            self.take()
-            inner = self.peek()
-            if inner is None or inner.kind != "name":
+            operand = Terminal(token.text)
+        elif kind == "name":
+            operand = _name_expr(token.text)
+        elif role in _BRACKETS:
+            stack.append((token, alternatives, parts, infix))
+            alternatives, parts, infix = [], [], None
+        elif role == "nonterminal-start":
+            name = next(stream)  # never past the end token, which is no name
+            if name.kind != "name":
                 raise RecoveryError(token.line, "expected a name after nonterminal bracket")
-            self.take()
-            closer = self.peek()
-            if closer is None or closer.kind != "lex" or closer.role != "nonterminal-end":
+            if next(stream).role != "nonterminal-end":
                 raise RecoveryError(token.line, "unbalanced nonterminal brackets")
-            self.take()
-            return self._name_expr(inner.text)
-        raise RecoveryError(token.line, f"unexpected {token.text!r}")
-
-    @staticmethod
-    def _name_expr(name: str) -> Expr:
-        return VALUE_NAMES.get(name, Nonterminal(name))
+            operand = _name_expr(name.text)
+        elif infix is not None:
+            raise RecoveryError(token.line, "expected an expression" if kind == "end"
+                                else f"unexpected {token.text!r}")
+        elif role == "definition-separator":
+            alternatives.append(seq(*parts))
+            parts = []
+        elif kind == "end" or role in _CLOSERS:
+            alternatives.append(seq(*parts))
+            body = choice(*alternatives)
+            if not stack:
+                if kind == "end":
+                    return body
+                raise RecoveryError(token.line, f"unbalanced {token.text!r}")
+            opener, alternatives, parts, infix = stack.pop()
+            if role != _BRACKETS[opener.role]:
+                raise RecoveryError(opener.line, "unbalanced "
+                                    f"{opener.role.removesuffix('-start')} brackets")
+            operand = body if opener.role == "group-start" else opt(body)
+        elif role != "concatenation":
+            raise RecoveryError(token.line, f"unexpected {token.text!r}")
 
 
 def _split_rules(tokens: list[_Token], notation: NotationSpec, last_line: int,
@@ -317,7 +259,7 @@ def _split_rules(tokens: list[_Token], notation: NotationSpec, last_line: int,
     chunks = []
     current = []
     for i, token in enumerate(tokens):
-        if current and token.line > current[-1].line and _opens_rule(tokens, i):
+        if current and token.line > current[-1].line and _rule_head(tokens, i):
             chunks.append(current)
             current = []
         current.append(token)
@@ -326,33 +268,32 @@ def _split_rules(tokens: list[_Token], notation: NotationSpec, last_line: int,
     return chunks
 
 
-def _opens_rule(tokens: list[_Token], at: int) -> bool:
-    token = tokens[at]
-    rest = tokens[at:at + 4]  # a rule opens with at most four tokens
-    if token.kind == "name":
-        return (len(rest) > 1 and rest[1].kind == "lex" and rest[1].role == "defining")
-    if token.kind == "lex" and token.role == "nonterminal-start":
-        return (len(rest) > 3 and rest[1].kind == "name"
-                and rest[2].kind == "lex" and rest[2].role == "nonterminal-end"
-                and rest[3].kind == "lex" and rest[3].role == "defining")
-    return False
+def _rule_head(tokens: list[_Token], at: int) -> tuple[str, int] | None:
+    """`(name, width)` if a rule opens at `at` with the head `name defining`
+    or `<name> defining`, whose `width` tokens precede the body; else None."""
+    head = tokens[at:at + 4]
+    roles = [token.role for token in head]
+    if head[0].kind == "name" and roles[1:2] == ["defining"]:
+        return head[0].text, 2
+    if roles[0] == "nonterminal-start" and roles[2:] == ["nonterminal-end", "defining"] \
+            and head[1].kind == "name":
+        return head[1].text, 4
+    return None
 
 
 def _take_lhs(chunk: list[_Token]) -> tuple[str, list[_Token]]:
+    head = _rule_head(chunk, 0)
+    if head is not None:
+        name, width = head
+        return name, chunk[width:]
     first = chunk[0]
-    if first.kind == "lex" and first.role == "defining":
+    if first.role == "defining":
         raise RecoveryError(first.line, "defining symbol with no left-hand side")
-    if first.kind == "lex" and first.role == "nonterminal-start":
-        if not (len(chunk) > 3 and chunk[1].kind == "name"
-                and chunk[2].kind == "lex" and chunk[2].role == "nonterminal-end"
-                and chunk[3].kind == "lex" and chunk[3].role == "defining"):
-            raise RecoveryError(first.line, "expected '<name> defining-symbol'")
-        return chunk[1].text, chunk[4:]
+    if first.role == "nonterminal-start":
+        raise RecoveryError(first.line, "expected '<name> defining-symbol'")
     if first.kind != "name":
         raise RecoveryError(first.line, f"expected a rule, found {first.text!r}")
-    if len(chunk) < 2 or chunk[1].kind != "lex" or chunk[1].role != "defining":
-        raise RecoveryError(first.line, f"expected defining symbol after {first.text!r}")
-    return first.text, chunk[2:]
+    raise RecoveryError(first.line, f"expected defining symbol after {first.text!r}")
 
 
 def recover(text: str, notation: NotationSpec) -> RecoveryReport:
@@ -371,7 +312,7 @@ def recover(text: str, notation: NotationSpec) -> RecoveryReport:
     for chunk in _split_rules(tokens, notation, last_line, warnings, heuristics):
         lhs, rhs_tokens = _take_lhs(chunk)
         line = chunk[0].line
-        rhs = _RhsParser(rhs_tokens, chunk[-1].line).parse()
+        rhs = _parse_rhs(rhs_tokens, chunk[-1].line)
         if lhs in defined:
             heuristics.append(HeuristicEvent(
                 line, "vertical-redefinition",
@@ -381,14 +322,13 @@ def recover(text: str, notation: NotationSpec) -> RecoveryReport:
             if token.kind == "name" and token.text not in VALUE_NAMES:
                 first_use.setdefault(token.text, token.line)
         productions.append(Production(lhs, rhs))
-    g = Grammar((), tuple(productions))
-    for name in sorted(g.names - defined):
-        line = first_use.get(name, 1)
+    for name in sorted(first_use.keys() - defined):
+        line = first_use[name]
         warnings.append((line, f"nonterminal {name!r} is used but never defined"))
         heuristics.append(HeuristicEvent(
             line, "undefined-nonterminal", f"kept {name!r} as a plain nonterminal"))
-    g = Grammar(tuple(sorted(tops(g))), g.productions)
-    return RecoveryReport(g, warnings, heuristics)
+    roots = tuple(sorted(defined - first_use.keys()))
+    return RecoveryReport(Grammar(roots, tuple(productions)), warnings, heuristics)
 
 
 # --------------------------------------------------------------------------

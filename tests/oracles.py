@@ -6,7 +6,10 @@ expansion; it knows nothing about the transformation machinery.
 and keeps those under which every production has a weakly signature-equal
 counterpart, root correspondence fixed.  `tokenize` is the character-by-
 character recovery tokenizer that the compiled scanner replaced; it yields
-`(line, kind, text, role)` tuples.
+`(line, kind, text, role)` tuples.  `parse_rhs` is the recursive-descent
+rule-body parser, one method per precedence level, that the single loop over
+a bracket stack replaced; it takes recovery tokens and returns the body's
+expression or raises its `RecoveryError`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import itertools
 
 from gramconv.converge import prodsig
 from gramconv.grammar import (
+    EPSILON,
+    VALUE_NAMES,
     Anything,
     Choice,
     Empty,
@@ -32,12 +37,17 @@ from gramconv.grammar import (
     Terminal,
     ValueInt,
     ValueStr,
+    choice,
+    opt,
+    plus,
+    sepplus,
+    sepstar,
+    seq,
+    star,
     vocabulary,
 )
 from gramconv.notation import NotationSpec
 from gramconv.recovery import RecoveryError
-
-VALUE_NAMES = ("str", "int")
 
 
 def _concat(lefts: set[tuple], rights: set[tuple], max_len: int) -> set[tuple]:
@@ -261,3 +271,143 @@ def tokenize(text: str, notation: NotationSpec) -> list[tuple]:
             continue
         raise RecoveryError(line, f"unexpected character {ch!r}")
     return tokens
+
+
+class _RhsParser:
+    def __init__(self, tokens: list[_Token], end_line: int) -> None:
+        self.tokens = tokens
+        self.at = 0
+        self.end_line = end_line
+
+    def _line(self) -> int:
+        if self.at < len(self.tokens):
+            return self.tokens[self.at].line
+        return self.end_line
+
+    def peek(self) -> _Token | None:
+        return self.tokens[self.at] if self.at < len(self.tokens) else None
+
+    def take(self) -> _Token:
+        token = self.tokens[self.at]
+        self.at += 1
+        return token
+
+    def parse(self) -> Expr:
+        expr = self.alternation(closing=None)
+        if self.at != len(self.tokens):
+            token = self.tokens[self.at]
+            raise RecoveryError(token.line, f"unbalanced {token.text!r}")
+        return expr
+
+    def alternation(self, closing: str | None) -> Expr:
+        alternatives = [self.concatenation(closing)]
+        while True:
+            token = self.peek()
+            if token is not None and token.kind == "lex" \
+                    and token.role == "definition-separator":
+                self.take()
+                alternatives.append(self.concatenation(closing))
+            else:
+                break
+        return choice(*alternatives) if len(alternatives) > 1 else alternatives[0]
+
+    def concatenation(self, closing: str | None) -> Expr:
+        parts: list[Expr] = []
+        while True:
+            token = self.peek()
+            if token is None:
+                break
+            if token.kind == "lex" and token.role in ("definition-separator",):
+                break
+            if token.kind == "lex" and closing is not None and token.role == closing:
+                break
+            if token.kind == "lex" and token.role in ("group-end", "option-end",
+                                                      "nonterminal-end"):
+                break
+            if token.kind == "lex" and token.role == "concatenation":
+                self.take()
+                continue
+            parts.append(self.seplist_term(closing))
+        if not parts:
+            return EPSILON
+        return seq(*parts)
+
+    def seplist_term(self, closing: str | None) -> Expr:
+        expr = self.postfixed(closing)
+        while True:
+            token = self.peek()
+            if token is not None and token.kind == "lex" \
+                    and token.role in ("seplist-star", "seplist-plus"):
+                self.take()
+                separator = self.postfixed(closing)
+                ctor = sepstar if token.role == "seplist-star" else sepplus
+                expr = ctor(expr, separator)
+            else:
+                break
+        return expr
+
+    def postfixed(self, closing: str | None) -> Expr:
+        expr = self.primary(closing)
+        while True:
+            token = self.peek()
+            if token is not None and token.kind == "lex" and token.role in (
+                    "star-postfix", "plus-postfix", "option-postfix"):
+                self.take()
+                if token.role == "star-postfix":
+                    expr = star(expr)
+                elif token.role == "plus-postfix":
+                    expr = plus(expr)
+                else:
+                    expr = opt(expr)
+            else:
+                break
+        return expr
+
+    def primary(self, closing: str | None) -> Expr:
+        token = self.peek()
+        if token is None:
+            raise RecoveryError(self._line(), "expected an expression")
+        if token.kind == "terminal":
+            self.take()
+            if not token.text:
+                raise RecoveryError(token.line, "empty terminal")
+            return Terminal(token.text)
+        if token.kind == "name":
+            self.take()
+            return self._name_expr(token.text)
+        if token.kind == "lex" and token.role == "group-start":
+            self.take()
+            inner = self.alternation("group-end")
+            closer = self.peek()
+            if closer is None or closer.kind != "lex" or closer.role != "group-end":
+                raise RecoveryError(token.line, "unbalanced group brackets")
+            self.take()
+            return inner
+        if token.kind == "lex" and token.role == "option-start":
+            self.take()
+            inner = self.alternation("option-end")
+            closer = self.peek()
+            if closer is None or closer.kind != "lex" or closer.role != "option-end":
+                raise RecoveryError(token.line, "unbalanced option brackets")
+            self.take()
+            return opt(inner)
+        if token.kind == "lex" and token.role == "nonterminal-start":
+            self.take()
+            inner = self.peek()
+            if inner is None or inner.kind != "name":
+                raise RecoveryError(token.line, "expected a name after nonterminal bracket")
+            self.take()
+            closer = self.peek()
+            if closer is None or closer.kind != "lex" or closer.role != "nonterminal-end":
+                raise RecoveryError(token.line, "unbalanced nonterminal brackets")
+            self.take()
+            return self._name_expr(inner.text)
+        raise RecoveryError(token.line, f"unexpected {token.text!r}")
+
+    @staticmethod
+    def _name_expr(name: str) -> Expr:
+        return VALUE_NAMES.get(name, Nonterminal(name))
+
+
+def parse_rhs(tokens, end_line: int) -> Expr:
+    return _RhsParser(tokens, end_line).parse()

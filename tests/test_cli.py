@@ -3,6 +3,7 @@ import json
 import pytest
 
 from gramconv.cli import main
+from gramconv.grammar import Grammar, n, p
 from gramconv.interchange import deserialize, serialize
 
 from conftest import FL_MAPPING
@@ -229,14 +230,29 @@ def test_deeply_nested_grammar_file_is_domain_error(tmp_path, capsys):
 
 
 def test_deeply_nested_grammar_text_is_domain_error(tmp_path, data_dir, capsys):
+    # recovery parses any depth, but writing the JSON of a deep tree recurses
+    depth = 3000
+    deep = tmp_path / "deep.ebnf"
+    deep.write_text("a ::= " + "( c " * depth + "b" + " )*" * depth + " ;\n",
+                    encoding="utf-8")
+    out = tmp_path / "out.json"
+    code = main(["recover", str(deep),
+                 "--notation", str(data_dir / "factorial.edd"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines()[-1] == "error: input is nested too deeply"  # after the warnings
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_deeply_grouped_grammar_text_recovers(tmp_path, data_dir):
+    # groups around a single name leave a flat tree, whatever their depth
     depth = 3000
     deep = tmp_path / "deep.ebnf"
     deep.write_text("a ::= " + "(" * depth + " b " + ")" * depth + " ;\n",
                     encoding="utf-8")
+    out = tmp_path / "out.json"
     code = main(["recover", str(deep),
-                 "--notation", str(data_dir / "factorial.edd"),
-                 "--out", str(tmp_path / "out.json")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+                 "--notation", str(data_dir / "factorial.edd"), "--out", str(out)])
+    assert code == 0
+    assert deserialize(read(out)) == Grammar(("a",), (p("a", n("b")),))

@@ -4,6 +4,7 @@ import pytest
 
 from gramconv.grammar import (
     Grammar,
+    children,
     choice,
     n,
     opt,
@@ -16,7 +17,15 @@ from gramconv.grammar import (
     vocabulary,
 )
 from gramconv.notation import ROLES, NotationError, parse_spec, spec
-from gramconv.recovery import RecoveryError, UnparseError, _tokenize, recover, unparse
+from gramconv.recovery import (
+    RecoveryError,
+    UnparseError,
+    _parse_rhs,
+    _Token,
+    _tokenize,
+    recover,
+    unparse,
+)
 
 import oracles
 from gen import random_expressible
@@ -318,3 +327,85 @@ def test_tokenizer_matches_the_character_loop_on_fuzzed_texts(data_dir):
             for notation in notations:
                 assert _token_stream(_tokenize, fuzzed, notation) == \
                     _token_stream(oracles.tokenize, fuzzed, notation), fuzzed
+
+
+# the roles that combine operands in a rule body; the other roles are drawn
+# rarely, since a body holding one does not parse
+_OPERATORS = ["definition-separator", "concatenation", "group-start", "group-end",
+              "option-start", "option-end", "star-postfix", "plus-postfix",
+              "option-postfix", "seplist-star", "seplist-plus"]
+
+
+def _random_rhs(rng: random.Random) -> tuple[list[_Token], int]:
+    tokens = []
+    line = rng.randint(1, 3)
+    for _ in range(rng.randint(0, 14)):
+        line += rng.random() < 0.1
+        roll = rng.random()
+        if roll < 0.4:
+            tokens.append(_Token(line, "name", rng.choice(["a", "b", "str", "int"])))
+        elif roll < 0.47:
+            tokens.append(_Token(line, "terminal", rng.choice(["x", "x", "x", ""])))
+        elif roll < 0.5:
+            tokens += [_Token(line, "lex", "<", "nonterminal-start"),
+                       _Token(line, "name", rng.choice(["c", "int"])),
+                       _Token(line, "lex", ">", "nonterminal-end")]
+        else:
+            role = rng.choice(_OPERATORS if roll < 0.96 else ROLES)
+            tokens.append(_Token(line, "lex", role, role))
+    return tokens, line + rng.randint(0, 1)
+
+
+def _parsed(parse, tokens, end_line):
+    try:
+        return parse(tokens, end_line)
+    except RecoveryError as exc:
+        return (exc.line, exc.reason)
+
+
+def test_rhs_parser_matches_the_recursive_descent_on_random_token_streams():
+    rng = random.Random(99)
+    outcomes = set()
+    for _ in range(100_000):
+        tokens, end_line = _random_rhs(rng)
+        got = _parsed(_parse_rhs, tokens, end_line)
+        assert got == _parsed(oracles.parse_rhs, tokens, end_line), (tokens, end_line)
+        outcomes.add(got[1].split(" '")[0] if isinstance(got, tuple) else "parsed")
+    assert outcomes == {"parsed", "expected an expression", "empty terminal",
+                        "unbalanced group brackets", "unbalanced option brackets",
+                        "unbalanced nonterminal brackets",
+                        "expected a name after nonterminal bracket",
+                        "unexpected", "unbalanced"}
+
+
+def _same_tree(left, right) -> bool:
+    """Node types, child lists and leaves alike, compared on an explicit stack:
+    == recurses once per level."""
+    work = [(left, right)]
+    while work:
+        x, y = work.pop()
+        kids, other = children(x), children(y)
+        if type(x) is not type(y) or len(kids) != len(other) or (not kids and x != y):
+            return False
+        work.extend(zip(kids, other))
+    return True
+
+
+@pytest.mark.parametrize("depth", [3000, 10_000])
+def test_deep_nesting_recovers_without_recursion(depth, data_dir):
+    grouped = recover("a ::= " + "(" * depth + " b " + ")" * depth + " ;", BASIC)
+    assert grouped.grammar == Grammar(("a",), (p("a", n("b")),))
+    starred = recover("a ::= " + "( c " * depth + "b" + " )*" * depth + " ;", BASIC)
+    assert starred.grammar.roots == ("a",)
+    stars = starred.grammar.productions[0].rhs
+    expected = n("b")
+    for _ in range(depth):
+        expected = star(seq(n("c"), expected))
+    assert _same_tree(stars, expected)
+    options = recover("a ::= " + "[ c " * depth + "b" + " ]" * depth + " ;",
+                      reference_spec(data_dir)).grammar.productions[0].rhs
+    expected = n("b")
+    for _ in range(depth):
+        expected = opt(seq(n("c"), expected))
+    assert _same_tree(options, expected)
+    assert not _same_tree(options, stars)
