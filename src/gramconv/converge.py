@@ -35,14 +35,14 @@ from .grammar import (
     Star,
     Terminal,
     VALUE_NAMES,
+    children,
     names_in_order,
     render_production,
-    subterms,
 )
 from .mutate import Mutation, anf_check, mutate
 from .transform import TransformStep, apply_script
 
-VALUE_NAME_SET = frozenset(("str", "int"))
+VALUE_NAME_SET = frozenset(VALUE_NAMES)
 
 _MARKER_ORDER = {"1": 0, "?": 1, "+": 2, "*": 3}
 
@@ -121,36 +121,48 @@ def _unwrapped_leaf(expr: Expr) -> str | None:
     return _leaf_name(expr)
 
 
+def _footprints(expr: Expr) -> dict[str, Footprint]:
+    """Each name's non-empty footprint in expr, in first-occurrence order,
+    from one pre-order pass over the subterms.  A node at a counted position
+    (expr itself, a sequence part, a selectable body, a separator-list item)
+    adds 1 for a bare name, or for ?/*/+ its marker to the leaf it wraps;
+    nothing below a choice or a ?/*/+ counts."""
+    markers: dict[str, list[str]] = {}
+    stack = [(expr, True)]
+    while stack:
+        node, counted = stack.pop()
+        kind = type(node)
+        name = _leaf_name(node)
+        if name is not None:
+            found = markers.setdefault(name, [])
+            if counted:
+                found.append("1")
+            continue
+        marker = _MARKER_OF.get(kind)
+        if marker is not None and counted:
+            leaf = _unwrapped_leaf(node.body)
+            if leaf is not None:
+                markers.setdefault(leaf, []).append(marker)
+        if marker is not None or kind is Choice:
+            counted = False
+        if kind is SepListStar or kind is SepListPlus:
+            stack += ((node.separator, False), (node.item, counted))
+        else:
+            stack.extend((kid, counted) for kid in reversed(children(node)))
+    return {name: Footprint.of(found) for name, found in markers.items() if found}
+
+
 def footprint(name: str, expr: Expr) -> Footprint:
     """Multiset of occurrence markers of `name` in `expr`: 1 for a bare
     occurrence, ?/+/* under the respective operator, unioned across sequence
     parts; occurrences under a choice do not count."""
-    if _leaf_name(expr) == name:
-        return Footprint(("1",))
-    marker = _MARKER_OF.get(type(expr))
-    if marker is not None and _unwrapped_leaf(expr.body) == name:
-        return Footprint((marker,))
-    if isinstance(expr, Selectable):
-        return footprint(name, expr.body)
-    if isinstance(expr, (SepListStar, SepListPlus)):
-        return footprint(name, expr.item)
-    if isinstance(expr, Sequence):
-        result = _EMPTY_FP
-        for part in expr.parts:
-            result = result.union(footprint(name, part))
-        return result
-    return _EMPTY_FP
+    return _footprints(expr).get(name, _EMPTY_FP)
 
 
 def prodsig(prod: Production) -> dict[str, Footprint]:
     """Production signature: name -> footprint, one entry per name with a
     non-empty footprint in the rule's rhs, in first-occurrence order."""
-    sig: dict[str, Footprint] = {}
-    for name in dict.fromkeys(filter(None, map(_leaf_name, subterms(prod.rhs)))):
-        fp = footprint(name, prod.rhs)
-        if fp:
-            sig[name] = fp
-    return sig
+    return _footprints(prod.rhs)
 
 
 def render_prodsig(sig: dict[str, Footprint]) -> str:
@@ -158,22 +170,29 @@ def render_prodsig(sig: dict[str, Footprint]) -> str:
     return "{" + entries + "}"
 
 
+def _keys(sig: dict[str, Footprint]) -> dict[str, frozenset[Footprint] | None]:
+    """The weak and strong keys that `_equiv` compares; a signature whose
+    footprints are not pairwise distinct has no strong key."""
+    fps = list(sig.values())
+    strong = frozenset(fps)
+    return {"weak": frozenset(fp.weak() for fp in fps),
+            "strong": strong if len(strong) == len(fps) else None}
+
+
+def _equiv(p: Production, q: Production, strength: str) -> bool:
+    key = _keys(prodsig(p))[strength]
+    return key is not None and key == _keys(prodsig(q))[strength]
+
+
 def strong_equiv(p: Production, q: Production) -> bool:
     """Unique equal-footprint bijection between the two signatures."""
-    sp, sq = prodsig(p), prodsig(q)
-    fps_p = list(sp.values())
-    fps_q = list(sq.values())
-    if len(set(fps_p)) != len(fps_p) or len(set(fps_q)) != len(fps_q):
-        return False
-    return set(fps_p) == set(fps_q)
+    return _equiv(p, q, "strong")
 
 
 def weak_equiv(p: Production, q: Production) -> bool:
     """Every signature entry has a counterpart with an equivalent footprint
     (+ conflated with *), in both directions."""
-    fps_p = {fp.weak() for fp in prodsig(p).values()}
-    fps_q = {fp.weak() for fp in prodsig(q).values()}
-    return fps_p == fps_q
+    return _equiv(p, q, "weak")
 
 
 # --------------------------------------------------------------------------
@@ -191,23 +210,16 @@ class NominalMapping:
         return {a: b for a, b in self.pairs if a is not None and b is not None}
 
 
-def _is_value_name(name: str) -> bool:
-    return name in VALUE_NAME_SET
-
-
 def pair_resolution(p: Production, q: Production, strength: str) -> list[NominalMapping]:
     """Candidate name relations induced by one production pair.  Strong
     pairs induce a single relation (signature composed with the inverse
     signature over equal footprints); weak pairs induce every maximal
     relation pairing names with equivalent footprints one-to-one, with
     unmatched names related to the omega marker."""
-    if strength == "strong":
-        if not strong_equiv(p, q):
-            raise ResolutionError("productions are not strongly prodsig-equivalent")
-    elif strength != "weak":
+    if strength not in ("strong", "weak"):
         raise ResolutionError(f"unknown equivalence strength {strength!r}")
-    elif not weak_equiv(p, q):
-        raise ResolutionError("productions are not weakly prodsig-equivalent")
+    if not _equiv(p, q, strength):
+        raise ResolutionError(f"productions are not {strength}ly prodsig-equivalent")
     return [NominalMapping(pairs)
             for pairs in _signature_relations(prodsig(p), prodsig(q), strength)]
 
@@ -248,10 +260,8 @@ class _Binding:
         self.rev: dict[str, str] = {}
 
     def compatible(self, a: str, b: str) -> bool:
-        if _is_value_name(a) != _is_value_name(b):
-            return False
-        if _is_value_name(a) and a != b:
-            return False
+        if a != b and (a in VALUE_NAME_SET or b in VALUE_NAME_SET):
+            return False  # a value binds only to itself
         return self.fwd.get(a, b) == b and self.rev.get(b, a) == a
 
     def bind(self, a: str, b: str) -> None:
@@ -281,11 +291,8 @@ def _binds_alone(rel: _Relation) -> bool:
 
 class _SignatureIndex:
     """The signatures of one grammar's productions, each computed once, with
-    the keys the equivalences compare: two productions are weakly
-    (strongly) prodsig-equivalent exactly when their weak (strong) keys are
-    equal.  A signature whose footprints are not pairwise distinct has no
-    strong key.  Production indices are bucketed by key in ascending
-    order."""
+    the `_keys` the equivalences compare.  Production indices are bucketed
+    by key in ascending order."""
 
     def __init__(self, g: Grammar) -> None:
         self.productions = g.productions
@@ -294,11 +301,7 @@ class _SignatureIndex:
         self.buckets: dict[str, dict[frozenset[Footprint], list[int]]] = {
             "weak": {}, "strong": {}}
         for i, sig in enumerate(self.sigs):
-            fps = list(sig.values())
-            strong = frozenset(fps)
-            keys = {"weak": frozenset(fp.weak() for fp in fps),
-                    "strong": strong if len(strong) == len(fps) else None}
-            for strength, key in keys.items():
+            for strength, key in _keys(sig).items():
                 self.keys[strength].append(key)
                 if key is not None:
                     self.buckets[strength].setdefault(key, []).append(i)
@@ -727,10 +730,7 @@ def structural_match(master: Grammar, servant: Grammar,
             mi, steps = best
             matched_master.add(mi)
             mprod = master.productions[mi]
-            if not steps and strong_equiv(sprod, mprod):
-                strength = "strong"
-            else:
-                strength = "weak"
+            strength = "strong" if not steps and strong_equiv(sprod, mprod) else "weak"
             trace.extend(steps)
             rows.append((si, PairMatch(sprod, mprod, strength)))
 

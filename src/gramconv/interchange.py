@@ -171,8 +171,8 @@ def expr_from_json(doc, path: str = "rhs") -> Expr:
         elif kind is dict:
             values.append(expr_from_json(value, f"{path}.{name}"))
         else:
-            values.extend(expr_from_json(kid, f"{path}.{name}[{i}]")
-                          for i, kid in enumerate(value))
+            for i, kid in enumerate(value):  # a generator would cost a frame per level
+                values.append(expr_from_json(kid, f"{path}.{name}[{i}]"))
     return build(*values)
 
 

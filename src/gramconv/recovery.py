@@ -2,7 +2,10 @@
 
 `recover` parses grammar text written in the EBNF dialect described by a
 notation spec; `unparse` renders a grammar back into such a dialect so that
-recovery yields the same grammar again.
+recovery yields the same grammar again.  Unparsing is one walk over the
+rules: the renderer that writes the text also notes each role it needed
+and the notation lacks, and each construct no dialect writes, so the roles
+it reports missing are exactly the ones its text would use.
 
 Tokenization walks one compiled pattern per notation: longest match over the
 spec lexemes (with a word-boundary guard for lexemes that look like names),
@@ -26,9 +29,10 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .grammar import (
+    NODE_TABLE,
     Anything,
     Choice,
     Empty,
@@ -45,18 +49,10 @@ from .grammar import (
     Sequence,
     Star,
     Terminal,
-    ValueInt,
-    ValueStr,
     VALUE_NAMES,
-    children,
     choice,
     opt,
-    plus,
-    sepplus,
-    sepstar,
     seq,
-    star,
-    subterms,
 )
 from .notation import NotationSpec
 
@@ -72,9 +68,9 @@ class RecoveryError(ValueError):
 
 
 class UnparseError(ValueError):
-    def __init__(self, missing: list[str]) -> None:
-        super().__init__("missing notation roles: " + ", ".join(sorted(missing)))
+    def __init__(self, missing: Iterable[str]) -> None:
         self.missing = tuple(sorted(missing))
+        super().__init__("missing notation roles: " + ", ".join(self.missing))
 
 
 @dataclass(frozen=True)
@@ -157,10 +153,15 @@ def _tokenize(text: str, notation: NotationSpec) -> list[_Token]:
             return tokens
 
 
-# postfix operators and separator-list infixes by role; the bracket roles
-# that open a nested body, each with the role that closes it
-_POSTFIX = {"star-postfix": star, "plus-postfix": plus, "option-postfix": opt}
-_INFIX = {"seplist-star": sepstar, "seplist-plus": sepplus}
+# the role that writes each postfix operator and separator-list infix; the
+# parser reads a role back with its class's smart constructor
+_ROLE_OF = {Star: "star-postfix", Plus: "plus-postfix", Optional: "option-postfix",
+            SepListStar: "seplist-star", SepListPlus: "seplist-plus"}
+_POSTFIX = {role: NODE_TABLE[cls].build for cls, role in _ROLE_OF.items()
+            if len(NODE_TABLE[cls].child_fields) == 1}
+_INFIX = {role: NODE_TABLE[cls].build for cls, role in _ROLE_OF.items()
+          if len(NODE_TABLE[cls].child_fields) == 2}
+# the bracket roles that open a nested body, each with the role that closes it
 _BRACKETS = {"group-start": "group-end", "option-start": "option-end"}
 _CLOSERS = ("group-end", "option-end", "nonterminal-end")
 
@@ -336,131 +337,83 @@ def recover(text: str, notation: NotationSpec) -> RecoveryReport:
 
 # precedence levels of the rendered forms
 _ALT, _SEQ, _SEP, _ATOM = 0, 1, 2, 3
-
-
-def _level(expr: Expr) -> int:
-    if isinstance(expr, Choice):
-        return _ALT
-    if isinstance(expr, Sequence):
-        return _SEQ
-    if isinstance(expr, (SepListStar, SepListPlus)):
-        return _SEP
-    return _ATOM
-
-
-# the role each postfix or separator-list constructor needs
-_WRAPPER_ROLES = {Star: "star-postfix", Plus: "plus-postfix", Optional: "option",
-                  SepListStar: "seplist-star", SepListPlus: "seplist-plus"}
-
-
-def _census(g: Grammar) -> tuple[set[str], list[str]]:
-    """Roles a notation must provide to express g, and the constructs that no
-    notation role can express at all."""
-    needed: set[str] = {"defining"}
-    impossible: list[str] = []
-    group_needed = False
-    for prod in g.productions:
-        if prod.label is not None:
-            impossible.append(f"production label {prod.label!r}")
-        for sub in subterms(prod.rhs):
-            role = _WRAPPER_ROLES.get(type(sub))
-            if role is not None:
-                needed.add(role)
-                # an operand that is empty or not atomic is written grouped
-                group_needed = group_needed or any(
-                    isinstance(kid, Epsilon) or _level(kid) < _ATOM for kid in children(sub))
-            elif isinstance(sub, Terminal):
-                needed.add("terminal-start-quote")
-                needed.add("terminal-end-quote")
-            elif isinstance(sub, Sequence):
-                group_needed = group_needed or any(
-                    isinstance(part, Choice) for part in sub.parts)
-            elif isinstance(sub, Choice):
-                needed.add("definition-separator")
-            elif isinstance(sub, Selectable):
-                impossible.append(f"selector {sub.selector!r}")
-            elif isinstance(sub, Empty):
-                impossible.append("the empty language")
-            elif isinstance(sub, Anything):
-                impossible.append("the wildcard")
-    if group_needed:
-        needed.add("group-start")
-        needed.add("group-end")
-    return needed, impossible
+# the reserved name of each built-in value class, and what no dialect writes
+_VALUE_NAME = {type(value): name for name, value in VALUE_NAMES.items()}
+_UNWRITABLE = {Empty: "the empty language", Anything: "the wildcard"}
 
 
 def unparse(g: Grammar, notation: NotationSpec) -> str:
     """Render g in the given dialect; recovery of the output yields g again.
-    Grouping is inserted wherever precedence would otherwise reassociate."""
+    Grouping is inserted wherever precedence would otherwise reassociate.
+    The one walk that writes the text also collects what the dialect cannot
+    write, then raises UnparseError for the constructs no dialect writes,
+    else for the roles the notation lacks, else for a terminal that holds
+    the end quote."""
     roles = notation.as_dict()
-    needed, impossible = _census(g)
-    if impossible:
-        raise UnparseError(sorted(set(impossible)))
-    missing = set()
-    for role in needed:
-        if role == "option":
-            if "option-postfix" not in roles and "option-start" not in roles:
-                missing.add("option-postfix")
-        elif role not in roles:
-            missing.add(role)
-    if missing:
-        raise UnparseError(sorted(missing))
-
-    quote_open = roles.get("terminal-start-quote", "")
-    quote_close = roles.get("terminal-end-quote", "")
+    impossible: set[str] = set()
+    missing: set[str] = set()
+    quote_clash = False
     joiner = f" {roles['concatenation']} " if "concatenation" in roles else " "
-    postfix_option = "option-postfix" in roles
+    bracket_option = "option-postfix" not in roles and "option-start" in roles
+
+    def lexeme(role: str) -> str:
+        text = roles.get(role)
+        if text is None:
+            missing.add(role)
+            return ""
+        return text
 
     def grouped(text: str) -> str:
-        return f"{roles['group-start']} {text} {roles['group-end']}".replace("  ", " ")
+        return f"{lexeme('group-start')} {text} {lexeme('group-end')}".replace("  ", " ")
+
+    def name(text: str) -> str:
+        if "nonterminal-start" in roles:
+            return f"{roles['nonterminal-start']}{text}{roles['nonterminal-end']}"
+        return text
 
     def render(expr: Expr, need: int) -> str:
-        if isinstance(expr, Epsilon):
-            return grouped("") if need > _SEQ else ""
-        if isinstance(expr, Terminal):
+        nonlocal quote_clash
+        kind = type(expr)
+        if kind is Nonterminal:
+            return name(expr.name)
+        if kind is Terminal:
+            quote_close = lexeme("terminal-end-quote")
             if quote_close and quote_close in expr.text:
-                raise UnparseError(["terminal-end-quote"])
-            return f"{quote_open}{expr.text}{quote_close}"
-        if isinstance(expr, ValueStr):
-            return _name("str")
-        if isinstance(expr, ValueInt):
-            return _name("int")
-        if isinstance(expr, Nonterminal):
-            return _name(expr.name)
-        if isinstance(expr, Choice):
-            body = f" {roles['definition-separator']} ".join(
+                quote_clash = True
+            return f"{lexeme('terminal-start-quote')}{expr.text}{quote_close}"
+        if kind is Choice:
+            body = f" {lexeme('definition-separator')} ".join(
                 render(alt, _SEQ) for alt in expr.alternatives)
             return grouped(body) if need > _ALT else body
-        if isinstance(expr, Sequence):
+        if kind is Sequence:
             body = joiner.join(render(part, _SEP) for part in expr.parts)
             return grouped(body) if need > _SEQ else body
-        if isinstance(expr, (SepListStar, SepListPlus)):
-            lexeme = roles["seplist-star" if isinstance(expr, SepListStar)
-                           else "seplist-plus"]
-            body = f"{render(expr.item, _ATOM)} {lexeme} {render(expr.separator, _ATOM)}"
+        role = _ROLE_OF.get(kind)
+        if role in _INFIX:
+            body = f"{render(expr.item, _ATOM)} {lexeme(role)} {render(expr.separator, _ATOM)}"
             return grouped(body) if need > _SEP else body
-        if isinstance(expr, Star):
-            return render(expr.body, _ATOM) + roles["star-postfix"]
-        if isinstance(expr, Plus):
-            return render(expr.body, _ATOM) + roles["plus-postfix"]
-        if isinstance(expr, Optional):
-            if postfix_option:
-                return render(expr.body, _ATOM) + roles["option-postfix"]
-            return (f"{roles['option-start']} {render(expr.body, _ALT)} "
-                    f"{roles['option-end']}")
-        raise UnparseError([type(expr).__name__.lower()])
-
-    def _name(name: str) -> str:
-        if "nonterminal-start" in roles:
-            return f"{roles['nonterminal-start']}{name}{roles['nonterminal-end']}"
-        return name
+        if kind is Optional and bracket_option:
+            return f"{roles['option-start']} {render(expr.body, _ALT)} {roles['option-end']}"
+        if role is not None:
+            return render(expr.body, _ATOM) + lexeme(role)
+        if kind is Epsilon:
+            return grouped("") if need > _SEQ else ""
+        if kind in _VALUE_NAME:
+            return name(_VALUE_NAME[kind])
+        if kind is Selectable:
+            impossible.add(f"selector {expr.selector!r}")
+            return render(expr.body, need)
+        impossible.add(_UNWRITABLE[kind])
+        return ""
 
     lines = []
     terminator = roles.get("terminator")
     for prod in g.productions:
-        rhs_text = render(prod.rhs, _ALT)
-        line = f"{_name(prod.lhs)} {roles['defining']} {rhs_text}".rstrip()
-        if terminator:
-            line = f"{line} {terminator}"
-        lines.append(line)
+        if prod.label is not None:
+            impossible.add(f"production label {prod.label!r}")
+        line = f"{name(prod.lhs)} {roles['defining']} {render(prod.rhs, _ALT)}".rstrip()
+        lines.append(f"{line} {terminator}" if terminator else line)
+    for unwritten in (impossible, missing, ["terminal-end-quote"] if quote_clash else []):
+        if unwritten:
+            raise UnparseError(unwritten)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -9,14 +9,16 @@ character recovery tokenizer that the compiled scanner replaced; it yields
 `(line, kind, text, role)` tuples.  `parse_rhs` is the recursive-descent
 rule-body parser, one method per precedence level, that the single loop over
 a bracket stack replaced; it takes recovery tokens and returns the body's
-expression or raises its `RecoveryError`.
+expression or raises its `RecoveryError`.  `footprint` is the per-name
+recursion that the one pass over a rule's subterms replaced, and
+`per_name_prodsig` builds a signature from it, one call per name.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from gramconv.converge import prodsig
+from gramconv.converge import Footprint, _leaf_name, _unwrapped_leaf, prodsig
 from gramconv.grammar import (
     EPSILON,
     VALUE_NAMES,
@@ -44,6 +46,7 @@ from gramconv.grammar import (
     sepstar,
     seq,
     star,
+    subterms,
     vocabulary,
 )
 from gramconv.notation import NotationSpec
@@ -411,3 +414,33 @@ class _RhsParser:
 
 def parse_rhs(tokens, end_line: int) -> Expr:
     return _RhsParser(tokens, end_line).parse()
+
+
+_MARKER_OF = {Optional: "?", Star: "*", Plus: "+"}
+
+
+def footprint(name: str, expr: Expr) -> Footprint:
+    if _leaf_name(expr) == name:
+        return Footprint(("1",))
+    marker = _MARKER_OF.get(type(expr))
+    if marker is not None and _unwrapped_leaf(expr.body) == name:
+        return Footprint((marker,))
+    if isinstance(expr, Selectable):
+        return footprint(name, expr.body)
+    if isinstance(expr, (SepListStar, SepListPlus)):
+        return footprint(name, expr.item)
+    if isinstance(expr, Sequence):
+        result = Footprint(())
+        for part in expr.parts:
+            result = result.union(footprint(name, part))
+        return result
+    return Footprint(())
+
+
+def per_name_prodsig(prod) -> dict[str, Footprint]:
+    sig: dict[str, Footprint] = {}
+    for name in dict.fromkeys(filter(None, map(_leaf_name, subterms(prod.rhs)))):
+        fp = footprint(name, prod.rhs)
+        if fp:
+            sig[name] = fp
+    return sig

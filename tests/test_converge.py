@@ -40,6 +40,7 @@ from gramconv.transform import TransformStep, apply_script, rename_nonterminal
 from conftest import FL_MAPPING
 
 from gen import random_anf, random_grammar, rooted_anf
+import oracles
 from oracles import resolution_oracle
 
 
@@ -100,6 +101,18 @@ def test_footprint_is_a_multiset_homomorphism_over_sequences():
             for part in whole.parts:
                 combined = combined.union(footprint(name, part))
             assert footprint(name, whole) == combined
+
+
+def test_footprints_match_the_per_name_recursion():
+    # key order counts: a name met first under a choice keeps that place
+    from gen import NAMES
+    rng = random.Random(37)
+    for _ in range(2000):
+        for prod in random_grammar(rng).productions:
+            assert list(prodsig(prod).items()) == \
+                list(oracles.per_name_prodsig(prod).items()), prod
+            for name in NAMES[:3] + ["str"]:
+                assert footprint(name, prod.rhs) == oracles.footprint(name, prod.rhs)
 
 
 # -- prodsigs -------------------------------------------------------------------

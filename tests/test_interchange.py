@@ -6,6 +6,8 @@ import pytest
 from gramconv.cli import main
 from gramconv.grammar import Grammar, n, p, seq, t
 from gramconv.interchange import InterchangeError, deserialize, dumps, serialize
+from gramconv.notation import parse_spec
+from gramconv.recovery import recover
 
 from gen import corpus
 
@@ -52,6 +54,24 @@ def test_missing_fields_are_reported():
         deserialize('{"roots": []}')
     with pytest.raises(InterchangeError):
         deserialize('{"roots": [], "productions": [{"lhs": "a"}]}')
+
+
+def test_deserialize_reads_back_every_depth_serialize_writes(data_dir):
+    # the JSON writer recurses too, and gives out near 330 levels of
+    # `( c ... )*`, sooner under a deep caller such as the test runner; that
+    # limit is not checked here, but every depth it writes must read back
+    notation = parse_spec((data_dir / "reference.edd").read_text(encoding="utf-8"))
+    written_depths = []
+    for depth in range(200, 331, 10):
+        text = "a ::= " + "( c " * depth + "b" + " )*" * depth + " ;"
+        try:
+            written = serialize(recover(text, notation).grammar)
+        except RecursionError:
+            continue
+        # the texts are compared, since == on the trees recurses
+        assert serialize(deserialize(written)) == written, depth
+        written_depths.append(depth)
+    assert written_depths[-1] >= 280, written_depths
 
 
 def test_deserialize_normalizes_degenerate_nesting():

@@ -16,6 +16,7 @@ from gramconv.grammar import (
     t,
     vocabulary,
 )
+from gramconv.mutate import Mutation, anf_check, mutate
 from gramconv.notation import ROLES, NotationError, parse_spec, spec
 from gramconv.recovery import (
     RecoveryError,
@@ -207,6 +208,10 @@ def test_unparse_option_postfix_and_brackets(data_dir):
     text = unparse(g, brackets)
     assert "[" in text
     assert recover(text, brackets).grammar == g
+    # an option over a sequence needs no group brackets
+    grouped = recover("a ::= [ b c ] ;", brackets).grammar
+    assert grouped == Grammar(("a",), (p("a", opt(seq(n("b"), n("c")))),))
+    assert unparse(grouped, brackets) == "a ::= [ b c ] ;\n"
 
 
 def test_roundtrip_random_sample(data_dir):
@@ -215,6 +220,58 @@ def test_roundtrip_random_sample(data_dir):
     for _ in range(100):
         g = random_expressible(rng)
         assert recover(unparse(g, ref), ref).grammar == g
+
+
+def test_roundtrip_or_the_missing_roles_over_reduced_dialects(data_dir):
+    # paired roles are dropped together; an UnparseError must list exactly
+    # what the dialect lacks: with those roles added the round trip holds,
+    # and the text written then holds each of them
+    ref = reference_spec(data_dir).as_dict()
+    units = [("terminator",), ("definition-separator",), ("group-start", "group-end"),
+             ("option-start", "option-end"), ("star-postfix",), ("plus-postfix",),
+             ("option-postfix",), ("terminal-start-quote", "terminal-end-quote"),
+             ("seplist-star",), ("seplist-plus",), ("line-comment-start",)]
+
+    def dialect(roles):
+        return spec({role: ref[role] for role in ["defining"] + roles})
+
+    rng = random.Random(43)
+    outcomes = {"round trip": 0, "completed": 0}
+    for _ in range(500):
+        g = random_expressible(rng)
+        kept = [role for unit in units if rng.random() < 0.5 for role in unit]
+        notation = dialect(kept)
+        try:
+            text = unparse(g, notation)
+            outcomes["round trip"] += 1
+        except UnparseError as err:
+            missing = list(err.missing)
+            notation = dialect(kept + missing)
+            text = unparse(g, notation)
+            outcomes["completed"] += 1
+            written = {token.role or token.kind for token in _tokenize(text, notation)}
+            if "terminal" in written:
+                written |= {"terminal-start-quote", "terminal-end-quote"}
+            assert written.issuperset(missing), (missing, text)
+        assert recover(text, notation).grammar == g, (notation, text)
+    assert min(outcomes.values()) > 50, outcomes
+
+
+def test_lib2to3_grammar_recovers_roundtrips_and_normalizes(data_dir):
+    pgen = parse_spec((data_dir / "pgen.edd").read_text(encoding="utf-8"))
+    report = recover((data_dir / "lib2to3_Grammar.txt").read_text(encoding="utf-8"), pgen)
+    g = report.grammar
+    assert len(g.productions) == 95
+    assert len(report.warnings) == 9
+    assert all("is used but never defined" in message for _, message in report.warnings)
+    # pgen writes options only in brackets, and never an option postfix
+    text = unparse(g, pgen)
+    again = recover(text, pgen).grammar
+    assert again == g
+    assert unparse(again, pgen) == text
+    anf = mutate(g, Mutation("normalize-anf")).grammar
+    assert anf_check(anf) == []
+    assert len(anf.productions) == 245
 
 
 def test_rule_starts_split_alike_with_and_without_brackets():
