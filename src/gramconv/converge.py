@@ -34,6 +34,7 @@ from .grammar import (
     Sequence,
     Star,
     Terminal,
+    VALUE_NAME_OF,
     VALUE_NAMES,
     children,
     names_in_order,
@@ -52,7 +53,8 @@ class ResolutionError(ValueError):
 
 
 class ResolutionConflict(ResolutionError):
-    """Conflicting name bindings were forced; carries the bindings."""
+    """Conflicting name bindings were forced; carries the held pair that
+    blocks the new one (a built-in value's own pair), then the new pair."""
 
     def __init__(self, bindings) -> None:
         shown = ", ".join(f"{a} -> {b}" for a, b in bindings)
@@ -103,15 +105,13 @@ class Footprint:
 _EMPTY_FP = Footprint(())
 
 
-# the signature name of each built-in value class
-_VALUE_KIND = {type(value): name for name, value in VALUE_NAMES.items()}
 _MARKER_OF = {Optional: "?", Star: "*", Plus: "+"}
 
 
 def _leaf_name(expr: Expr) -> str | None:
     if isinstance(expr, Nonterminal):
         return expr.name
-    return _VALUE_KIND.get(type(expr))
+    return VALUE_NAME_OF.get(type(expr))
 
 
 def _unwrapped_leaf(expr: Expr) -> str | None:
@@ -264,9 +264,17 @@ class _Binding:
             return False  # a value binds only to itself
         return self.fwd.get(a, b) == b and self.rev.get(b, a) == a
 
+    def admits(self, rel: _Relation) -> bool:
+        """Whether a relation that binds on its own extends the binding: as
+        a one-to-one partial map, it can clash only with pairs held here."""
+        fwd, rev = self.fwd, self.rev
+        return all(fwd.get(a, b) == b and rev.get(b, a) == a for a, b in rel)
+
     def bind(self, a: str, b: str) -> None:
         if not self.compatible(a, b):
-            raise ResolutionConflict([(a, self.fwd.get(a, b)), (a, b)])
+            held = ((a, self.fwd[a]) if a in self.fwd else (self.rev[b], b) if b in self.rev
+                    else (a, a) if a in VALUE_NAME_SET else (b, b))
+            raise ResolutionConflict([held, (a, b)])
         self.fwd[a] = b
         self.rev[b] = a
 
@@ -278,6 +286,7 @@ class _Binding:
 
 
 _Relation = tuple[tuple[str, str], ...]
+_Option = tuple[int, _Relation]  # (master production, relation)
 
 
 def _binds_alone(rel: _Relation) -> bool:
@@ -312,14 +321,16 @@ class _SignatureIndex:
 
 
 class _Resolution:
-    """State of one nominal resolution: both grammars' signature indexes and
-    a memo of the relations each production pair induces."""
+    """State of one nominal resolution: both grammars' signature indexes and,
+    per strength, the option table the search and the greedy pass narrow.
+    A servant production's options are its `(master production, relation)`
+    pairs: the equivalent master productions in ascending order, each with
+    the relations of `relations` that bind on their own, in their order."""
 
     def __init__(self, master: Grammar, servant: Grammar) -> None:
         self.master = _SignatureIndex(master)
         self.servant = _SignatureIndex(servant)
-        self._relations: dict[tuple[int, int, str], list[_Relation]] = {}
-        self._viable: dict[tuple[int, int, str], list[_Relation]] = {}
+        self._tables: dict[str, list[list[_Option]]] = {}
 
     def candidates(self, si: int, strength: str) -> list[int]:
         """Master productions equivalent to servant production `si`."""
@@ -329,31 +340,21 @@ class _Resolution:
     def relations(self, si: int, mi: int, strength: str) -> list[_Relation]:
         """The pair's `pair_resolution` relations, each with the lhs pair
         first and the omega entries dropped."""
-        memo_key = (si, mi, strength)
-        found = self._relations.get(memo_key)
-        if found is None:
-            lhs = (self.servant.productions[si].lhs, self.master.productions[mi].lhs)
-            found = [(lhs,) + tuple(sorted((a, b) for a, b in pairs
-                                           if a is not None and b is not None))
-                     for pairs in _signature_relations(
-                         self.servant.sigs[si], self.master.sigs[mi], strength)]
-            self._relations[memo_key] = found
-        return found
+        lhs = (self.servant.productions[si].lhs, self.master.productions[mi].lhs)
+        return [(lhs,) + tuple(sorted((a, b) for a, b in pairs
+                                      if a is not None and b is not None))
+                for pairs in _signature_relations(
+                    self.servant.sigs[si], self.master.sigs[mi], strength)]
 
-    def consistent(self, si: int, mi: int, strength: str,
-                   binding: _Binding) -> list[_Relation]:
-        """The pair's relations that extend the binding without conflict."""
-        memo_key = (si, mi, strength)
-        viable = self._viable.get(memo_key)
-        if viable is None:
-            # a relation that binds on its own is a one-to-one partial map,
-            # so it can clash only with pairs the binding already holds
-            viable = [rel for rel in self.relations(si, mi, strength)
-                      if _binds_alone(rel)]
-            self._viable[memo_key] = viable
-        fwd, rev = binding.fwd, binding.rev
-        return [rel for rel in viable
-                if all(fwd.get(a, b) == b and rev.get(b, a) == a for a, b in rel)]
+    def options(self, strength: str) -> list[list[_Option]]:
+        """The option table at `strength`, indexed by servant production,
+        derived the first time it is asked for."""
+        if strength not in self._tables:
+            self._tables[strength] = [
+                [(mi, rel) for mi in self.candidates(si, strength)
+                 for rel in self.relations(si, mi, strength) if _binds_alone(rel)]
+                for si in range(len(self.servant.productions))]
+        return self._tables[strength]
 
 
 # Limits of the complete-matching search: expanded nodes, and distinct full
@@ -369,17 +370,22 @@ def nominal_resolution(master: Grammar, servant: Grammar) -> NominalMapping:
 
     Seeded with the root-to-root pair, the complete consistent matchings
     are searched first: every servant production is paired injectively with
-    a weakly equivalent master production.  Among the distinct full bindings
-    found, those with the most exactly-matching productions win.  A single
-    winner is adopted, and several raise ResolutionAmbiguity.
+    a weakly equivalent master production.  Each open production's options,
+    from the weak option table, form its domain; each node narrows the
+    domains it is handed to the options that avoid the master production
+    just taken and agree with the binding, and expands the production with
+    the fewest left.  Among the distinct full bindings found, those with the
+    most exactly-matching productions win.  A single winner is adopted, and
+    several raise ResolutionAmbiguity.
 
     The search stops after SEARCH_NODE_CAP nodes, or once it holds
     SEARCH_MAX_BINDINGS distinct bindings and would look for more.  Either
     way its candidate list is incomplete, so no winner is chosen from it.
     Only then, or when the search finds no complete matching (structurally
     alien grammars), a greedy fixpoint runs: from the same seed, its rounds
-    commit every production pair that is the unique consistent choice at its
-    strength (strong first, then weak), binding the paired left-hand sides
+    filter each strength's option table by the binding and commit every
+    production pair that is the unique consistent choice at its strength
+    (strong first, then weak), binding the paired left-hand sides
     and the unambiguous part of the induced relation, and matched pairs are
     re-narrowed as the binding grows.  After a capped search its result is
     kept when it binds every servant name, and otherwise ResolutionAmbiguity
@@ -428,10 +434,7 @@ def _resolve(master: Grammar, servant: Grammar) -> NominalMapping:
 
 
 def _shared_pairs(relations: list[_Relation]) -> list[tuple[str, str]]:
-    shared = set(relations[0])
-    for rel in relations[1:]:
-        shared &= set(rel)
-    return sorted(shared)
+    return sorted(set(relations[0]).intersection(*relations[1:]))
 
 
 def _greedy_fixpoint(res: _Resolution, binding: _Binding) -> _Binding:
@@ -439,16 +442,23 @@ def _greedy_fixpoint(res: _Resolution, binding: _Binding) -> _Binding:
     unmatched_m = set(range(len(res.master.productions)))
     matched: list[tuple[int, int, str]] = []
 
+    def viable(si: int, strength: str, masters: set[int]) -> dict[int, list[_Relation]]:
+        # the options of `si` among `masters` that extend the binding
+        found: dict[int, list[_Relation]] = {}
+        for mi, rel in res.options(strength)[si]:
+            if mi in masters and binding.admits(rel):
+                found.setdefault(mi, []).append(rel)
+        return found
+
     def narrow() -> bool:
         moved = False
         for si, mi, strength in matched:
-            relations = res.consistent(si, mi, strength, binding)
-            if not relations:
-                continue
-            for a, b in _shared_pairs(relations):
-                if binding.fwd.get(a) != b:
-                    binding.bind(a, b)
-                    moved = True
+            # the matched pair's relations, when any still extends the binding
+            for relations in viable(si, strength, {mi}).values():
+                for a, b in _shared_pairs(relations):
+                    if binding.fwd.get(a) != b:
+                        binding.bind(a, b)
+                        moved = True
         return moved
 
     progress = True
@@ -456,15 +466,9 @@ def _greedy_fixpoint(res: _Resolution, binding: _Binding) -> _Binding:
         progress = False
         for strength in ("strong", "weak"):
             for si in list(unmatched_s):
-                options = []
-                for mi in res.candidates(si, strength):
-                    if mi not in unmatched_m:
-                        continue
-                    relations = res.consistent(si, mi, strength, binding)
-                    if relations:
-                        options.append((mi, relations))
+                options = viable(si, strength, unmatched_m)
                 if len(options) == 1:
-                    mi, relations = options[0]
+                    (mi, relations), = options.items()
                     for a, b in _shared_pairs(relations):
                         binding.bind(a, b)
                     unmatched_s.remove(si)
@@ -490,38 +494,33 @@ def _complete_matchings(res: _Resolution, seed: _Binding,
     budget = [cap]
     capped = [False]
 
-    def dfs(current: _Binding, open_s: list[int], used_m: set[int]) -> None:
+    def dfs(current: _Binding, domains: dict[int, list[_Option]], taken: int | None) -> None:
         if budget[0] <= 0 or len(results) >= SEARCH_MAX_BINDINGS:
             capped[0] = True
             return
         budget[0] -= 1
-        if not open_s:
+        if not domains:
             key = tuple(sorted(current.fwd.items()))
             if key not in seen:
                 seen.add(key)
                 results.append(dict(current.fwd))
             return
-        # fail-first: expand the production with the fewest consistent options
-        scored = []
-        for si in open_s:
-            options = []
-            for mi in res.candidates(si, "weak"):
-                if mi in used_m:
-                    continue
-                for rel in res.consistent(si, mi, "weak", current):
-                    options.append((mi, rel))
-            if not options:
-                return  # dead branch
-            scored.append((len(options), si, options))
-        count, si, options = min(scored, key=lambda item: (item[0], item[1]))
-        rest = [x for x in open_s if x != si]
-        for mi, rel in options:
+        # forward checking: drop the options of the open productions that
+        # use the master production just taken or contradict the binding
+        narrowed = {si: [(mi, rel) for mi, rel in options
+                         if mi != taken and current.admits(rel)]
+                    for si, options in domains.items()}
+        if not all(narrowed.values()):
+            return  # dead branch
+        # fail-first: expand the production with the fewest options
+        si = min(narrowed, key=lambda x: (len(narrowed[x]), x))
+        for mi, rel in narrowed.pop(si):
             branch = current.copy()
             for a, b in rel:
                 branch.bind(a, b)
-            dfs(branch, rest, used_m | {mi})
+            dfs(branch, narrowed, mi)
 
-    dfs(seed.copy(), list(range(len(res.servant.productions))), set())
+    dfs(seed.copy(), dict(enumerate(res.options("weak"))), None)
     return results, capped[0]
 
 
@@ -592,7 +591,7 @@ class _Aligner:
             if isinstance(m, Nonterminal):
                 return [] if self.mapping.get(s.name) == m.name else None
             # a nonterminal standing where the master has a built-in value
-            return [self._set(path, m, s)] if type(m) in _VALUE_KIND else None
+            return [self._set(path, m, s)] if type(m) in VALUE_NAME_OF else None
         if type(s) is type(m) and isinstance(s, (Optional, Star, Plus)):
             return self.walk(s.body, m.body, path + (0,))
         if isinstance(s, (Star, Plus)) and isinstance(m, (Star, Plus)):

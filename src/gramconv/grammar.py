@@ -144,8 +144,9 @@ VALUE_STR = ValueStr()
 VALUE_INT = ValueInt()
 
 #: Reserved names under which built-in values take part in recovery,
-#: signatures and nominal mappings.
+#: signatures and nominal mappings, and the reserved name of each value class.
 VALUE_NAMES = {"str": VALUE_STR, "int": VALUE_INT}
+VALUE_NAME_OF = {type(value): name for name, value in VALUE_NAMES.items()}
 
 
 # --------------------------------------------------------------------------

@@ -69,36 +69,6 @@ class MutationError(ValueError):
     pass
 
 
-MUTATION_KINDS = (
-    "remove-terminals",
-    "remove-selectors",
-    "remove-labels",
-    "disciplined-rename",
-    "reroot-to-top",
-    "eliminate-top",
-    "extract-subgrammar",
-    "all-vertical",
-    "all-horizontal",
-    "distribute-all",
-    "potentially-horizontal-to-vertical",
-    "deyaccify-all",
-    "remove-lazy",
-    "normalize-anf",
-    "fold-groups",
-    "encode-seplists",
-)
-
-# kinds that discard information their trace cannot restore
-_LOSSY_KINDS = frozenset((
-    "remove-terminals",
-    "remove-selectors",
-    "remove-labels",
-    "eliminate-top",
-    "extract-subgrammar",
-    "remove-lazy",
-    "normalize-anf",
-))
-
 NAMING_CONVENTIONS = ("UPPER", "lower", "CamelCase", "dash-lower")
 
 
@@ -517,35 +487,33 @@ def _normalize_anf(rec: _Recorder, params: dict) -> None:
     raise MutationError("normalize-anf did not converge")
 
 
-_KIND_IMPL = {
-    "remove-terminals": _remove_terminals,
-    "remove-selectors": _remove_selectors,
-    "remove-labels": _remove_labels,
-    "disciplined-rename": _disciplined_rename,
-    "reroot-to-top": _reroot_to_top,
-    "eliminate-top": _eliminate_top,
-    "extract-subgrammar": _extract_subgrammar,
-    "all-vertical": _all_vertical,
-    "all-horizontal": _all_horizontal,
-    "distribute-all": _distribute_all,
-    "potentially-horizontal-to-vertical": _potentially_horizontal_to_vertical,
-    "deyaccify-all": _deyaccify_all,
-    "remove-lazy": _remove_lazy,
-    "normalize-anf": _normalize_anf,
-    "fold-groups": _fold_groups,
-    "encode-seplists": _encode_seplists,
+# kind -> (implementation, whether it discards information its trace cannot
+# restore, required parameters)
+_KINDS = {
+    "remove-terminals": (_remove_terminals, True, ()),
+    "remove-selectors": (_remove_selectors, True, ()),
+    "remove-labels": (_remove_labels, True, ()),
+    "disciplined-rename": (_disciplined_rename, False, ("convention",)),
+    "reroot-to-top": (_reroot_to_top, False, ()),
+    "eliminate-top": (_eliminate_top, True, ()),
+    "extract-subgrammar": (_extract_subgrammar, True, ("roots",)),
+    "all-vertical": (_all_vertical, False, ()),
+    "all-horizontal": (_all_horizontal, False, ()),
+    "distribute-all": (_distribute_all, False, ()),
+    "potentially-horizontal-to-vertical": (_potentially_horizontal_to_vertical, False, ()),
+    "deyaccify-all": (_deyaccify_all, False, ()),
+    "remove-lazy": (_remove_lazy, True, ()),
+    "normalize-anf": (_normalize_anf, True, ()),
+    "fold-groups": (_fold_groups, False, ()),
+    "encode-seplists": (_encode_seplists, False, ()),
 }
-
-_PARAM_KEYS = {
-    "disciplined-rename": ("convention",),
-    "extract-subgrammar": ("roots",),
-}
+MUTATION_KINDS = tuple(_KINDS)
 
 
 def mutate(g: Grammar, m: Mutation) -> MutationResult:
-    if m.kind not in MUTATION_KINDS:
+    if m.kind not in _KINDS:
         raise MutationError(f"unknown mutation kind {m.kind!r}")
-    wanted = _PARAM_KEYS.get(m.kind, ())
+    impl, lossy, wanted = _KINDS[m.kind]
     for key in wanted:
         if key not in m.params:
             raise MutationError(f"mutation {m.kind!r} requires parameter {key!r}")
@@ -557,9 +525,8 @@ def mutate(g: Grammar, m: Mutation) -> MutationResult:
             f"unknown naming convention {m.params['convention']!r}; "
             f"choose one of {', '.join(NAMING_CONVENTIONS)}")
     rec = _Recorder(g)
-    _KIND_IMPL[m.kind](rec, dict(m.params))
-    return MutationResult(rec.grammar, rec.trace, len(rec.trace),
-                          m.kind not in _LOSSY_KINDS)
+    impl(rec, dict(m.params))
+    return MutationResult(rec.grammar, rec.trace, len(rec.trace), not lossy)
 
 
 # --------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from .grammar import (
     Sequence,
     Star,
     Terminal,
+    VALUE_NAME_OF,
     VALUE_NAMES,
     choice,
     opt,
@@ -337,8 +338,7 @@ def recover(text: str, notation: NotationSpec) -> RecoveryReport:
 
 # precedence levels of the rendered forms
 _ALT, _SEQ, _SEP, _ATOM = 0, 1, 2, 3
-# the reserved name of each built-in value class, and what no dialect writes
-_VALUE_NAME = {type(value): name for name, value in VALUE_NAMES.items()}
+# what no dialect writes
 _UNWRITABLE = {Empty: "the empty language", Anything: "the wildcard"}
 
 
@@ -398,8 +398,8 @@ def unparse(g: Grammar, notation: NotationSpec) -> str:
             return render(expr.body, _ATOM) + lexeme(role)
         if kind is Epsilon:
             return grouped("") if need > _SEQ else ""
-        if kind in _VALUE_NAME:
-            return name(_VALUE_NAME[kind])
+        if kind in VALUE_NAME_OF:
+            return name(VALUE_NAME_OF[kind])
         if kind is Selectable:
             impossible.add(f"selector {expr.selector!r}")
             return render(expr.body, need)

@@ -300,8 +300,11 @@ def horizontal(g: Grammar, name: str) -> Grammar:
 # --------------------------------------------------------------------------
 # factor / distribute
 
+# the most alternatives one sequence may distribute into
+DNF_MAX_ALTERNATIVES = 4096
 
-def dnf(expr: Expr, _cap: int = 4096) -> Expr:
+
+def dnf(expr: Expr) -> Expr:
     """Fully distribute sequences over choices, everywhere in the tree."""
     if isinstance(expr, Sequence):
         factors = []
@@ -310,7 +313,7 @@ def dnf(expr: Expr, _cap: int = 4096) -> Expr:
             normal = dnf(part)
             alts = list(normal.alternatives) if isinstance(normal, Choice) else [normal]
             total *= len(alts)
-            if total > _cap:
+            if total > DNF_MAX_ALTERNATIVES:
                 raise TransformError("distribute: expansion is too large")
             factors.append(alts)
         combos = [seq(*combo) for combo in itertools.product(*factors)]

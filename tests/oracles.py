@@ -12,13 +12,31 @@ a bracket stack replaced; it takes recovery tokens and returns the body's
 expression or raises its `RecoveryError`.  `footprint` is the per-name
 recursion that the one pass over a rule's subterms replaced, and
 `per_name_prodsig` builds a signature from it, one call per name.
+`_Resolution` (with `consistent` and its two memos), `_greedy_fixpoint`,
+`_complete_matchings` and `_resolve` are nominal resolution as it was before
+the option table, kept verbatim: every node of the search re-derives each
+open production's options from the candidates through `consistent`.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from gramconv.converge import Footprint, _leaf_name, _unwrapped_leaf, prodsig
+from gramconv.converge import (
+    SEARCH_MAX_BINDINGS,
+    SEARCH_NODE_CAP,
+    Footprint,
+    NominalMapping,
+    ResolutionAmbiguity,
+    _best_bindings,
+    _Binding,
+    _binds_alone,
+    _leaf_name,
+    _signature_relations,
+    _SignatureIndex,
+    _unwrapped_leaf,
+    prodsig,
+)
 from gramconv.grammar import (
     EPSILON,
     VALUE_NAMES,
@@ -47,6 +65,7 @@ from gramconv.grammar import (
     seq,
     star,
     subterms,
+    names_in_order,
     vocabulary,
 )
 from gramconv.notation import NotationSpec
@@ -444,3 +463,174 @@ def per_name_prodsig(prod) -> dict[str, Footprint]:
         if fp:
             sig[name] = fp
     return sig
+
+
+class _Resolution:
+    """State of one nominal resolution: both grammars' signature indexes and
+    a memo of the relations each production pair induces."""
+
+    def __init__(self, master: Grammar, servant: Grammar) -> None:
+        self.master = _SignatureIndex(master)
+        self.servant = _SignatureIndex(servant)
+        self._relations: dict[tuple[int, int, str], list[_Relation]] = {}
+        self._viable: dict[tuple[int, int, str], list[_Relation]] = {}
+
+    def candidates(self, si: int, strength: str) -> list[int]:
+        """Master productions equivalent to servant production `si`."""
+        key = self.servant.keys[strength][si]
+        return self.master.buckets[strength].get(key, []) if key is not None else []
+
+    def relations(self, si: int, mi: int, strength: str) -> list[_Relation]:
+        """The pair's `pair_resolution` relations, each with the lhs pair
+        first and the omega entries dropped."""
+        memo_key = (si, mi, strength)
+        found = self._relations.get(memo_key)
+        if found is None:
+            lhs = (self.servant.productions[si].lhs, self.master.productions[mi].lhs)
+            found = [(lhs,) + tuple(sorted((a, b) for a, b in pairs
+                                           if a is not None and b is not None))
+                     for pairs in _signature_relations(
+                         self.servant.sigs[si], self.master.sigs[mi], strength)]
+            self._relations[memo_key] = found
+        return found
+
+    def consistent(self, si: int, mi: int, strength: str,
+                   binding: _Binding) -> list[_Relation]:
+        """The pair's relations that extend the binding without conflict."""
+        memo_key = (si, mi, strength)
+        viable = self._viable.get(memo_key)
+        if viable is None:
+            # a relation that binds on its own is a one-to-one partial map,
+            # so it can clash only with pairs the binding already holds
+            viable = [rel for rel in self.relations(si, mi, strength)
+                      if _binds_alone(rel)]
+            self._viable[memo_key] = viable
+        fwd, rev = binding.fwd, binding.rev
+        return [rel for rel in viable
+                if all(fwd.get(a, b) == b and rev.get(b, a) == a for a, b in rel)]
+
+
+def _resolve(master: Grammar, servant: Grammar) -> NominalMapping:
+    """nominal_resolution of two grammars already checked to be in ANF."""
+    seed = _Binding()
+    for rs, rm in zip(servant.roots, master.roots):
+        seed.bind(rs, rm)
+
+    res = _Resolution(master, servant)
+    candidates, capped = _complete_matchings(res, seed)
+    if candidates and not capped:
+        best = _best_bindings(res, candidates)
+        if len(best) > 1:
+            raise ResolutionAmbiguity(best)
+        fwd = best[0]
+    else:
+        fwd = _greedy_fixpoint(res, seed).fwd
+        if capped and any(name not in fwd for name in names_in_order(servant, _leaf_name)):
+            raise ResolutionAmbiguity(candidates or [dict(fwd)])
+
+    pairs: list[tuple[str | None, str | None]] = []
+    for name in names_in_order(servant, _leaf_name):
+        pairs.append((name, fwd.get(name)))
+    mapped = {b for _, b in pairs if b is not None}
+    for name in names_in_order(master, _leaf_name):
+        if name not in mapped:
+            pairs.append((None, name))
+    return NominalMapping(frozenset(pairs))
+
+
+def _shared_pairs(relations: list[_Relation]) -> list[tuple[str, str]]:
+    shared = set(relations[0])
+    for rel in relations[1:]:
+        shared &= set(rel)
+    return sorted(shared)
+
+
+def _greedy_fixpoint(res: _Resolution, binding: _Binding) -> _Binding:
+    unmatched_s = list(range(len(res.servant.productions)))
+    unmatched_m = set(range(len(res.master.productions)))
+    matched: list[tuple[int, int, str]] = []
+
+    def narrow() -> bool:
+        moved = False
+        for si, mi, strength in matched:
+            relations = res.consistent(si, mi, strength, binding)
+            if not relations:
+                continue
+            for a, b in _shared_pairs(relations):
+                if binding.fwd.get(a) != b:
+                    binding.bind(a, b)
+                    moved = True
+        return moved
+
+    progress = True
+    while progress:
+        progress = False
+        for strength in ("strong", "weak"):
+            for si in list(unmatched_s):
+                options = []
+                for mi in res.candidates(si, strength):
+                    if mi not in unmatched_m:
+                        continue
+                    relations = res.consistent(si, mi, strength, binding)
+                    if relations:
+                        options.append((mi, relations))
+                if len(options) == 1:
+                    mi, relations = options[0]
+                    for a, b in _shared_pairs(relations):
+                        binding.bind(a, b)
+                    unmatched_s.remove(si)
+                    unmatched_m.remove(mi)
+                    matched.append((si, mi, strength))
+                    progress = True
+            if progress:
+                break
+        if not progress:
+            progress = narrow()
+    return binding
+
+
+def _complete_matchings(res: _Resolution, seed: _Binding,
+                        cap: int = SEARCH_NODE_CAP) -> tuple[list[dict[str, str]], bool]:
+    """Distinct full bindings reachable by pairing every servant production
+    injectively with a weakly equivalent master production, consistently
+    with the seed.  Returns (bindings, capped): capped is set when the
+    search stopped at `cap` nodes or at SEARCH_MAX_BINDINGS bindings before
+    it was done, so the bindings may be incomplete."""
+    results: list[dict[str, str]] = []
+    seen: set[tuple] = set()
+    budget = [cap]
+    capped = [False]
+
+    def dfs(current: _Binding, open_s: list[int], used_m: set[int]) -> None:
+        if budget[0] <= 0 or len(results) >= SEARCH_MAX_BINDINGS:
+            capped[0] = True
+            return
+        budget[0] -= 1
+        if not open_s:
+            key = tuple(sorted(current.fwd.items()))
+            if key not in seen:
+                seen.add(key)
+                results.append(dict(current.fwd))
+            return
+        # fail-first: expand the production with the fewest consistent options
+        scored = []
+        for si in open_s:
+            options = []
+            for mi in res.candidates(si, "weak"):
+                if mi in used_m:
+                    continue
+                for rel in res.consistent(si, mi, "weak", current):
+                    options.append((mi, rel))
+            if not options:
+                return  # dead branch
+            scored.append((len(options), si, options))
+        count, si, options = min(scored, key=lambda item: (item[0], item[1]))
+        rest = [x for x in open_s if x != si]
+        for mi, rel in options:
+            branch = current.copy()
+            for a, b in rel:
+                branch.bind(a, b)
+            dfs(branch, rest, used_m | {mi})
+
+    dfs(seed.copy(), list(range(len(res.servant.productions))), set())
+    return results, capped[0]

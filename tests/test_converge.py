@@ -21,7 +21,14 @@ from gramconv.converge import (
     structural_match,
     weak_equiv,
 )
-from gramconv.converge import _Binding, _complete_matchings, _leaf_name, _Resolution
+from gramconv.converge import (
+    ResolutionConflict,
+    _Binding,
+    _complete_matchings,
+    _greedy_fixpoint,
+    _leaf_name,
+    _Resolution,
+)
 from gramconv.grammar import (
     VALUE_INT,
     VALUE_STR,
@@ -464,6 +471,100 @@ def test_capped_search_keeps_a_complete_greedy_binding_and_refuses_a_partial_one
         assert got == {name: {**values, **planted}[name]
                        for name in names_in_order(servant, _leaf_name)}
     assert outcomes["kept"] >= 5 and outcomes["refused"] >= 5
+
+
+def _differential_pairs(count):
+    """Seeded rooted_anf and random_anf masters, each with a renamed,
+    rule-shuffled copy, a copy that also swaps + and * at random (weak-only
+    pairs), or an independent draw of the same kind as its servant."""
+    from gramconv.grammar import Plus, Star
+    rng = random.Random(29)
+
+    def swap(node):
+        if isinstance(node, (Plus, Star)) and rng.random() < 0.5:
+            return star(node.body) if isinstance(node, Plus) else plus(node.body)
+        return node
+
+    for i in range(count):
+        def draw():
+            if i % 2:
+                return random_anf(rng, vocab=rng.randint(2, 6))
+            return rooted_anf(rng, rng.randint(4, 12))
+        master = draw()
+        roll = rng.random()
+        servant = (_planted_servant(rng, master)[0] if roll < 0.4
+                   else _planted_servant(rng, master, swap)[0] if roll < 0.75 else draw())
+        yield master, servant
+
+
+def _seed_of(master, servant):
+    seed = _Binding()
+    for rs, rm in zip(servant.roots, master.roots):
+        seed.bind(rs, rm)
+    return seed
+
+
+def _outcome(resolve, master, servant):
+    try:
+        return resolve(master, servant)
+    except ResolutionError as err:
+        return type(err).__name__, str(err)
+
+
+def test_option_table_search_agrees_with_the_search_it_replaced(monkeypatch):
+    # the narrowed option table against the verbatim search that re-derived
+    # every open production's options at every node: the same bindings in
+    # the same order, the same capped flag under forced node and binding
+    # limits, the same greedy binding and the same resolution or error
+    import gramconv.converge as converge
+    from gramconv.converge import _resolve
+    seen = {"capped": 0, "unmatched": 0, "refused": 0}
+    for master, servant in _differential_pairs(400):
+        res, old = _Resolution(master, servant), oracles._Resolution(master, servant)
+        for limit in (1, 2, 7):
+            monkeypatch.setattr(converge, "SEARCH_MAX_BINDINGS", limit)
+            monkeypatch.setattr(oracles, "SEARCH_MAX_BINDINGS", limit)
+            for cap in (1, 3, 10, 50, 200, 30000):
+                got = _complete_matchings(res, _seed_of(master, servant), cap=cap)
+                want = oracles._complete_matchings(old, _seed_of(master, servant), cap)
+                assert [list(fwd.items()) for fwd in got[0]] == \
+                       [list(fwd.items()) for fwd in want[0]]
+                assert got[1] == want[1]
+                seen["capped"] += got[1]
+            seen["unmatched"] += not got[0]
+            outcome = _outcome(_resolve, master, servant)
+            assert outcome == _outcome(oracles._resolve, master, servant)
+            seen["refused"] += isinstance(outcome, tuple)
+        got = _greedy_fixpoint(res, _seed_of(master, servant)).fwd
+        want = oracles._greedy_fixpoint(old, _seed_of(master, servant)).fwd
+        assert list(got.items()) == list(want.items())
+    assert min(seen.values()) >= 3, seen
+
+
+def test_conflict_names_the_pair_that_blocks_it():
+    # duplicated master roots pass the ANF check (condition 9 compares
+    # sets), so the seed meets the master-side clash
+    master = Grammar(("x", "x"), (p("x", seq(VALUE_STR, VALUE_INT)),))
+    servant = Grammar(("A", "B"), (p("A", seq(VALUE_STR, VALUE_INT)),
+                                   p("B", seq(VALUE_INT, VALUE_STR))))
+    with pytest.raises(ResolutionConflict) as err:
+        nominal_resolution(master, servant)
+    assert err.value.bindings == (("A", "x"), ("B", "x"))
+    assert str(err.value) == "conflicting bindings: A -> x, B -> x"
+    # a built-in value meeting another name is held by its own pair
+    for held in ({}, {"str": "str"}):
+        binding = _Binding()
+        for a, b in held.items():
+            binding.bind(a, b)
+        with pytest.raises(ResolutionConflict) as err:
+            binding.bind("A", "str")
+        assert str(err.value) == "conflicting bindings: str -> str, A -> str"
+    binding = _Binding()
+    binding.bind("A", "b")
+    with pytest.raises(ResolutionConflict) as err:
+        binding.bind("A", "c")
+    assert err.value.bindings == (("A", "b"), ("A", "c"))
+
 
 def _weak_profiles(g):
     """Per defined name, its rules' signatures with the names of
