@@ -183,6 +183,8 @@ def grammar_from_json(doc) -> Grammar:
     for i, root in enumerate(roots):
         if not isinstance(root, str):
             raise InterchangeError(f"$.roots[{i}]", "root names must be strings")
+        if roots.index(root) < i:
+            raise InterchangeError(f"$.roots[{i}]", f"duplicate root {root!r}")
     raw_prods = _want(doc, "productions", list, "$")
     productions = []
     for i, raw in enumerate(raw_prods):

@@ -34,6 +34,7 @@ from .grammar import (
     Nonterminal,
     Optional,
     Plus,
+    Production,
     Selectable,
     SepListPlus,
     SepListStar,
@@ -98,6 +99,20 @@ class _Recorder:
         step = TransformStep(op, args)
         self.grammar = apply_step(self.grammar, step)
         self.trace.append(step)
+
+    def rule(self, name: str, pos: int) -> Production:
+        return self.grammar.productions[self.grammar.blocks[name][pos]]
+
+
+def _until_still(rec: _Recorder, round_, what: str, rounds: int) -> None:
+    """Run round_(rec) until a round records no step; `what` did not
+    converge if `rounds` rounds all record some."""
+    for _ in range(rounds):
+        before = len(rec.trace)
+        round_(rec)
+        if len(rec.trace) == before:
+            return
+    raise MutationError(f"{what} did not converge")
 
 
 def _is_chain_rhs(rhs: Expr) -> bool:
@@ -183,33 +198,21 @@ def _disciplined_rename(rec: _Recorder, params: dict) -> None:
             rec.do("rename", **{"from": name, "to": targets[name]})
 
 
-def _non_leaf_tops(g: Grammar) -> list[str]:
-    top_set = tops(g)
-    result = []
-    for name in names_in_order(g):
-        if name not in top_set:
-            continue
-        if any(expr_names(prod.rhs) for prod in g.rules_of(name)):
-            result.append(name)
-    return result
-
-
 def _reroot_to_top(rec: _Recorder, params: dict) -> None:
-    roots = _non_leaf_tops(rec.grammar)
+    # the roots become the tops whose rules use a nonterminal
+    top_set = tops(rec.grammar)
+    roots = [name for name in names_in_order(rec.grammar) if name in top_set
+             and any(expr_names(prod.rhs) for prod in rec.grammar.rules_of(name))]
     if tuple(roots) != rec.grammar.roots:
         rec.do("set-roots", roots=roots, previous=list(rec.grammar.roots))
 
 
-def _eliminate_unreachable(rec: _Recorder) -> None:
+def _eliminate_unreachable(rec: _Recorder, params: dict) -> None:
     g = rec.grammar
     keep = reachable(g, g.roots)
     for name in names_in_order(g):
         if name not in keep:
             rec.do("eliminate", name=name)
-
-
-def _eliminate_top(rec: _Recorder, params: dict) -> None:
-    _eliminate_unreachable(rec)
 
 
 def _extract_subgrammar(rec: _Recorder, params: dict) -> None:
@@ -218,9 +221,12 @@ def _extract_subgrammar(rec: _Recorder, params: dict) -> None:
     if missing:
         raise MutationError(
             f"extract-subgrammar: undefined nonterminal(s) {', '.join(missing)}")
+    for i, root in enumerate(roots):
+        if roots.index(root) < i:
+            raise MutationError(f"extract-subgrammar: duplicate root {root!r}")
     if tuple(roots) != rec.grammar.roots:
         rec.do("set-roots", roots=roots, previous=list(rec.grammar.roots))
-    _eliminate_unreachable(rec)
+    _eliminate_unreachable(rec, params)
 
 
 def _hoist_top_selectors(rec: _Recorder, name: str) -> None:
@@ -235,52 +241,49 @@ def _hoist_top_selectors(rec: _Recorder, name: str) -> None:
                    previous=prod.rhs)
 
 
+def _vertical_round(rec: _Recorder) -> None:
+    for name in names_in_order(rec.grammar):
+        rules = rec.grammar.rules_of(name)
+        if len(rules) == 1 and isinstance(rules[0].rhs, Choice):
+            if rules[0].label is not None:
+                rec.do("set-label", lhs=name, pos=0, label=None,
+                       previous=rules[0].label)
+            rec.do("vertical", name=name)
+        elif len(rules) > 1 and any(isinstance(r.rhs, Choice) for r in rules):
+            # several rules: split each choice rule in place, keeping the
+            # other rule boundaries (and hence the trace invertible)
+            _split_choice_rules(rec, name)
+
+
 def _all_vertical(rec: _Recorder, params: dict) -> None:
     # labels cannot survive the split of their choice across several rules,
     # and an alternative wrapped in a selectable resurfaces as a label, so
     # iterate until no choice-shaped rhs is left
-    for _ in range(64):
-        before = len(rec.trace)
-        for name in names_in_order(rec.grammar):
-            rules = rec.grammar.rules_of(name)
-            if len(rules) == 1 and isinstance(rules[0].rhs, Choice):
-                if rules[0].label is not None:
-                    rec.do("set-label", lhs=name, pos=0, label=None,
-                           previous=rules[0].label)
-                rec.do("vertical", name=name)
-            elif len(rules) > 1 and any(isinstance(r.rhs, Choice) for r in rules):
-                # several rules: split each choice rule in place, keeping the
-                # other rule boundaries (and hence the trace invertible)
-                _split_choice_rules(rec, name)
-        if len(rec.trace) == before:
-            return
-    raise MutationError("all-vertical did not converge")
+    _until_still(rec, _vertical_round, "all-vertical", 64)
 
 
 def _split_choice_rules(rec: _Recorder, name: str) -> None:
     """Replace each choice-shaped rule of `name` by one rule per alternative,
-    in place (labels are stripped first: they cannot survive the split)."""
-    while True:
-        target = None
-        for pos, prod in enumerate(rec.grammar.rules_of(name)):
-            if isinstance(prod.rhs, Choice):
-                target = (pos, prod)
-                break
-        if target is None:
-            return
-        pos, prod = target
-        if prod.label is not None:
-            rec.do("set-label", lhs=name, pos=pos, label=None, previous=prod.label)
-        alternatives = prod.rhs.alternatives
-        rec.do("set-node", lhs=name, pos=pos, path=[], expr=alternatives[0],
-               previous=prod.rhs)
-        for offset, alt in enumerate(alternatives[1:], start=1):
-            rec.do("insert-rule", lhs=name, pos=pos + offset, rhs=alt)
+    in place (labels are stripped first: they cannot survive the split).
+    Choices are flattened, so the inserted alternatives need no visit."""
+    pos = 0
+    while pos < len(rec.grammar.blocks[name]):
+        prod = rec.rule(name, pos)
+        if isinstance(prod.rhs, Choice):
+            if prod.label is not None:
+                rec.do("set-label", lhs=name, pos=pos, label=None, previous=prod.label)
+            first, *rest = prod.rhs.alternatives
+            rec.do("set-node", lhs=name, pos=pos, path=[], expr=first,
+                   previous=prod.rhs)
+            for offset, alt in enumerate(rest, start=1):
+                rec.do("insert-rule", lhs=name, pos=pos + offset, rhs=alt)
+            pos += len(rest)
+        pos += 1
 
 
 def _all_horizontal(rec: _Recorder, params: dict) -> None:
     for name in names_in_order(rec.grammar):
-        if len(rec.grammar.rules_of(name)) <= 1:
+        if len(rec.grammar.blocks[name]) <= 1:
             continue
         # nested choice rules would flatten into the merged one, and a bare
         # top-level selectable would resurface as a label, so normalize both
@@ -294,17 +297,13 @@ def _all_horizontal(rec: _Recorder, params: dict) -> None:
                 break
         # an empty-language alternative would silently vanish in the merged
         # choice; dropping it as a recorded step keeps the trace invertible
-        while True:
-            rules = rec.grammar.rules_of(name)
-            if len(rules) <= 1:
-                break
-            victim = next(((pos, prod) for pos, prod in enumerate(rules)
-                           if isinstance(prod.rhs, Empty)), None)
-            if victim is None:
-                break
-            pos, prod = victim
-            rec.do("remove-rule", lhs=name, pos=pos, rhs=prod.rhs, label=prod.label)
-        if len(rec.grammar.rules_of(name)) > 1:
+        removed = 0
+        for pos, prod in enumerate(rec.grammar.rules_of(name)):
+            if isinstance(prod.rhs, Empty) and len(rec.grammar.blocks[name]) > 1:
+                rec.do("remove-rule", lhs=name, pos=pos - removed, rhs=prod.rhs,
+                       label=prod.label)
+                removed += 1
+        if len(rec.grammar.blocks[name]) > 1:
             rec.do("horizontal", name=name)
 
 
@@ -326,29 +325,26 @@ def _nested_choice(node: Expr):
     return next((kid for kid in children(node) if isinstance(kid, Choice)), None)
 
 
-def _distribute_all(rec: _Recorder, params: dict) -> None:
+def _distribute_round(rec: _Recorder) -> None:
     # surface what distribution can surface, then fold the choices that sit
     # under repetitions (which no amount of distribution can reach)
-    for _ in range(64):
-        changed = False
-        for name in names_in_order(rec.grammar):
-            for pos, prod in enumerate(rec.grammar.rules_of(name)):
-                expanded = dnf(prod.rhs)
-                if expanded != prod.rhs:
-                    rec.do("set-node", lhs=name, pos=pos, path=[], expr=expanded,
-                           previous=prod.rhs)
-                    changed = True
-        for name in names_in_order(rec.grammar):
-            # each extract folds its offender in every rule, so re-read the rule
-            for pos in range(len(rec.grammar.rules_of(name))):
-                offender = _deepest(rec.grammar.rules_of(name)[pos].rhs, _nested_choice)
-                if offender is not None:
-                    fresh = fresh_name(name, rec.grammar.names)
-                    rec.do("extract", name=fresh, expr=offender)
-                    changed = True
-        if not changed:
-            return
-    raise MutationError("distribute-all did not converge")
+    for name in names_in_order(rec.grammar):
+        for pos, prod in enumerate(rec.grammar.rules_of(name)):
+            expanded = dnf(prod.rhs)
+            if expanded != prod.rhs:
+                rec.do("set-node", lhs=name, pos=pos, path=[], expr=expanded,
+                       previous=prod.rhs)
+    for name in names_in_order(rec.grammar):
+        # each extract folds its offender in every rule, so re-read the rule
+        for pos in range(len(rec.grammar.blocks[name])):
+            offender = _deepest(rec.rule(name, pos).rhs, _nested_choice)
+            if offender is not None:
+                fresh = fresh_name(name, rec.grammar.names)
+                rec.do("extract", name=fresh, expr=offender)
+
+
+def _distribute_all(rec: _Recorder, params: dict) -> None:
+    _until_still(rec, _distribute_round, "distribute-all", 64)
 
 
 def _potentially_horizontal_to_vertical(rec: _Recorder, params: dict) -> None:
@@ -372,33 +368,28 @@ def _inline_target(rec: _Recorder, name: str) -> dict | None:
     return {"name": name, "body": body, "index": at}
 
 
-def _remove_lazy(rec: _Recorder, params: dict) -> None:
-    while True:
-        g = rec.grammar
-        acted = False
-        for name in names_in_order(g):
-            args = _inline_target(rec, name)
-            if args is None:
-                continue
-            me = Nonterminal(name)
-            uses = []
-            for i, prod in enumerate(g.productions):
-                if prod.lhs == name:
-                    continue
-                uses.extend((i, prod) for sub in subterms(prod.rhs) if sub == me)
-            chain_use = [(i, prod) for i, prod in uses if prod.rhs == me]
-            if len(uses) == 1 and chain_use:
-                host_at, host = chain_use[0]
-                rec.do("unchain", name=name, lhs=host.lhs, body=args["body"],
-                       index=args["index"])
-                acted = True
-                break
-            if len(uses) == 1 or (uses and chain_use):
-                rec.do("inline", **args)
-                acted = True
-                break
-        if not acted:
+def _remove_first_lazy(rec: _Recorder) -> None:
+    g = rec.grammar
+    for name in names_in_order(g):
+        args = _inline_target(rec, name)
+        if args is None:
+            continue
+        me = Nonterminal(name)
+        uses = [prod for prod in g.productions if prod.lhs != name
+                for sub in subterms(prod.rhs) if sub == me]
+        chain_use = [prod for prod in uses if prod.rhs == me]
+        if len(uses) == 1 and chain_use:
+            rec.do("unchain", name=name, lhs=chain_use[0].lhs, body=args["body"],
+                   index=args["index"])
             return
+        if len(uses) == 1 or (uses and chain_use):
+            rec.do("inline", **args)
+            return
+
+
+def _remove_lazy(rec: _Recorder, params: dict) -> None:
+    # each unchain or inline drops a name, so the rounds are bounded
+    _until_still(rec, _remove_first_lazy, "remove-lazy", len(rec.grammar.blocks) + 1)
 
 
 def _encode_seplists(rec: _Recorder, params: dict) -> None:
@@ -428,42 +419,47 @@ def _fold_groups(rec: _Recorder, params: dict) -> None:
     # offenders are found deepest first, so a fold leaves no offender in the
     # group it extracts, nor in the rules already scanned
     for name in names_in_order(rec.grammar):
-        for pos in range(len(rec.grammar.rules_of(name))):
+        for pos in range(len(rec.grammar.blocks[name])):
             while True:
-                offender = _deepest(rec.grammar.rules_of(name)[pos].rhs, _grouped)
+                offender = _deepest(rec.rule(name, pos).rhs, _grouped)
                 if offender is None:
                     break
                 fresh = fresh_name(name, rec.grammar.names)
                 rec.do("extract", name=fresh, expr=offender)
 
 
-def _inline_trivial(rec: _Recorder) -> None:
-    while True:
-        acted = False
-        for name in names_in_order(rec.grammar):
-            rules = rec.grammar.rules_of(name)
-            if len(rules) == 1 and _is_trivial_rhs(rules[0].rhs):
-                args = _inline_target(rec, name)
-                if args is not None:
-                    rec.do("inline", **args)
-                    acted = True
-                    break
-        if not acted:
-            return
+def _inline_first_trivial(rec: _Recorder) -> None:
+    for name in names_in_order(rec.grammar):
+        rules = rec.grammar.rules_of(name)
+        if len(rules) == 1 and _is_trivial_rhs(rules[0].rhs):
+            args = _inline_target(rec, name)
+            if args is not None:
+                rec.do("inline", **args)
+                return
 
 
 def _fix_chain_mixing(rec: _Recorder) -> None:
-    # a scoped extract edits only the block it folds in, and each one leaves
-    # that block one non-chain rule fewer
+    # a scoped extract turns its rule into a chain rule and edits only the
+    # block it folds in; the chain rules before it hold no composite body,
+    # so one pass in block order extracts each non-chain rule in turn
     for name in names_in_order(rec.grammar):
-        while True:
-            rules = rec.grammar.rules_of(name)
-            flags = [_is_chain_rhs(prod.rhs) for prod in rules]
-            if all(flags) or not any(flags):
-                break
-            body = next(prod.rhs for prod in rules if not _is_chain_rhs(prod.rhs))
-            fresh = fresh_name(name, rec.grammar.names)
-            rec.do("extract", name=fresh, expr=body, scope=name)
+        flags = [_is_chain_rhs(prod.rhs) for prod in rec.grammar.rules_of(name)]
+        if all(flags) or not any(flags):
+            continue
+        for pos in range(len(flags)):
+            body = rec.rule(name, pos).rhs
+            if not _is_chain_rhs(body):
+                fresh = fresh_name(name, rec.grammar.names)
+                rec.do("extract", name=fresh, expr=body, scope=name)
+
+
+def _closing_round(rec: _Recorder) -> None:
+    # each inline drops a name, so the rounds are bounded
+    _until_still(rec, _inline_first_trivial, "inline-trivial",
+                 len(rec.grammar.blocks) + 1)
+    _fix_chain_mixing(rec)
+    _reroot_to_top(rec, {})
+    _eliminate_unreachable(rec, {})
 
 
 def _normalize_anf(rec: _Recorder, params: dict) -> None:
@@ -476,15 +472,7 @@ def _normalize_anf(rec: _Recorder, params: dict) -> None:
     # the closing phases can expose one another's work (inlining a trivial
     # definition may create a chain rule; dropping a leafy root may orphan
     # rules), so run them to a fixpoint
-    for _ in range(16):
-        before = rec.grammar
-        _inline_trivial(rec)
-        _fix_chain_mixing(rec)
-        _reroot_to_top(rec, params)
-        _eliminate_unreachable(rec)
-        if rec.grammar == before:
-            return
-    raise MutationError("normalize-anf did not converge")
+    _until_still(rec, _closing_round, "normalize-anf", 16)
 
 
 # kind -> (implementation, whether it discards information its trace cannot
@@ -495,7 +483,7 @@ _KINDS = {
     "remove-labels": (_remove_labels, True, ()),
     "disciplined-rename": (_disciplined_rename, False, ("convention",)),
     "reroot-to-top": (_reroot_to_top, False, ()),
-    "eliminate-top": (_eliminate_top, True, ()),
+    "eliminate-top": (_eliminate_unreachable, True, ()),
     "extract-subgrammar": (_extract_subgrammar, True, ("roots",)),
     "all-vertical": (_all_vertical, False, ()),
     "all-horizontal": (_all_horizontal, False, ()),

@@ -479,6 +479,9 @@ def set_label(g: Grammar, lhs: str, pos: int, label: str | None) -> Grammar:
 
 
 def set_roots(g: Grammar, roots) -> Grammar:
+    for i, root in enumerate(roots):
+        if roots.index(root) < i:
+            raise TransformError(f"set-roots: duplicate root {root!r}")
     return _with_productions(g, g.productions, roots)
 
 

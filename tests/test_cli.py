@@ -256,3 +256,59 @@ def test_deeply_grouped_grammar_text_recovers(tmp_path, data_dir):
                  "--notation", str(data_dir / "factorial.edd"), "--out", str(out)])
     assert code == 0
     assert deserialize(read(out)) == Grammar(("a",), (p("a", n("b")),))
+
+
+def test_converge_duplicated_root_is_domain_error(tmp_path, data_dir, capsys):
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps({"roots": ["program", "program"], "productions": [
+        {"label": None, "lhs": "program", "rhs": {"tag": "n", "name": "function"}}]}),
+        encoding="utf-8")
+    code = main(["converge", str(data_dir / "fl_master_abstract.json"), str(twice)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: $.roots[1]: duplicate root 'program'\n"
+
+
+# argv ({data} and {tmp} are filled in), exit code, and the text that the
+# error line holds, or, on success, that stdout or stderr holds
+CLI_CASES = {
+    "rename-without-convention": (
+        "mutate {data}/fl_master.json --mutation disciplined-rename --out {tmp}/o.json",
+        1, "error", "disciplined-rename needs a convention"),
+    "extract-subgrammar-with-roots": (
+        "mutate {data}/fl_master.json --mutation extract-subgrammar:binary,cond "
+        "--out {tmp}/o.json", 0, "err", "extract-subgrammar: 3 change(s)"),
+    "extract-subgrammar-without-roots": (
+        "mutate {data}/fl_master.json --mutation extract-subgrammar --out {tmp}/o.json",
+        1, "error", "extract-subgrammar needs root names"),
+    "stray-argument": (
+        "mutate {data}/fl_master.json --mutation normalize-anf:now --out {tmp}/o.json",
+        1, "error", "mutation 'normalize-anf' takes no argument"),
+    "unparse-to-stdout": (
+        "unparse {data}/fl_master.json --notation {data}/factorial.edd",
+        0, "out", "program ::="),
+    "recover-verbose-heuristics": (
+        "recover {data}/fl_master.ebnf --notation {data}/factorial.edd --out {tmp}/o.json -v",
+        0, "err", "heuristic vertical-redefinition"),
+    "malformed-json-script": (
+        "transform {data}/fl_master.json --script {tmp}/broken.json --out {tmp}/o.json",
+        1, "error", "malformed JSON"),
+    "directory-as-input": ("prodsig {tmp}", 2, "error", "is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_cli_outcomes(case, tmp_path, data_dir, capsys):
+    command, expected_code, where, text = CLI_CASES[case]
+    (tmp_path / "broken.json").write_text("[{", encoding="utf-8")
+    argv = command.format(data=data_dir, tmp=tmp_path).split()
+    code = main(argv)
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert code == expected_code
+    assert "Traceback" not in captured.err
+    if where == "error":
+        assert len(errors) == 1 and text in errors[0]
+    else:
+        assert errors == []
+        assert text in (captured.out if where == "out" else captured.err)

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from gramconv.grammar import (
+    ANYTHING,
     EMPTY,
     EPSILON,
+    VALUE_INT,
     VALUE_STR,
     Choice,
     Grammar,
@@ -15,9 +17,16 @@ from gramconv.grammar import (
     choice,
     n,
     p,
+    opt,
     plus,
     reachable,
+    render_expr,
+    render_term,
+    sel,
+    sepplus,
+    sepstar,
     seq,
+    star,
     subterms,
     t,
     tops,
@@ -342,3 +351,33 @@ def test_facts_derived_from_several_threads_at_once_agree():
             assert seen == [want] * 8
     finally:
         sys.setswitchinterval(interval)
+
+
+# one expression of every class, then nestings that need brackets
+@pytest.mark.parametrize("expr, infix, term", [
+    (EPSILON, "ε", "epsilon"),
+    (EMPTY, "φ", "empty"),
+    (ANYTHING, "α", "any"),
+    (VALUE_STR, "str", "str"),
+    (VALUE_INT, "int", "int"),
+    (t("x"), '"x"', '"x"'),
+    (n("a"), "a", "a"),
+    (sel("tag", seq(n("a"), n("b"))), "tag::(a b)", "sel(tag, seq([a, b]))"),
+    (seq(n("a"), choice(n("b"), t("x"))), 'a (b | "x")', 'seq([a, choice([b, "x"])])'),
+    (choice(seq(n("a"), n("b")), EPSILON), "a b | ε", "choice([seq([a, b]), epsilon])"),
+    (opt(plus(VALUE_INT)), "int+?", "?(+(int))"),
+    (star(choice(n("a"), ANYTHING)), "(a | α)*", "*(choice([a, any]))"),
+    (sepstar(n("a"), t(",")), '{a ","}*', 'sepstar(a, ",")'),
+    (sepplus(seq(n("a"), n("b")), choice(t(","), t(";"))), '{(a b) ("," | ";")}+',
+     'sepplus(seq([a, b]), choice([",", ";"]))'),
+])
+def test_render_every_expression_class_in_both_styles(expr, infix, term):
+    assert render_expr(expr) == infix
+    assert render_term(expr) == term
+
+
+def test_render_rejects_a_non_expression():
+    with pytest.raises(TypeError, match="not an expression"):
+        render_expr("a")
+    with pytest.raises(TypeError, match="not an expression"):
+        render_term(3)

@@ -56,6 +56,15 @@ def test_missing_fields_are_reported():
         deserialize('{"roots": [], "productions": [{"lhs": "a"}]}')
 
 
+def test_duplicated_root_is_reported_with_its_path():
+    doc = '{"roots": ["a", "b", "a"], "productions": [{"label": null, "lhs": "a", ' \
+          '"rhs": {"tag": "n", "name": "b"}}]}'
+    with pytest.raises(InterchangeError) as err:
+        deserialize(doc)
+    assert err.value.path == "$.roots[2]"
+    assert err.value.reason == "duplicate root 'a'"
+
+
 def test_deserialize_reads_back_every_depth_serialize_writes(data_dir):
     # the JSON writer recurses too, and gives out near 330 levels of
     # `( c ... )*`, sooner under a deep caller such as the test runner; that

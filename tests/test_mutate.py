@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from gramconv.grammar import (
@@ -19,17 +23,19 @@ from gramconv.grammar import (
     t,
     vocabulary,
 )
+from gramconv.interchange import serialize
 from gramconv.mutate import (
     MUTATION_KINDS,
+    NAMING_CONVENTIONS,
     Mutation,
     MutationError,
     anf_check,
     apply_convention,
     mutate,
 )
-from gramconv.transform import apply_script, bidirectionalize
+from gramconv.transform import apply_script, bidirectionalize, script_to_json
 
-from gen import corpus
+from gen import corpus, random_expressible, random_grammar
 
 
 def run(g, kind, **params):
@@ -119,6 +125,11 @@ def test_extract_subgrammar(fl_master):
 def test_extract_subgrammar_undefined_name(fl_master):
     with pytest.raises(MutationError):
         run(fl_master, "extract-subgrammar", roots=["ghost"])
+
+
+def test_extract_subgrammar_duplicated_root(fl_master):
+    with pytest.raises(MutationError, match="duplicate root 'binary'"):
+        run(fl_master, "extract-subgrammar", roots=["binary", "cond", "binary"])
 
 
 def test_all_vertical():
@@ -337,3 +348,71 @@ def test_anf_check_lists_violations_condition_by_condition():
         "condition 4: rule b nests a choice under optional",
         "condition 6: rule a contains a separator list",
     ]
+
+
+# -- exact outputs of every kind ----------------------------------------------
+
+
+def _digest_corpus() -> list[Grammar]:
+    rng = random.Random(1100)
+    draw = (random_grammar, random_expressible)
+    return [draw[i % 2](rng, max_productions=10) for i in range(1200)]
+
+
+def _digest_params(kind: str, g: Grammar, i: int) -> dict:
+    if kind == "disciplined-rename":
+        return {"convention": NAMING_CONVENTIONS[i % len(NAMING_CONVENTIONS)]}
+    if kind == "extract-subgrammar":
+        defined = list(g.blocks)
+        if i % 5 == 0:
+            return {"roots": ["zz-undefined"]}
+        roots = [defined[i % len(defined)]]
+        if i % 3 == 0 and len(defined) > 1:
+            roots.append(defined[(i + 1) % len(defined)])
+        return {"roots": roots}
+    return {}
+
+
+def _outcome(g: Grammar, kind: str, params: dict) -> str:
+    try:
+        result = run(g, kind, **params)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    trace = json.dumps(script_to_json(result.trace), ensure_ascii=False)
+    return serialize(result.grammar) + trace
+
+
+# one sha256 per kind over its outcome on each grammar of the corpus: the
+# serialized result grammar and the trace, or the error type and text
+MUTATION_DIGESTS = {
+    "remove-terminals": "6dad5e65c4ad2e3ea09e4504700b1e1cc6b71d21736b134369ac0f84a89deda8",
+    "remove-selectors": "c2b6699e09a7fb49e7f4b8f5a4191d23872dc85acdd2f500659e1a8e3cd1499d",
+    "remove-labels": "a9e03b653fae50b48e5df6f5ce761bc0830fb54abd569522599861a32f13ab45",
+    "disciplined-rename": "9f079a0e6dab9f2e18f9e6f1c61462f3de129752fca90e0d49e1d08779f4470a",
+    "reroot-to-top": "bb93b40bba6ef448df48392885f77ff1a58fdc45a34a6e16bf3e9088c8cb6790",
+    "eliminate-top": "7cca006fba7e0a56227bd85806b4443daa5abc5cde81f7db92870afcd0f406cc",
+    "extract-subgrammar": "fa773935eb839b15ab6bb62744bf97a7e195b6f45d807600c7fa7acf2a07ac60",
+    "all-vertical": "551d275d9508e7c6a6e00ed18acf39616b2a17451a9c8a74e360a5a796b12cc7",
+    "all-horizontal": "7491158bbf8dc51771427176cd9bc70b400a31182565f4489b1279bb4f31c4a2",
+    "distribute-all": "9b96dc8a7eeb59f583fad396581b16e3351154004efb515766983bb1a9d7f2f5",
+    "potentially-horizontal-to-vertical": "fef716035531d073ba3c69204bf82284a5bb89a251fadbe3b60d321cef1d5756",
+    "deyaccify-all": "943ee1e356978ef67d72fb3349201721c38295a3888c1e009e4474f64eef38b1",
+    "remove-lazy": "c59ac8e211f190d86379a90dcbca28a2f265bcdaaf3b50e515cf2d963ee7cb23",
+    "normalize-anf": "a9496a336e53b9cd74e6f62b43e19e5f9c7be90ba57b6b6815f249c54a7eb4ca",
+    "fold-groups": "904a53c6a68e293806953ea134b8f32a4505254a4532f7a24721c127171b4dd8",
+    "encode-seplists": "8519164c1924692f8e2bd0f24878b9e3970d1024eaa3ddc106f786ddce7cb357",
+}
+
+
+@pytest.fixture(scope="module")
+def digest_corpus():
+    return _digest_corpus()
+
+
+@pytest.mark.parametrize("kind", MUTATION_KINDS)
+def test_every_kind_reproduces_its_pinned_outputs(kind, digest_corpus):
+    digest = hashlib.sha256()
+    for i, g in enumerate(digest_corpus):
+        digest.update(_outcome(g, kind, _digest_params(kind, g, i)).encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == MUTATION_DIGESTS[kind]

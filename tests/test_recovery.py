@@ -6,6 +6,7 @@ from gramconv.grammar import (
     Grammar,
     children,
     choice,
+    expr_names,
     n,
     opt,
     p,
@@ -257,9 +258,18 @@ def test_roundtrip_or_the_missing_roles_over_reduced_dialects(data_dir):
     assert min(outcomes.values()) > 50, outcomes
 
 
-def test_lib2to3_grammar_recovers_roundtrips_and_normalizes(data_dir):
+LIB2TO3 = {"3.11": "lib2to3_Grammar.txt", "3.8": "lib2to3_Grammar_3.8.txt"}
+
+
+def recover_lib2to3(data_dir, version):
     pgen = parse_spec((data_dir / "pgen.edd").read_text(encoding="utf-8"))
-    report = recover((data_dir / "lib2to3_Grammar.txt").read_text(encoding="utf-8"), pgen)
+    return recover((data_dir / LIB2TO3[version]).read_text(encoding="utf-8"), pgen)
+
+
+@pytest.mark.parametrize("version", LIB2TO3)
+def test_lib2to3_grammar_recovers_roundtrips_and_normalizes(data_dir, version):
+    pgen = parse_spec((data_dir / "pgen.edd").read_text(encoding="utf-8"))
+    report = recover_lib2to3(data_dir, version)
     g = report.grammar
     assert len(g.productions) == 95
     assert len(report.warnings) == 9
@@ -272,6 +282,18 @@ def test_lib2to3_grammar_recovers_roundtrips_and_normalizes(data_dir):
     anf = mutate(g, Mutation("normalize-anf")).grammar
     assert anf_check(anf) == []
     assert len(anf.productions) == 245
+
+
+def test_lib2to3_versions_differ_in_two_rules(data_dir):
+    # 3.9 moved return_stmt and yield_arg from testlist to testlist_star_expr
+    old = recover_lib2to3(data_dir, "3.8").grammar
+    new = recover_lib2to3(data_dir, "3.11").grammar
+    assert old.roots == new.roots
+    assert list(old.blocks) == list(new.blocks)
+    changed = [name for name in old.blocks if old.rules_of(name) != new.rules_of(name)]
+    assert changed == ["return_stmt", "yield_arg"]
+    assert "testlist_star_expr" in expr_names(new.rules_of("return_stmt")[0].rhs)
+    assert "testlist_star_expr" not in expr_names(old.rules_of("return_stmt")[0].rhs)
 
 
 def test_rule_starts_split_alike_with_and_without_brackets():

@@ -392,6 +392,12 @@ def test_malformed_arguments_are_rejected(fl_master, op, args):
         apply_script(fl_master, [TransformStep(op, args)])
 
 
+def test_set_roots_rejects_a_duplicated_root(fl_master):
+    step = TransformStep("set-roots", {"roots": ["program", "expr", "program"]})
+    with pytest.raises(TransformError, match="set-roots: duplicate root 'program'"):
+        apply_script(fl_master, [step])
+
+
 def test_missing_argument_message_is_kept(fl_master):
     with pytest.raises(ScriptError, match="rename: missing argument 'to'"):
         apply_script(fl_master, [TransformStep("rename", {"from": "expr"})])
