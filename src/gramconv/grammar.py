@@ -5,9 +5,10 @@ A grammar is an ordered list of production rules over ordered roots.  Several
 rules may share a left-hand side (vertical style); a horizontal definition is
 a single rule whose right-hand side is a Choice.  All values are immutable and
 hashable; every operation in this package is a pure function over them.
-Each grammar derives its rule blocks when it is built, and its used names
-and terminals the first time they are asked for; the analyses read those
-facts instead of walking the rules again.
+Each grammar derives its rule blocks when it is built, and its name index
+the first time it is asked for; a grammar built by `Grammar.edit` carries
+both from its parent.  The analyses read those facts instead of walking the
+rules again.
 """
 
 from __future__ import annotations
@@ -306,10 +307,25 @@ def p(lhs: str, rhs: Expr, label: str | None = None) -> Production:
 
 @dataclass(frozen=True)
 class Grammar:
-    """`blocks` maps each lhs to its rule positions, lhs in first-appearance
-    order, and is derived when the grammar is built; the used names and
-    terminals behind `names` are derived on first use.  None of them is a
-    field, so repr, ==, hash and fields() ignore them."""
+    """Ordered roots over ordered production rules.
+
+    Besides its two fields a grammar keeps facts about its rules, none of
+    them a field, so repr, ==, hash and fields() ignore them:
+    - `blocks` maps each lhs to its rule positions, lhs in first-appearance
+      order;
+    - the name index `_users` maps each name used in a rhs to the lhs of
+      each rule that uses it, in no particular order, as a tuple or, for a
+      single rule, as the bare lhs (`users_of` reads both); its keys are the
+      used names.  Derived on first use.
+
+    The constructor derives `blocks` from scratch, and the index when asked.
+    `edit` builds a grammar from its parent and carries the facts instead:
+    `blocks` is shared by an edit that moves no rule (rules rewritten in
+    place, or new roots) and shifted past the splice of one that does (a
+    rule appended, inserted or removed, one rule spliced into several); the
+    index, when the parent has derived it, is updated by re-reading only the
+    rules the edit removes and adds.  The index holds left-hand sides, not
+    positions, so a splice moves none of its entries."""
 
     roots: tuple[str, ...] = ()
     productions: tuple[Production, ...] = ()
@@ -319,44 +335,153 @@ class Grammar:
         for i, prod in enumerate(self.productions):
             blocks.setdefault(prod.lhs, []).append(i)
         object.__setattr__(self, "blocks", {lhs: tuple(at) for lhs, at in blocks.items()})
+        self._check_roots()
+
+    def _check_roots(self) -> None:
         for root in self.roots:
-            if root not in blocks and root not in self._used:
+            if root not in self:
                 raise GrammarError(f"declared root {root!r} is neither defined nor used")
 
+    def __contains__(self, name: str) -> bool:  # whether name is defined or used
+        return name in self.blocks or name in self._users
+
     @cached_property
-    def _used(self) -> frozenset[str]:
-        used: set[str] = set()
-        terminals: set[str] = set()
+    def _users(self) -> dict[str, str | tuple[str, ...]]:
+        users: dict[str, list[str]] = {}
         for prod in self.productions:
-            for sub in subterms(prod.rhs):
-                if isinstance(sub, Nonterminal):
-                    used.add(sub.name)
-                elif isinstance(sub, Terminal):
-                    terminals.add(sub.text)
-        self.__dict__["_terminals"] = frozenset(terminals)
-        return frozenset(used)
+            for name in _used_in(prod.rhs):
+                users.setdefault(name, []).append(prod.lhs)
+        return {name: _entry(lhss) for name, lhss in users.items()}
 
-    @cached_property
-    def _terminals(self) -> frozenset[str]:
-        self._used  # derives and stores the terminals too
-        return self.__dict__["_terminals"]
-
-    def _inherit_names(self, parent: Grammar, added: str) -> None:
-        """Take the parent's used names, plus `added`, and its terminals, if
-        the parent has derived them.  Sound for an edit that folds parent
-        subexpressions into uses of the new name `added` and keeps them in
-        that name's rule."""
-        known = parent.__dict__
-        if "_used" in known:
-            self.__dict__["_used"] = known["_used"] | {added}
-            self.__dict__["_terminals"] = known["_terminals"]
+    def users_of(self, name: str) -> tuple[str, ...]:
+        """The lhs of each rule whose rhs uses `name`, in no particular order."""
+        found = self._users.get(name, ())
+        return (found,) if isinstance(found, str) else found
 
     @property
     def names(self) -> frozenset[str]:  # every defined or used nonterminal
-        return self._used.union(self.blocks)
+        return frozenset(self._users).union(self.blocks)
 
     def rules_of(self, name: str) -> tuple[Production, ...]:
         return tuple(self.productions[i] for i in self.blocks.get(name, ()))
+
+    def edit(self, replace: dict[int, Production] | None = None, at: int | None = None,
+             removed: int = 0, insert: tuple[Production, ...] = (),
+             roots=None) -> Grammar:
+        """This grammar with the rules at the keys of `replace` rewritten in
+        place, each keeping its lhs, then its rules [at, at + removed)
+        replaced by `insert`, and with `roots` when given.  The facts are
+        carried (see the class docstring); the roots are checked as by the
+        constructor."""
+        rules = list(self.productions)
+        gone: list[Production] = []
+        added: list[Production] = []
+        for i, prod in (replace or {}).items():
+            if prod.lhs != rules[i].lhs:
+                raise GrammarError(f"rule {i} may not change its lhs in place")
+            if prod.rhs is not rules[i].rhs:
+                gone.append(rules[i])
+                added.append(prod)
+            rules[i] = prod
+        blocks = self.blocks
+        if at is not None:
+            gone += rules[at:at + removed]
+            added += insert
+            rules[at:at + removed] = insert
+            blocks = _spliced(blocks, rules, at, removed, len(insert))
+        child = object.__new__(Grammar)
+        object.__setattr__(child, "roots", self.roots if roots is None else tuple(roots))
+        object.__setattr__(child, "productions", tuple(rules))
+        object.__setattr__(child, "blocks", blocks)
+        if "_users" in self.__dict__:
+            child.__dict__["_users"] = _reindexed(self._users, gone, added)
+        child._check_roots()
+        return child
+
+
+def _used_in(expr: Expr) -> set[str]:
+    """The nonterminal names in expr."""
+    names = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Nonterminal:
+            names.add(node.name)
+        else:
+            get = _GET.get(kind)
+            if get is not None:
+                stack.extend(get(node))
+    return names
+
+
+def _spliced(blocks: dict[str, tuple[int, ...]], rules: list[Production], at: int,
+             removed: int, added: int) -> dict[str, tuple[int, ...]]:
+    """`blocks` after the rules [at, at + removed) were replaced by the
+    `added` rules now at [at, at + added) of `rules`."""
+    end, shift = at + removed, added - removed
+    new: dict[str, list[int]] = {}
+    for i in range(at, at + added):
+        new.setdefault(rules[i].lhs, []).append(i)
+    if not removed and at == len(rules) - added:  # appended: nothing shifts
+        out = dict(blocks)
+        for lhs, positions in new.items():
+            out[lhs] = out.get(lhs, ()) + tuple(positions)
+        return out
+    out = {}
+    ordered, last = True, -1
+    for lhs, positions in blocks.items():
+        if positions[-1] >= at:
+            if positions[0] >= end:
+                positions = tuple([i + shift for i in positions]) if shift else positions
+            else:
+                positions = tuple([i if i < at else i + shift for i in positions
+                                   if i < at or i >= end])
+        if lhs in new:
+            positions = tuple(sorted(positions + tuple(new.pop(lhs))))
+        if positions:
+            out[lhs] = positions
+            ordered = ordered and positions[0] > last
+            last = positions[0]
+    for lhs, positions in new.items():  # left-hand sides the grammar lacked
+        out[lhs] = tuple(positions)
+        ordered = ordered and positions[0] > last
+        last = positions[0]
+    if ordered:
+        return out
+    return dict(sorted(out.items(), key=lambda item: item[1][0]))
+
+
+def _entry(lhss: list[str]) -> str | tuple[str, ...]:
+    """A name index entry: the bare lhs for a single rule saves a tuple."""
+    return lhss[0] if len(lhss) == 1 else tuple(lhss)
+
+
+def _reindexed(users: dict[str, str | tuple[str, ...]], gone: list[Production],
+               added: list[Production]) -> dict[str, str | tuple[str, ...]]:
+    """The name index `users` after the rules `gone` were removed and the
+    rules `added` added; `users` itself when no entry changes."""
+    delta: dict[tuple[str, str], int] = {}
+    for sign, rules in ((-1, gone), (1, added)):
+        for prod in rules:
+            for name in _used_in(prod.rhs):
+                delta[name, prod.lhs] = delta.get((name, prod.lhs), 0) + sign
+    out = None
+    for (name, lhs), change in delta.items():
+        if not change:
+            continue
+        if out is None:
+            out = dict(users)
+        found = out.get(name, ())
+        lhss = [found] if isinstance(found, str) else list(found)
+        for _ in range(-change):
+            lhss.remove(lhs)
+        lhss += [lhs] * change
+        if lhss:
+            out[name] = _entry(lhss)
+        else:
+            del out[name]
+    return users if out is None else out
 
 
 def grammar(roots, productions) -> Grammar:
@@ -457,12 +582,14 @@ def names_in_order(g: Grammar, name_of=None) -> list[str]:
 
 
 def vocabulary(g: Grammar) -> Vocabulary:
-    return Vocabulary(frozenset(g.blocks), g._used, g._terminals)
+    terminals = frozenset(sub.text for prod in g.productions for sub in subterms(prod.rhs)
+                          if isinstance(sub, Terminal))
+    return Vocabulary(frozenset(g.blocks), frozenset(g._users), terminals)
 
 
 def tops(g: Grammar) -> set[str]:
     """Nonterminals defined in the grammar but never used: root candidates."""
-    return set(g.blocks).difference(g._used)
+    return set(g.blocks).difference(g._users)
 
 
 def reachable(g: Grammar, from_names) -> set[str]:

@@ -339,7 +339,7 @@ def _distribute_round(rec: _Recorder) -> None:
         for pos in range(len(rec.grammar.blocks[name])):
             offender = _deepest(rec.rule(name, pos).rhs, _nested_choice)
             if offender is not None:
-                fresh = fresh_name(name, rec.grammar.names)
+                fresh = fresh_name(name, rec.grammar)
                 rec.do("extract", name=fresh, expr=offender)
 
 
@@ -424,7 +424,7 @@ def _fold_groups(rec: _Recorder, params: dict) -> None:
                 offender = _deepest(rec.rule(name, pos).rhs, _grouped)
                 if offender is None:
                     break
-                fresh = fresh_name(name, rec.grammar.names)
+                fresh = fresh_name(name, rec.grammar)
                 rec.do("extract", name=fresh, expr=offender)
 
 
@@ -449,7 +449,7 @@ def _fix_chain_mixing(rec: _Recorder) -> None:
         for pos in range(len(flags)):
             body = rec.rule(name, pos).rhs
             if not _is_chain_rhs(body):
-                fresh = fresh_name(name, rec.grammar.names)
+                fresh = fresh_name(name, rec.grammar)
                 rec.do("extract", name=fresh, expr=body, scope=name)
 
 

@@ -31,12 +31,14 @@ split by vertical carries no label of its own.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .grammar import (
     EPSILON,
     Choice,
+    Empty,
     Epsilon,
     Expr,
     Grammar,
@@ -60,6 +62,7 @@ from .grammar import (
     star,
     subterms,
     with_children,
+    _used_in,
 )
 from .interchange import expr_from_json, expr_to_json
 
@@ -95,30 +98,62 @@ class ScriptError(TransformError):
 # helpers
 
 
-def _with_productions(g: Grammar, productions, roots=None) -> Grammar:
+def _with_productions(g: Grammar, replace: dict[int, Production] | None = None,
+                      at: int | None = None, removed: int = 0,
+                      insert: tuple[Production, ...] = (), roots=None) -> Grammar:
+    """g edited as `Grammar.edit` describes, which carries g's facts."""
     try:
-        return Grammar(g.roots if roots is None else tuple(roots), tuple(productions))
+        return g.edit(replace, at, removed, insert, roots)
     except GrammarError as exc:
         raise TransformError(str(exc)) from exc
 
 
+def _without(g: Grammar, positions, replace: dict[int, Production] | None = None) -> Grammar:
+    """g with `replace` applied (before the first of `positions`) and its
+    rules at `positions` (ascending) dropped, in one splice from the first
+    of them to the last that puts back the rules between them."""
+    start, stop = positions[0], positions[-1] + 1
+    dropped = set(positions)
+    kept = tuple(g.productions[i] for i in range(start, stop) if i not in dropped)
+    return _with_productions(g, replace, start, stop - start, kept)
+
+
+def _rules_using(g: Grammar, names, scope: str | None = None):
+    """Positions of the rules that may use every one of `names`: all rules
+    of each lhs (`scope` only, when given) that the name index lists under
+    every one of them; every rule (of `scope`) when `names` is empty."""
+    if not names:
+        return range(len(g.productions)) if scope is None else g.blocks.get(scope, ())
+    users = [g.users_of(name) for name in names]
+    lhss = (scope,) if scope is not None else dict.fromkeys(min(users, key=len))
+    return [i for lhs in lhss if all(lhs in found for found in users)
+            for i in g.blocks[lhs]]
+
+
 def _replace_in_rules(g: Grammar, old: Expr, new: Expr,
-                      scope: str | None = None) -> list[Production] | None:
-    """g's rules with each occurrence of `old` in the rules of `scope` (all
-    rules when None) replaced by `new`; None when there is no occurrence."""
-    hit = False
-    out = list(g.productions)
-    positions = range(len(out)) if scope is None else g.blocks.get(scope, ())
-    for i in positions:
-        prod = out[i]
+                      scope: str | None = None) -> dict[int, Production]:
+    """The rules of g (of `scope` only, when given) in which `old` occurs,
+    each occurrence replaced by `new`, by position."""
+    out = {}
+    for i in _rules_using(g, _used_in(old), scope):
+        prod = g.productions[i]
         if occurs(old, prod.rhs):
-            hit = True
             out[i] = Production(prod.lhs, replace_subterm(prod.rhs, old, new), prod.label)
-    return out if hit else None
+    return out
 
 
-def fresh_name(base: str, taken: frozenset[str]) -> str:
-    """base + '_k' with the smallest k >= 1 that avoids a collision."""
+def _slot(g: Grammar, index: int | None, default: int, op: str) -> int:
+    """The rule position `index` names, `default` when it is None."""
+    if index is None:
+        return default
+    if index > len(g.productions):
+        raise TransformError(f"{op}: the grammar has no slot #{index}")
+    return index
+
+
+def fresh_name(base: str, taken) -> str:
+    """base + '_k' with the smallest k >= 1 that avoids a collision; `taken`
+    holds the names in use (a grammar holds those it defines or uses)."""
     k = 1
     while f"{base}_{k}" in taken:
         k += 1
@@ -132,9 +167,9 @@ def fresh_name(base: str, taken: frozenset[str]) -> str:
 def rename_nonterminal(g: Grammar, x: str, y: str) -> Grammar:
     """Replace every occurrence of nonterminal x (defining and applied) by y;
     roots follow."""
-    if x not in g.names:
+    if x not in g:
         raise TransformError(f"rename: nonterminal {x!r} does not occur")
-    if y in g.names:
+    if y in g:
         raise TransformError(f"rename: nonterminal {y!r} is already present")
     roots = tuple(y if r == x else r for r in g.roots)
     prods = tuple(
@@ -154,17 +189,14 @@ def extract(g: Grammar, name: str, expr: Expr, scope: str | None = None,
     the defining rule name -> expr.  With `scope`, only rules of that
     nonterminal are rewritten.  Occurrences are whole-node structural matches.
     """
-    if name in g.names:
+    if name in g:
         raise TransformError(f"extract: {name!r} is not fresh")
-    out = _replace_in_rules(g, expr, Nonterminal(name), scope)
-    if out is None:
+    at = _slot(g, index, len(g.productions), "extract")
+    hits = _replace_in_rules(g, expr, Nonterminal(name), scope)
+    if not hits:
         where = f" in rules of {scope!r}" if scope else ""
         raise TransformError(f"extract: {render_expr(expr)} does not occur{where}")
-    at = len(out) if index is None else index
-    out.insert(at, Production(name, expr))
-    result = _with_productions(g, out)
-    result._inherit_names(g, name)  # expr now sits in the rule of `name`
-    return result
+    return _with_productions(g, hits, at, insert=(Production(name, expr),))
 
 
 def _sole_definition(g: Grammar, name: str, op: str) -> tuple[int, Expr]:
@@ -186,13 +218,8 @@ def inline(g: Grammar, name: str) -> Grammar:
     """Substitute the sole definition of `name` for each of its uses and drop
     the defining rule."""
     at, body = _sole_definition(g, name, "inline")
-    out = [
-        Production(prod.lhs,
-                   replace_subterm(prod.rhs, Nonterminal(name), body),
-                   prod.label)
-        for i, prod in enumerate(g.productions) if i != at
-    ]
-    return _with_productions(g, out)
+    uses = _replace_in_rules(g, Nonterminal(name), body)
+    return _with_productions(g, uses, at, removed=1)
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +234,7 @@ def chain(g: Grammar, production: Production, target: Expr | None = None,
     if not isinstance(production.rhs, Nonterminal):
         raise TransformError("chain: the introduced rhs must be a bare nonterminal")
     fresh = production.rhs.name
-    if fresh in g.names:
+    if fresh in g:
         raise TransformError(f"chain: {fresh!r} is not fresh")
     lhs = production.lhs
     positions = g.blocks.get(lhs, ())
@@ -224,36 +251,25 @@ def chain(g: Grammar, production: Production, target: Expr | None = None,
             raise TransformError(f"chain: no rule {lhs} -> {render_expr(target)}")
         at = hits[0]
     old = g.productions[at]
-    out = list(g.productions)
-    out[at] = Production(lhs, Nonterminal(fresh), old.label)
-    out.insert(at + 1 if index is None else index, Production(fresh, old.rhs))
-    return _with_productions(g, out)
+    return _with_productions(g, {at: Production(lhs, Nonterminal(fresh), old.label)},
+                             _slot(g, index, at + 1, "chain"),
+                             insert=(Production(fresh, old.rhs),))
 
 
 def unchain(g: Grammar, name: str) -> Grammar:
     """Reverse a chain: `name` is defined once, used exactly once, and that
     use is the entire rhs of some rule."""
     at, body = _sole_definition(g, name, "unchain")
-    uses = []
-    for i, prod in enumerate(g.productions):
-        if i == at:
-            continue
-        uses.extend((i, sub) for sub in subterms(prod.rhs)
-                    if sub == Nonterminal(name))
+    me = Nonterminal(name)
+    uses = [i for i in _rules_using(g, (name,))
+            for sub in subterms(g.productions[i].rhs) if sub == me]
     if len(uses) != 1:
         raise TransformError(f"unchain: {name!r} is used {len(uses)} times, not once")
-    use_at = uses[0][0]
-    if g.productions[use_at].rhs != Nonterminal(name):
+    use = g.productions[uses[0]]
+    if use.rhs != me:
         raise TransformError(f"unchain: the use of {name!r} is not a whole rule body")
-    out = []
-    for i, prod in enumerate(g.productions):
-        if i == at:
-            continue
-        if i == use_at:
-            out.append(Production(prod.lhs, body, prod.label))
-        else:
-            out.append(prod)
-    return _with_productions(g, out)
+    return _with_productions(g, {uses[0]: Production(use.lhs, body, use.label)}, at,
+                             removed=1)
 
 
 # --------------------------------------------------------------------------
@@ -278,9 +294,7 @@ def vertical(g: Grammar, name: str) -> Grammar:
             pieces.append(Production(name, alt.body, alt.selector))
         else:
             pieces.append(Production(name, alt))
-    out = list(g.productions)
-    out[at:at + 1] = pieces
-    return _with_productions(g, out)
+    return _with_productions(g, at=at, removed=1, insert=tuple(pieces))
 
 
 def horizontal(g: Grammar, name: str) -> Grammar:
@@ -291,10 +305,7 @@ def horizontal(g: Grammar, name: str) -> Grammar:
     for i in positions:
         prod = g.productions[i]
         alts.append(sel(prod.label, prod.rhs) if prod.label else prod.rhs)
-    merged = choice(*alts)
-    out = [prod for i, prod in enumerate(g.productions) if i not in positions[1:]]
-    out[positions[0]] = Production(name, merged)
-    return _with_productions(g, out)
+    return _without(g, positions[1:], {positions[0]: Production(name, choice(*alts))})
 
 
 # --------------------------------------------------------------------------
@@ -303,23 +314,31 @@ def horizontal(g: Grammar, name: str) -> Grammar:
 # the most alternatives one sequence may distribute into
 DNF_MAX_ALTERNATIVES = 4096
 
+# the unit element seq and choice drop from their children
+_UNIT = {Sequence: Epsilon, Choice: Empty}
+
 
 def dnf(expr: Expr) -> Expr:
-    """Fully distribute sequences over choices, everywhere in the tree."""
-    if isinstance(expr, Sequence):
+    """Fully distribute sequences over choices, everywhere in the tree.  A
+    canonical subtree with nothing to distribute is returned as it is."""
+    kids = children(expr)
+    if not kids:
+        return expr
+    normal = [dnf(kid) for kid in kids]
+    if type(expr) is Sequence and Choice in map(type, normal):
         factors = []
         total = 1
-        for part in expr.parts:
-            normal = dnf(part)
-            alts = list(normal.alternatives) if isinstance(normal, Choice) else [normal]
+        for part in normal:
+            alts = part.alternatives if isinstance(part, Choice) else (part,)
             total *= len(alts)
             if total > DNF_MAX_ALTERNATIVES:
                 raise TransformError("distribute: expansion is too large")
             factors.append(alts)
-        combos = [seq(*combo) for combo in itertools.product(*factors)]
-        return choice(*combos)
-    kids = children(expr)
-    return with_children(expr, [dnf(kid) for kid in kids]) if kids else expr
+        return choice(*(seq(*combo) for combo in itertools.product(*factors)))
+    # the smart constructors would drop a unit child
+    if all(map(operator.is_, normal, kids)) and _UNIT.get(type(expr)) not in map(type, kids):
+        return expr
+    return with_children(expr, normal)
 
 
 def factor(g: Grammar, name: str, from_expr: Expr, to_expr: Expr) -> Grammar:
@@ -329,11 +348,11 @@ def factor(g: Grammar, name: str, from_expr: Expr, to_expr: Expr) -> Grammar:
         raise TransformError("factor: operands are not equivalent by distribution")
     if name not in g.blocks:
         raise TransformError(f"factor: {name!r} is not defined")
-    out = _replace_in_rules(g, from_expr, to_expr, name)
-    if out is None:
+    hits = _replace_in_rules(g, from_expr, to_expr, name)
+    if not hits:
         raise TransformError(
             f"factor: {render_expr(from_expr)} does not occur in rules of {name!r}")
-    return _with_productions(g, out)
+    return _with_productions(g, hits)
 
 
 def distribute(g: Grammar, name: str) -> Grammar:
@@ -342,15 +361,13 @@ def distribute(g: Grammar, name: str) -> Grammar:
     positions = g.blocks.get(name, ())
     if not positions:
         raise TransformError(f"distribute: {name!r} is not defined")
-    out = list(g.productions)
-    hit = False
+    out = {}
     for i in positions:
-        prod = out[i]
+        prod = g.productions[i]
         expanded = dnf(prod.rhs)
         if expanded != prod.rhs:
-            hit = True
             out[i] = Production(prod.lhs, expanded, prod.label)
-    if not hit:
+    if not out:
         raise TransformError(f"distribute: no inner choice to surface in {name!r}")
     return _with_productions(g, out)
 
@@ -398,10 +415,9 @@ def deyaccify(g: Grammar, name: str, style: str | None = None) -> Grammar:
         rhs = seq(base, star(step))
     else:
         rhs = seq(star(step), base)
-    positions = g.blocks.get(name, ())
-    out = [prod for i, prod in enumerate(g.productions) if i != positions[1]]
-    out[positions[0]] = Production(name, rhs)
-    return _with_productions(g, out)
+    positions = g.blocks[name]
+    return _with_productions(g, {positions[0]: Production(name, rhs)}, positions[1],
+                             removed=1)
 
 
 def yaccify(g: Grammar, name: str, style: str) -> Grammar:
@@ -434,9 +450,8 @@ def yaccify(g: Grammar, name: str, style: str) -> Grammar:
         raise TransformError(f"yaccify: the repeated unit of {name!r} is empty")
     me = Nonterminal(name)
     rec = seq(me, step) if style == "left" else seq(step, me)
-    out = list(g.productions)
-    out[positions[0]:positions[0] + 1] = [Production(name, base), Production(name, rec)]
-    return _with_productions(g, out)
+    return _with_productions(g, at=positions[0], removed=1,
+                             insert=(Production(name, base), Production(name, rec)))
 
 
 # --------------------------------------------------------------------------
@@ -465,36 +480,31 @@ def set_node(g: Grammar, lhs: str, pos: int, path: list[int], expr: Expr) -> Gra
     the whole rhs)."""
     at = _locate(g, lhs, pos)
     prod = g.productions[at]
-    out = list(g.productions)
-    out[at] = Production(lhs, _replace_at_path(prod.rhs, list(path), expr), prod.label)
-    return _with_productions(g, out)
+    return _with_productions(
+        g, {at: Production(lhs, _replace_at_path(prod.rhs, list(path), expr), prod.label)})
 
 
 def set_label(g: Grammar, lhs: str, pos: int, label: str | None) -> Grammar:
     at = _locate(g, lhs, pos)
-    prod = g.productions[at]
-    out = list(g.productions)
-    out[at] = Production(lhs, prod.rhs, label)
-    return _with_productions(g, out)
+    return _with_productions(g, {at: Production(lhs, g.productions[at].rhs, label)})
 
 
 def set_roots(g: Grammar, roots) -> Grammar:
     for i, root in enumerate(roots):
         if roots.index(root) < i:
             raise TransformError(f"set-roots: duplicate root {root!r}")
-    return _with_productions(g, g.productions, roots)
+    return _with_productions(g, roots=roots)
 
 
 def define(g: Grammar, name: str, rhs: Expr) -> Grammar:
-    return _with_productions(g, list(g.productions) + [Production(name, rhs)])
+    return _with_productions(g, at=len(g.productions), insert=(Production(name, rhs),))
 
 
 def eliminate(g: Grammar, name: str) -> Grammar:
     """Drop every rule of `name` (used for unreachable definitions)."""
     if name not in g.blocks:
         raise TransformError(f"eliminate: {name!r} is not defined")
-    out = [prod for prod in g.productions if prod.lhs != name]
-    return _with_productions(g, out)
+    return _without(g, g.blocks[name])
 
 
 def insert_rule(g: Grammar, lhs: str, pos: int, rhs: Expr,
@@ -508,9 +518,7 @@ def insert_rule(g: Grammar, lhs: str, pos: int, rhs: Expr,
         at = positions[pos] if pos < len(positions) else positions[-1] + 1
     else:
         at = len(g.productions)
-    out = list(g.productions)
-    out.insert(at, Production(lhs, rhs, label))
-    return _with_productions(g, out)
+    return _with_productions(g, at=at, insert=(Production(lhs, rhs, label),))
 
 
 def remove_rule(g: Grammar, lhs: str, pos: int, rhs: Expr | None = None) -> Grammar:
@@ -519,8 +527,7 @@ def remove_rule(g: Grammar, lhs: str, pos: int, rhs: Expr | None = None) -> Gram
     at = _locate(g, lhs, pos)
     if rhs is not None and g.productions[at].rhs != rhs:
         raise TransformError(f"remove-rule: rule #{pos} of {lhs!r} does not match")
-    out = [prod for i, prod in enumerate(g.productions) if i != at]
-    return _with_productions(g, out)
+    return _with_productions(g, at=at, removed=1)
 
 
 def permute(g: Grammar, lhs: str, pos: int, order: list[int]) -> Grammar:
@@ -536,9 +543,7 @@ def permute(g: Grammar, lhs: str, pos: int, order: list[int]) -> Grammar:
     new_parts: list[Expr | None] = [None] * len(parts)
     for i, target in enumerate(order):
         new_parts[target - 1] = parts[i]
-    out = list(g.productions)
-    out[at] = Production(lhs, seq(*new_parts), prod.label)
-    return _with_productions(g, out)
+    return _with_productions(g, {at: Production(lhs, seq(*new_parts), prod.label)})
 
 
 # --------------------------------------------------------------------------
@@ -588,6 +593,9 @@ class _Op:
         self.fn = fn
         self.passed = tuple(item.split(":")[0] for item in passed.split())
         self.args = dict(item.split(":") for item in (passed + recorded).split())
+        # (key, may be absent or null, test, description) of each argument
+        self.checks = tuple((key, kind.endswith("?"), *_KINDS[kind.rstrip("?")])
+                            for key, kind in self.args.items())
         self.inverse = inverse
 
 
@@ -652,12 +660,10 @@ def _checked(step: TransformStep) -> _Op:
     op = _OPS.get(step.op) if isinstance(step.op, str) else None
     if op is None:
         raise TransformError(f"unsupported operator {step.op!r}")
-    for key, kind in op.args.items():
-        optional = kind.endswith("?")
+    for key, optional, test, what in op.checks:
         if key not in step.args and not optional:
             raise TransformError(f"{step.op}: missing argument {key!r}")
         value = step.args.get(key)
-        test, what = _KINDS[kind.rstrip("?")]
         if not (value is None and optional or test(value)):
             raise TransformError(
                 f"{step.op}: argument {key!r} must be {what}, got {value!r}")

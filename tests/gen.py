@@ -10,6 +10,8 @@ Three flavors:
                       for the nominal-resolution oracle tests
   rooted_anf       -- abstract-normal-form grammars of an exact production
                       count, every name defined, for resolution at scale
+
+`renamed_copies` scales a real grammar up to many disjoint copies of it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from gramconv.grammar import (
     n,
     opt,
     plus,
+    rename_expr,
     sel,
     sepplus,
     sepstar,
@@ -253,6 +256,19 @@ def _rooted_anf_draw(rng: random.Random, size: int) -> Grammar | None:
 def corpus(seed: int, count: int, **kwargs) -> list[Grammar]:
     rng = random.Random(seed)
     return [random_grammar(rng, **kwargs) for _ in range(count)]
+
+
+def renamed_copies(g: Grammar, k: int) -> Grammar:
+    """k disjoint copies of g one after the other; copy i prefixes every
+    name with c<i>_, so the rule blocks keep their real sizes."""
+    roots: list[str] = []
+    rules: list[Production] = []
+    for i in range(k):
+        mapping = {name: f"c{i}_{name}" for name in g.names}
+        roots += [mapping[root] for root in g.roots]
+        rules += [Production(mapping[prod.lhs], rename_expr(prod.rhs, mapping), prod.label)
+                  for prod in g.productions]
+    return Grammar(tuple(roots), tuple(rules))
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ def test_lazy_facts_agree_with_a_walk_at_every_normalize_anf_step():
         _assert_facts_match_a_walk(current)
         for step in mutate(g, Mutation("normalize-anf")).trace:
             current = apply_step(current, step)
-            carried += step.op == "extract" and "_used" in vars(current)
+            carried += step.op == "extract" and "_users" in vars(current)
             _assert_facts_match_a_walk(current)
     assert carried > 20
 
@@ -298,9 +298,135 @@ def test_extract_carries_facts_that_agree_with_a_walk():
                       if not isinstance(sub, (Nonterminal, Terminal))}
         for sub in sorted(composites, key=repr):
             folded = extract(g, fresh_name("x", g.names), sub)
-            carried += "_used" in vars(folded)
+            carried += "_users" in vars(folded)
             _assert_facts_match_a_walk(folded)
     assert carried > 100
+
+
+def _assert_facts_are_fresh(g):
+    """g's facts, carried or derived, equal those the constructor derives."""
+    fresh = Grammar(g.roots, g.productions)
+    assert list(g.blocks.items()) == list(fresh.blocks.items())
+    assert set(g._users) == set(fresh._users)
+    for name, found in g._users.items():
+        assert type(found) is type(fresh._users[name])  # a bare lhs for one rule
+        assert sorted(g.users_of(name)) == sorted(fresh.users_of(name))
+    assert g.names == fresh.names
+    assert vocabulary(g) == vocabulary(fresh)
+    assert tops(g) == tops(fresh)
+
+
+def _random_step(rng, g):
+    """A step of a random operator with arguments drawn from g; many miss
+    their operator's precondition, and slots and positions may be one past
+    the end."""
+    from gramconv.grammar import children
+    from gramconv.transform import TransformStep, dnf, fresh_name
+    names = sorted(g.names) + ["zz"]
+    lhs = rng.choice(list(g.blocks) or ["zz"])
+    rules = g.rules_of(lhs)
+    pos = rng.randrange(len(rules) + 1)
+    body = rules[min(pos, len(rules) - 1)].rhs if rules else EPSILON
+    sub = rng.choice(list(subterms(body)))
+    path, node = [], body
+    while children(node) and rng.random() < 0.6:
+        path.append(rng.randrange(len(children(node))))
+        node = children(node)[path[-1]]
+    fresh = fresh_name("f", g)
+    expr = random_expr(rng, names, rng.randint(0, 2))
+    slot = rng.choice([None, rng.randrange(len(g.productions) + 1)])
+    parts = len(body.parts) if isinstance(body, Sequence) else 1
+    args = {
+        "rename": {"from": rng.choice(names), "to": fresh},
+        "extract": {"name": fresh, "expr": sub, "scope": rng.choice([None, lhs]),
+                    "index": slot},
+        "inline": {"name": rng.choice(names)},
+        "chain": {"lhs": lhs, "name": fresh, "target": body, "index": slot},
+        "unchain": {"name": rng.choice(names)},
+        "vertical": {"name": lhs},
+        "horizontal": {"name": lhs},
+        "factor": {"name": lhs, "from": sub, "to": dnf(sub)},
+        "distribute": {"name": lhs},
+        "deyaccify": {"name": lhs},
+        "yaccify": {"name": lhs, "style": rng.choice(["left", "right"])},
+        "set-node": {"lhs": lhs, "pos": pos, "path": path, "expr": expr},
+        "set-label": {"lhs": lhs, "pos": pos, "label": rng.choice([None, "l1"])},
+        "set-roots": {"roots": rng.sample(names, rng.randint(0, min(2, len(names))))},
+        "define": {"name": rng.choice([lhs, fresh]), "rhs": expr},
+        "eliminate": {"name": lhs},
+        "insert-rule": {"lhs": rng.choice([lhs, fresh]), "pos": pos, "rhs": expr},
+        "remove-rule": {"lhs": lhs, "pos": pos},
+        "permute": {"lhs": lhs, "pos": pos,
+                    "order": rng.sample(range(1, parts + 1), parts)},
+    }
+    op = rng.choice(sorted(args))
+    return TransformStep(op, args[op])
+
+
+def test_carried_facts_equal_a_fresh_derivation_at_every_step():
+    # the traces of every mutation kind, then seeded scripts over every
+    # operator, replayed step by step; half the grammars have their rules
+    # shuffled, so that blocks are scattered and splices cut through them
+    from gramconv.mutate import MUTATION_KINDS, Mutation, mutate
+    from gramconv.transform import _OPS, TransformError, apply_step
+    rng = random.Random(47)
+    grammars = corpus(47, 40, max_productions=14)
+    for g in list(grammars):
+        rules = list(g.productions)
+        rng.shuffle(rules)
+        grammars.append(Grammar(g.roots, tuple(rules)))
+    scripts = []
+    for i, g in enumerate(grammars):
+        for kind in MUTATION_KINDS:
+            params = {"convention": "CamelCase"} if kind == "disciplined-rename" else {}
+            if kind == "extract-subgrammar":
+                params = {"roots": list(g.blocks)[i % len(g.blocks):][:1]}
+            try:
+                scripts.append((g, mutate(g, Mutation(kind, params)).trace))
+            except ValueError:
+                pass
+    applied, carried = {}, {}
+    for g in grammars:
+        current, steps = g, []
+        for _ in range(400):
+            if len(steps) == 40:
+                break
+            step = _random_step(rng, current)
+            try:
+                current = apply_step(current, step)
+            except TransformError:
+                continue
+            steps.append(step)
+        scripts.append((g, steps))
+    for g, steps in scripts:
+        current = g
+        _assert_facts_are_fresh(current)  # derives the index, so the next step carries it
+        for step in steps:
+            child = apply_step(current, step)
+            key = step.op + (" scoped" if step.args.get("scope") else "")
+            applied[key] = applied.get(key, 0) + 1
+            carried[key] = carried.get(key, 0) + ("_users" in vars(child))
+            if step.op in ("set-node", "set-label", "set-roots", "factor", "distribute",
+                           "permute"):
+                assert child.blocks is current.blocks  # no rule moved
+            _assert_facts_are_fresh(child)
+            current = child
+    assert {key.split()[0] for key in applied} == set(_OPS)
+    # rename builds its grammar through the constructor; every other step
+    # carries the index its parent had derived
+    del applied["rename"], carried["rename"]
+    assert carried == applied
+    for key in ("set-node", "set-label", "extract", "extract scoped", "vertical",
+                "insert-rule", "remove-rule", "inline"):
+        assert carried[key] >= 20, (key, carried)
+
+
+def test_an_edit_keeps_each_rewritten_rule_in_its_block():
+    g = Grammar(("a",), (p("a", n("b")), p("b", t("x"))))
+    with pytest.raises(GrammarError, match="rule 1 may not change its lhs in place"):
+        g.edit({1: p("c", t("x"))})
+    with pytest.raises(GrammarError, match="declared root 'a' is neither defined nor used"):
+        g.edit(at=0, removed=1)
 
 
 def test_a_root_that_is_only_used_is_accepted():

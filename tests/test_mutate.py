@@ -33,9 +33,11 @@ from gramconv.mutate import (
     apply_convention,
     mutate,
 )
+from gramconv.notation import parse_spec
+from gramconv.recovery import recover
 from gramconv.transform import apply_script, bidirectionalize, script_to_json
 
-from gen import corpus, random_expressible, random_grammar
+from gen import corpus, random_expressible, random_grammar, renamed_copies
 
 
 def run(g, kind, **params):
@@ -416,3 +418,17 @@ def test_every_kind_reproduces_its_pinned_outputs(kind, digest_corpus):
         digest.update(_outcome(g, kind, _digest_params(kind, g, i)).encode())
         digest.update(b"\0")
     assert digest.hexdigest() == MUTATION_DIGESTS[kind]
+
+
+# the digests above come from grammars of at most 10 rules; ten renamed
+# copies of lib2to3 (950 rules) give real block sizes and long splices
+LIB2TO3_X10_DIGEST = "42324fc82e9600ee6c852c016358265b4fa52cf8e1c37d7807be5ecc3abf29e4"
+
+
+def test_normalize_anf_of_ten_lib2to3_copies_is_pinned(data_dir):
+    pgen = parse_spec((data_dir / "pgen.edd").read_text(encoding="utf-8"))
+    g = recover((data_dir / "lib2to3_Grammar.txt").read_text(encoding="utf-8"), pgen).grammar
+    copies = renamed_copies(g, 10)
+    assert len(copies.productions) == 950
+    outcome = _outcome(copies, "normalize-anf", {})
+    assert hashlib.sha256(outcome.encode()).hexdigest() == LIB2TO3_X10_DIGEST

@@ -124,6 +124,20 @@ def test_extract_scoped():
     assert scoped.rules_of("b")[0].rhs == seq(t("x"), n("c"))
 
 
+def test_extract_and_chain_reject_an_index_past_the_last_slot():
+    g = Grammar((), (p("a", seq(t("x"), n("b"))), p("b", t("y")), p("c", n("a"))))
+    with pytest.raises(TransformError, match="extract: the grammar has no slot #99"):
+        extract(g, "q", t("x"), index=99)
+    with pytest.raises(TransformError, match="chain: the grammar has no slot #4"):
+        chain(g, p("c", n("q")), index=4)
+    with pytest.raises(ScriptError, match="step 0 \\(extract\\): .*no slot #4"):
+        apply_script(g, [TransformStep("extract", {"name": "q", "expr": t("y"), "index": 4})])
+    # every slot from the first to just past the last rule is valid
+    for index in range(4):
+        assert extract(g, "q", t("x"), index=index).productions[index] == p("q", t("x"))
+        assert chain(g, p("c", n("q")), index=index).productions[index] == p("q", n("a"))
+
+
 # -- chain / unchain ---------------------------------------------------------
 
 
