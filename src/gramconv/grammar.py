@@ -321,8 +321,9 @@ class Grammar:
     The constructor derives `blocks` from scratch, and the index when asked.
     `edit` builds a grammar from its parent and carries the facts instead:
     `blocks` is shared by an edit that moves no rule (rules rewritten in
-    place, or new roots) and shifted past the splice of one that does (a
-    rule appended, inserted or removed, one rule spliced into several); the
+    place, or new roots), shifted past the splice of one that does (a rule
+    appended, inserted or removed, one rule spliced into several), and
+    derived again, as by the constructor, when a rewrite changes an lhs; the
     index, when the parent has derived it, is updated by re-reading only the
     rules the edit removes and adds.  The index holds left-hand sides, not
     positions, so a splice moves none of its entries."""
@@ -331,10 +332,8 @@ class Grammar:
     productions: tuple[Production, ...] = ()
 
     def __post_init__(self) -> None:
-        blocks: dict[str, list[int]] = {}
-        for i, prod in enumerate(self.productions):
-            blocks.setdefault(prod.lhs, []).append(i)
-        object.__setattr__(self, "blocks", {lhs: tuple(at) for lhs, at in blocks.items()})
+        rules = self.productions
+        object.__setattr__(self, "blocks", _spliced({}, rules, 0, 0, len(rules)))
         self._check_roots()
 
     def _check_roots(self) -> None:
@@ -349,7 +348,7 @@ class Grammar:
     def _users(self) -> dict[str, str | tuple[str, ...]]:
         users: dict[str, list[str]] = {}
         for prod in self.productions:
-            for name in _used_in(prod.rhs):
+            for name in used_names(prod.rhs):
                 users.setdefault(name, []).append(prod.lhs)
         return {name: _entry(lhss) for name, lhss in users.items()}
 
@@ -369,18 +368,19 @@ class Grammar:
              removed: int = 0, insert: tuple[Production, ...] = (),
              roots=None) -> Grammar:
         """This grammar with the rules at the keys of `replace` rewritten in
-        place, each keeping its lhs, then its rules [at, at + removed)
-        replaced by `insert`, and with `roots` when given.  The facts are
-        carried (see the class docstring); the roots are checked as by the
-        constructor."""
+        place (a rewrite that changes an lhs derives `blocks` again), then
+        its rules [at, at + removed) replaced by `insert`, and with `roots`
+        when given.  The facts are carried (see the class docstring); the
+        roots are checked as by the constructor."""
         rules = list(self.productions)
         gone: list[Production] = []
         added: list[Production] = []
+        moved = False  # whether a rewrite changed an lhs
         for i, prod in (replace or {}).items():
-            if prod.lhs != rules[i].lhs:
-                raise GrammarError(f"rule {i} may not change its lhs in place")
-            if prod.rhs is not rules[i].rhs:
-                gone.append(rules[i])
+            old = rules[i]
+            if prod.lhs != old.lhs or prod.rhs is not old.rhs:
+                moved = moved or prod.lhs != old.lhs
+                gone.append(old)
                 added.append(prod)
             rules[i] = prod
         blocks = self.blocks
@@ -389,6 +389,8 @@ class Grammar:
             added += insert
             rules[at:at + removed] = insert
             blocks = _spliced(blocks, rules, at, removed, len(insert))
+        if moved:  # derived again, as by the constructor
+            blocks = _spliced({}, rules, 0, 0, len(rules))
         child = object.__new__(Grammar)
         object.__setattr__(child, "roots", self.roots if roots is None else tuple(roots))
         object.__setattr__(child, "productions", tuple(rules))
@@ -399,7 +401,7 @@ class Grammar:
         return child
 
 
-def _used_in(expr: Expr) -> set[str]:
+def used_names(expr: Expr) -> set[str]:
     """The nonterminal names in expr."""
     names = set()
     stack = [expr]
@@ -464,7 +466,7 @@ def _reindexed(users: dict[str, str | tuple[str, ...]], gone: list[Production],
     delta: dict[tuple[str, str], int] = {}
     for sign, rules in ((-1, gone), (1, added)):
         for prod in rules:
-            for name in _used_in(prod.rhs):
+            for name in used_names(prod.rhs):
                 delta[name, prod.lhs] = delta.get((name, prod.lhs), 0) + sign
     out = None
     for (name, lhs), change in delta.items():
@@ -557,12 +559,6 @@ def rename_expr(expr: Expr, mapping: dict[str, str]) -> Expr:
     return rebuild(expr, step)
 
 
-def expr_names(expr: Expr) -> list[str]:
-    """Nonterminal names occurring in expr, in first-occurrence order."""
-    return list(dict.fromkeys(sub.name for sub in subterms(expr)
-                              if isinstance(sub, Nonterminal)))
-
-
 def names_in_order(g: Grammar, name_of=None) -> list[str]:
     """Left-hand sides in first-appearance order.  With `name_of`, each
     rule's lhs is followed by the names name_of gives to the subterms of its
@@ -603,7 +599,7 @@ def reachable(g: Grammar, from_names) -> set[str]:
             continue
         result.add(name)
         for prod in g.rules_of(name):
-            for ref in expr_names(prod.rhs):
+            for ref in used_names(prod.rhs):
                 if ref not in result:
                     work.append(ref)
     return result

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from .grammar import (
     EPSILON,
+    VALUE_NAMES,
     Anything,
     Choice,
     Empty,
@@ -44,7 +45,6 @@ from .grammar import (
     ValueInt,
     ValueStr,
     children,
-    expr_names,
     names_in_order,
     opt,
     reachable,
@@ -54,6 +54,7 @@ from .grammar import (
     star,
     subterms,
     tops,
+    used_names,
 )
 from .transform import (
     TransformError,
@@ -63,6 +64,7 @@ from .transform import (
     dnf,
     fresh_name,
     _sole_definition,
+    _uses,
 )
 
 
@@ -180,7 +182,6 @@ def _disciplined_rename(rec: _Recorder, params: dict) -> None:
     convention = params["convention"]
     names = names_in_order(
         rec.grammar, lambda sub: sub.name if isinstance(sub, Nonterminal) else None)
-    taken = set(names)
     targets = {name: apply_convention(convention, name) for name in names}
     by_target: dict[str, list[str]] = {}
     for name, target in targets.items():
@@ -190,9 +191,12 @@ def _disciplined_rename(rec: _Recorder, params: dict) -> None:
             raise MutationError(
                 f"convention collision: {', '.join(sorted(sources))} all map to {target!r}")
         source = sources[0]
-        if target != source and target in taken:
+        if target != source and target in rec.grammar:
             raise MutationError(
                 f"convention collision: {source!r} maps to existing name {target!r}")
+        if target != source and target in VALUE_NAMES:
+            raise MutationError(
+                f"convention collision: {source!r} maps to reserved value name {target!r}")
     for name in names:
         if targets[name] != name:
             rec.do("rename", **{"from": name, "to": targets[name]})
@@ -202,7 +206,7 @@ def _reroot_to_top(rec: _Recorder, params: dict) -> None:
     # the roots become the tops whose rules use a nonterminal
     top_set = tops(rec.grammar)
     roots = [name for name in names_in_order(rec.grammar) if name in top_set
-             and any(expr_names(prod.rhs) for prod in rec.grammar.rules_of(name))]
+             and any(used_names(prod.rhs) for prod in rec.grammar.rules_of(name))]
     if tuple(roots) != rec.grammar.roots:
         rec.do("set-roots", roots=roots, previous=list(rec.grammar.roots))
 
@@ -288,13 +292,14 @@ def _all_horizontal(rec: _Recorder, params: dict) -> None:
         # nested choice rules would flatten into the merged one, and a bare
         # top-level selectable would resurface as a label, so normalize both
         # away first (splitting can expose new selectable rules, hence the
-        # small fixpoint)
-        for _ in range(32):
-            before = len(rec.trace)
+        # fixpoint); each round that acts removes a selectable or a choice
+        # of the block, so their count bounds the rounds
+        def unnest(rec: _Recorder) -> None:
             _hoist_top_selectors(rec, name)
             _split_choice_rules(rec, name)
-            if len(rec.trace) == before:
-                break
+        nodes = sum(isinstance(sub, (Selectable, Choice))
+                    for prod in rec.grammar.rules_of(name) for sub in subterms(prod.rhs))
+        _until_still(rec, unnest, "all-horizontal", nodes + 1)
         # an empty-language alternative would silently vanish in the merged
         # choice; dropping it as a recorded step keeps the trace invertible
         removed = 0
@@ -374,10 +379,8 @@ def _remove_first_lazy(rec: _Recorder) -> None:
         args = _inline_target(rec, name)
         if args is None:
             continue
-        me = Nonterminal(name)
-        uses = [prod for prod in g.productions if prod.lhs != name
-                for sub in subterms(prod.rhs) if sub == me]
-        chain_use = [prod for prod in uses if prod.rhs == me]
+        uses = [g.productions[i] for i in _uses(g, name)]
+        chain_use = [prod for prod in uses if prod.rhs == Nonterminal(name)]
         if len(uses) == 1 and chain_use:
             rec.do("unchain", name=name, lhs=chain_use[0].lhs, body=args["body"],
                    index=args["index"])

@@ -37,6 +37,7 @@ from typing import Callable
 
 from .grammar import (
     EPSILON,
+    VALUE_NAMES,
     Choice,
     Empty,
     Epsilon,
@@ -51,7 +52,6 @@ from .grammar import (
     Star,
     children,
     choice,
-    expr_names,
     occurs,
     plus,
     render_expr,
@@ -61,8 +61,8 @@ from .grammar import (
     seq,
     star,
     subterms,
+    used_names,
     with_children,
-    _used_in,
 )
 from .interchange import expr_from_json, expr_to_json
 
@@ -130,12 +130,20 @@ def _rules_using(g: Grammar, names, scope: str | None = None):
             for i in g.blocks[lhs]]
 
 
+def _uses(g: Grammar, name: str) -> list[int]:
+    """The position of the rule holding each occurrence of `name` in a rhs,
+    once per occurrence, read from the rules the name index lists."""
+    me = Nonterminal(name)
+    return [i for i in _rules_using(g, (name,)) for sub in subterms(g.productions[i].rhs)
+            if sub == me]
+
+
 def _replace_in_rules(g: Grammar, old: Expr, new: Expr,
                       scope: str | None = None) -> dict[int, Production]:
     """The rules of g (of `scope` only, when given) in which `old` occurs,
     each occurrence replaced by `new`, by position."""
     out = {}
-    for i in _rules_using(g, _used_in(old), scope):
+    for i in _rules_using(g, used_names(old), scope):
         prod = g.productions[i]
         if occurs(old, prod.rhs):
             out[i] = Production(prod.lhs, replace_subterm(prod.rhs, old, new), prod.label)
@@ -149,6 +157,12 @@ def _slot(g: Grammar, index: int | None, default: int, op: str) -> int:
     if index > len(g.productions):
         raise TransformError(f"{op}: the grammar has no slot #{index}")
     return index
+
+
+def _unreserved(name: str, op: str) -> None:
+    """Refuse `name` for a new nonterminal when a built-in value owns it."""
+    if name in VALUE_NAMES:
+        raise TransformError(f"{op}: {name!r} is the reserved name of a built-in value")
 
 
 def fresh_name(base: str, taken) -> str:
@@ -169,14 +183,15 @@ def rename_nonterminal(g: Grammar, x: str, y: str) -> Grammar:
     roots follow."""
     if x not in g:
         raise TransformError(f"rename: nonterminal {x!r} does not occur")
+    _unreserved(y, "rename")
     if y in g:
         raise TransformError(f"rename: nonterminal {y!r} is already present")
-    roots = tuple(y if r == x else r for r in g.roots)
-    prods = tuple(
-        Production(y if prod.lhs == x else prod.lhs,
-                   rename_expr(prod.rhs, {x: y}), prod.label)
-        for prod in g.productions)
-    return Grammar(roots, prods)
+    renamed = {}
+    for i in (*g.blocks.get(x, ()), *_rules_using(g, (x,))):
+        prod = g.productions[i]
+        renamed[i] = Production(y if prod.lhs == x else prod.lhs,
+                                rename_expr(prod.rhs, {x: y}), prod.label)
+    return _with_productions(g, renamed, roots=[y if r == x else r for r in g.roots])
 
 
 # --------------------------------------------------------------------------
@@ -189,6 +204,7 @@ def extract(g: Grammar, name: str, expr: Expr, scope: str | None = None,
     the defining rule name -> expr.  With `scope`, only rules of that
     nonterminal are rewritten.  Occurrences are whole-node structural matches.
     """
+    _unreserved(name, "extract")
     if name in g:
         raise TransformError(f"extract: {name!r} is not fresh")
     at = _slot(g, index, len(g.productions), "extract")
@@ -209,7 +225,7 @@ def _sole_definition(g: Grammar, name: str, op: str) -> tuple[int, Expr]:
     if name in g.roots:
         raise TransformError(f"{op}: {name!r} is a root")
     body = g.productions[positions[0]].rhs
-    if name in expr_names(body):
+    if name in used_names(body):
         raise TransformError(f"{op}: {name!r} is self-referential")
     return positions[0], body
 
@@ -234,6 +250,7 @@ def chain(g: Grammar, production: Production, target: Expr | None = None,
     if not isinstance(production.rhs, Nonterminal):
         raise TransformError("chain: the introduced rhs must be a bare nonterminal")
     fresh = production.rhs.name
+    _unreserved(fresh, "chain")
     if fresh in g:
         raise TransformError(f"chain: {fresh!r} is not fresh")
     lhs = production.lhs
@@ -260,13 +277,11 @@ def unchain(g: Grammar, name: str) -> Grammar:
     """Reverse a chain: `name` is defined once, used exactly once, and that
     use is the entire rhs of some rule."""
     at, body = _sole_definition(g, name, "unchain")
-    me = Nonterminal(name)
-    uses = [i for i in _rules_using(g, (name,))
-            for sub in subterms(g.productions[i].rhs) if sub == me]
+    uses = _uses(g, name)
     if len(uses) != 1:
         raise TransformError(f"unchain: {name!r} is used {len(uses)} times, not once")
     use = g.productions[uses[0]]
-    if use.rhs != me:
+    if use.rhs != Nonterminal(name):
         raise TransformError(f"unchain: the use of {name!r} is not a whole rule body")
     return _with_productions(g, {uses[0]: Production(use.lhs, body, use.label)}, at,
                              removed=1)
@@ -387,7 +402,7 @@ def detect_yaccified(g: Grammar, name: str):
     for base_at, rec_at in ((0, 1), (1, 0)):
         base = g.productions[positions[base_at]].rhs
         rec = g.productions[positions[rec_at]].rhs
-        if name in expr_names(base) or not isinstance(rec, Sequence):
+        if name in used_names(base) or not isinstance(rec, Sequence):
             continue
         if sum(1 for sub in subterms(rec) if sub == me) != 1:
             continue
@@ -429,7 +444,7 @@ def yaccify(g: Grammar, name: str, style: str) -> Grammar:
     if len(positions) != 1:
         raise TransformError(f"yaccify: {name!r} must be defined by exactly one rule")
     rhs = g.productions[positions[0]].rhs
-    if name in expr_names(rhs):
+    if name in used_names(rhs):
         raise TransformError(f"yaccify: {name!r} is already recursive")
     if isinstance(rhs, Plus):
         base: Expr = rhs.body
@@ -497,6 +512,7 @@ def set_roots(g: Grammar, roots) -> Grammar:
 
 
 def define(g: Grammar, name: str, rhs: Expr) -> Grammar:
+    _unreserved(name, "define")
     return _with_productions(g, at=len(g.productions), insert=(Production(name, rhs),))
 
 
@@ -667,6 +683,9 @@ def _checked(step: TransformStep) -> _Op:
         if not (value is None and optional or test(value)):
             raise TransformError(
                 f"{step.op}: argument {key!r} must be {what}, got {value!r}")
+    for key in step.args:
+        if key not in op.args:
+            raise TransformError(f"{step.op}: unknown argument {key!r}")
     return op
 
 

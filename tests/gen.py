@@ -282,8 +282,8 @@ from gramconv.grammar import (  # noqa: E402
     Plus,
     Selectable,
     Sequence,
-    expr_names,
     subterms,
+    used_names,
     vocabulary,
 )
 from gramconv.transform import TransformStep, detect_yaccified, dnf  # noqa: E402
@@ -316,7 +316,7 @@ def invertible_steps(g: Grammar) -> list[TransformStep]:
             continue
         idx, prod = rules[0]
         body = prod.rhs
-        if prod.label is not None or name in expr_names(body):
+        if prod.label is not None or name in used_names(body):
             continue
         if isinstance(body, _FUSING):
             continue
@@ -344,7 +344,7 @@ def invertible_steps(g: Grammar) -> list[TransformStep]:
         if target in g.roots or len(rules_by.get(target, ())) != 1:
             continue
         tidx, trule = rules_by[target][0]
-        if trule.label is not None or target in expr_names(trule.rhs):
+        if trule.label is not None or target in used_names(trule.rhs):
             continue
         uses = sum(1 for j, q in enumerate(g.productions) if j != tidx
                    for s in subterms(q.rhs) if s == Nonterminal(target))
@@ -396,7 +396,7 @@ def invertible_steps(g: Grammar) -> list[TransformStep]:
         if found is None or len(rules) != 2:
             continue
         idxs = [i for i, _ in rules]
-        base_first = name not in expr_names(rules[0][1].rhs)
+        base_first = name not in used_names(rules[0][1].rhs)
         if idxs[1] == idxs[0] + 1 and base_first \
                 and all(prod.label is None for _, prod in rules):
             steps.append(TransformStep("deyaccify", {"name": name,
@@ -407,7 +407,7 @@ def invertible_steps(g: Grammar) -> list[TransformStep]:
         if len(rules) == 1 and isinstance(rules[0][1].rhs, Plus) \
                 and rules[0][1].label is None \
                 and not isinstance(rules[0][1].rhs.body, Epsilon) \
-                and name not in expr_names(rules[0][1].rhs):
+                and name not in used_names(rules[0][1].rhs):
             steps.append(TransformStep("yaccify", {"name": name, "style": "left"}))
             break
 

@@ -295,8 +295,8 @@ def test_criterion_9_oracle_equivalence():
 
 
 def _rhs_names(prod: Production):
-    from gramconv.grammar import expr_names
-    return expr_names(prod.rhs)
+    from gramconv.grammar import used_names
+    return used_names(prod.rhs)
 
 
 def _bijective_rename(g: Grammar, phi: dict[str, str]) -> Grammar:

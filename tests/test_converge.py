@@ -326,8 +326,8 @@ def test_nominal_resolution_agrees_with_oracle():
 
 
 def _names_of(prod):
-    from gramconv.grammar import expr_names
-    return expr_names(prod.rhs)
+    from gramconv.grammar import used_names
+    return used_names(prod.rhs)
 
 
 def _apply_bijection(g, phi):

@@ -412,19 +412,21 @@ def test_carried_facts_equal_a_fresh_derivation_at_every_step():
             _assert_facts_are_fresh(child)
             current = child
     assert {key.split()[0] for key in applied} == set(_OPS)
-    # rename builds its grammar through the constructor; every other step
-    # carries the index its parent had derived
-    del applied["rename"], carried["rename"]
+    # every step carries the index its parent had derived
     assert carried == applied
     for key in ("set-node", "set-label", "extract", "extract scoped", "vertical",
-                "insert-rule", "remove-rule", "inline"):
+                "insert-rule", "remove-rule", "inline", "rename"):
         assert carried[key] >= 20, (key, carried)
 
 
-def test_an_edit_keeps_each_rewritten_rule_in_its_block():
+def test_an_edit_that_changes_an_lhs_derives_the_blocks_again():
+    h = Grammar(("a",), (p("a", n("b")), p("b", t("x")), p("c", n("a")), p("b", n("c"))))
+    h.names  # derives the index, so the edit carries it
+    edited = h.edit({1: p("c", t("x")), 3: p("d", n("c"))})
+    assert list(edited.blocks) == ["a", "c", "d"]
+    assert "_users" in vars(edited)
+    _assert_facts_are_fresh(edited)
     g = Grammar(("a",), (p("a", n("b")), p("b", t("x"))))
-    with pytest.raises(GrammarError, match="rule 1 may not change its lhs in place"):
-        g.edit({1: p("c", t("x"))})
     with pytest.raises(GrammarError, match="declared root 'a' is neither defined nor used"):
         g.edit(at=0, removed=1)
 

@@ -98,6 +98,12 @@ def test_disciplined_rename_collision_is_an_error():
         run(g, "disciplined-rename", convention="lower")
 
 
+def test_disciplined_rename_refuses_a_reserved_value_name():
+    g = Grammar(("A",), (p("A", seq(n("STR"), n("B"))), p("STR", t("x")), p("B", t("y"))))
+    with pytest.raises(MutationError, match="'STR' maps to reserved value name 'str'"):
+        run(g, "disciplined-rename", convention="lower")
+
+
 def test_disciplined_rename_exempts_values(jaxb_anf):
     result = run(jaxb_anf, "disciplined-rename", convention="lower")
     sig_rule = result.grammar.rules_of("expr")[1]
@@ -150,6 +156,18 @@ def test_all_horizontal(fl_master):
     assert merged == choice(fl_master.productions[2].rhs,
                             fl_master.productions[3].rhs,
                             n("apply"), n("binary"), n("cond"))
+
+
+def test_all_horizontal_inverts_a_selector_nest_40_deep():
+    body = n("x0")
+    for k in range(40, 0, -1):
+        body = sel(f"s{k}", choice(n(f"x{k}"), body))
+    g = Grammar((), (p("a", body), p("a", n("z"))))
+    result = run(g, "all-horizontal")
+    assert result.invertible
+    assert len(result.grammar.rules_of("a")) == 1
+    inverse = [bidirectionalize(step).backward for step in reversed(result.trace)]
+    assert apply_script(result.grammar, inverse) == g
 
 
 def test_distribute_all_surfaces_and_folds():
@@ -432,3 +450,25 @@ def test_normalize_anf_of_ten_lib2to3_copies_is_pinned(data_dir):
     assert len(copies.productions) == 950
     outcome = _outcome(copies, "normalize-anf", {})
     assert hashlib.sha256(outcome.encode()).hexdigest() == LIB2TO3_X10_DIGEST
+
+
+# the two kinds that ask the name index who uses a name, on five renamed
+# copies of lib2to3 (475 rules)
+LIB2TO3_X5_DIGESTS = {
+    ("remove-lazy", None): "a897ab9be5e04ed4a563b8fddb7e5488cf82b4683769551d31c628f27d165ddb",
+    ("disciplined-rename", "UPPER"):
+        "40c79e350b8b04f312d7477425e650115c8651ffcf72bf22a61530a0992af620",
+    ("disciplined-rename", "CamelCase"):
+        "8d011947df32c9d3641b7b31a452b66557d726872154be635d926dbef7f11382",
+}
+
+
+@pytest.mark.parametrize("kind, convention", sorted(LIB2TO3_X5_DIGESTS, key=str))
+def test_index_reading_kinds_on_five_lib2to3_copies_are_pinned(kind, convention, data_dir):
+    pgen = parse_spec((data_dir / "pgen.edd").read_text(encoding="utf-8"))
+    g = recover((data_dir / "lib2to3_Grammar.txt").read_text(encoding="utf-8"), pgen).grammar
+    copies = renamed_copies(g, 5)
+    assert len(copies.productions) == 475
+    params = {"convention": convention} if convention else {}
+    outcome = _outcome(copies, kind, params)
+    assert hashlib.sha256(outcome.encode()).hexdigest() == LIB2TO3_X5_DIGESTS[kind, convention]

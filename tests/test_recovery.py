@@ -6,7 +6,6 @@ from gramconv.grammar import (
     Grammar,
     children,
     choice,
-    expr_names,
     n,
     opt,
     p,
@@ -15,6 +14,7 @@ from gramconv.grammar import (
     seq,
     star,
     t,
+    used_names,
     vocabulary,
 )
 from gramconv.mutate import Mutation, anf_check, mutate
@@ -292,8 +292,8 @@ def test_lib2to3_versions_differ_in_two_rules(data_dir):
     assert list(old.blocks) == list(new.blocks)
     changed = [name for name in old.blocks if old.rules_of(name) != new.rules_of(name)]
     assert changed == ["return_stmt", "yield_arg"]
-    assert "testlist_star_expr" in expr_names(new.rules_of("return_stmt")[0].rhs)
-    assert "testlist_star_expr" not in expr_names(old.rules_of("return_stmt")[0].rhs)
+    assert "testlist_star_expr" in used_names(new.rules_of("return_stmt")[0].rhs)
+    assert "testlist_star_expr" not in used_names(old.rules_of("return_stmt")[0].rhs)
 
 
 def test_rule_starts_split_alike_with_and_without_brackets():

@@ -419,6 +419,26 @@ def test_missing_argument_message_is_kept(fl_master):
         apply_script(fl_master, [TransformStep("negotiate", {})])
 
 
+@pytest.mark.parametrize("op, args, name", [
+    ("rename", {"from": "expr", "to": "str"}, "str"),
+    ("extract", {"name": "int", "expr": n("expr")}, "int"),
+    ("chain", {"lhs": "program", "name": "str"}, "str"),
+    ("define", {"name": "int", "rhs": t("x")}, "int"),
+])
+def test_a_step_may_not_create_a_reserved_value_name(fl_master, op, args, name):
+    with pytest.raises(ScriptError,
+                       match=f"{op}: '{name}' is the reserved name of a built-in value"):
+        apply_script(fl_master, [TransformStep(op, args)])
+
+
+def test_an_unknown_argument_is_refused(fl_master):
+    step = TransformStep("extract", {"name": "f", "expr": n("expr"), "scop": "program"})
+    with pytest.raises(ScriptError, match="extract: unknown argument 'scop'"):
+        apply_script(fl_master, [step])
+    with pytest.raises(TransformError, match="rename: unknown argument 'too'"):
+        bidirectionalize(TransformStep("rename", {"from": "a", "to": "b", "too": "c"}))
+
+
 def test_readme_documents_every_registry_operator():
     from pathlib import Path
     from gramconv.transform import _OPS
