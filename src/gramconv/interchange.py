@@ -23,6 +23,7 @@ from json.encoder import encode_basestring as _encode_str
 
 from .grammar import (
     NODE_TABLE,
+    VALUE_NAMES,
     Anything,
     Choice,
     Empty,
@@ -143,6 +144,10 @@ def serialize(g: Grammar) -> str:
     return dumps(grammar_to_json(g))
 
 
+def _reserved(name: str, path: str) -> InterchangeError:
+    return InterchangeError(path, f"{name!r} is the reserved name of a built-in value")
+
+
 def _want(doc: dict, key: str, kind, path: str):
     if not isinstance(doc, dict):
         raise InterchangeError(path, f"expected an object, got {type(doc).__name__}")
@@ -173,6 +178,8 @@ def expr_from_json(doc, path: str = "rhs") -> Expr:
         else:
             for i, kid in enumerate(value):  # a generator would cost a frame per level
                 values.append(expr_from_json(kid, f"{path}.{name}[{i}]"))
+    if tag == "n" and values[0] in VALUE_NAMES:
+        raise _reserved(values[0], f"{path}.name")
     return build(*values)
 
 
@@ -195,6 +202,8 @@ def grammar_from_json(doc) -> Grammar:
         if label is not None and not isinstance(label, str):
             raise InterchangeError(f"{path}.label", "label must be a string or null")
         lhs = _want(raw, "lhs", str, path)
+        if lhs in VALUE_NAMES:
+            raise _reserved(lhs, f"{path}.lhs")
         rhs = expr_from_json(_want(raw, "rhs", dict, path), f"{path}.rhs")
         productions.append(Production(lhs, rhs, label))
     return Grammar(tuple(roots), tuple(productions))

@@ -159,10 +159,13 @@ def _slot(g: Grammar, index: int | None, default: int, op: str) -> int:
     return index
 
 
-def _unreserved(name: str, op: str) -> None:
-    """Refuse `name` for a new nonterminal when a built-in value owns it."""
-    if name in VALUE_NAMES:
-        raise TransformError(f"{op}: {name!r} is the reserved name of a built-in value")
+def _unreserved(op: str, *names: str) -> None:
+    """Refuse `names` for nonterminals a step creates when a built-in value
+    owns one of them (the first in sorted order is named)."""
+    reserved = sorted(VALUE_NAMES.keys() & names)
+    if reserved:
+        raise TransformError(
+            f"{op}: {reserved[0]!r} is the reserved name of a built-in value")
 
 
 def fresh_name(base: str, taken) -> str:
@@ -183,7 +186,7 @@ def rename_nonterminal(g: Grammar, x: str, y: str) -> Grammar:
     roots follow."""
     if x not in g:
         raise TransformError(f"rename: nonterminal {x!r} does not occur")
-    _unreserved(y, "rename")
+    _unreserved("rename", y)
     if y in g:
         raise TransformError(f"rename: nonterminal {y!r} is already present")
     renamed = {}
@@ -204,7 +207,7 @@ def extract(g: Grammar, name: str, expr: Expr, scope: str | None = None,
     the defining rule name -> expr.  With `scope`, only rules of that
     nonterminal are rewritten.  Occurrences are whole-node structural matches.
     """
-    _unreserved(name, "extract")
+    _unreserved("extract", name)
     if name in g:
         raise TransformError(f"extract: {name!r} is not fresh")
     at = _slot(g, index, len(g.productions), "extract")
@@ -250,7 +253,7 @@ def chain(g: Grammar, production: Production, target: Expr | None = None,
     if not isinstance(production.rhs, Nonterminal):
         raise TransformError("chain: the introduced rhs must be a bare nonterminal")
     fresh = production.rhs.name
-    _unreserved(fresh, "chain")
+    _unreserved("chain", fresh)
     if fresh in g:
         raise TransformError(f"chain: {fresh!r} is not fresh")
     lhs = production.lhs
@@ -493,6 +496,7 @@ def _locate(g: Grammar, lhs: str, pos: int) -> int:
 def set_node(g: Grammar, lhs: str, pos: int, path: list[int], expr: Expr) -> Grammar:
     """Replace the subtree at `path` within rule `pos` of `lhs` (path [] is
     the whole rhs)."""
+    _unreserved("set-node", *used_names(expr))
     at = _locate(g, lhs, pos)
     prod = g.productions[at]
     return _with_productions(
@@ -512,7 +516,7 @@ def set_roots(g: Grammar, roots) -> Grammar:
 
 
 def define(g: Grammar, name: str, rhs: Expr) -> Grammar:
-    _unreserved(name, "define")
+    _unreserved("define", name, *used_names(rhs))
     return _with_productions(g, at=len(g.productions), insert=(Production(name, rhs),))
 
 
@@ -527,6 +531,7 @@ def insert_rule(g: Grammar, lhs: str, pos: int, rhs: Expr,
                 label: str | None = None) -> Grammar:
     """Insert a rule into the rule block of `lhs` at local position `pos`
     (appended to the block when pos equals the block size)."""
+    _unreserved("insert-rule", lhs, *used_names(rhs))
     positions = g.blocks.get(lhs, ())
     if pos > len(positions):
         raise TransformError(f"insert-rule: {lhs!r} has no slot #{pos}")

@@ -1,7 +1,10 @@
 import json
+import os
+import stat
 
 import pytest
 
+from gramconv import cli
 from gramconv.cli import main
 from gramconv.grammar import Grammar, n, p
 from gramconv.interchange import deserialize, serialize
@@ -294,6 +297,16 @@ CLI_CASES = {
         "transform {data}/fl_master.json --script {tmp}/broken.json --out {tmp}/o.json",
         1, "error", "malformed JSON"),
     "directory-as-input": ("prodsig {tmp}", 2, "error", "is a directory"),
+    "file-as-output-directory": (
+        "recover {data}/fl_master.ebnf --notation {data}/factorial.edd "
+        "--out {tmp}/broken.json/o.json",
+        2, "error", "broken.json/o.json: Not a directory"),
+    "output-to-full-device": (
+        "recover {data}/fl_master.ebnf --notation {data}/factorial.edd --out /dev/full",
+        2, "error", "/dev/full: No space left on device"),
+    "output-to-dev-null": (
+        "recover {data}/fl_master.ebnf --notation {data}/factorial.edd --out /dev/null",
+        0, "err", "warning: nonterminal"),
 }
 
 
@@ -312,3 +325,87 @@ def test_cli_outcomes(case, tmp_path, data_dir, capsys):
     else:
         assert errors == []
         assert text in (captured.out if where == "out" else captured.err)
+
+
+@pytest.mark.parametrize("step", [
+    {"op": "insert-rule", "args": {"lhs": "str", "pos": 0,
+                                   "rhs": {"tag": "n", "name": "expr"}}},
+    {"op": "set-node", "args": {"lhs": "program", "pos": 0, "path": [],
+                                "expr": {"tag": "n", "name": "str"}}},
+])
+def test_transform_may_not_create_a_reserved_value_name(tmp_path, data_dir, capsys, step):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([step]), encoding="utf-8")
+    out = tmp_path / "out.json"
+    code = main(["transform", str(data_dir / "fl_master.json"),
+                 "--script", str(script), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("error:") == 1
+    assert "'str' is the reserved name of a built-in value" in err
+    assert not out.exists()
+
+
+def _recover_onto(data_dir, out) -> int:
+    return main(["recover", str(data_dir / "fl_master.ebnf"),
+                 "--notation", str(data_dir / "factorial.edd"), "--out", str(out)])
+
+
+def test_an_existing_output_holds_exactly_the_new_bytes(tmp_path, data_dir):
+    expected = (data_dir / "fl_master.json").read_bytes()
+    out = tmp_path / "fl.json"
+    for old in (expected + b"x" * 5000, expected[:10], b""):  # longer, shorter, empty
+        out.write_bytes(old)
+        assert _recover_onto(data_dir, out) == 0
+        assert out.read_bytes() == expected
+
+
+def test_an_existing_output_keeps_its_inode_and_mode(tmp_path, data_dir):
+    out = tmp_path / "fl.json"
+    out.write_bytes(b"x" * 9000)
+    os.chmod(out, 0o640)
+    inode = out.stat().st_ino
+    assert _recover_onto(data_dir, out) == 0
+    assert out.stat().st_ino == inode
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.read_bytes() == (data_dir / "fl_master.json").read_bytes()
+
+
+def test_an_output_symlink_updates_its_target(tmp_path, data_dir):
+    target = tmp_path / "target.json"
+    target.write_bytes(b"x" * 9000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert _recover_onto(data_dir, link) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == (data_dir / "fl_master.json").read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_output_gets_the_default_mode_under_the_umask(tmp_path, data_dir, umask):
+    out = tmp_path / "fl.json"
+    previous = os.umask(umask)
+    try:
+        assert _recover_onto(data_dir, out) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
+def test_no_output_is_truncated_to_zero_when_opened(tmp_path, data_dir, monkeypatch):
+    # truncating an existing file to zero can stall for tens of milliseconds,
+    # so outputs are opened without O_TRUNC and cut to length after writing
+    opened = []
+    real_open = cli.os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((str(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", recording_open)
+    out = tmp_path / "anf.json"
+    for _ in range(2):  # the second run overwrites both outputs
+        assert main(["mutate", str(data_dir / "jaxb_model.json"),
+                     "--mutation", "normalize-anf", "--out", str(out)]) == 0
+    assert [path for path, _ in opened] == [str(out), f"{out}.trace"] * 2
+    assert all(not flags & os.O_TRUNC for _, flags in opened)

@@ -65,6 +65,23 @@ def test_duplicated_root_is_reported_with_its_path():
     assert err.value.reason == "duplicate root 'a'"
 
 
+@pytest.mark.parametrize("name", ["str", "int"])
+def test_a_reserved_value_name_is_refused_with_its_path(fl_master, name):
+    doc = json.loads(serialize(fl_master))
+    doc["productions"][0]["lhs"] = name
+    with pytest.raises(InterchangeError) as err:
+        deserialize(json.dumps(doc))
+    assert str(err.value) == (f"$.productions[0].lhs: {name!r} "
+                               "is the reserved name of a built-in value")
+    doc = json.loads(serialize(fl_master))
+    doc["productions"][1]["rhs"] = {"tag": "seq", "parts": [
+        {"tag": "n", "name": "expr"}, {"tag": "n", "name": name}]}
+    with pytest.raises(InterchangeError) as err:
+        deserialize(json.dumps(doc))
+    assert err.value.path == "$.productions[1].rhs.parts[1].name"
+    assert err.value.reason == f"{name!r} is the reserved name of a built-in value"
+
+
 def test_deserialize_reads_back_every_depth_serialize_writes(data_dir):
     # the JSON writer recurses too, and gives out near 330 levels of
     # `( c ... )*`, sooner under a deep caller such as the test runner; that

@@ -424,6 +424,12 @@ def test_missing_argument_message_is_kept(fl_master):
     ("extract", {"name": "int", "expr": n("expr")}, "int"),
     ("chain", {"lhs": "program", "name": "str"}, "str"),
     ("define", {"name": "int", "rhs": t("x")}, "int"),
+    ("define", {"name": "x", "rhs": n("str")}, "str"),
+    ("insert-rule", {"lhs": "str", "pos": 0, "rhs": n("expr")}, "str"),
+    ("insert-rule", {"lhs": "expr", "pos": 0, "rhs": seq(n("expr"), n("int"))}, "int"),
+    ("set-node", {"lhs": "program", "pos": 0, "path": [], "expr": n("str")}, "str"),
+    ("set-node", {"lhs": "program", "pos": 0, "path": [0],
+                  "expr": seq(n("int"), n("str"))}, "int"),
 ])
 def test_a_step_may_not_create_a_reserved_value_name(fl_master, op, args, name):
     with pytest.raises(ScriptError,
