@@ -8,15 +8,20 @@ Exit codes are uniform: 0 success, 1 domain error (recovery failure, violated
 precondition, malformed content), 2 usage error (bad flags, files that cannot
 be read or written), 3 convergence finished with a non-empty residue.
 Commands are deterministic: identical inputs produce byte-identical outputs.
-Set GRAMCONV_COLOR=0 to disable ANSI color on diagnostics.  An output is
-written in place and, when it is a regular file, cut at the end of the new
-text; a path that cannot be opened, written or cut exits 2 with an error line
-that names it.
+Set GRAMCONV_COLOR=0 to disable ANSI color on diagnostics.  An input must be
+a regular file or a pipe; anything else, such as a device, exits 2, since it
+may never end.  An output is written in place and, when it is a regular file,
+cut at the end of the new text.  A path that cannot be opened, read, written
+or cut exits 2 with an error line that names it, and so does a failed write
+to standard output.  The argument parser is built once per process; each
+call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import json
 import os
 import stat
@@ -44,8 +49,33 @@ def _fail(message: str, code: int) -> int:
 
 
 def _read_text(path: str) -> str:
+    """Read a regular file or a pipe as UTF-8.  Anything else is refused
+    before it is read, since a device such as /dev/zero never ends.  An
+    error raised after the open names the path too."""
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        mode = os.fstat(handle.fileno()).st_mode
+        if not (stat.S_ISREG(mode) or stat.S_ISFIFO(mode)):
+            raise OSError(errno.EINVAL, "not a regular file or a pipe", path)
+        try:
+            return handle.read()
+        except OSError as exc:
+            exc.filename = path
+            raise
+
+
+def _print(text: str) -> None:
+    """Write text to standard output and flush it, so that a failed write
+    exits 2 with an error line rather than failing again at exit."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        exc.filename = "standard output"
+        # drop what could not be written: the flush at exit would fail on it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def _write_text(path: str, text: str) -> None:
@@ -104,7 +134,7 @@ def cmd_unparse(args) -> int:
     if args.out:
         _write_text(args.out, text)
     else:
-        sys.stdout.write(text)
+        _print(text)
     return 0
 
 
@@ -146,18 +176,18 @@ def cmd_transform(args) -> int:
 
 
 def cmd_prodsig(args) -> int:
-    print(cv.render_prodsig_table(_load_grammar(args.grammar)))
+    _print(cv.render_prodsig_table(_load_grammar(args.grammar)) + "\n")
     return 0
 
 
 def cmd_metrics(args) -> int:
     metrics = cv.sig_metrics(_load_grammar(args.grammar))
-    print(f"productions: {metrics.productions}")
-    print(f"distinct footprints: {metrics.distinct_footprints}")
-    for fp, count in metrics.footprint_histogram.items():
-        print(f"footprint {fp}: {count}")
+    lines = [f"productions: {metrics.productions}",
+             f"distinct footprints: {metrics.distinct_footprints}"]
+    lines += [f"footprint {fp}: {count}" for fp, count in metrics.footprint_histogram.items()]
     shown = " ".join(f"{lhs}={size}" for lhs, size in metrics.signature_sizes)
-    print(f"signature sizes: {shown}".rstrip())
+    lines.append(f"signature sizes: {shown}".rstrip())
+    _print("\n".join(lines) + "\n")
     return 0
 
 
@@ -174,13 +204,16 @@ def cmd_converge(args) -> int:
     report = cv.guided_converge(master, servant, observer=observer)
     for message in report.warnings:
         print(f"warning: {message}", file=sys.stderr)
-    sys.stdout.write(cv.render_match_report(report))
+    _print(cv.render_match_report(report))
     if args.report:
         _write_text(args.report, interchange.dumps(cv.report_to_json(report)))
     return RESIDUE if report.residue else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one; `parse_args` gives each call a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="gramconv",
         description="Recover, transform, mutate and converge grammars.")

@@ -12,7 +12,9 @@ deterministic (UTF-8, two-space indent, fields in schema order), so committed
 grammar files round-trip byte-identically.  `dumps` writes those bytes: it
 lays out the containers itself, since any indent sends `json.dumps` to its
 pure-Python encoder, encodes strings with the C string encoder and leaves
-every other scalar to `json.dumps`.
+every other scalar to `json.dumps`.  It writes an expression straight from
+its fields, as the tagged object `expr_to_json` would give, so `serialize`
+walks each grammar once and builds no JSON tree of its expressions.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ _CLASS_OF_TAG = {
 }
 _TAG_OF_CLASS = {cls: tag for tag, cls in _CLASS_OF_TAG.items()}
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _TAG_OF_CLASS}
+# the key texts `dumps` writes for each class: the tag entry, then each
+# field's name with its encoded key
+_KEYS = {cls: ('"tag": ' + _encode_str(tag),
+               tuple((name, _encode_str(name) + ": ") for name in _FIELDS[cls]))
+         for cls, tag in _TAG_OF_CLASS.items()}
 
 
 def _decoder(cls: type) -> tuple:
@@ -105,7 +112,8 @@ def grammar_to_json(g: Grammar) -> dict:
 
 def dumps(doc) -> str:
     """What `json.dumps` writes for doc with a two-space indent and
-    `ensure_ascii` off, and a newline, byte for byte.  A circular document
+    `ensure_ascii` off, and a newline, byte for byte, where each expression
+    in doc stands for its `expr_to_json` object.  A circular document
     raises RecursionError, not ValueError."""
     out: list[str] = []
     _write(doc, "\n", out.append)
@@ -116,6 +124,14 @@ def dumps(doc) -> str:
 def _write(value, newline: str, write) -> None:
     if type(value) is str:
         write(_encode_str(value))
+    elif type(value) in _KEYS:  # an expression, as its expr_to_json object
+        head, keys = _KEYS[type(value)]
+        inner = newline + "  "
+        write("{" + inner + head)
+        for name, key in keys:
+            write("," + inner + key)
+            _write(getattr(value, name), inner, write)
+        write(newline + "}")
     elif isinstance(value, dict) and value:
         inner = newline + "  "
         sep = "{" + inner
@@ -141,7 +157,13 @@ def _write(value, newline: str, write) -> None:
 
 
 def serialize(g: Grammar) -> str:
-    return dumps(grammar_to_json(g))
+    """`dumps(grammar_to_json(g))`, with each rhs left for `dumps` to write."""
+    productions = []
+    for prod in g.productions:
+        if type(prod.rhs) not in _KEYS:
+            raise TypeError(f"not an expression: {prod.rhs!r}")
+        productions.append({"label": prod.label, "lhs": prod.lhs, "rhs": prod.rhs})
+    return dumps({"roots": list(g.roots), "productions": productions})
 
 
 def _reserved(name: str, path: str) -> InterchangeError:

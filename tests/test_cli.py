@@ -1,6 +1,10 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -409,3 +413,116 @@ def test_no_output_is_truncated_to_zero_when_opened(tmp_path, data_dir, monkeypa
                      "--mutation", "normalize-anf", "--out", str(out)]) == 0
     assert [path for path, _ in opened] == [str(out), f"{out}.trace"] * 2
     assert all(not flags & os.O_TRUNC for _, flags in opened)
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _converge_args(data_dir):
+    return ["converge", str(data_dir / "fl_master_abstract.json"),
+            str(data_dir / "jaxb_model.json")]
+
+
+def test_an_option_does_not_carry_over_to_the_next_call(tmp_path, data_dir, capsys):
+    report = tmp_path / "report.json"
+    assert main(_converge_args(data_dir) + ["--report", str(report)]) == 0
+    first = capsys.readouterr()
+    report.unlink()
+    assert main(_converge_args(data_dir)) == 0
+    assert not report.exists()
+    assert capsys.readouterr() == first
+
+
+def _run_case_study(data_dir, out_dir, capsys) -> list:
+    """Outputs of recover, prodsig, metrics and converge, writing into out_dir."""
+    runs = []
+    for argv in (["recover", str(data_dir / "fl_master.ebnf"), "--notation",
+                  str(data_dir / "factorial.edd"), "--out", str(out_dir / "fl.json")],
+                 ["prodsig", str(data_dir / "fl_master.json")],
+                 ["metrics", str(data_dir / "fl_master.json")],
+                 _converge_args(data_dir) + ["--report", str(out_dir / "report.json")]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err.replace(str(out_dir), "<out>")))
+    return runs + [(out_dir / name).read_bytes() for name in ("fl.json", "report.json")]
+
+
+def test_a_usage_error_leaves_the_next_call_as_a_first_call(tmp_path, data_dir, capsys):
+    cli.build_parser.cache_clear()  # the first call below builds the parser
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    expected = _run_case_study(data_dir, first, capsys)
+    for argv in (["recover", str(data_dir / "fl_master.ebnf")], ["converge", "--report"],
+                 ["metrics", "a", "b"], ["nonsense"], []):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "usage: gramconv" in capsys.readouterr().err
+    assert _run_case_study(data_dir, second, capsys) == expected
+
+
+def _gramconv(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """The CLI in a child process whose address space is capped at 1 GiB,
+    so that an unbounded read fails in the child, not on the host."""
+    source = str(Path(cli.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = source + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from gramconv.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, text=True,
+                          stderr=subprocess.PIPE, timeout=60, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_a_device_input_is_refused_before_it_is_read():
+    done = _gramconv("prodsig", "/dev/zero", stdout=subprocess.PIPE)
+    assert done.returncode == 2
+    assert done.stderr == "error: /dev/zero: not a regular file or a pipe\n"
+    assert done.stdout == ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_pipe_is_read_to_its_end(data_dir, capsys):
+    assert main(["prodsig", str(data_dir / "jaxb_model.json")]) == 0
+    expected = capsys.readouterr()
+    data = (data_dir / "jaxb_model.json").read_bytes()
+    read_end, write_end = os.pipe()
+
+    def feed() -> None:
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        assert main(["prodsig", f"/dev/fd/{read_end}"]) == 0
+    finally:
+        os.close(read_end)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="no /proc")
+def test_a_read_error_names_its_path(capsys):
+    assert main(["prodsig", "/proc/self/mem"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: /proc/self/mem: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ["prodsig {data}/fl_master.json",
+                                     "unparse {data}/fl_master.json --notation "
+                                     "{data}/factorial.edd"])
+def test_a_failed_write_to_standard_output_is_named(data_dir, command):
+    # stdout is block-buffered here, so without a flush in the command the
+    # write would fail only at exit, after main has returned
+    with open("/dev/full", "w") as full:
+        done = _gramconv(*command.format(data=data_dir).split(), stdout=full)
+    assert done.returncode == 2
+    assert done.stderr == "error: standard output: No space left on device\n"

@@ -4,12 +4,30 @@ import random
 import pytest
 
 from gramconv.cli import main
-from gramconv.grammar import Grammar, n, p, seq, t
-from gramconv.interchange import InterchangeError, deserialize, dumps, serialize
+from gramconv.grammar import (
+    NODE_TABLE,
+    Grammar,
+    Production,
+    children,
+    n,
+    p,
+    rename_expr,
+    sel,
+    seq,
+    t,
+)
+from gramconv.interchange import (
+    InterchangeError,
+    deserialize,
+    dumps,
+    expr_to_json,
+    grammar_to_json,
+    serialize,
+)
 from gramconv.notation import parse_spec
 from gramconv.recovery import recover
 
-from gen import corpus
+from gen import corpus, random_expressible, random_grammar
 
 
 def test_roundtrip_fl_master_golden(fl_master, data_dir):
@@ -176,3 +194,62 @@ def test_dumps_matches_json_indent_on_cli_traces_and_reports(tmp_path, data_dir)
     for name in ("recover.json", "anf.json.trace", "converge.json"):
         text = (tmp_path / name).read_text(encoding="utf-8")
         assert text == _indented(json.loads(text)), name
+
+
+def _non_ascii(g: Grammar) -> Grammar:
+    """g with every name and label spelt with characters the writer escapes
+    or leaves as they are, and one more rule of such a terminal."""
+    names = {name: f"{name}é😀\u2028" for name in "aa bb cc dd ee ff gg hh".split()}
+    prods = tuple(Production(names.get(prod.lhs, prod.lhs), rename_expr(prod.rhs, names),
+                             prod.label and prod.label + "λ")
+                  for prod in g.productions)
+    extra = Production("aaé😀\u2028", sel("ü\"\\", t("\t\x00ß\ufeff")), "ł")
+    return Grammar(tuple(names.get(root, root) for root in g.roots), prods + (extra,))
+
+
+def _expression_grammars() -> list[Grammar]:
+    rng = random.Random(29)
+    return [_non_ascii(draw(rng)) for _ in range(60)
+            for draw in (random_grammar, random_expressible)]
+
+
+def test_dumps_writes_expressions_as_their_json_objects():
+    seen: set[type] = set()
+    labels = 0
+    for g in _expression_grammars():
+        labels += sum(prod.label is not None for prod in g.productions)
+        stack = [prod.rhs for prod in g.productions]
+        while stack:
+            expr = stack.pop()
+            seen.add(type(expr))
+            stack.extend(children(expr))
+        rhss = [prod.rhs for prod in g.productions]
+        for doc, plain in ((rhss[0], expr_to_json(rhss[0])),
+                           ({"rhss": rhss, "roots": g.roots},
+                            {"rhss": [expr_to_json(rhs) for rhs in rhss], "roots": g.roots}),
+                           ([(rhs, None) for rhs in rhss],
+                            [[expr_to_json(rhs), None] for rhs in rhss])):
+            assert dumps(doc) == _indented(plain)
+        assert serialize(g) == _indented(grammar_to_json(g))
+    assert seen == set(NODE_TABLE) and len(seen) == 15
+    assert labels > 0
+
+
+def test_serialize_writes_the_json_tree_of_every_committed_grammar(data_dir):
+    written = 0
+    for path in sorted(data_dir.glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        if "productions" in json.loads(text):
+            g = deserialize(text)
+            assert serialize(g) == _indented(grammar_to_json(g)) == text, path.name
+            written += 1
+    assert written >= 4
+
+
+def test_a_rhs_that_is_not_an_expression_is_a_type_error():
+    g = Grammar(("a",), (Production("a", n("b")), Production("b", "oops")))
+    with pytest.raises(TypeError) as ours:
+        serialize(g)
+    with pytest.raises(TypeError) as theirs:
+        grammar_to_json(g)
+    assert str(ours.value) == str(theirs.value) == "not an expression: 'oops'"
