@@ -93,7 +93,10 @@ class Footprint:
         return Footprint.of(self.markers + other.markers)
 
     def weak(self) -> "Footprint":
-        return Footprint.of("*" if m == "+" else m for m in self.markers)
+        # + sorts just before *, so reading it as * keeps the order
+        if "+" not in self.markers:
+            return self
+        return Footprint(tuple("*" if m == "+" else m for m in self.markers))
 
     def __bool__(self) -> bool:
         return bool(self.markers)
@@ -170,18 +173,25 @@ def render_prodsig(sig: dict[str, Footprint]) -> str:
     return "{" + entries + "}"
 
 
-def _keys(sig: dict[str, Footprint]) -> dict[str, frozenset[Footprint] | None]:
-    """The weak and strong keys that `_equiv` compares; a signature whose
-    footprints are not pairwise distinct has no strong key."""
-    fps = list(sig.values())
-    strong = frozenset(fps)
-    return {"weak": frozenset(fp.weak() for fp in fps),
-            "strong": strong if len(strong) == len(fps) else None}
+_Classes = dict[Footprint, tuple[str, ...]]
+
+
+def _keys(sig: dict[str, Footprint]) -> tuple[_Classes, dict[str, frozenset[Footprint] | None]]:
+    """A signature's weak classes (each weak footprint with the names that
+    carry it, in signature order) and the weak and strong keys that `_equiv`
+    compares: the weak key is the set of the classes' footprints, and a
+    signature whose footprints are not pairwise distinct has no strong key."""
+    classes: dict[Footprint, list[str]] = {}
+    for name, fp in sig.items():
+        classes.setdefault(fp.weak(), []).append(name)
+    strong = frozenset(sig.values())
+    return ({fp: tuple(names) for fp, names in classes.items()},
+            {"weak": frozenset(classes), "strong": strong if len(strong) == len(sig) else None})
 
 
 def _equiv(p: Production, q: Production, strength: str) -> bool:
-    key = _keys(prodsig(p))[strength]
-    return key is not None and key == _keys(prodsig(q))[strength]
+    key = _keys(prodsig(p))[1][strength]
+    return key is not None and key == _keys(prodsig(q))[1][strength]
 
 
 def strong_equiv(p: Production, q: Production) -> bool:
@@ -202,9 +212,16 @@ def weak_equiv(p: Production, q: Production) -> bool:
 @dataclass(frozen=True)
 class NominalMapping:
     """Relation between two nonterminal vocabularies; None stands for the
-    unmatched marker (rendered as "omega")."""
+    unmatched marker (rendered as "omega").
+
+    A mapping made by nominal resolution also carries `indexes`, the
+    `(master, servant)` signature indexes the resolution derived, so that
+    structural matching of the same grammars reads the strong keys instead
+    of deriving them again.  It is not a field, so repr, == and hash ignore
+    it; any other mapping carries None."""
 
     pairs: frozenset[tuple[str | None, str | None]]
+    indexes = None
 
     def as_dict(self) -> dict[str, str]:
         return {a: b for a, b in self.pairs if a is not None and b is not None}
@@ -298,19 +315,43 @@ def _binds_alone(rel: _Relation) -> bool:
     return True
 
 
+def _class_relations(left: _Classes, right: _Classes) -> list[tuple[tuple[str, str], ...]]:
+    """The weak relations of `_signature_relations` from the weak classes of
+    two weakly equivalent signatures, in its order, each as its sorted pairs
+    with the omega entries dropped.  A class with one name on each side
+    gives its pair; a larger one expands as there, by permutations."""
+    per_class: list[list[tuple[tuple[str, str], ...]]] = []
+    for fp, lnames in left.items():
+        rnames = right[fp]
+        if len(lnames) == 1 == len(rnames):
+            per_class.append([((lnames[0], rnames[0]),)])
+        elif len(lnames) <= len(rnames):
+            per_class.append([tuple(zip(lnames, image))
+                              for image in itertools.permutations(rnames, len(lnames))])
+        else:
+            per_class.append([tuple(zip(domain, rnames))
+                              for domain in itertools.permutations(lnames, len(rnames))])
+    return [tuple(sorted(itertools.chain.from_iterable(combo)))
+            for combo in itertools.product(*per_class)]
+
+
 class _SignatureIndex:
-    """The signatures of one grammar's productions, each computed once, with
-    the `_keys` the equivalences compare.  Production indices are bucketed
-    by key in ascending order."""
+    """The signature facts of one grammar's productions, each derived once:
+    its signature, and from `_keys` its weak classes and the keys the
+    equivalences compare.  Production indices are bucketed by key in
+    ascending order."""
 
     def __init__(self, g: Grammar) -> None:
         self.productions = g.productions
         self.sigs = [prodsig(prod) for prod in g.productions]
+        self.classes: list[_Classes] = []
         self.keys: dict[str, list[frozenset[Footprint] | None]] = {"weak": [], "strong": []}
         self.buckets: dict[str, dict[frozenset[Footprint], list[int]]] = {
             "weak": {}, "strong": {}}
         for i, sig in enumerate(self.sigs):
-            for strength, key in _keys(sig).items():
+            classes, keys = _keys(sig)
+            self.classes.append(classes)
+            for strength, key in keys.items():
                 self.keys[strength].append(key)
                 if key is not None:
                     self.buckets[strength].setdefault(key, []).append(i)
@@ -325,7 +366,9 @@ class _Resolution:
     per strength, the option table the search and the greedy pass narrow.
     A servant production's options are its `(master production, relation)`
     pairs: the equivalent master productions in ascending order, each with
-    the relations of `relations` that bind on their own, in their order."""
+    the relations of `relations` that bind on their own, in their order.
+    The weak relations come from the two productions' weak classes in the
+    indexes; `_signature_relations` stays their definition."""
 
     def __init__(self, master: Grammar, servant: Grammar) -> None:
         self.master = _SignatureIndex(master)
@@ -341,6 +384,9 @@ class _Resolution:
         """The pair's `pair_resolution` relations, each with the lhs pair
         first and the omega entries dropped."""
         lhs = (self.servant.productions[si].lhs, self.master.productions[mi].lhs)
+        if strength == "weak":
+            return [(lhs,) + pairs for pairs in _class_relations(
+                self.servant.classes[si], self.master.classes[mi])]
         return [(lhs,) + tuple(sorted((a, b) for a, b in pairs
                                       if a is not None and b is not None))
                 for pairs in _signature_relations(
@@ -430,7 +476,9 @@ def _resolve(master: Grammar, servant: Grammar) -> NominalMapping:
     for name in names_in_order(master, _leaf_name):
         if name not in mapped:
             pairs.append((None, name))
-    return NominalMapping(frozenset(pairs))
+    mapping = NominalMapping(frozenset(pairs))
+    object.__setattr__(mapping, "indexes", (res.master, res.servant))
+    return mapping
 
 
 def _shared_pairs(relations: list[_Relation]) -> list[tuple[str, str]]:
@@ -696,13 +744,26 @@ def structural_match(master: Grammar, servant: Grammar,
                      mapping: NominalMapping) -> MatchReport:
     """Match the servant productions against the master productions under a
     total name mapping; the recorded trace rewrites the servant rules onto
-    the master shapes (modulo renaming)."""
+    the master shapes (modulo renaming).  A step-free pair is strong when
+    its rules are strongly equivalent; the strong keys are read from the
+    mapping's `indexes` when they were derived from these very rules."""
     name_map = mapping.as_dict()
     servant_names = set(names_in_order(servant, _leaf_name))
     covered = {a for a, _ in mapping.pairs if a is not None}
     missing = sorted(servant_names - covered - VALUE_NAME_SET)
     if missing:
         raise MatchError(f"mapping does not cover servant names: {', '.join(missing)}")
+
+    indexes = mapping.indexes
+    if indexes is not None and (indexes[0].productions is master.productions
+                                and indexes[1].productions is servant.productions):
+        master_keys, servant_keys = indexes[0].keys["strong"], indexes[1].keys["strong"]
+
+        def strong(si: int, mi: int) -> bool:
+            return servant_keys[si] is not None and servant_keys[si] == master_keys[mi]
+    else:
+        def strong(si: int, mi: int) -> bool:
+            return strong_equiv(servant.productions[si], master.productions[mi])
 
     matched_master: set[int] = set()
     rows: list[tuple[int, PairMatch]] = []
@@ -729,7 +790,7 @@ def structural_match(master: Grammar, servant: Grammar,
             mi, steps = best
             matched_master.add(mi)
             mprod = master.productions[mi]
-            strength = "strong" if not steps and strong_equiv(sprod, mprod) else "weak"
+            strength = "strong" if not steps and strong(si, mi) else "weak"
             trace.extend(steps)
             rows.append((si, PairMatch(sprod, mprod, strength)))
 

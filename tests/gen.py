@@ -162,7 +162,7 @@ def random_anf(rng: random.Random, vocab: int = 5) -> Grammar:
     from which everything is reachable, every other defined name used at
     least once, each nonterminal defined either by one non-chain rule or by
     several chain rules."""
-    assert 2 <= vocab <= 6
+    assert 2 <= vocab <= 8
     names = [f"n{i}" for i in range(vocab)]
     defined_count = rng.randint(2, vocab)
     defined = names[:defined_count]

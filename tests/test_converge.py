@@ -300,7 +300,7 @@ def test_nominal_resolution_agrees_with_oracle():
     rng = random.Random(77)
     unique_cases = 0
     for _ in range(60):
-        master = random_anf(rng, vocab=rng.randint(3, 5))
+        master = random_anf(rng, vocab=rng.randint(3, 8))
         names = sorted({prod.lhs for prod in master.productions}
                        | {name for prod in master.productions
                           for name in _names_of(prod)})
@@ -539,6 +539,76 @@ def test_option_table_search_agrees_with_the_search_it_replaced(monkeypatch):
         want = oracles._greedy_fixpoint(old, _seed_of(master, servant)).fwd
         assert list(got.items()) == list(want.items())
     assert min(seen.values()) >= 3, seen
+
+
+def _six_twins_master():
+    # r's six names share one footprint, so the r pair alone induces 720
+    # weak relations; their own rules tell them apart
+    names = "abcdef"
+    return Grammar(("r",), (p("r", seq(*(n(name) for name in names))),) + tuple(
+        p(name, seq(*[VALUE_INT if i < 3 else VALUE_STR] * (i % 3 + 2)))
+        for i, name in enumerate(names)))
+
+
+def _defined_table(res):
+    """The weak option table from its definitions: `_signature_relations`,
+    the lhs pair first and omega dropped, filtered by `_binds_alone`."""
+    from gramconv.converge import _binds_alone, _signature_relations
+    table = []
+    for si, sprod in enumerate(res.servant.productions):
+        options = []
+        for mi in res.candidates(si, "weak"):
+            for pairs in _signature_relations(res.servant.sigs[si], res.master.sigs[mi], "weak"):
+                rel = ((sprod.lhs, res.master.productions[mi].lhs),) + tuple(
+                    sorted((a, b) for a, b in pairs if a is not None and b is not None))
+                if _binds_alone(rel):
+                    options.append((mi, rel))
+        table.append(options)
+    return table
+
+
+def test_weak_classes_give_the_defined_option_table_and_match_strengths(
+        fl_master_abstract, jaxb_model):
+    # the option table built from the per-production weak classes, and the
+    # pair strengths read from the resolution's strong keys, against their
+    # definitions; a direct structural_match, whose mapping carries no
+    # indexes, derives the strengths itself and gives the same report
+    six = _six_twins_master()
+    six_servant = _apply_bijection(six, {name: name.upper() for name in "rabcdef"})
+    pairs = [*_differential_pairs(150), (fl_master_abstract, jaxb_model), (six, six_servant)]
+    seen = {"widest": 0, "converged": 0, "strong": 0}
+    for master, servant in pairs:
+        res = _Resolution(master, servant)
+        table = res.options("weak")
+        assert table == _defined_table(res)
+        seen["widest"] = max(seen["widest"], max(map(len, table)))
+        anf = {}
+        try:
+            report = guided_converge(master, servant,
+                                     observer=lambda phase, g: anf.setdefault(phase, g))
+        except (ResolutionError, MatchError):
+            continue
+        seen["converged"] += 1
+        # a pair is strong when no step rewrites its servant rule and the
+        # two rules are strongly equivalent
+        stepped = {(step.args["lhs"], step.args["pos"]) for step in report.structural_trace}
+        for pair in report.pairs:
+            pos = anf["servant-anf"].rules_of(pair.left.lhs).index(pair.left)
+            step_free = (pair.left.lhs, pos) not in stepped
+            assert pair.strength == ("strong" if step_free and strong_equiv(pair.left, pair.right)
+                                     else "weak")
+            seen["strong"] += pair.strength == "strong"
+        direct = structural_match(anf["master-anf"], anf["servant-anf"],
+                                  NominalMapping(report.mapping.pairs))
+        assert report.mapping.indexes is not None and direct.mapping.indexes is None
+        assert (direct.pairs, direct.residue, direct.structural_trace) == \
+            (report.pairs, report.residue, report.structural_trace)
+        # the carried keys are not read for other rules, such as the same
+        # servant rules in reverse order
+        reverse = Grammar(anf["servant-anf"].roots, anf["servant-anf"].productions[::-1])
+        assert structural_match(anf["master-anf"], reverse, report.mapping) == \
+            structural_match(anf["master-anf"], reverse, NominalMapping(report.mapping.pairs))
+    assert seen["widest"] >= 720 and seen["converged"] >= 100 and seen["strong"] >= 300, seen
 
 
 def test_conflict_names_the_pair_that_blocks_it():

@@ -258,21 +258,28 @@ def test_roundtrip_or_the_missing_roles_over_reduced_dialects(data_dir):
     assert min(outcomes.values()) > 50, outcomes
 
 
-LIB2TO3 = {"3.11": "lib2to3_Grammar.txt", "3.8": "lib2to3_Grammar_3.8.txt"}
+# version: (fixture, rules, ANF productions, names used but never defined);
+# 3.9 to 3.12 share the 3.11 file, and 2.7 has no ASYNC or AWAIT tokens
+LIB2TO3 = {"2.7": ("lib2to3_Grammar_2.7.txt", 91, 225, 7),
+           "3.6": ("lib2to3_Grammar_3.6.txt", 94, 233, 9),
+           "3.7": ("lib2to3_Grammar_3.7.txt", 95, 237, 9),
+           "3.8": ("lib2to3_Grammar_3.8.txt", 95, 245, 9),
+           "3.11": ("lib2to3_Grammar.txt", 95, 245, 9)}
 
 
 def recover_lib2to3(data_dir, version):
     pgen = parse_spec((data_dir / "pgen.edd").read_text(encoding="utf-8"))
-    return recover((data_dir / LIB2TO3[version]).read_text(encoding="utf-8"), pgen)
+    return recover((data_dir / LIB2TO3[version][0]).read_text(encoding="utf-8"), pgen)
 
 
 @pytest.mark.parametrize("version", LIB2TO3)
 def test_lib2to3_grammar_recovers_roundtrips_and_normalizes(data_dir, version):
+    _, rules, anf_rules, undefined = LIB2TO3[version]
     pgen = parse_spec((data_dir / "pgen.edd").read_text(encoding="utf-8"))
     report = recover_lib2to3(data_dir, version)
     g = report.grammar
-    assert len(g.productions) == 95
-    assert len(report.warnings) == 9
+    assert len(g.productions) == rules
+    assert len(report.warnings) == undefined
     assert all("is used but never defined" in message for _, message in report.warnings)
     # pgen writes options only in brackets, and never an option postfix
     text = unparse(g, pgen)
@@ -281,7 +288,7 @@ def test_lib2to3_grammar_recovers_roundtrips_and_normalizes(data_dir, version):
     assert unparse(again, pgen) == text
     anf = mutate(g, Mutation("normalize-anf")).grammar
     assert anf_check(anf) == []
-    assert len(anf.productions) == 245
+    assert len(anf.productions) == anf_rules
 
 
 def test_lib2to3_versions_differ_in_two_rules(data_dir):
@@ -294,6 +301,27 @@ def test_lib2to3_versions_differ_in_two_rules(data_dir):
     assert changed == ["return_stmt", "yield_arg"]
     assert "testlist_star_expr" in used_names(new.rules_of("return_stmt")[0].rhs)
     assert "testlist_star_expr" not in used_names(old.rules_of("return_stmt")[0].rhs)
+
+
+@pytest.mark.parametrize("old_version, new_version, changed, added", [
+    ("2.7", "3.6", ["decorated", "typedargslist", "varargslist", "expr_stmt",
+                    "compound_stmt", "power", "comp_for"],
+     ["async_funcdef", "annassign", "async_stmt"]),
+    ("3.6", "3.7", ["if_stmt", "while_stmt", "listmaker", "testlist_gexp", "argument"],
+     ["namedexpr_test"]),
+    ("3.7", "3.8", ["typedargslist", "varargslist"], []),
+    ("3.8", "3.11", ["return_stmt", "yield_arg"], []),
+])
+def test_lib2to3_ladder_rungs_differ_in_the_listed_rules(data_dir, old_version, new_version,
+                                                         changed, added):
+    # each rung keeps the roots and every rule name, changes the rules listed
+    # (in the older version's order) and adds the new ones (in the newer's)
+    old = recover_lib2to3(data_dir, old_version).grammar
+    new = recover_lib2to3(data_dir, new_version).grammar
+    assert old.roots == new.roots
+    assert [name for name in new.blocks if name not in old.blocks] == added
+    assert set(old.blocks) <= set(new.blocks)
+    assert [name for name in old.blocks if old.rules_of(name) != new.rules_of(name)] == changed
 
 
 def test_rule_starts_split_alike_with_and_without_brackets():
