@@ -271,15 +271,21 @@ def _signature_relations(sp: dict[str, Footprint], sq: dict[str, Footprint],
             for combo in itertools.product(*per_class)]
 
 
+def _extends(fwd: dict[str, str], rev: dict[str, str], a: str, b: str) -> bool:
+    """Whether the pair (a, b) extends the one-to-one partial map held as
+    `fwd` and its inverse `rev`."""
+    if a != b and (a in VALUE_NAME_SET or b in VALUE_NAME_SET):
+        return False  # a value binds only to itself
+    return fwd.get(a, b) == b and rev.get(b, a) == a
+
+
 class _Binding:
     def __init__(self) -> None:
         self.fwd: dict[str, str] = {}
         self.rev: dict[str, str] = {}
 
     def compatible(self, a: str, b: str) -> bool:
-        if a != b and (a in VALUE_NAME_SET or b in VALUE_NAME_SET):
-            return False  # a value binds only to itself
-        return self.fwd.get(a, b) == b and self.rev.get(b, a) == a
+        return _extends(self.fwd, self.rev, a, b)
 
     def admits(self, rel: _Relation) -> bool:
         """Whether a relation that binds on its own extends the binding: as
@@ -307,11 +313,14 @@ _Option = tuple[int, _Relation]  # (master production, relation)
 
 
 def _binds_alone(rel: _Relation) -> bool:
-    probe = _Binding()
+    """Whether `rel` binds on its own, as an empty `_Binding` would find."""
+    fwd: dict[str, str] = {}
+    rev: dict[str, str] = {}
     for a, b in rel:
-        if not probe.compatible(a, b):
+        if not _extends(fwd, rev, a, b):
             return False
-        probe.bind(a, b)
+        fwd[a] = b
+        rev[b] = a
     return True
 
 

@@ -5,6 +5,10 @@ A grammar is an ordered list of production rules over ordered roots.  Several
 rules may share a left-hand side (vertical style); a horizontal definition is
 a single rule whose right-hand side is a Choice.  All values are immutable and
 hashable; every operation in this package is a pure function over them.
+Every node class declares its slots and `Production` is a slotted
+dataclass, so neither carries an instance dict.  A grammar that `recover` or
+`deserialize` reads holds one leaf object per name and per terminal text,
+shared by all its occurrences (see `shared_leaf`).
 Each grammar derives its rule blocks when it is built, and its name index
 the first time it is asked for; a grammar built by `Grammar.edit` carries
 both from its parent.  The analyses read those facts instead of walking the
@@ -38,29 +42,41 @@ class Expr:
 class Epsilon(Expr):
     """The empty string."""
 
+    __slots__ = ()
+
 
 @dataclass(frozen=True)
 class Empty(Expr):
     """The empty language (no derivation at all)."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
 class Anything(Expr):
     """A wildcard standing for an arbitrary, unconstrained subtree."""
 
+    __slots__ = ()
+
 
 @dataclass(frozen=True)
 class ValueStr(Expr):
     """Built-in string value; participates in signatures under the name 'str'."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
 class ValueInt(Expr):
     """Built-in integer value; participates in signatures under the name 'int'."""
 
+    __slots__ = ()
+
 
 @dataclass(frozen=True)
 class Terminal(Expr):
+    __slots__ = ("text",)
+
     text: str
 
     def __post_init__(self) -> None:
@@ -70,6 +86,8 @@ class Terminal(Expr):
 
 @dataclass(frozen=True)
 class Nonterminal(Expr):
+    __slots__ = ("name",)
+
     name: str
 
     def __post_init__(self) -> None:
@@ -81,12 +99,16 @@ class Nonterminal(Expr):
 class Selectable(Expr):
     """A named subexpression (a selector attached to a body)."""
 
+    __slots__ = ("selector", "body")
+
     selector: str
     body: Expr
 
 
 @dataclass(frozen=True)
 class Sequence(Expr):
+    __slots__ = ("parts",)
+
     parts: tuple[Expr, ...]
 
     def __post_init__(self) -> None:
@@ -98,6 +120,8 @@ class Sequence(Expr):
 
 @dataclass(frozen=True)
 class Choice(Expr):
+    __slots__ = ("alternatives",)
+
     alternatives: tuple[Expr, ...]
 
     def __post_init__(self) -> None:
@@ -109,22 +133,30 @@ class Choice(Expr):
 
 @dataclass(frozen=True)
 class Optional(Expr):
+    __slots__ = ("body",)
+
     body: Expr
 
 
 @dataclass(frozen=True)
 class Star(Expr):
+    __slots__ = ("body",)
+
     body: Expr
 
 
 @dataclass(frozen=True)
 class Plus(Expr):
+    __slots__ = ("body",)
+
     body: Expr
 
 
 @dataclass(frozen=True)
 class SepListStar(Expr):
     """Possibly empty separator list: items separated by a separator."""
+
+    __slots__ = ("item", "separator")
 
     item: Expr
     separator: Expr
@@ -133,6 +165,8 @@ class SepListStar(Expr):
 @dataclass(frozen=True)
 class SepListPlus(Expr):
     """Non-empty separator list: one or more items separated by a separator."""
+
+    __slots__ = ("item", "separator")
 
     item: Expr
     separator: Expr
@@ -164,6 +198,16 @@ def t(text: str) -> Terminal:
 
 def n(name: str) -> Nonterminal:
     return Nonterminal(name)
+
+
+def shared_leaf(leaves: dict, cls: type, text: str) -> Expr:
+    """`cls(text)` for cls Terminal or Nonterminal, built once per table
+    `leaves`: the trees of one call that keeps a table share their leaves."""
+    key = (cls, text)
+    leaf = leaves.get(key)
+    if leaf is None:
+        leaf = leaves[key] = cls(text)
+    return leaf
 
 
 def seq(*parts: Expr) -> Expr:
@@ -290,7 +334,7 @@ def with_children(expr: Expr, kids) -> Expr:
 # Productions and grammars
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Production:
     lhs: str
     rhs: Expr
@@ -550,11 +594,16 @@ def replace_subterm(expr: Expr, old: Expr, new: Expr) -> Expr:
     return with_children(expr, [replace_subterm(kid, old, new) for kid in kids])
 
 
-def rename_expr(expr: Expr, mapping: dict[str, str]) -> Expr:
-    """Rename nonterminal occurrences according to mapping (values untouched)."""
+def rename_expr(expr: Expr, mapping: dict[str, str], leaves: dict | None = None) -> Expr:
+    """Rename nonterminal occurrences according to mapping (values untouched).
+    Each target name gets one leaf, from the `shared_leaf` table `leaves`
+    (a fresh one when not given), so calls that pass one table share them."""
+    if leaves is None:
+        leaves = {}
+
     def step(node: Expr) -> Expr:
         if isinstance(node, Nonterminal) and node.name in mapping:
-            return Nonterminal(mapping[node.name])
+            return shared_leaf(leaves, Nonterminal, mapping[node.name])
         return node
     return rebuild(expr, step)
 

@@ -15,6 +15,8 @@ pure-Python encoder, encodes strings with the C string encoder and leaves
 every other scalar to `json.dumps`.  It writes an expression straight from
 its fields, as the tagged object `expr_to_json` would give, so `serialize`
 walks each grammar once and builds no JSON tree of its expressions.
+`grammar_from_json` reads all of a grammar's rules with one leaf table, so
+the grammar holds one leaf object per name and per terminal text.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .grammar import (
     Terminal,
     ValueInt,
     ValueStr,
+    shared_leaf,
 )
 
 # the expression tag of each class; a node's other JSON keys are its
@@ -55,6 +58,7 @@ _CLASS_OF_TAG = {
     "plus": Plus, "sepstar": SepListStar, "sepplus": SepListPlus,
 }
 _TAG_OF_CLASS = {cls: tag for tag, cls in _CLASS_OF_TAG.items()}
+_LEAF_CLASS = {"t": Terminal, "n": Nonterminal}  # the leaves `shared_leaf` builds
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _TAG_OF_CLASS}
 # the key texts `dumps` writes for each class: the tag entry, then each
 # field's name with its encoded key
@@ -183,6 +187,12 @@ def _want(doc: dict, key: str, kind, path: str):
 
 
 def expr_from_json(doc, path: str = "rhs") -> Expr:
+    return _expr_from_json(doc, path, {})
+
+
+def _expr_from_json(doc, path: str, leaves: dict) -> Expr:
+    """`expr_from_json`, with its leaves from the `shared_leaf` table
+    `leaves`, looked up once the field has passed its type check."""
     tag = _want(doc, "tag", str, path)
     decoder = _DECODERS.get(tag)
     if decoder is None:
@@ -196,12 +206,15 @@ def expr_from_json(doc, path: str = "rhs") -> Expr:
         if kind is str:
             values.append(value)
         elif kind is dict:
-            values.append(expr_from_json(value, f"{path}.{name}"))
+            values.append(_expr_from_json(value, f"{path}.{name}", leaves))
         else:
             for i, kid in enumerate(value):  # a generator would cost a frame per level
-                values.append(expr_from_json(kid, f"{path}.{name}[{i}]"))
+                values.append(_expr_from_json(kid, f"{path}.{name}[{i}]", leaves))
     if tag == "n" and values[0] in VALUE_NAMES:
         raise _reserved(values[0], f"{path}.name")
+    leaf = _LEAF_CLASS.get(tag)
+    if leaf is not None:
+        return shared_leaf(leaves, leaf, values[0])
     return build(*values)
 
 
@@ -216,6 +229,7 @@ def grammar_from_json(doc) -> Grammar:
             raise InterchangeError(f"$.roots[{i}]", f"duplicate root {root!r}")
     raw_prods = _want(doc, "productions", list, "$")
     productions = []
+    leaves: dict = {}  # one leaf per name and terminal text in the grammar
     for i, raw in enumerate(raw_prods):
         path = f"$.productions[{i}]"
         if not isinstance(raw, dict):
@@ -226,7 +240,7 @@ def grammar_from_json(doc) -> Grammar:
         lhs = _want(raw, "lhs", str, path)
         if lhs in VALUE_NAMES:
             raise _reserved(lhs, f"{path}.lhs")
-        rhs = expr_from_json(_want(raw, "rhs", dict, path), f"{path}.rhs")
+        rhs = _expr_from_json(_want(raw, "rhs", dict, path), f"{path}.rhs", leaves)
         productions.append(Production(lhs, rhs, label))
     return Grammar(tuple(roots), tuple(productions))
 

@@ -54,6 +54,7 @@ from .grammar import (
     choice,
     opt,
     seq,
+    shared_leaf,
 )
 from .notation import NotationSpec
 
@@ -167,17 +168,18 @@ _BRACKETS = {"group-start": "group-end", "option-start": "option-end"}
 _CLOSERS = ("group-end", "option-end", "nonterminal-end")
 
 
-def _name_expr(name: str) -> Expr:
+def _name_expr(name: str, leaves: dict) -> Expr:
     value = VALUE_NAMES.get(name)
-    return Nonterminal(name) if value is None else value
+    return shared_leaf(leaves, Nonterminal, name) if value is None else value
 
 
-def _parse_rhs(tokens: list[_Token], end_line: int) -> Expr:
+def _parse_rhs(tokens: list[_Token], end_line: int, leaves: dict) -> Expr:
     """A rule body's expression, parsed in one pass.  An operand stays open to
     postfix operators until the next token; it then joins the current
     concatenation, or becomes the separator of a pending separator-list infix.
     An open bracket pushes the enclosing body's state and its closer pops it,
-    so nesting costs no recursion."""
+    so nesting costs no recursion.  Its leaves come from the `shared_leaf`
+    table `leaves`."""
     stack: list[tuple[_Token, list[Expr], list[Expr], Callable | None]] = []
     alternatives: list[Expr] = []
     parts: list[Expr] = []
@@ -201,9 +203,9 @@ def _parse_rhs(tokens: list[_Token], end_line: int) -> Expr:
         if kind == "terminal":
             if not token.text:
                 raise RecoveryError(token.line, "empty terminal")
-            operand = Terminal(token.text)
+            operand = shared_leaf(leaves, Terminal, token.text)
         elif kind == "name":
-            operand = _name_expr(token.text)
+            operand = _name_expr(token.text, leaves)
         elif role in _BRACKETS:
             stack.append((token, alternatives, parts, infix))
             alternatives, parts, infix = [], [], None
@@ -213,7 +215,7 @@ def _parse_rhs(tokens: list[_Token], end_line: int) -> Expr:
                 raise RecoveryError(token.line, "expected a name after nonterminal bracket")
             if next(stream).role != "nonterminal-end":
                 raise RecoveryError(token.line, "unbalanced nonterminal brackets")
-            operand = _name_expr(name.text)
+            operand = _name_expr(name.text, leaves)
         elif infix is not None:
             raise RecoveryError(token.line, "expected an expression" if kind == "end"
                                 else f"unexpected {token.text!r}")
@@ -311,10 +313,11 @@ def recover(text: str, notation: NotationSpec) -> RecoveryReport:
     productions: list[Production] = []
     defined: set[str] = set()
     first_use: dict[str, int] = {}
+    leaves: dict = {}  # one leaf per name and terminal text in the grammar
     for chunk in _split_rules(tokens, notation, last_line, warnings, heuristics):
         lhs, rhs_tokens = _take_lhs(chunk)
         line = chunk[0].line
-        rhs = _parse_rhs(rhs_tokens, chunk[-1].line)
+        rhs = _parse_rhs(rhs_tokens, chunk[-1].line, leaves)
         if lhs in defined:
             heuristics.append(HeuristicEvent(
                 line, "vertical-redefinition",

@@ -190,10 +190,11 @@ def rename_nonterminal(g: Grammar, x: str, y: str) -> Grammar:
     if y in g:
         raise TransformError(f"rename: nonterminal {y!r} is already present")
     renamed = {}
+    leaves: dict = {}  # one leaf for y in every rule
     for i in (*g.blocks.get(x, ()), *_rules_using(g, (x,))):
         prod = g.productions[i]
         renamed[i] = Production(y if prod.lhs == x else prod.lhs,
-                                rename_expr(prod.rhs, {x: y}), prod.label)
+                                rename_expr(prod.rhs, {x: y}, leaves), prod.label)
     return _with_productions(g, renamed, roots=[y if r == x else r for r in g.roots])
 
 

@@ -12,6 +12,8 @@ a bracket stack replaced; it takes recovery tokens and returns the body's
 expression or raises its `RecoveryError`.  `footprint` is the per-name
 recursion that the one pass over a rule's subterms replaced, and
 `per_name_prodsig` builds a signature from it, one call per name.
+`leaf_objects` groups the ids of a grammar's leaf objects by class and text,
+for the checks that a grammar that is read shares its leaves.
 `_Resolution` (with `consistent` and its two memos), `_greedy_fixpoint`,
 `_complete_matchings` and `_resolve` are nominal resolution as it was before
 the option table, kept verbatim: every node of the search re-derives each
@@ -70,6 +72,18 @@ from gramconv.grammar import (
 )
 from gramconv.notation import NotationSpec
 from gramconv.recovery import RecoveryError
+
+
+def leaf_objects(g: Grammar) -> dict[tuple[type, str], set[int]]:
+    """The ids of the Terminal and Nonterminal objects in g's right-hand
+    sides, by class and text."""
+    found: dict[tuple[type, str], set[int]] = {}
+    for prod in g.productions:
+        for sub in subterms(prod.rhs):
+            if type(sub) is Terminal or type(sub) is Nonterminal:
+                text = sub.text if type(sub) is Terminal else sub.name
+                found.setdefault((type(sub), text), set()).add(id(sub))
+    return found
 
 
 def _concat(lefts: set[tuple], rights: set[tuple], max_len: int) -> set[tuple]:

@@ -165,6 +165,16 @@ def test_node_table_covers_every_expression_class():
     assert {type(e) for e in samples} == set(NODE_TABLE) == set(Expr.__subclasses__())
 
 
+def test_no_node_and_no_production_carries_an_instance_dict():
+    from gramconv.grammar import NODE_TABLE
+    samples = _one_of_each_class() + [p("a", n("b"), "l")]
+    assert {type(e) for e in samples} == set(NODE_TABLE) | {type(samples[-1])}
+    for value in samples:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        with pytest.raises(AttributeError):
+            object.__setattr__(value, "extra", 1)  # no slot to hold it
+
+
 def test_with_children_of_children_is_identity():
     from gramconv.grammar import children, with_children
     for expr in _one_of_each_class():

@@ -7,6 +7,7 @@ from gramconv.cli import main
 from gramconv.grammar import (
     NODE_TABLE,
     Grammar,
+    GrammarError,
     Production,
     children,
     n,
@@ -20,6 +21,7 @@ from gramconv.interchange import (
     InterchangeError,
     deserialize,
     dumps,
+    expr_from_json,
     expr_to_json,
     grammar_to_json,
     serialize,
@@ -27,6 +29,7 @@ from gramconv.interchange import (
 from gramconv.notation import parse_spec
 from gramconv.recovery import recover
 
+import oracles
 from gen import corpus, random_expressible, random_grammar
 
 
@@ -98,6 +101,54 @@ def test_a_reserved_value_name_is_refused_with_its_path(fl_master, name):
         deserialize(json.dumps(doc))
     assert err.value.path == "$.productions[1].rhs.parts[1].name"
     assert err.value.reason == f"{name!r} is the reserved name of a built-in value"
+
+
+def _leaf_ids(g: Grammar) -> set[int]:
+    return set().union(*oracles.leaf_objects(g).values())
+
+
+def test_a_deserialized_grammar_holds_one_leaf_per_name_and_text(data_dir):
+    pgen = parse_spec((data_dir / "pgen.edd").read_text(encoding="utf-8"))
+    recovered = recover((data_dir / "lib2to3_Grammar.txt").read_text(encoding="utf-8"),
+                        pgen).grammar
+    text = serialize(recovered)
+    first, second = deserialize(text), deserialize(text)
+    assert first == second == recovered
+    for g in (first, second):
+        assert all(len(ids) == 1 for ids in oracles.leaf_objects(g).values())
+    # separate calls share no leaf object
+    assert not _leaf_ids(first) & _leaf_ids(second)
+    assert not _leaf_ids(first) & _leaf_ids(recovered)
+    doc = expr_to_json(seq(n("a"), t("x"), n("a"), t("x")))
+    one, other = expr_from_json(doc), expr_from_json(doc)
+    assert one.parts[0] is one.parts[2] and one.parts[1] is one.parts[3]
+    assert not {id(part) for part in one.parts} & {id(part) for part in other.parts}
+
+
+# each malformed name after a valid one: the exception and its text, as
+# decoding reported them before leaves were shared
+_BAD_NAMES = [
+    ({"tag": "n"}, InterchangeError, "{path}: missing field 'name'"),
+    ({"tag": "n", "name": ["a"]}, InterchangeError, "{path}.name: expected str, got list"),
+    ({"tag": "n", "name": ""}, GrammarError, "nonterminal name must be non-empty"),
+    ({"tag": "n", "name": "str"}, InterchangeError,
+     "{path}.name: 'str' is the reserved name of a built-in value"),
+]
+
+
+@pytest.mark.parametrize("bad, error, message", _BAD_NAMES)
+def test_a_malformed_name_after_a_valid_one_fails_as_before(bad, error, message):
+    good = {"tag": "n", "name": "a"}
+    rhs = {"tag": "seq", "parts": [good, bad]}
+    doc = {"roots": [], "productions": [
+        {"label": None, "lhs": "x", "rhs": {"tag": "seq", "parts": [good, good]}},
+        {"label": None, "lhs": "y", "rhs": rhs}]}
+    with pytest.raises(error) as err:
+        deserialize(json.dumps(doc))
+    assert str(err.value) == message.format(path="$.productions[1].rhs.parts[1]")
+    with pytest.raises(error) as err:
+        expr_from_json(rhs)
+    assert str(err.value) == message.format(path="rhs.parts[1]")
 
 
 def test_deserialize_reads_back_every_depth_serialize_writes(data_dir):

@@ -1,9 +1,12 @@
 import random
+from functools import partial
 
 import pytest
 
 from gramconv.grammar import (
     Grammar,
+    Nonterminal,
+    Terminal,
     children,
     choice,
     n,
@@ -13,6 +16,7 @@ from gramconv.grammar import (
     sepplus,
     seq,
     star,
+    subterms,
     t,
     used_names,
     vocabulary,
@@ -28,6 +32,7 @@ from gramconv.recovery import (
     recover,
     unparse,
 )
+from gramconv.transform import rename_nonterminal
 
 import oracles
 from gen import random_expressible
@@ -291,6 +296,36 @@ def test_lib2to3_grammar_recovers_roundtrips_and_normalizes(data_dir, version):
     assert len(anf.productions) == anf_rules
 
 
+def _shares_its_leaves(g: Grammar) -> bool:
+    return all(len(ids) == 1 for ids in oracles.leaf_objects(g).values())
+
+
+def _leaf_ids(g: Grammar) -> set[int]:
+    return set().union(*oracles.leaf_objects(g).values())
+
+
+def test_a_recovered_grammar_holds_one_leaf_per_name_and_text(data_dir):
+    g = recover_lib2to3(data_dir, "3.11").grammar
+    occurrences = sum(isinstance(sub, (Nonterminal, Terminal))
+                      for prod in g.productions for sub in subterms(prod.rhs))
+    assert occurrences > 2 * len(oracles.leaf_objects(g))
+    assert _shares_its_leaves(g)
+    # a second call builds its own leaves
+    again = recover_lib2to3(data_dir, "3.11").grammar
+    assert again == g and _shares_its_leaves(again)
+    assert not _leaf_ids(g) & _leaf_ids(again)
+
+
+@pytest.mark.parametrize("mutation", [Mutation("disciplined-rename", {"convention": "UPPER"}),
+                                      Mutation("disciplined-rename", {"convention": "lower"})])
+def test_renaming_keeps_one_leaf_per_name(data_dir, mutation):
+    g = recover_lib2to3(data_dir, "3.11").grammar
+    renamed = mutate(g, mutation).grammar
+    assert renamed != g and _shares_its_leaves(renamed)
+    once = rename_nonterminal(g, "test", "TEST")
+    assert once.users_of("TEST") and _shares_its_leaves(once)
+
+
 def test_lib2to3_versions_differ_in_two_rules(data_dir):
     # 3.9 moved return_stmt and yield_arg from testlist to testlist_star_expr
     old = recover_lib2to3(data_dir, "3.8").grammar
@@ -475,7 +510,7 @@ def test_rhs_parser_matches_the_recursive_descent_on_random_token_streams():
     outcomes = set()
     for _ in range(100_000):
         tokens, end_line = _random_rhs(rng)
-        got = _parsed(_parse_rhs, tokens, end_line)
+        got = _parsed(partial(_parse_rhs, leaves={}), tokens, end_line)
         assert got == _parsed(oracles.parse_rhs, tokens, end_line), (tokens, end_line)
         outcomes.add(got[1].split(" '")[0] if isinstance(got, tuple) else "parsed")
     assert outcomes == {"parsed", "expected an expression", "empty terminal",
