@@ -9,6 +9,11 @@ Every node class declares its slots and `Production` is a slotted
 dataclass, so neither carries an instance dict.  A grammar that `recover` or
 `deserialize` reads holds one leaf object per name and per terminal text,
 shared by all its occurrences (see `shared_leaf`).
+`seq` and `choice` are the trusted constructors of sequences and choices:
+every tree the node table rebuilds, and every tree the parser and the
+interchange reader build, gets its sequences and choices from them, and
+they skip the shape check that calling `Sequence` or `Choice` runs.  So
+they are the one place where interning composite nodes would go.
 Each grammar derives its rule blocks when it is built, and its name index
 the first time it is asked for; a grammar built by `Grammar.edit` carries
 both from its parent.  The analyses read those facts instead of walking the
@@ -189,7 +194,13 @@ VALUE_NAME_OF = {type(value): name for name, value in VALUE_NAMES.items()}
 # sequences and choices are flattened, unit elements are dropped, and
 # degenerate arities collapse (0-ary sequence is epsilon, 0-ary choice is the
 # empty language, 1-ary either is the child itself).  Canonical forms make
-# structural equality meaningful.
+# structural equality meaningful.  `seq` and `choice` fill the slot of a new
+# node directly: their flattening already gives what `Sequence.__post_init__`
+# and `Choice.__post_init__` check.
+
+_new = object.__new__
+_set_parts = Sequence.parts.__set__  # the slot setter, which frozen does not block
+_set_alternatives = Choice.alternatives.__set__
 
 
 def t(text: str) -> Terminal:
@@ -223,7 +234,9 @@ def seq(*parts: Expr) -> Expr:
         return EPSILON
     if len(flat) == 1:
         return flat[0]
-    return Sequence(tuple(flat))
+    node = _new(Sequence)
+    _set_parts(node, tuple(flat))
+    return node
 
 
 def choice(*alternatives: Expr) -> Expr:
@@ -239,7 +252,9 @@ def choice(*alternatives: Expr) -> Expr:
         return EMPTY
     if len(flat) == 1:
         return flat[0]
-    return Choice(tuple(flat))
+    node = _new(Choice)
+    _set_alternatives(node, tuple(flat))
+    return node
 
 
 def opt(body: Expr) -> Optional:

@@ -15,8 +15,14 @@ pure-Python encoder, encodes strings with the C string encoder and leaves
 every other scalar to `json.dumps`.  It writes an expression straight from
 its fields, as the tagged object `expr_to_json` would give, so `serialize`
 walks each grammar once and builds no JSON tree of its expressions.
-`grammar_from_json` reads all of a grammar's rules with one leaf table, so
-the grammar holds one leaf object per name and per terminal text.
+`deserialize` builds the expressions in the parser's own pass: the
+`json.loads` object hook turns each well-formed expression object into its
+node as soon as the object closes, so the document's dict tree is never
+walked again.  The hook never raises; if any part of its result is not a
+grammar, the text is read again by `grammar_from_json`, the checking
+walker, which is the one source of error texts.  Each reader keeps one leaf
+table per call, so a grammar read holds one leaf object per name and per
+terminal text.
 """
 
 from __future__ import annotations
@@ -219,17 +225,25 @@ def _expr_from_json(doc, path: str, leaves: dict) -> Expr:
 
 
 def grammar_from_json(doc) -> Grammar:
+    leaves: dict = {}  # one leaf per name and terminal text in the grammar
+    return _grammar(doc, dict, lambda rhs, path: _expr_from_json(rhs, path, leaves))
+
+
+def _grammar(doc, rhs_kind: type, read_rhs) -> Grammar:
+    """The grammar of the document doc, whose rules' rhs values must be
+    rhs_kind values; each is read by `read_rhs(value, path)`."""
     if not isinstance(doc, dict):
         raise InterchangeError("$", f"expected an object, got {type(doc).__name__}")
     roots = _want(doc, "roots", list, "$")
+    seen: set = set()
     for i, root in enumerate(roots):
         if not isinstance(root, str):
             raise InterchangeError(f"$.roots[{i}]", "root names must be strings")
-        if roots.index(root) < i:
+        if root in seen:
             raise InterchangeError(f"$.roots[{i}]", f"duplicate root {root!r}")
+        seen.add(root)
     raw_prods = _want(doc, "productions", list, "$")
     productions = []
-    leaves: dict = {}  # one leaf per name and terminal text in the grammar
     for i, raw in enumerate(raw_prods):
         path = f"$.productions[{i}]"
         if not isinstance(raw, dict):
@@ -240,14 +254,66 @@ def grammar_from_json(doc) -> Grammar:
         lhs = _want(raw, "lhs", str, path)
         if lhs in VALUE_NAMES:
             raise _reserved(lhs, f"{path}.lhs")
-        rhs = _expr_from_json(_want(raw, "rhs", dict, path), f"{path}.rhs", leaves)
+        rhs = read_rhs(_want(raw, "rhs", rhs_kind, path), f"{path}.rhs")
         productions.append(Production(lhs, rhs, label))
     return Grammar(tuple(roots), tuple(productions))
 
 
+def _builder():
+    """A `json.loads` object hook that returns each well-formed expression
+    object as its node, built from its already built children with the
+    `_DECODERS` builders and one `shared_leaf` table, and every other
+    object unchanged.  It never raises: what it cannot build is left as
+    a dict for the checking reader to explain."""
+    leaves: dict = {}
+
+    def build(obj: dict):
+        tag = obj.get("tag")
+        decoder = _DECODERS.get(tag) if type(tag) is str else None
+        if decoder is None:
+            return obj
+        make, spec = decoder
+        values: list = []
+        for name, kind in spec:
+            value = obj.get(name)
+            if kind is str:
+                if type(value) is not str:
+                    return obj
+                values.append(value)
+            elif kind is dict:  # one child, which the hook has built by now
+                if not isinstance(value, Expr):
+                    return obj
+                values.append(value)
+            else:
+                if type(value) is not list:
+                    return obj
+                for kid in value:
+                    if not isinstance(kid, Expr):
+                        return obj
+                values.extend(value)
+        leaf = _LEAF_CLASS.get(tag)
+        if leaf is None:
+            return make(*values)
+        text = values[0]
+        if not text or (tag == "n" and text in VALUE_NAMES):  # refused by the checks
+            return obj
+        return shared_leaf(leaves, leaf, text)
+
+    return build
+
+
 def deserialize(text: str) -> Grammar:
+    """The grammar of an interchange document.  Its expressions are built
+    while `json.loads` reads the text; if any part of the result is not a
+    well-formed grammar, the text is read again by `grammar_from_json`,
+    which raises the error that says what is wrong and where."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=_builder())
     except json.JSONDecodeError as exc:
         raise InterchangeError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
-    return grammar_from_json(doc)
+    except RecursionError:  # the hook's frames cost the parser a level or two
+        return grammar_from_json(json.loads(text))
+    try:
+        return _grammar(doc, Expr, lambda rhs, path: rhs)
+    except InterchangeError:
+        return grammar_from_json(json.loads(text))

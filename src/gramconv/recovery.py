@@ -366,15 +366,21 @@ def unparse(g: Grammar, notation: NotationSpec) -> str:
             return ""
         return text
 
+    def spaced(pieces: list[str], tight: bool) -> str:
+        """The pieces, a space between each two.  Inside a group (tight) an
+        empty piece, an epsilon alternative or body, leaves no space of its
+        own; the layout at rule level is kept as it was first written."""
+        return " ".join([piece for piece in pieces if piece] if tight else pieces)
+
     def grouped(text: str) -> str:
-        return f"{lexeme('group-start')} {text} {lexeme('group-end')}".replace("  ", " ")
+        return spaced([lexeme("group-start"), text, lexeme("group-end")], True)
 
     def name(text: str) -> str:
         if "nonterminal-start" in roles:
             return f"{roles['nonterminal-start']}{text}{roles['nonterminal-end']}"
         return text
 
-    def render(expr: Expr, need: int) -> str:
+    def render(expr: Expr, need: int, tight: bool) -> str:
         nonlocal quote_clash
         kind = type(expr)
         if kind is Nonterminal:
@@ -385,27 +391,33 @@ def unparse(g: Grammar, notation: NotationSpec) -> str:
                 quote_clash = True
             return f"{lexeme('terminal-start-quote')}{expr.text}{quote_close}"
         if kind is Choice:
-            body = f" {lexeme('definition-separator')} ".join(
-                render(alt, _SEQ) for alt in expr.alternatives)
+            inner = tight or need > _ALT
+            pieces = [lexeme("definition-separator")] * (2 * len(expr.alternatives) - 1)
+            pieces[::2] = [render(alt, _SEQ, inner) for alt in expr.alternatives]
+            body = spaced(pieces, inner)
             return grouped(body) if need > _ALT else body
         if kind is Sequence:
-            body = joiner.join(render(part, _SEP) for part in expr.parts)
+            inner = tight or need > _SEQ
+            body = joiner.join(render(part, _SEP, inner) for part in expr.parts)
             return grouped(body) if need > _SEQ else body
         role = _ROLE_OF.get(kind)
         if role in _INFIX:
-            body = f"{render(expr.item, _ATOM)} {lexeme(role)} {render(expr.separator, _ATOM)}"
+            inner = tight or need > _SEP
+            body = (f"{render(expr.item, _ATOM, inner)} {lexeme(role)} "
+                    f"{render(expr.separator, _ATOM, inner)}")
             return grouped(body) if need > _SEP else body
         if kind is Optional and bracket_option:
-            return f"{roles['option-start']} {render(expr.body, _ALT)} {roles['option-end']}"
+            return spaced([roles["option-start"], render(expr.body, _ALT, tight),
+                           roles["option-end"]], tight)
         if role is not None:
-            return render(expr.body, _ATOM) + lexeme(role)
+            return render(expr.body, _ATOM, tight) + lexeme(role)
         if kind is Epsilon:
             return grouped("") if need > _SEQ else ""
         if kind in VALUE_NAME_OF:
             return name(VALUE_NAME_OF[kind])
         if kind is Selectable:
             impossible.add(f"selector {expr.selector!r}")
-            return render(expr.body, need)
+            return render(expr.body, need, tight)
         impossible.add(_UNWRITABLE[kind])
         return ""
 
@@ -414,7 +426,7 @@ def unparse(g: Grammar, notation: NotationSpec) -> str:
     for prod in g.productions:
         if prod.label is not None:
             impossible.add(f"production label {prod.label!r}")
-        line = f"{name(prod.lhs)} {roles['defining']} {render(prod.rhs, _ALT)}".rstrip()
+        line = f"{name(prod.lhs)} {roles['defining']} {render(prod.rhs, _ALT, False)}".rstrip()
         lines.append(f"{line} {terminator}" if terminator else line)
     for unwritten in (impossible, missing, ["terminal-end-quote"] if quote_clash else []):
         if unwritten:

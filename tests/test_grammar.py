@@ -14,12 +14,14 @@ from gramconv.grammar import (
     Nonterminal,
     Sequence,
     Terminal,
+    children,
     choice,
     n,
     p,
     opt,
     plus,
     reachable,
+    rebuild,
     render_expr,
     render_term,
     sel,
@@ -32,6 +34,8 @@ from gramconv.grammar import (
     tops,
     vocabulary,
 )
+
+from gramconv.transform import dnf
 
 from gen import corpus, random_expr, NAMES
 
@@ -80,6 +84,29 @@ def test_constructor_normalization_property():
         if isinstance(built, Choice):
             assert not any(isinstance(q, Choice) for q in built.alternatives)
             assert len(built.alternatives) >= 2
+
+
+# what rebuild puts in place of a node: deleted leaves, and leaves that
+# become sequences and choices to flatten into their parents
+_REPLACED = {n("aa"): seq(n("x"), n("y")), n("bb"): choice(n("x"), seq(n("y"), n("z"))),
+             n("cc"): EPSILON, n("dd"): EMPTY}
+
+
+def test_trusted_constructors_build_only_shapes_the_direct_constructors_accept():
+    # seq and choice skip the check that Sequence(...) and Choice(...) run,
+    # so every node they build must pass it: at least two children, none
+    # of its own class
+    rng = random.Random(17)
+    shapes = 0
+    for _ in range(300):
+        expr = random_expr(rng, NAMES[:5], 5)
+        for image in (expr, dnf(expr), rebuild(expr, lambda node: _REPLACED.get(node, node)),
+                      rebuild(expr, lambda node: EPSILON if type(node) is Terminal else node)):
+            for sub in subterms(image):
+                if type(sub) in (Sequence, Choice):
+                    assert type(sub)(children(sub)) == sub
+                    shapes += 1
+    assert shapes > 1000
 
 
 def test_vocabulary_fl_master(fl_master):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -15,6 +16,7 @@ from gramconv.grammar import (
     rename_expr,
     sel,
     seq,
+    subterms,
     t,
 )
 from gramconv.interchange import (
@@ -23,6 +25,7 @@ from gramconv.interchange import (
     dumps,
     expr_from_json,
     expr_to_json,
+    grammar_from_json,
     grammar_to_json,
     serialize,
 )
@@ -78,12 +81,16 @@ def test_missing_fields_are_reported():
 
 
 def test_duplicated_root_is_reported_with_its_path():
-    doc = '{"roots": ["a", "b", "a"], "productions": [{"label": null, "lhs": "a", ' \
-          '"rhs": {"tag": "n", "name": "b"}}]}'
-    with pytest.raises(InterchangeError) as err:
-        deserialize(doc)
-    assert err.value.path == "$.roots[2]"
-    assert err.value.reason == "duplicate root 'a'"
+    # the first repeat is the one reported
+    for roots, path, reason in [('["a", "b", "a"]', "$.roots[2]", "duplicate root 'a'"),
+                                ('["a", "b", "c", "c", "b", "a"]', "$.roots[3]",
+                                 "duplicate root 'c'")]:
+        doc = '{"roots": %s, "productions": [{"label": null, "lhs": "a", ' \
+              '"rhs": {"tag": "n", "name": "b"}}]}' % roots
+        with pytest.raises(InterchangeError) as err:
+            deserialize(doc)
+        assert err.value.path == path
+        assert err.value.reason == reason
 
 
 @pytest.mark.parametrize("name", ["str", "int"])
@@ -304,3 +311,128 @@ def test_a_rhs_that_is_not_an_expression_is_a_type_error():
     with pytest.raises(TypeError) as theirs:
         grammar_to_json(g)
     assert str(ours.value) == str(theirs.value) == "not an expression: 'oops'"
+
+
+def _outcome(read, text: str):
+    """What read(text) gives: a grammar, or its exception's class and text."""
+    try:
+        return read(text)
+    except Exception as exc:  # every class is compared, not only the expected ones
+        return type(exc), str(exc)
+
+
+def _assert_reads_alike(text: str) -> None:
+    """`deserialize` gives what the checking reader gives."""
+    ours = _outcome(deserialize, text)
+    assert ours == _outcome(lambda text: grammar_from_json(json.loads(text)), text), text
+    if isinstance(ours, Grammar):
+        assert all(len(ids) == 1 for ids in oracles.leaf_objects(ours).values())
+
+
+def _objects(doc) -> list[dict]:
+    """Every JSON object in doc."""
+    found, stack = [], [doc]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            found.append(value)
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+    return found
+
+
+def _expressions(doc: dict, tags=("epsilon", "t", "n", "seq", "choice", "opt", "star",
+                                   "plus", "sepstar", "sepplus", "sel")) -> list[dict]:
+    return [obj for obj in _objects(doc.get("productions"))
+            if isinstance(obj.get("tag"), str) and obj["tag"] in tags]
+
+
+_SHAPED = [{"tag": "epsilon"}, {"tag": "n", "name": "a"}, {"tag": "t", "text": "x"},
+           {"tag": "seq", "parts": [{"tag": "n", "name": "a"}, {"tag": "t", "text": "x"}]}]
+
+
+def _mutate(rng: random.Random, doc: dict) -> None:
+    """One seeded defect, or one expression-shaped object where no
+    expression is read, planted in the interchange document doc."""
+    shaped = json.loads(json.dumps(rng.choice(_SHAPED)))
+    exprs = _expressions(doc)
+    leaves = _expressions(doc, ("t", "n"))
+    rules = doc.get("productions")
+    rules = rules if isinstance(rules, list) else []
+    prods = [prod for prod in rules if isinstance(prod, dict)]
+    roll = rng.randrange(12)
+    if roll == 0:  # a dropped key
+        obj = rng.choice(_objects(doc))
+        if obj:
+            del obj[rng.choice(sorted(obj))]
+    elif roll == 1:  # a retyped value
+        obj = rng.choice(_objects(doc))
+        if obj:
+            obj[rng.choice(sorted(obj))] = rng.choice([None, 0, "s", [], {}, True, 1.5])
+    elif roll == 2 and leaves:  # an empty text
+        leaf = rng.choice(leaves)
+        leaf["text" if leaf["tag"] == "t" else "name"] = ""
+    elif roll == 3:  # a reserved value name
+        name = rng.choice(["str", "int"])
+        if leaves and rng.random() < 0.7:
+            leaf = rng.choice(leaves)
+            leaf["tag"], leaf["name"] = "n", name
+            leaf.pop("text", None)
+        elif prods:
+            rng.choice(prods)["lhs"] = name
+    elif roll == 4 and exprs:  # an unknown tag
+        rng.choice(exprs)["tag"] = rng.choice(["wat", "N", ""])
+    elif roll == 5 and exprs:  # an unhashable tag
+        rng.choice(exprs)["tag"] = rng.choice([["seq"], {"tag": "n"}, {"tag": "epsilon"}])
+    elif roll == 6:  # expression-shaped top level
+        doc.update(shaped)
+    elif roll == 7 and prods:  # as a production, or inside one
+        if rng.random() < 0.5:
+            rules[rng.randrange(len(rules))] = shaped
+        else:
+            rng.choice(prods).update(shaped)
+    elif roll == 8 and prods:  # as a label
+        rng.choice(prods)["label"] = shaped
+    elif roll == 9 and isinstance(doc.get("roots"), list):  # as a root
+        doc["roots"].insert(rng.randint(0, len(doc["roots"])), shaped)
+    elif roll == 10 and leaves:  # inside a terminal's text
+        leaf = rng.choice(leaves)
+        leaf["tag"], leaf["text"] = "t", shaped
+        leaf.pop("name", None)
+    elif roll == 11:  # under an extra key
+        rng.choice(_objects(doc))["extra"] = shaped
+
+
+def test_deserialize_reads_every_document_as_the_checking_reader_does(data_dir):
+    texts = [path.read_text(encoding="utf-8") for path in sorted(data_dir.glob("*.json"))]
+    texts += [serialize(g) for g in corpus(23, 120)]
+    for text in texts:
+        _assert_reads_alike(text)
+    rng = random.Random(19)
+    for i in range(1500):
+        doc = json.loads(texts[i % len(texts)])
+        for _ in range(rng.choice([1, 1, 1, 2, 3])):
+            _mutate(rng, doc)
+        _assert_reads_alike(json.dumps(doc))
+
+
+def test_deserialize_reads_every_depth_the_checking_reader_reads():
+    # the hook's frames at the innermost object cost the parser a level or
+    # two, which the checking reader makes up for; the trees are compared
+    # by their preorders, since == recurses
+    for depth in itertools.count(200):
+        rhs = '{"tag": "n", "name": "b"}'
+        for _ in range(depth):
+            rhs = '{"tag": "star", "body": {"tag": "seq", "parts": [%s, %s]}}' % (
+                '{"tag": "t", "text": "c"}', rhs)
+        text = '{"roots": [], "productions": [{"label": null, "lhs": "a", "rhs": %s}]}' % rhs
+        ours = _outcome(deserialize, text)
+        theirs = _outcome(lambda text: grammar_from_json(json.loads(text)), text)
+        if not isinstance(theirs, Grammar):
+            assert ours == theirs and theirs[0] is RecursionError, depth
+            break
+        assert isinstance(ours, Grammar), depth
+        assert ([type(sub) for sub in subterms(ours.productions[0].rhs)]
+                == [type(sub) for sub in subterms(theirs.productions[0].rhs)])
+    assert depth > 250

@@ -4,6 +4,7 @@ from functools import partial
 import pytest
 
 from gramconv.grammar import (
+    EPSILON,
     Grammar,
     Nonterminal,
     Terminal,
@@ -203,6 +204,30 @@ def test_unparse_inserts_grouping():
     text = unparse(g, BASIC)
     assert "(" in text
     assert recover(text, BASIC).grammar == g
+
+
+@pytest.mark.parametrize("dialect, expected", [
+    ("reference.edd", 'a ::=  | b ( | "{x}" | )* ( "{x}" | )? ;\n'),
+    ("pgen.edd", "a :  | b ( | '{x}' | )* [ '{x}' |  ]\n"),
+], ids=["reference", "pgen"])
+@pytest.mark.parametrize("x", ["x", "x  y", " x   "])
+def test_unparse_drops_only_the_spaces_of_empty_pieces(data_dir, dialect, expected, x):
+    # inside a group an epsilon alternative leaves no space of its own; at
+    # rule level, and in a bracket option outside a group, its layout stays
+    # as first written; a terminal's spaces are its own and always stay
+    g = Grammar(("a",), (p("a", choice(EPSILON, seq(
+        n("b"), star(choice(EPSILON, t(x), EPSILON)), opt(choice(t(x), EPSILON))))),))
+    notation = parse_spec((data_dir / dialect).read_text(encoding="utf-8"))
+    text = unparse(g, notation)
+    assert text == expected.format(x=x)
+    assert recover(text, notation).grammar == g
+
+
+def test_unparse_keeps_the_spaces_inside_a_grouped_terminal(data_dir):
+    g = Grammar(("a",), (p("a", star(seq(t("x  y"), n("b")))),))
+    text = unparse(g, reference_spec(data_dir))
+    assert text == 'a ::= ( "x  y" b )* ;\n'
+    assert recover(text, reference_spec(data_dir)).grammar == g
 
 
 def test_unparse_option_postfix_and_brackets(data_dir):
