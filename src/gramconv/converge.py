@@ -38,10 +38,12 @@ from .grammar import (
     VALUE_NAMES,
     children,
     names_in_order,
+    render_expr,
     render_production,
 )
+from .interchange import production_to_json
 from .mutate import Mutation, anf_check, mutate
-from .transform import TransformStep, apply_script
+from .transform import TransformStep, apply_script, step_to_json
 
 VALUE_NAME_SET = frozenset(VALUE_NAMES)
 
@@ -189,6 +191,11 @@ def _keys(sig: dict[str, Footprint]) -> tuple[_Classes, dict[str, frozenset[Foot
             {"weak": frozenset(classes), "strong": strong if len(strong) == len(sig) else None})
 
 
+def _strong_classes(sig: dict[str, Footprint]) -> _Classes:
+    """A signature's classes at strong strength: one name per footprint."""
+    return {fp: (name,) for name, fp in sig.items()}
+
+
 def _equiv(p: Production, q: Production, strength: str) -> bool:
     key = _keys(prodsig(p))[1][strength]
     return key is not None and key == _keys(prodsig(q))[1][strength]
@@ -216,9 +223,9 @@ class NominalMapping:
 
     A mapping made by nominal resolution also carries `indexes`, the
     `(master, servant)` signature indexes the resolution derived, so that
-    structural matching of the same grammars reads the strong keys instead
-    of deriving them again.  It is not a field, so repr, == and hash ignore
-    it; any other mapping carries None."""
+    structural matching of the same grammars reads its strengths from their
+    strong keys without building them again.  It is not a field, so repr,
+    == and hash ignore it; any other mapping carries None."""
 
     pairs: frozenset[tuple[str | None, str | None]]
     indexes = None
@@ -232,43 +239,23 @@ def pair_resolution(p: Production, q: Production, strength: str) -> list[Nominal
     pairs induce a single relation (signature composed with the inverse
     signature over equal footprints); weak pairs induce every maximal
     relation pairing names with equivalent footprints one-to-one, with
-    unmatched names related to the omega marker."""
+    unmatched names related to the omega marker.  Both come from
+    `_class_relations`, over the strong or the weak classes."""
     if strength not in ("strong", "weak"):
         raise ResolutionError(f"unknown equivalence strength {strength!r}")
-    if not _equiv(p, q, strength):
+    sp, sq = prodsig(p), prodsig(q)
+    (classes_p, keys_p), (classes_q, keys_q) = _keys(sp), _keys(sq)
+    if keys_p[strength] is None or keys_p[strength] != keys_q[strength]:
         raise ResolutionError(f"productions are not {strength}ly prodsig-equivalent")
-    return [NominalMapping(pairs)
-            for pairs in _signature_relations(prodsig(p), prodsig(q), strength)]
-
-
-def _signature_relations(sp: dict[str, Footprint], sq: dict[str, Footprint],
-                         strength: str) -> list[frozenset[tuple[str | None, str | None]]]:
-    """The relations of `pair_resolution` for two signatures already known
-    to be equivalent at `strength`."""
     if strength == "strong":
-        inverse = {fp: name for name, fp in sq.items()}
-        return [frozenset((name, inverse[fp]) for name, fp in sp.items())]
-    classes: dict[Footprint, tuple[list[str], list[str]]] = {}
-    for name, fp in sp.items():
-        classes.setdefault(fp.weak(), ([], []))[0].append(name)
-    for name, fp in sq.items():
-        classes.setdefault(fp.weak(), ([], []))[1].append(name)
-    per_class: list[list[list[tuple[str | None, str | None]]]] = []
-    for left, right in classes.values():
-        options: list[list[tuple[str | None, str | None]]] = []
-        if len(left) <= len(right):
-            for image in itertools.permutations(right, len(left)):
-                pairs = list(zip(left, image))
-                pairs += [(None, r) for r in right if r not in image]
-                options.append(pairs)
-        else:
-            for domain in itertools.permutations(left, len(right)):
-                pairs = list(zip(domain, right))
-                pairs += [(l, None) for l in left if l not in domain]
-                options.append(pairs)
-        per_class.append(options)
-    return [frozenset(pair for chunk in combo for pair in chunk)
-            for combo in itertools.product(*per_class)]
+        classes_p, classes_q = _strong_classes(sp), _strong_classes(sq)
+    mappings = []
+    for rel in _class_relations(classes_p, classes_q):
+        left, right = {a for a, _ in rel}, {b for _, b in rel}
+        mappings.append(NominalMapping(frozenset(rel).union(
+            [(a, None) for a in sp if a not in left],
+            [(None, b) for b in sq if b not in right])))
+    return mappings
 
 
 def _extends(fwd: dict[str, str], rev: dict[str, str], a: str, b: str) -> bool:
@@ -284,9 +271,6 @@ class _Binding:
         self.fwd: dict[str, str] = {}
         self.rev: dict[str, str] = {}
 
-    def compatible(self, a: str, b: str) -> bool:
-        return _extends(self.fwd, self.rev, a, b)
-
     def admits(self, rel: _Relation) -> bool:
         """Whether a relation that binds on its own extends the binding: as
         a one-to-one partial map, it can clash only with pairs held here."""
@@ -294,7 +278,7 @@ class _Binding:
         return all(fwd.get(a, b) == b and rev.get(b, a) == a for a, b in rel)
 
     def bind(self, a: str, b: str) -> None:
-        if not self.compatible(a, b):
+        if not _extends(self.fwd, self.rev, a, b):
             held = ((a, self.fwd[a]) if a in self.fwd else (self.rev[b], b) if b in self.rev
                     else (a, a) if a in VALUE_NAME_SET else (b, b))
             raise ResolutionConflict([held, (a, b)])
@@ -325,10 +309,11 @@ def _binds_alone(rel: _Relation) -> bool:
 
 
 def _class_relations(left: _Classes, right: _Classes) -> list[tuple[tuple[str, str], ...]]:
-    """The weak relations of `_signature_relations` from the weak classes of
-    two weakly equivalent signatures, in its order, each as its sorted pairs
-    with the omega entries dropped.  A class with one name on each side
-    gives its pair; a larger one expands as there, by permutations."""
+    """The relations of two signatures equivalent at some strength, from
+    their classes at that strength (`_strong_classes`, or `_keys`' weak
+    ones), in the order of `left`'s classes, each as its sorted pairs without
+    the omega entries for the names it leaves unpaired.  A class with one
+    name on each side gives its pair; a larger one expands by permutations."""
     per_class: list[list[tuple[tuple[str, str], ...]]] = []
     for fp, lnames in left.items():
         rnames = right[fp]
@@ -376,8 +361,9 @@ class _Resolution:
     A servant production's options are its `(master production, relation)`
     pairs: the equivalent master productions in ascending order, each with
     the relations of `relations` that bind on their own, in their order.
-    The weak relations come from the two productions' weak classes in the
-    indexes; `_signature_relations` stays their definition."""
+    Every relation comes from `_class_relations`: the weak ones over the two
+    productions' weak classes in the indexes, the strong ones over their
+    strong classes, derived here when a relation is asked for."""
 
     def __init__(self, master: Grammar, servant: Grammar) -> None:
         self.master = _SignatureIndex(master)
@@ -394,12 +380,11 @@ class _Resolution:
         first and the omega entries dropped."""
         lhs = (self.servant.productions[si].lhs, self.master.productions[mi].lhs)
         if strength == "weak":
-            return [(lhs,) + pairs for pairs in _class_relations(
-                self.servant.classes[si], self.master.classes[mi])]
-        return [(lhs,) + tuple(sorted((a, b) for a, b in pairs
-                                      if a is not None and b is not None))
-                for pairs in _signature_relations(
-                    self.servant.sigs[si], self.master.sigs[mi], strength)]
+            left, right = self.servant.classes[si], self.master.classes[mi]
+        else:
+            left = _strong_classes(self.servant.sigs[si])
+            right = _strong_classes(self.master.sigs[mi])
+        return [(lhs,) + pairs for pairs in _class_relations(left, right)]
 
     def options(self, strength: str) -> list[list[_Option]]:
         """The option table at `strength`, indexed by servant production,
@@ -467,6 +452,7 @@ def _resolve(master: Grammar, servant: Grammar) -> NominalMapping:
         seed.bind(rs, rm)
 
     res = _Resolution(master, servant)
+    servant_names = names_in_order(servant, _leaf_name)
     candidates, capped = _complete_matchings(res, seed)
     if candidates and not capped:
         best = _best_bindings(res, candidates)
@@ -475,12 +461,11 @@ def _resolve(master: Grammar, servant: Grammar) -> NominalMapping:
         fwd = best[0]
     else:
         fwd = _greedy_fixpoint(res, seed).fwd
-        if capped and any(name not in fwd for name in names_in_order(servant, _leaf_name)):
+        if capped and any(name not in fwd for name in servant_names):
             raise ResolutionAmbiguity(candidates or [dict(fwd)])
 
-    pairs: list[tuple[str | None, str | None]] = []
-    for name in names_in_order(servant, _leaf_name):
-        pairs.append((name, fwd.get(name)))
+    pairs: list[tuple[str | None, str | None]] = [
+        (name, fwd.get(name)) for name in servant_names]
     mapped = {b for _, b in pairs if b is not None}
     for name in names_in_order(master, _leaf_name):
         if name not in mapped:
@@ -754,8 +739,9 @@ def structural_match(master: Grammar, servant: Grammar,
     """Match the servant productions against the master productions under a
     total name mapping; the recorded trace rewrites the servant rules onto
     the master shapes (modulo renaming).  A step-free pair is strong when
-    its rules are strongly equivalent; the strong keys are read from the
-    mapping's `indexes` when they were derived from these very rules."""
+    its rules are strongly equivalent, read from the strong keys of the two
+    grammars' signature indexes: the mapping's `indexes` when they were
+    derived from these very rules, and otherwise indexes built here."""
     name_map = mapping.as_dict()
     servant_names = set(names_in_order(servant, _leaf_name))
     covered = {a for a, _ in mapping.pairs if a is not None}
@@ -764,15 +750,10 @@ def structural_match(master: Grammar, servant: Grammar,
         raise MatchError(f"mapping does not cover servant names: {', '.join(missing)}")
 
     indexes = mapping.indexes
-    if indexes is not None and (indexes[0].productions is master.productions
-                                and indexes[1].productions is servant.productions):
-        master_keys, servant_keys = indexes[0].keys["strong"], indexes[1].keys["strong"]
-
-        def strong(si: int, mi: int) -> bool:
-            return servant_keys[si] is not None and servant_keys[si] == master_keys[mi]
-    else:
-        def strong(si: int, mi: int) -> bool:
-            return strong_equiv(servant.productions[si], master.productions[mi])
+    if indexes is None or (indexes[0].productions is not master.productions
+                           or indexes[1].productions is not servant.productions):
+        indexes = (_SignatureIndex(master), _SignatureIndex(servant))
+    master_keys, servant_keys = indexes[0].keys["strong"], indexes[1].keys["strong"]
 
     matched_master: set[int] = set()
     rows: list[tuple[int, PairMatch]] = []
@@ -799,7 +780,8 @@ def structural_match(master: Grammar, servant: Grammar,
             mi, steps = best
             matched_master.add(mi)
             mprod = master.productions[mi]
-            strength = "strong" if not steps and strong(si, mi) else "weak"
+            strength = ("strong" if not steps and servant_keys[si] is not None
+                        and servant_keys[si] == master_keys[mi] else "weak")
             trace.extend(steps)
             rows.append((si, PairMatch(sprod, mprod, strength)))
 
@@ -891,23 +873,21 @@ def sig_metrics(g: Grammar) -> SigMetrics:
 # renderings
 
 
+def _shown(name: str | None) -> str:
+    return "omega" if name is None else name
+
+
 def report_to_json(report: MatchReport) -> dict:
-    from .interchange import production_to_json as prod_json
-    from .transform import step_to_json
-
-    def show(name: str | None) -> str:
-        return "omega" if name is None else name
-
-    mapping = sorted(([show(a), show(b)] for a, b in report.mapping.pairs),
+    mapping = sorted(([_shown(a), _shown(b)] for a, b in report.mapping.pairs),
                      key=lambda ab: (ab[0] == "omega", ab[0], ab[1]))
     return {
         "mapping": mapping,
-        "pairs": [{"left": prod_json(pair.left), "right": prod_json(pair.right),
+        "pairs": [{"left": production_to_json(pair.left),
+                   "right": production_to_json(pair.right),
                    "strength": pair.strength} for pair in report.pairs],
-        "residue": [{"side": entry.side, "production": prod_json(entry.production)}
+        "residue": [{"side": entry.side, "production": production_to_json(entry.production)}
                     for entry in report.residue],
-        "normalization_trace": [step_to_json(step)
-                                for step in report.normalization_trace],
+        "normalization_trace": [step_to_json(step) for step in report.normalization_trace],
         "structural_trace": [step_to_json(step) for step in report.structural_trace],
         "warnings": list(report.warnings),
     }
@@ -915,23 +895,16 @@ def report_to_json(report: MatchReport) -> dict:
 
 def render_prodsig_table(g: Grammar) -> str:
     """Two-column table: production rules against their signatures."""
-    from .grammar import render_expr
-
     left = [f"p{i + 1} = {prod.lhs} -> {render_expr(prod.rhs)}"
             for i, prod in enumerate(g.productions)]
     width = max((len(item) for item in left), default=0)
-    lines = []
-    for item, prod in zip(left, g.productions):
-        lines.append(f"{item.ljust(width)}   {render_prodsig(prodsig(prod))}")
-    return "\n".join(lines)
+    return "\n".join(f"{item.ljust(width)}   {render_prodsig(prodsig(prod))}"
+                     for item, prod in zip(left, g.productions))
 
 
 def render_mapping(mapping: NominalMapping) -> str:
-    def show(name: str | None) -> str:
-        return "omega" if name is None else name
-
     entries = sorted(mapping.pairs, key=lambda ab: (ab[0] is None, ab[0] or "", ab[1] or ""))
-    return "\n".join(f"  <{show(a)}, {show(b)}>" for a, b in entries)
+    return "\n".join(f"  <{_shown(a)}, {_shown(b)}>" for a, b in entries)
 
 
 def render_match_report(report: MatchReport) -> str:

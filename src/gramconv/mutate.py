@@ -129,23 +129,25 @@ def _is_trivial_rhs(rhs: Expr) -> bool:
 # per-kind implementations
 
 
-def _rewrite_rules(rec: _Recorder, fn) -> None:
-    """Rewrite every rule rhs with fn (a rebuild node function), one recorded
-    step per changed rule."""
+def _rewrite_rules(rec: _Recorder, rewrite) -> None:
+    """Rewrite every rule rhs with `rewrite` (rhs to rhs), one recorded step
+    per changed rule."""
     for name in names_in_order(rec.grammar):
         for pos, prod in enumerate(rec.grammar.rules_of(name)):
-            new = rebuild(prod.rhs, fn)
+            new = rewrite(prod.rhs)
             if new != prod.rhs:
                 rec.do("set-node", lhs=name, pos=pos, path=[], expr=new,
                        previous=prod.rhs)
 
 
 def _remove_terminals(rec: _Recorder, params: dict) -> None:
-    _rewrite_rules(rec, lambda node: EPSILON if isinstance(node, Terminal) else node)
+    _rewrite_rules(rec, lambda rhs: rebuild(
+        rhs, lambda node: EPSILON if isinstance(node, Terminal) else node))
 
 
 def _remove_selectors(rec: _Recorder, params: dict) -> None:
-    _rewrite_rules(rec, lambda node: node.body if isinstance(node, Selectable) else node)
+    _rewrite_rules(rec, lambda rhs: rebuild(
+        rhs, lambda node: node.body if isinstance(node, Selectable) else node))
 
 
 def _remove_labels(rec: _Recorder, params: dict) -> None:
@@ -333,12 +335,7 @@ def _nested_choice(node: Expr):
 def _distribute_round(rec: _Recorder) -> None:
     # surface what distribution can surface, then fold the choices that sit
     # under repetitions (which no amount of distribution can reach)
-    for name in names_in_order(rec.grammar):
-        for pos, prod in enumerate(rec.grammar.rules_of(name)):
-            expanded = dnf(prod.rhs)
-            if expanded != prod.rhs:
-                rec.do("set-node", lhs=name, pos=pos, path=[], expr=expanded,
-                       previous=prod.rhs)
+    _rewrite_rules(rec, dnf)
     for name in names_in_order(rec.grammar):
         # each extract folds its offender in every rule, so re-read the rule
         for pos in range(len(rec.grammar.blocks[name])):
@@ -402,7 +399,7 @@ def _encode_seplists(rec: _Recorder, params: dict) -> None:
         if isinstance(node, SepListStar):
             return opt(seq(node.item, star(seq(node.separator, node.item))))
         return node
-    _rewrite_rules(rec, desugar)
+    _rewrite_rules(rec, lambda rhs: rebuild(rhs, desugar))
 
 
 _GROUPY = (Sequence, Choice, SepListStar, SepListPlus)

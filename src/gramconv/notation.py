@@ -3,8 +3,8 @@
 A notation spec is a partial map from metasymbol roles to concrete lexemes.
 The on-disk format (`.edd`) is flat key/value text, one `role: lexeme` per
 line, with `#` line comments; a lexeme may be wrapped in double quotes when
-it contains spaces or a leading `#`.  The role set is closed: unknown keys
-are an error, not a warning.
+it has leading or trailing spaces, a leading `#`, or a double quote at each
+end.  The role set is closed: unknown keys are an error, not a warning.
 
 Three operators evolve a spec: rename-metasymbol, introduce-metasymbol and
 eliminate-metasymbol.  Retiring a construct role implies a coupled grammar
@@ -118,7 +118,8 @@ def format_spec(notation: NotationSpec) -> str:
     lines = []
     for role, lexeme in notation.roles:
         shown = lexeme
-        if shown != shown.strip() or shown.startswith("#"):
+        if (shown != shown.strip() or shown.startswith("#")
+                or len(shown) >= 2 and shown.startswith('"') and shown.endswith('"')):
             shown = f'"{shown}"'
         lines.append(f"{role}: {shown}")
     return "\n".join(lines) + "\n"

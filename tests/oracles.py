@@ -18,6 +18,11 @@ for the checks that a grammar that is read shares its leaves.
 `_complete_matchings` and `_resolve` are nominal resolution as it was before
 the option table, kept verbatim: every node of the search re-derives each
 open production's options from the candidates through `consistent`.
+`_signature_relations` is the definition of the relations one production
+pair induces, from its two signatures, that the relation builder over
+strong and weak classes replaced: the single equal-footprint bijection at
+strong strength, and at weak strength every one-to-one pairing within each
+weak footprint class, with omega entries for the names left unpaired.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from gramconv.converge import (
     _Binding,
     _binds_alone,
     _leaf_name,
-    _signature_relations,
     _SignatureIndex,
     _unwrapped_leaf,
     prodsig,
@@ -477,6 +481,36 @@ def per_name_prodsig(prod) -> dict[str, Footprint]:
         if fp:
             sig[name] = fp
     return sig
+
+
+def _signature_relations(sp: dict[str, Footprint], sq: dict[str, Footprint],
+                         strength: str) -> list[frozenset[tuple[str | None, str | None]]]:
+    """The relations of `pair_resolution` for two signatures already known
+    to be equivalent at `strength`."""
+    if strength == "strong":
+        inverse = {fp: name for name, fp in sq.items()}
+        return [frozenset((name, inverse[fp]) for name, fp in sp.items())]
+    classes: dict[Footprint, tuple[list[str], list[str]]] = {}
+    for name, fp in sp.items():
+        classes.setdefault(fp.weak(), ([], []))[0].append(name)
+    for name, fp in sq.items():
+        classes.setdefault(fp.weak(), ([], []))[1].append(name)
+    per_class: list[list[list[tuple[str | None, str | None]]]] = []
+    for left, right in classes.values():
+        options: list[list[tuple[str | None, str | None]]] = []
+        if len(left) <= len(right):
+            for image in itertools.permutations(right, len(left)):
+                pairs = list(zip(left, image))
+                pairs += [(None, r) for r in right if r not in image]
+                options.append(pairs)
+        else:
+            for domain in itertools.permutations(left, len(right)):
+                pairs = list(zip(domain, right))
+                pairs += [(l, None) for l in left if l not in domain]
+                options.append(pairs)
+        per_class.append(options)
+    return [frozenset(pair for chunk in combo for pair in chunk)
+            for combo in itertools.product(*per_class)]
 
 
 class _Resolution:

@@ -342,8 +342,9 @@ def _apply_bijection(g, phi):
 
 
 def test_signature_index_agrees_with_pairwise_definitions():
-    # the bucket lookup stands in for strong_equiv/weak_equiv, and the memo
-    # for pair_resolution, on arbitrary (not only normalized) productions
+    # the bucket lookup stands in for strong_equiv/weak_equiv, and both
+    # pair_resolution and the resolution's relations give the relations of
+    # the oracle's definition, on arbitrary (not only normalized) productions
     rng = random.Random(83)
     keyed = {"strong": 0, "weak": 0}
     for _ in range(80):
@@ -359,10 +360,14 @@ def test_signature_index_agrees_with_pairwise_definitions():
                     if not found:
                         continue
                     keyed[strength] += 1
+                    defined = oracles._signature_relations(
+                        prodsig(sprod), prodsig(mprod), strength)
+                    assert pair_resolution(sprod, mprod, strength) == \
+                        [NominalMapping(pairs) for pairs in defined]
                     want = [((sprod.lhs, mprod.lhs),)
-                            + tuple(sorted((a, b) for a, b in mapping.pairs
+                            + tuple(sorted((a, b) for a, b in pairs
                                            if a is not None and b is not None))
-                            for mapping in pair_resolution(sprod, mprod, strength)]
+                            for pairs in defined]
                     assert res.relations(si, mi, strength) == want
     assert keyed["strong"] >= 100 and keyed["weak"] > keyed["strong"]
 
@@ -550,15 +555,17 @@ def _six_twins_master():
         for i, name in enumerate(names)))
 
 
-def _defined_table(res):
-    """The weak option table from its definitions: `_signature_relations`,
-    the lhs pair first and omega dropped, filtered by `_binds_alone`."""
-    from gramconv.converge import _binds_alone, _signature_relations
+def _defined_table(res, strength):
+    """The option table at `strength` from its definitions: the oracle's
+    `_signature_relations`, the lhs pair first and omega dropped, filtered
+    by `_binds_alone`."""
+    from gramconv.converge import _binds_alone
     table = []
     for si, sprod in enumerate(res.servant.productions):
         options = []
-        for mi in res.candidates(si, "weak"):
-            for pairs in _signature_relations(res.servant.sigs[si], res.master.sigs[mi], "weak"):
+        for mi in res.candidates(si, strength):
+            for pairs in oracles._signature_relations(
+                    res.servant.sigs[si], res.master.sigs[mi], strength):
                 rel = ((sprod.lhs, res.master.productions[mi].lhs),) + tuple(
                     sorted((a, b) for a, b in pairs if a is not None and b is not None))
                 if _binds_alone(rel):
@@ -569,10 +576,10 @@ def _defined_table(res):
 
 def test_weak_classes_give_the_defined_option_table_and_match_strengths(
         fl_master_abstract, jaxb_model):
-    # the option table built from the per-production weak classes, and the
-    # pair strengths read from the resolution's strong keys, against their
+    # the option tables built from the per-production strong and weak
+    # classes, and the pair strengths read from the strong keys, against their
     # definitions; a direct structural_match, whose mapping carries no
-    # indexes, derives the strengths itself and gives the same report
+    # indexes, builds them itself and gives the same report
     six = _six_twins_master()
     six_servant = _apply_bijection(six, {name: name.upper() for name in "rabcdef"})
     pairs = [*_differential_pairs(150), (fl_master_abstract, jaxb_model), (six, six_servant)]
@@ -580,7 +587,8 @@ def test_weak_classes_give_the_defined_option_table_and_match_strengths(
     for master, servant in pairs:
         res = _Resolution(master, servant)
         table = res.options("weak")
-        assert table == _defined_table(res)
+        assert table == _defined_table(res, "weak")
+        assert res.options("strong") == _defined_table(res, "strong")
         seen["widest"] = max(seen["widest"], max(map(len, table)))
         anf = {}
         try:

@@ -66,6 +66,12 @@ def test_defining_only_spec_is_valid():
 def test_format_parse_roundtrip():
     original = parse_spec("defining: ::=\nterminator: ;\nstar-postfix: *\n")
     assert parse_spec(format_spec(original)) == original
+    # lexemes that a bare line would not give back: wrapping quotes, blanks
+    # at either end, a leading comment mark
+    for lexeme in ('"x"', '""', ' a', '#x'):
+        quoted = spec({"defining": "=", "terminal-start-quote": lexeme,
+                       "terminal-end-quote": lexeme})
+        assert parse_spec(format_spec(quoted)) == quoted, lexeme
 
 
 def test_rename_metasymbol():
