@@ -12,7 +12,6 @@ from .grammar import (
     Production,
     Vocabulary,
     choice,
-    grammar,
     n,
     opt,
     p,

@@ -22,7 +22,6 @@ rules again.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter
@@ -283,9 +282,10 @@ def sepplus(item: Expr, separator: Expr) -> SepListPlus:
 
 # --------------------------------------------------------------------------
 # The node table: how each expression class is taken apart and put back
-# together.  Generic tree walks go through `children` and `with_children`;
-# code whose meaning differs per class (rendering, footprints, alignment)
-# keeps its own dispatch.
+# together.  Generic tree walks go through `children` and `with_children`.
+# The two renderers keep a table per class for their text, but walk through
+# `children` too; code whose meaning differs per class (footprints,
+# alignment) keeps its own dispatch.
 
 
 class NodeKind(NamedTuple):
@@ -312,16 +312,18 @@ NODE_TABLE: dict[type, NodeKind] = {
     SepListPlus: NodeKind(("item", "separator"), False, sepplus),
 }
 
-# derived from NODE_TABLE for each composite class: getter and rebuilder
+# derived from NODE_TABLE for each composite class: getter, rebuilder, and
+# the names of its other fields, in field order
 _GET: dict[type, Callable[[Expr], tuple[Expr, ...]]] = {}
 _PUT: dict[type, Callable[[Expr, list[Expr]], Expr]] = {}
+_OTHER: dict[type, tuple[str, ...]] = {}
 
 
 def _derive(cls: type, kind: NodeKind) -> None:
     get = attrgetter(*kind.child_fields)  # one field: its value; several: a tuple
     single = len(kind.child_fields) == 1 and not kind.variadic
     _GET[cls] = (lambda node: (get(node),)) if single else get
-    other = [f.name for f in fields(cls) if f.name not in kind.child_fields]
+    other = _OTHER[cls] = tuple(f.name for f in fields(cls) if f.name not in kind.child_fields)
     build = kind.build
     _PUT[cls] = (lambda node, kids: build(*[getattr(node, f) for f in other], *kids)
                  ) if other else (lambda node, kids: build(*kids))
@@ -372,10 +374,9 @@ class Grammar:
     them a field, so repr, ==, hash and fields() ignore them:
     - `blocks` maps each lhs to its rule positions, lhs in first-appearance
       order;
-    - the name index `_users` maps each name used in a rhs to the lhs of
-      each rule that uses it, in no particular order, as a tuple or, for a
-      single rule, as the bare lhs (`users_of` reads both); its keys are the
-      used names.  Derived on first use.
+    - the name index `_users` maps each name used in a rhs to the tuple of
+      the lhs of each rule that uses it, in no particular order; its keys
+      are the used names.  Derived on first use.
 
     The constructor derives `blocks` from scratch, and the index when asked.
     `edit` builds a grammar from its parent and carries the facts instead:
@@ -404,17 +405,16 @@ class Grammar:
         return name in self.blocks or name in self._users
 
     @cached_property
-    def _users(self) -> dict[str, str | tuple[str, ...]]:
+    def _users(self) -> dict[str, tuple[str, ...]]:
         users: dict[str, list[str]] = {}
         for prod in self.productions:
             for name in used_names(prod.rhs):
                 users.setdefault(name, []).append(prod.lhs)
-        return {name: _entry(lhss) for name, lhss in users.items()}
+        return {name: tuple(lhss) for name, lhss in users.items()}
 
     def users_of(self, name: str) -> tuple[str, ...]:
         """The lhs of each rule whose rhs uses `name`, in no particular order."""
-        found = self._users.get(name, ())
-        return (found,) if isinstance(found, str) else found
+        return self._users.get(name, ())
 
     @property
     def names(self) -> frozenset[str]:  # every defined or used nonterminal
@@ -513,13 +513,8 @@ def _spliced(blocks: dict[str, tuple[int, ...]], rules: list[Production], at: in
     return dict(sorted(out.items(), key=lambda item: item[1][0]))
 
 
-def _entry(lhss: list[str]) -> str | tuple[str, ...]:
-    """A name index entry: the bare lhs for a single rule saves a tuple."""
-    return lhss[0] if len(lhss) == 1 else tuple(lhss)
-
-
-def _reindexed(users: dict[str, str | tuple[str, ...]], gone: list[Production],
-               added: list[Production]) -> dict[str, str | tuple[str, ...]]:
+def _reindexed(users: dict[str, tuple[str, ...]], gone: list[Production],
+               added: list[Production]) -> dict[str, tuple[str, ...]]:
     """The name index `users` after the rules `gone` were removed and the
     rules `added` added; `users` itself when no entry changes."""
     delta: dict[tuple[str, str], int] = {}
@@ -533,20 +528,15 @@ def _reindexed(users: dict[str, str | tuple[str, ...]], gone: list[Production],
             continue
         if out is None:
             out = dict(users)
-        found = out.get(name, ())
-        lhss = [found] if isinstance(found, str) else list(found)
+        lhss = list(out.get(name, ()))
         for _ in range(-change):
             lhss.remove(lhs)
         lhss += [lhs] * change
         if lhss:
-            out[name] = _entry(lhss)
+            out[name] = tuple(lhss)
         else:
             del out[name]
     return users if out is None else out
-
-
-def grammar(roots, productions) -> Grammar:
-    return Grammar(tuple(roots), tuple(productions))
 
 
 @dataclass(frozen=True)
@@ -672,9 +662,40 @@ def reachable(g: Grammar, from_names) -> set[str]:
 # --------------------------------------------------------------------------
 # Rendering.  Two styles are used throughout the package: a compact EBNF-ish
 # infix style for diagnostics, and a prefix term style for reports that lay
-# one production against another.
+# one production against another.  Each style is a table per class, and each
+# renderer walks a composite's children through `children`; a composite's
+# other fields (a selector's name) come before its children in both styles.
 
-_BARE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*$")
+# a leaf's text, as a format of the leaf
+_INFIX_LEAVES = {Epsilon: "ε", Empty: "φ", Anything: "α", ValueStr: "str",
+                 ValueInt: "int", Terminal: '"{0.text}"', Nonterminal: "{0.name}"}
+_TERM_LEAVES = {**_INFIX_LEAVES, Epsilon: "epsilon", Empty: "empty", Anything: "any"}
+
+# infix: class -> (open, separator, close, the precedence its children are
+# written at, the precedence above which it is bracketed); the precedences
+# are 0 choice, 1 sequence, 2 postfix operand
+_INFIX = {
+    Selectable: ("::", "", "", 2, 2),
+    Sequence: ("", " ", "", 2, 1),
+    Choice: ("", " | ", "", 1, 0),
+    Optional: ("", "", "?", 2, 2),
+    Star: ("", "", "*", 2, 2),
+    Plus: ("", "", "+", 2, 2),
+    SepListStar: ("{", " ", "}*", 2, 2),
+    SepListPlus: ("{", " ", "}+", 2, 2),
+}
+
+# prefix: class -> the head before its bracketed arguments; a variadic
+# node's children are one bracketed list
+_TERM_HEADS = {Selectable: "sel", Sequence: "seq", Choice: "choice", Optional: "?",
+               Star: "*", Plus: "+", SepListStar: "sepstar", SepListPlus: "sepplus"}
+
+
+def _leaf(expr: Expr, texts: dict[type, str]) -> str:
+    text = texts.get(type(expr))
+    if text is None:
+        raise TypeError(f"not an expression: {expr!r}")
+    return text.format(expr)
 
 
 def render_expr(expr: Expr) -> str:
@@ -684,75 +705,29 @@ def render_expr(expr: Expr) -> str:
 
 
 def _render(expr: Expr, prec: int) -> str:
-    # prec levels: 0 choice, 1 sequence, 2 postfix operand
-    if isinstance(expr, Epsilon):
-        return "ε"
-    if isinstance(expr, Empty):
-        return "φ"
-    if isinstance(expr, Anything):
-        return "α"
-    if isinstance(expr, ValueStr):
-        return "str"
-    if isinstance(expr, ValueInt):
-        return "int"
-    if isinstance(expr, Terminal):
-        return f'"{expr.text}"'
-    if isinstance(expr, Nonterminal):
-        return expr.name
-    if isinstance(expr, Selectable):
-        return f"{expr.selector}::{_render(expr.body, 2)}"
-    if isinstance(expr, Sequence):
-        body = " ".join(_render(part, 2) for part in expr.parts)
-        return f"({body})" if prec > 1 else body
-    if isinstance(expr, Choice):
-        body = " | ".join(_render(alt, 1) for alt in expr.alternatives)
-        return f"({body})" if prec > 0 else body
-    if isinstance(expr, Optional):
-        return _render(expr.body, 2) + "?"
-    if isinstance(expr, Star):
-        return _render(expr.body, 2) + "*"
-    if isinstance(expr, Plus):
-        return _render(expr.body, 2) + "+"
-    if isinstance(expr, SepListStar):
-        return "{" + _render(expr.item, 2) + " " + _render(expr.separator, 2) + "}*"
-    if isinstance(expr, SepListPlus):
-        return "{" + _render(expr.item, 2) + " " + _render(expr.separator, 2) + "}+"
-    raise TypeError(f"not an expression: {expr!r}")
+    kind = _INFIX.get(type(expr))
+    if kind is None:
+        return _leaf(expr, _INFIX_LEAVES)
+    open_, separator, close, inner, level = kind
+    kids = []
+    for kid in children(expr):  # a loop, not a comprehension: one frame a level
+        kids.append(_render(kid, inner))
+    head = "".join([getattr(expr, f) for f in _OTHER[type(expr)]]) + open_
+    text = head + separator.join(kids) + close
+    return f"({text})" if prec > level else text
 
 
 def render_term(expr: Expr) -> str:
     """Prefix term rendering, used by match reports."""
-    if isinstance(expr, Epsilon):
-        return "epsilon"
-    if isinstance(expr, Empty):
-        return "empty"
-    if isinstance(expr, Anything):
-        return "any"
-    if isinstance(expr, ValueStr):
-        return "str"
-    if isinstance(expr, ValueInt):
-        return "int"
-    if isinstance(expr, Terminal):
-        return f'"{expr.text}"'
-    if isinstance(expr, Nonterminal):
-        return expr.name
-    if isinstance(expr, Selectable):
-        return f"sel({expr.selector}, {render_term(expr.body)})"
-    if isinstance(expr, Sequence):
-        return "seq([" + ", ".join(render_term(part) for part in expr.parts) + "])"
-    if isinstance(expr, Choice):
-        return "choice([" + ", ".join(render_term(a) for a in expr.alternatives) + "])"
-    if isinstance(expr, Optional):
-        return f"?({render_term(expr.body)})"
-    if isinstance(expr, Star):
-        return f"*({render_term(expr.body)})"
-    if isinstance(expr, Plus):
-        return f"+({render_term(expr.body)})"
-    if isinstance(expr, SepListStar):
-        return f"sepstar({render_term(expr.item)}, {render_term(expr.separator)})"
-    if isinstance(expr, SepListPlus):
-        return f"sepplus({render_term(expr.item)}, {render_term(expr.separator)})"
-    raise TypeError(f"not an expression: {expr!r}")
+    head = _TERM_HEADS.get(type(expr))
+    if head is None:
+        return _leaf(expr, _TERM_LEAVES)
+    kids = []
+    for kid in children(expr):  # as in _render
+        kids.append(render_term(kid))
+    if NODE_TABLE[type(expr)].variadic:
+        kids = [f"[{', '.join(kids)}]"]
+    return f"{head}({', '.join([getattr(expr, f) for f in _OTHER[type(expr)]] + kids)})"
 
 
 def render_production(prod: Production) -> str:

@@ -106,15 +106,30 @@ class _Recorder:
         return self.grammar.productions[self.grammar.blocks[name][pos]]
 
 
-def _until_still(rec: _Recorder, round_, what: str, rounds: int) -> None:
+def _until_still(rec: _Recorder, round_, what: str, cap) -> None:
     """Run round_(rec) until a round records no step; `what` did not
-    converge if `rounds` rounds all record some."""
-    for _ in range(rounds):
+    converge if cap(g) rounds all record some, g the grammar it started
+    from.  The cap is derived only once a round has recorded a step."""
+    start, acted, rounds = rec.grammar, 0, None
+    while True:
         before = len(rec.trace)
         round_(rec)
         if len(rec.trace) == before:
             return
-    raise MutationError(f"{what} did not converge")
+        acted += 1
+        rounds = rounds or cap(start)
+        if acted == rounds:
+            raise MutationError(f"{what} did not converge")
+
+
+def _nodes(rules, classes) -> int:
+    """How many subterms of the rules' right-hand sides are of `classes`."""
+    count, stack = 0, [prod.rhs for prod in rules]
+    while stack:
+        node = stack.pop()
+        count += isinstance(node, classes)
+        stack.extend(children(node))
+    return count
 
 
 def _is_chain_rhs(rhs: Expr) -> bool:
@@ -264,8 +279,11 @@ def _vertical_round(rec: _Recorder) -> None:
 def _all_vertical(rec: _Recorder, params: dict) -> None:
     # labels cannot survive the split of their choice across several rules,
     # and an alternative wrapped in a selectable resurfaces as a label, so
-    # iterate until no choice-shaped rhs is left
-    _until_still(rec, _vertical_round, "all-vertical", 64)
+    # iterate until no choice-shaped rhs is left; each round that acts splits
+    # a choice at the top of a rule and makes none, so the choices bound the
+    # rounds
+    _until_still(rec, _vertical_round, "all-vertical",
+                 lambda g: _nodes(g.productions, Choice) + 1)
 
 
 def _split_choice_rules(rec: _Recorder, name: str) -> None:
@@ -299,9 +317,8 @@ def _all_horizontal(rec: _Recorder, params: dict) -> None:
         def unnest(rec: _Recorder) -> None:
             _hoist_top_selectors(rec, name)
             _split_choice_rules(rec, name)
-        nodes = sum(isinstance(sub, (Selectable, Choice))
-                    for prod in rec.grammar.rules_of(name) for sub in subterms(prod.rhs))
-        _until_still(rec, unnest, "all-horizontal", nodes + 1)
+        _until_still(rec, unnest, "all-horizontal",
+                     lambda g: _nodes(g.rules_of(name), (Selectable, Choice)) + 1)
         # an empty-language alternative would silently vanish in the merged
         # choice; dropping it as a recorded step keeps the trace invertible
         removed = 0
@@ -346,7 +363,12 @@ def _distribute_round(rec: _Recorder) -> None:
 
 
 def _distribute_all(rec: _Recorder, params: dict) -> None:
-    _until_still(rec, _distribute_round, "distribute-all", 64)
+    # the first round's dnf leaves every rule distributed, with no more distinct
+    # choices under another constructor than the grammar has choices; each
+    # later round that acts folds one of those away, so the choices bound the
+    # rounds
+    _until_still(rec, _distribute_round, "distribute-all",
+                 lambda g: _nodes(g.productions, Choice) + 1)
 
 
 def _potentially_horizontal_to_vertical(rec: _Recorder, params: dict) -> None:
@@ -389,7 +411,7 @@ def _remove_first_lazy(rec: _Recorder) -> None:
 
 def _remove_lazy(rec: _Recorder, params: dict) -> None:
     # each unchain or inline drops a name, so the rounds are bounded
-    _until_still(rec, _remove_first_lazy, "remove-lazy", len(rec.grammar.blocks) + 1)
+    _until_still(rec, _remove_first_lazy, "remove-lazy", lambda g: len(g.blocks) + 1)
 
 
 def _encode_seplists(rec: _Recorder, params: dict) -> None:
@@ -456,7 +478,7 @@ def _fix_chain_mixing(rec: _Recorder) -> None:
 def _closing_round(rec: _Recorder) -> None:
     # each inline drops a name, so the rounds are bounded
     _until_still(rec, _inline_first_trivial, "inline-trivial",
-                 len(rec.grammar.blocks) + 1)
+                 lambda g: len(g.blocks) + 1)
     _fix_chain_mixing(rec)
     _reroot_to_top(rec, {})
     _eliminate_unreachable(rec, {})
@@ -471,8 +493,9 @@ def _normalize_anf(rec: _Recorder, params: dict) -> None:
     _all_vertical(rec, params)
     # the closing phases can expose one another's work (inlining a trivial
     # definition may create a chain rule; dropping a leafy root may orphan
-    # rules), so run them to a fixpoint
-    _until_still(rec, _closing_round, "normalize-anf", 16)
+    # rules), so run them to a fixpoint; no bound on its rounds is derived
+    # from the grammar, and 16 is far above the two rounds it is seen to take
+    _until_still(rec, _closing_round, "normalize-anf", lambda g: 16)
 
 
 # kind -> (implementation, whether it discards information its trace cannot

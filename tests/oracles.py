@@ -23,6 +23,9 @@ pair induces, from its two signatures, that the relation builder over
 strong and weak classes replaced: the single equal-footprint bijection at
 strong strength, and at weak strength every one-to-one pairing within each
 weak footprint class, with omega entries for the names left unpaired.
+`render_expr` (with `_render`) and `render_term` are the two renderers as
+they were before they read per-class tables: one isinstance test per node
+class, each spelling out its children.
 """
 
 from __future__ import annotations
@@ -682,3 +685,81 @@ def _complete_matchings(res: _Resolution, seed: _Binding,
 
     dfs(seed.copy(), list(range(len(res.servant.productions))), set())
     return results, capped[0]
+
+
+def render_expr(expr: Expr) -> str:
+    """Compact infix rendering (diagnostics only; see recovery.unparse for
+    notation-faithful output)."""
+    return _render(expr, 0)
+
+
+def _render(expr: Expr, prec: int) -> str:
+    # prec levels: 0 choice, 1 sequence, 2 postfix operand
+    if isinstance(expr, Epsilon):
+        return "ε"
+    if isinstance(expr, Empty):
+        return "φ"
+    if isinstance(expr, Anything):
+        return "α"
+    if isinstance(expr, ValueStr):
+        return "str"
+    if isinstance(expr, ValueInt):
+        return "int"
+    if isinstance(expr, Terminal):
+        return f'"{expr.text}"'
+    if isinstance(expr, Nonterminal):
+        return expr.name
+    if isinstance(expr, Selectable):
+        return f"{expr.selector}::{_render(expr.body, 2)}"
+    if isinstance(expr, Sequence):
+        body = " ".join(_render(part, 2) for part in expr.parts)
+        return f"({body})" if prec > 1 else body
+    if isinstance(expr, Choice):
+        body = " | ".join(_render(alt, 1) for alt in expr.alternatives)
+        return f"({body})" if prec > 0 else body
+    if isinstance(expr, Optional):
+        return _render(expr.body, 2) + "?"
+    if isinstance(expr, Star):
+        return _render(expr.body, 2) + "*"
+    if isinstance(expr, Plus):
+        return _render(expr.body, 2) + "+"
+    if isinstance(expr, SepListStar):
+        return "{" + _render(expr.item, 2) + " " + _render(expr.separator, 2) + "}*"
+    if isinstance(expr, SepListPlus):
+        return "{" + _render(expr.item, 2) + " " + _render(expr.separator, 2) + "}+"
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def render_term(expr: Expr) -> str:
+    """Prefix term rendering, used by match reports."""
+    if isinstance(expr, Epsilon):
+        return "epsilon"
+    if isinstance(expr, Empty):
+        return "empty"
+    if isinstance(expr, Anything):
+        return "any"
+    if isinstance(expr, ValueStr):
+        return "str"
+    if isinstance(expr, ValueInt):
+        return "int"
+    if isinstance(expr, Terminal):
+        return f'"{expr.text}"'
+    if isinstance(expr, Nonterminal):
+        return expr.name
+    if isinstance(expr, Selectable):
+        return f"sel({expr.selector}, {render_term(expr.body)})"
+    if isinstance(expr, Sequence):
+        return "seq([" + ", ".join(render_term(part) for part in expr.parts) + "])"
+    if isinstance(expr, Choice):
+        return "choice([" + ", ".join(render_term(a) for a in expr.alternatives) + "])"
+    if isinstance(expr, Optional):
+        return f"?({render_term(expr.body)})"
+    if isinstance(expr, Star):
+        return f"*({render_term(expr.body)})"
+    if isinstance(expr, Plus):
+        return f"+({render_term(expr.body)})"
+    if isinstance(expr, SepListStar):
+        return f"sepstar({render_term(expr.item)}, {render_term(expr.separator)})"
+    if isinstance(expr, SepListPlus):
+        return f"sepplus({render_term(expr.item)}, {render_term(expr.separator)})"
+    raise TypeError(f"not an expression: {expr!r}")

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -6,6 +7,7 @@ from gramconv.grammar import (
     ANYTHING,
     EMPTY,
     EPSILON,
+    NODE_TABLE,
     VALUE_INT,
     VALUE_STR,
     Choice,
@@ -37,6 +39,7 @@ from gramconv.grammar import (
 
 from gramconv.transform import dnf
 
+import oracles
 from gen import corpus, random_expr, NAMES
 
 
@@ -346,7 +349,7 @@ def _assert_facts_are_fresh(g):
     assert list(g.blocks.items()) == list(fresh.blocks.items())
     assert set(g._users) == set(fresh._users)
     for name, found in g._users.items():
-        assert type(found) is type(fresh._users[name])  # a bare lhs for one rule
+        assert type(found) is tuple and type(fresh._users[name]) is tuple  # one entry shape
         assert sorted(g.users_of(name)) == sorted(fresh.users_of(name))
     assert g.names == fresh.names
     assert vocabulary(g) == vocabulary(fresh)
@@ -546,3 +549,30 @@ def test_render_rejects_a_non_expression():
         render_expr("a")
     with pytest.raises(TypeError, match="not an expression"):
         render_term(3)
+
+
+# every node class once, with leaf texts that hold format fields and quotes
+ALL_CLASSES = choice(
+    seq(sel("tag", star(choice(n("a"), EPSILON))), plus(opt(t('{0}"'))), n("{b}")),
+    sepstar(seq(VALUE_STR, VALUE_INT), seq(ANYTHING, star(EMPTY))),
+    sepplus(sepstar(n("a"), t(",")), sel("s", seq(n("c"), n("d")))),
+    opt(sel("o", choice(n("a"), n("b")))),
+)
+
+
+def test_renderers_write_what_the_isinstance_renderers_wrote():
+    exprs = list(subterms(ALL_CLASSES))
+    assert {type(expr) for expr in exprs} == set(NODE_TABLE)
+    for seed, expressible in ((47, False), (48, True)):
+        exprs += [prod.rhs for g in corpus(seed, 300, expressible=expressible)
+                  for prod in g.productions]
+    for expr in exprs:
+        assert render_expr(expr) == oracles.render_expr(expr)
+        assert render_term(expr) == oracles.render_term(expr)
+
+
+def test_the_grammar_submodule_is_not_shadowed():
+    # a package attribute named like the submodule would be what this binds
+    import gramconv.grammar as G
+    assert G is sys.modules["gramconv.grammar"]
+    assert G.Grammar is Grammar

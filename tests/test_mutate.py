@@ -23,6 +23,7 @@ from gramconv.grammar import (
     t,
     vocabulary,
 )
+from gramconv.converge import guided_converge
 from gramconv.interchange import serialize
 from gramconv.mutate import (
     MUTATION_KINDS,
@@ -472,3 +473,54 @@ def test_index_reading_kinds_on_five_lib2to3_copies_are_pinned(kind, convention,
     params = {"convention": convention} if convention else {}
     outcome = _outcome(copies, kind, params)
     assert hashlib.sha256(outcome.encode()).hexdigest() == LIB2TO3_X5_DIGESTS[kind, convention]
+
+
+def _nest(depth: int) -> Grammar:
+    """a -> (y | (y | ... (y | y)* ...)*)*, `depth` starred choices deep."""
+    body = n("y")
+    for _ in range(depth):
+        body = star(choice(n("y"), body))
+    return Grammar(("a",), (p("a", body),))
+
+
+@pytest.mark.parametrize("depth", [64, 100])
+def test_deep_choice_nests_distribute_and_normalize(depth):
+    # a nest needs one distribution round per level, more than a fixed cap
+    # of 64 rounds allows
+    spread = run(_nest(depth), "distribute-all")
+    assert [step.op for step in spread.trace] == ["extract"] * depth
+    normal = run(_nest(depth), "normalize-anf")
+    assert anf_check(normal.grammar) == []
+    assert apply_script(_nest(depth), normal.trace) == normal.grammar
+    report = guided_converge(normal.grammar, _nest(depth))
+    assert report.residue == [] and report.warnings == []
+    assert all(a == b for a, b in report.mapping.pairs)
+
+
+def test_many_sibling_choices_distribute_one_round_each():
+    # each round folds one offender per rule, so 70 distinct sibling choices
+    # under repetitions take 70 rounds that act
+    g = Grammar(("a",), (p("a", seq(*(star(choice(n(f"y{k}"), n("z"))) for k in range(70)))),))
+    assert len(run(g, "distribute-all").trace) == 70
+    assert anf_check(run(g, "normalize-anf").grammar) == []
+
+
+# normalize-anf's outcomes (result grammar and trace) on the nests of depth
+# 1-63 and on a seed-7 corpus, as they were when both phases that now take
+# their round caps from the grammar stopped after 64 rounds
+NEST_DIGEST = "ca266c8f2b680653ae4762bb91a2793a02b47b27f9c13a940a0f89eb00af96f4"
+SEED_7_DIGEST = "d38cbd99d97b19690593296e35e983a8d82773fe86eaf49e43728d8f777ccdc2"
+
+
+def test_normalize_anf_outcomes_on_nests_up_to_63_are_pinned():
+    digest = hashlib.sha256()
+    for depth in range(1, 64):
+        digest.update(_outcome(_nest(depth), "normalize-anf", {}).encode() + b"\0")
+    assert digest.hexdigest() == NEST_DIGEST
+
+
+def test_normalize_anf_outcomes_on_a_seed_7_corpus_are_pinned():
+    digest = hashlib.sha256()
+    for g in corpus(7, 300, max_productions=12):
+        digest.update(_outcome(g, "normalize-anf", {}).encode() + b"\0")
+    assert digest.hexdigest() == SEED_7_DIGEST
