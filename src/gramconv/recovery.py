@@ -7,29 +7,35 @@ rules: the renderer that writes the text also notes each role it needed
 and the notation lacks, and each construct no dialect writes, so the roles
 it reports missing are exactly the ones its text would use.
 
-Tokenization walks one compiled pattern per notation: longest match over the
-spec lexemes (with a word-boundary guard for lexemes that look like names),
-then quoted terminals, then maximal name runs over letters, digits, `_` and
-`-`.  The right-hand side grammar is alternation over concatenation over
-separator-list infixes over postfix operators; group brackets override.  A
-rule body is parsed in one loop over its tokens that keeps the open brackets
-on an explicit stack, so a body nests as deeply as memory allows.  The
-reserved names `str` and `int` denote the built-in values.
+Recovery is one pass over the matches of one compiled pattern per notation:
+longest match over the spec lexemes (with a word-boundary guard for lexemes
+that look like names), a quoted terminal up to its first end quote, then
+maximal name runs over letters, digits, `_` and `-`.  It builds no token
+objects and copies no rule text: for each match it ends a rule at the
+terminator, or, in a dialect without one, where a line opens with
+`name defining` or `<name> defining`; reads the left-hand side; parses the
+body; and notes the line of each name's first use.  Such a line is read as
+body until its head is whole, then taken back.  The right-hand side grammar
+is alternation over concatenation over separator-list infixes over postfix
+operators; group brackets override.  The open brackets are kept on an
+explicit stack, so a body nests as deeply as memory allows.  A scanning
+error anywhere in the text wins over an earlier parse error, so after the
+first parse error the pass only scans.  The reserved names `str` and `int`
+denote the built-in values.
 
 A recovered grammar carries no explicit root declaration, so recovery adopts
 the defined-but-never-used nonterminals as roots.  Recovery never aborts on
 unknown words (they are plain nonterminals, reported as a warning when
 undefined); only structural problems (unbalanced brackets, a defining symbol
-without a left-hand side) are errors.
+without a left-hand side, a reserved name as a left-hand side) are errors.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
-from typing import Callable, Iterable, NamedTuple
+from functools import lru_cache
+from typing import Callable, Iterable
 
 from .grammar import (
     NODE_TABLE,
@@ -54,7 +60,6 @@ from .grammar import (
     choice,
     opt,
     seq,
-    shared_leaf,
 )
 from .notation import NotationSpec
 
@@ -89,70 +94,37 @@ class RecoveryReport:
     heuristics: list[HeuristicEvent]
 
 
-class _Token(NamedTuple):
-    line: int
-    kind: str  # "lex" | "name" | "terminal"
-    text: str
-    role: str | None = None
-
-
-def _scanner(notation: NotationSpec) -> tuple[re.Pattern, dict[str, str]]:
+@lru_cache(maxsize=64)
+def _scanner(notation: NotationSpec) -> tuple[re.Pattern, tuple[str, ...]]:
     """The notation's token pattern, which matches at every position: a run
-    of non-newline whitespace, then a newline, a comment to the end of its
-    line, a lexeme, a name run, the end of the text or any other character,
-    the first that fits.  Also the role of each lexeme."""
+    of whitespace other than newlines and any comment up to the end of the
+    line, then a newline, a lexeme, a name run, the end of the text or any
+    other character, the first that fits, each in a group of its own.  A
+    terminal start quote takes the text up to the first end quote, if there
+    is one, in one more group.  Also the role of each group by its index: a
+    lexeme's role, or "nl", "terminal", "name", "end" or "bad"."""
     roles = notation.as_dict()
-    role_of: dict[str, str] = {}
-    for role, lexeme in sorted(roles.items(), key=lambda item: -len(item[1])):
-        if role not in ("line-comment-start", "terminal-end-quote"):
-            role_of.setdefault(lexeme, role)
-    # longest first; a lexeme made of name characters only counts at a word boundary
-    lexemes = "|".join(
-        re.escape(lexeme) + (f"(?!{_NAME_CHAR})" if re.fullmatch(_NAME_RUN, lexeme) else "")
-        for lexeme in role_of)
     comment = roles.get("line-comment-start")
-    alternatives = [r"(?P<nl>\n)",
-                    f"(?P<comment>(?={re.escape(comment)})[^\n]*)" if comment else None,
-                    f"(?P<lex>{lexemes})", f"(?P<name>{_NAME_RUN})", r"(?P<end>\Z)",
-                    "(?P<bad>.)"]
-    pattern = r"[^\S\n]*(?:" + "|".join(filter(None, alternatives)) + ")"
-    return re.compile(pattern, re.DOTALL), role_of
-
-
-def _tokenize(text: str, notation: NotationSpec) -> list[_Token]:
-    scanner, role_of = _scanner(notation)
-    quote_close = notation.get("terminal-end-quote")
-    tokens: list[_Token] = []
-    append = tokens.append
-    token = partial(tuple.__new__, _Token)  # skips NamedTuple's Python-level __new__
-    pos = 0
-    line = 1
-    while True:
-        for m in scanner.finditer(text, pos):
-            kind = m.lastgroup
-            if kind == "lex":
-                lexeme = m.group(m.lastindex)
-                role = role_of[lexeme]
-                if role != "terminal-start-quote":
-                    append(token((line, "lex", lexeme, role)))
-                    continue
-                end = text.find(quote_close, m.end())
-                if end == -1:
-                    raise RecoveryError(line, "unterminated terminal quote")
-                body = text[m.end():end]
-                if "\n" in body:
-                    raise RecoveryError(line, "terminal quote spans lines")
-                append(token((line, "terminal", body, None)))
-                pos = end + len(quote_close)
-                break  # rescan after the closing quote
-            elif kind == "name":
-                append(token((line, "name", m.group(m.lastindex), None)))
-            elif kind == "nl":
-                line += 1
-            elif kind == "bad":
-                raise RecoveryError(line, f"unexpected character {m.group(m.lastindex)!r}")
+    skip = r"[^\S\n]*" + (f"(?:(?={re.escape(comment)})[^\n]*)?" if comment else "")
+    groups = [r"(\n)"]
+    role_at = ["", "nl"]
+    seen: set[str] = set()  # the two halves of a pair may share a lexeme
+    # longest first; a lexeme made of name characters only counts at a word boundary
+    for role, lexeme in sorted(roles.items(), key=lambda item: -len(item[1])):
+        if role in ("line-comment-start", "terminal-end-quote") or lexeme in seen:
+            continue
+        seen.add(lexeme)
+        lexeme = re.escape(lexeme) + (f"(?!{_NAME_CHAR})" if re.fullmatch(_NAME_RUN, lexeme)
+                                      else "")
+        if role == "terminal-start-quote":
+            groups.append(f"({lexeme}(?:(.*?){re.escape(roles['terminal-end-quote'])})?)")
+            role_at += ["terminal", ""]
         else:
-            return tokens
+            groups.append(f"({lexeme})")
+            role_at.append(role)
+    groups += [f"({_NAME_RUN})", r"(\Z)", "(.)"]
+    role_at += ["name", "end", "bad"]
+    return re.compile(f"{skip}(?:{'|'.join(groups)})", re.DOTALL), tuple(role_at)
 
 
 # the role that writes each postfix operator and separator-list infix; the
@@ -166,167 +138,191 @@ _INFIX = {role: NODE_TABLE[cls].build for cls, role in _ROLE_OF.items()
 # the bracket roles that open a nested body, each with the role that closes it
 _BRACKETS = {"group-start": "group-end", "option-start": "option-end"}
 _CLOSERS = ("group-end", "option-end", "nonterminal-end")
+# the roles that end a rule
+_ENDS = ("terminator", "end")
+# the roles that open a rule's head, each with the roles that finish it
+_HEADS = {"name": ("defining",),
+          "nonterminal-start": ("name", "nonterminal-end", "defining")}
 
 
-def _name_expr(name: str, leaves: dict) -> Expr:
-    value = VALUE_NAMES.get(name)
-    return shared_leaf(leaves, Nonterminal, name) if value is None else value
-
-
-def _parse_rhs(tokens: list[_Token], end_line: int, leaves: dict) -> Expr:
-    """A rule body's expression, parsed in one pass.  An operand stays open to
-    postfix operators until the next token; it then joins the current
-    concatenation, or becomes the separator of a pending separator-list infix.
-    An open bracket pushes the enclosing body's state and its closer pops it,
-    so nesting costs no recursion.  Its leaves come from the `shared_leaf`
-    table `leaves`."""
-    stack: list[tuple[_Token, list[Expr], list[Expr], Callable | None]] = []
-    alternatives: list[Expr] = []
-    parts: list[Expr] = []
-    infix = None  # a separator-list constructor waiting for its separator
-    operand = None
-    stream = chain(tokens, [_Token(end_line, "end", "")])
-    for token in stream:
-        kind, role = token.kind, token.role
-        if operand is not None:
-            if role in _POSTFIX:
-                operand = _POSTFIX[role](operand)
-                continue
-            if infix is None:
-                parts.append(operand)
-            else:
-                parts[-1] = infix(parts[-1], operand)
-            operand = None
-            infix = _INFIX.get(role)
-            if infix is not None:
-                continue
-        if kind == "terminal":
-            if not token.text:
-                raise RecoveryError(token.line, "empty terminal")
-            operand = shared_leaf(leaves, Terminal, token.text)
-        elif kind == "name":
-            operand = _name_expr(token.text, leaves)
-        elif role in _BRACKETS:
-            stack.append((token, alternatives, parts, infix))
-            alternatives, parts, infix = [], [], None
-        elif role == "nonterminal-start":
-            name = next(stream)  # never past the end token, which is no name
-            if name.kind != "name":
-                raise RecoveryError(token.line, "expected a name after nonterminal bracket")
-            if next(stream).role != "nonterminal-end":
-                raise RecoveryError(token.line, "unbalanced nonterminal brackets")
-            operand = _name_expr(name.text, leaves)
-        elif infix is not None:
-            raise RecoveryError(token.line, "expected an expression" if kind == "end"
-                                else f"unexpected {token.text!r}")
-        elif role == "definition-separator":
-            alternatives.append(seq(*parts))
-            parts = []
-        elif kind == "end" or role in _CLOSERS:
-            alternatives.append(seq(*parts))
-            body = choice(*alternatives)
-            if not stack:
-                if kind == "end":
-                    return body
-                raise RecoveryError(token.line, f"unbalanced {token.text!r}")
-            opener, alternatives, parts, infix = stack.pop()
-            if role != _BRACKETS[opener.role]:
-                raise RecoveryError(opener.line, "unbalanced "
-                                    f"{opener.role.removesuffix('-start')} brackets")
-            operand = body if opener.role == "group-start" else opt(body)
-        elif role != "concatenation":
-            raise RecoveryError(token.line, f"unexpected {token.text!r}")
-
-
-def _split_rules(tokens: list[_Token], notation: NotationSpec, last_line: int,
-                 warnings: list[tuple[int, str]],
-                 heuristics: list[HeuristicEvent]) -> list[list[_Token]]:
-    if notation.has("terminator"):
-        chunks: list[list[_Token]] = []
-        current: list[_Token] = []
-        for token in tokens:
-            if token.kind == "lex" and token.role == "terminator":
-                if current:
-                    chunks.append(current)
-                    current = []
-                else:
-                    warnings.append((token.line, "stray terminator skipped"))
-                    heuristics.append(HeuristicEvent(
-                        token.line, "stray-terminator", "skipped an empty rule"))
-            else:
-                current.append(token)
-        if current:
-            warnings.append((last_line, "missing terminator before end of input"))
-            chunks.append(current)
-        return chunks
-    # without a terminator, a rule ends where the next line opens one
-    chunks = []
-    current = []
-    for i, token in enumerate(tokens):
-        if current and token.line > current[-1].line and _rule_head(tokens, i):
-            chunks.append(current)
-            current = []
-        current.append(token)
-    if current:
-        chunks.append(current)
-    return chunks
-
-
-def _rule_head(tokens: list[_Token], at: int) -> tuple[str, int] | None:
-    """`(name, width)` if a rule opens at `at` with the head `name defining`
-    or `<name> defining`, whose `width` tokens precede the body; else None."""
-    head = tokens[at:at + 4]
-    roles = [token.role for token in head]
-    if head[0].kind == "name" and roles[1:2] == ["defining"]:
-        return head[0].text, 2
-    if roles[0] == "nonterminal-start" and roles[2:] == ["nonterminal-end", "defining"] \
-            and head[1].kind == "name":
-        return head[1].text, 4
-    return None
-
-
-def _take_lhs(chunk: list[_Token]) -> tuple[str, list[_Token]]:
-    head = _rule_head(chunk, 0)
-    if head is not None:
-        name, width = head
-        return name, chunk[width:]
-    first = chunk[0]
-    if first.role == "defining":
-        raise RecoveryError(first.line, "defining symbol with no left-hand side")
-    if first.role == "nonterminal-start":
-        raise RecoveryError(first.line, "expected '<name> defining-symbol'")
-    if first.kind != "name":
-        raise RecoveryError(first.line, f"expected a rule, found {first.text!r}")
-    raise RecoveryError(first.line, f"expected defining symbol after {first.text!r}")
+def _closed(alternatives: list[Expr], parts: list[Expr]) -> Expr:
+    """The body whose last alternative ends with `parts`; a sequence or
+    choice of one is that one, which `seq` and `choice` would copy."""
+    alternatives.append(parts[0] if len(parts) == 1 else seq(*parts))
+    return alternatives[0] if len(alternatives) == 1 else choice(*alternatives)
 
 
 def recover(text: str, notation: NotationSpec) -> RecoveryReport:
-    """Parse grammar text in the given dialect.  Roots are the recovered top
-    (defined-but-unused) nonterminals."""
+    """Parse grammar text in the given dialect, in one pass over the
+    scanner's matches.  Roots are the recovered top (defined-but-unused)
+    nonterminals."""
+    scanner, role_at = _scanner(notation)
+    terminated = notation.has("terminator")
     warnings: list[tuple[int, str]] = []
-    heuristics: list[HeuristicEvent] = []
-    tokens = _tokenize(text, notation)
-    last_line = text.count("\n") + 1
-    if not tokens:
-        warnings.append((1, "empty input; recovered the empty grammar"))
-        return RecoveryReport(Grammar((), ()), warnings, heuristics)
+    strays: list[HeuristicEvent] = []
+    redefinitions: list[HeuristicEvent] = []
     productions: list[Production] = []
     defined: set[str] = set()
     first_use: dict[str, int] = {}
-    leaves: dict = {}  # one leaf per name and terminal text in the grammar
-    for chunk in _split_rules(tokens, notation, last_line, warnings, heuristics):
-        lhs, rhs_tokens = _take_lhs(chunk)
-        line = chunk[0].line
-        rhs = _parse_rhs(rhs_tokens, chunk[-1].line, leaves)
-        if lhs in defined:
-            heuristics.append(HeuristicEvent(
-                line, "vertical-redefinition",
-                f"{lhs} was already defined; appended another alternative"))
-        defined.add(lhs)
-        for token in rhs_tokens:
-            if token.kind == "name" and token.text not in VALUE_NAMES:
-                first_use.setdefault(token.text, token.line)
-        productions.append(Production(lhs, rhs))
+    names: dict[str, Expr] = dict(VALUE_NAMES)  # one leaf per name in the grammar
+    terminals: dict[str, Terminal] = {}  # and one per terminal text
+    lhs = None  # the rule being read, once its head is
+    opening = None  # the rule whose head ends the one being read
+    # the body being read: the state of each enclosing open bracket, then its own
+    stack: list[tuple[str, int, list[Expr], list[Expr], Callable | None]] = []
+    alternatives: list[Expr] = []
+    parts: list[Expr] = []
+    infix = None  # a separator-list constructor waiting for its separator
+    operand = None  # open to postfix operators until the next token
+    bracket = 0  # the line of an open nonterminal bracket
+    # the roles that would finish a head begun on `head_line`, whether it
+    # opened with a bracket, its name and the name's line, and the line of
+    # the last token before it
+    head: tuple[str, ...] = ()
+    bracketed = False
+    word = name = ""
+    name_line = head_line = rule_line = split_end = 0
+    line, latest = 1, 0  # the line the scanner is on, and of the latest token
+    error = None  # the first parse error; a scanning error anywhere wins over it
+    for m in scanner.finditer(text):
+        index = m.lastindex
+        role = role_at[index]
+        if role == "name":
+            word = m[index]
+        elif role == "nl":
+            line += 1
+            continue
+        elif role == "terminal":
+            word = m[index + 1]
+            if word is None:
+                raise RecoveryError(line, "unterminated terminal quote")
+            if "\n" in word:
+                raise RecoveryError(line, "terminal quote spans lines")
+        elif role == "bad":
+            raise RecoveryError(line, f"unexpected character {m[index]!r}")
+        if error is not None:
+            continue
+        last, latest = latest, line  # the line of the token before this one
+        try:
+            if head:  # the tokens since `head_line` begin a head
+                if role != head[0]:
+                    if lhs is None:
+                        raise RecoveryError(head_line, "expected '<name> defining-symbol'"
+                                            if bracketed
+                                            else f"expected defining symbol after {name!r}")
+                    head = ()  # the body read them, and goes on
+                elif len(head) > 1:
+                    head = head[1:]
+                    if role == "name":
+                        name, name_line = word, line
+                    if lhs is None:
+                        continue
+                elif lhs is None:  # the head is whole: a rule opens
+                    head = ()
+                    if name in VALUE_NAMES:
+                        raise RecoveryError(
+                            head_line, f"{name!r} is the reserved name of a built-in value")
+                    lhs, rule_line = name, head_line
+                    continue
+                else:  # the body read a whole head, and ends before it
+                    head = ()
+                    operand = None
+                    if first_use.get(name) == name_line:  # as a first use
+                        del first_use[name], names[name]
+                    role, last, opening = "end", split_end, name
+            if lhs is None:  # a rule must open here
+                if role in _HEADS:
+                    head, head_line, bracketed = _HEADS[role], line, role != "name"
+                    name, name_line = word, line
+                elif role == "defining":
+                    raise RecoveryError(line, "defining symbol with no left-hand side")
+                elif role == "terminator":
+                    warnings.append((line, "stray terminator skipped"))
+                    strays.append(HeuristicEvent(line, "stray-terminator",
+                                                 "skipped an empty rule"))
+                elif role != "end":
+                    found = word if role == "terminal" else m[index]
+                    raise RecoveryError(line, f"expected a rule, found {found!r}")
+                elif not last:
+                    warnings.append((1, "empty input; recovered the empty grammar"))
+                continue
+            if not (terminated or head) and line > last and role in _HEADS:
+                # a head may begin here; the body reads it until it is whole
+                head, head_line, bracketed = _HEADS[role], line, role != "name"
+                name, name_line, split_end = word, line, last
+            if bracket:
+                if operand is not None:
+                    if role != "nonterminal-end":
+                        raise RecoveryError(bracket, "unbalanced nonterminal brackets")
+                    bracket = 0
+                    continue
+                if role != "name":
+                    raise RecoveryError(bracket, "expected a name after nonterminal bracket")
+            elif operand is not None:
+                if role in _POSTFIX:
+                    operand = _POSTFIX[role](operand)
+                    continue
+                if infix is None:
+                    parts.append(operand)
+                else:
+                    parts[-1] = infix(parts[-1], operand)
+                operand = None
+                infix = _INFIX.get(role)
+                if infix is not None:
+                    continue
+            if role == "name":
+                operand = names.get(word)
+                if operand is None:
+                    operand = names[word] = Nonterminal(word)
+                    first_use[word] = line
+            elif role == "terminal":
+                if not word:
+                    raise RecoveryError(line, "empty terminal")
+                operand = terminals.get(word) or terminals.setdefault(word, Terminal(word))
+            elif role in _BRACKETS:
+                stack.append((role, line, alternatives, parts, infix))
+                alternatives, parts, infix = [], [], None
+            elif role == "nonterminal-start":
+                bracket = line
+            elif infix is not None:
+                if role in _ENDS:
+                    raise RecoveryError(last, "expected an expression")
+                raise RecoveryError(line, f"unexpected {m[index]!r}")
+            elif role == "definition-separator":
+                alternatives.append(parts[0] if len(parts) == 1 else seq(*parts))
+                parts = []
+            elif role in _CLOSERS or role in _ENDS:
+                body = _closed(alternatives, parts)
+                if stack:
+                    opener, at, alternatives, parts, infix = stack.pop()
+                    if role != _BRACKETS[opener]:
+                        raise RecoveryError(
+                            at, f"unbalanced {opener.removesuffix('-start')} brackets")
+                    operand = body if opener == "group-start" else opt(body)
+                elif role in _CLOSERS:
+                    raise RecoveryError(line, f"unbalanced {m[index]!r}")
+                else:  # the rule ends
+                    alternatives, parts = [], []
+                    if role == "end" and terminated:
+                        warnings.append((text.count("\n") + 1,
+                                         "missing terminator before end of input"))
+                    if lhs in defined:
+                        redefinitions.append(HeuristicEvent(
+                            rule_line, "vertical-redefinition",
+                            f"{lhs} was already defined; appended another alternative"))
+                    defined.add(lhs)
+                    productions.append(Production(lhs, body))
+                    lhs, opening, rule_line = opening, None, head_line
+                    if lhs in VALUE_NAMES:
+                        raise RecoveryError(
+                            head_line, f"{lhs!r} is the reserved name of a built-in value")
+            elif role != "concatenation":
+                raise RecoveryError(line, f"unexpected {m[index]!r}")
+        except RecoveryError as exc:
+            error = exc
+    if error is not None:
+        raise error
+    heuristics = strays + redefinitions
     for name in sorted(first_use.keys() - defined):
         line = first_use[name]
         warnings.append((line, f"nonterminal {name!r} is used but never defined"))

@@ -6,10 +6,12 @@ expansion; it knows nothing about the transformation machinery.
 and keeps those under which every production has a weakly signature-equal
 counterpart, root correspondence fixed.  `tokenize` is the character-by-
 character recovery tokenizer that the compiled scanner replaced; it yields
-`(line, kind, text, role)` tuples.  `parse_rhs` is the recursive-descent
-rule-body parser, one method per precedence level, that the single loop over
-a bracket stack replaced; it takes recovery tokens and returns the body's
-expression or raises its `RecoveryError`.  `footprint` is the per-name
+`(line, kind, text, role)` tuples.  `recover` (with `_scanner`,
+`_tokenize`, `_split_rules`, `_rule_head`, `_take_lhs` and `_parse_rhs`) is
+recovery as it was before the one pass over the scanner's matches, kept
+verbatim: it builds a token list, copies it into one chunk per rule, parses
+each chunk's head and body over a bracket stack, and scans the bodies again
+for first uses.  `footprint` is the per-name
 recursion that the one pass over a rule's subterms replaced, and
 `per_name_prodsig` builds a signature from it, one call per name.
 `leaf_objects` groups the ids of a grammar's leaf objects by class and text,
@@ -31,6 +33,10 @@ class, each spelling out its children.
 from __future__ import annotations
 
 import itertools
+import re
+from functools import partial
+from itertools import chain
+from typing import Callable, NamedTuple
 
 from gramconv.converge import (
     SEARCH_MAX_BINDINGS,
@@ -47,7 +53,6 @@ from gramconv.converge import (
     prodsig,
 )
 from gramconv.grammar import (
-    EPSILON,
     VALUE_NAMES,
     Anything,
     Choice,
@@ -58,6 +63,7 @@ from gramconv.grammar import (
     Nonterminal,
     Optional,
     Plus,
+    Production,
     Selectable,
     SepListPlus,
     SepListStar,
@@ -68,17 +74,24 @@ from gramconv.grammar import (
     ValueStr,
     choice,
     opt,
-    plus,
     sepplus,
     sepstar,
     seq,
-    star,
+    shared_leaf,
     subterms,
     names_in_order,
     vocabulary,
 )
 from gramconv.notation import NotationSpec
-from gramconv.recovery import RecoveryError
+from gramconv.recovery import (
+    _BRACKETS,
+    _CLOSERS,
+    _INFIX,
+    _POSTFIX,
+    HeuristicEvent,
+    RecoveryError,
+    RecoveryReport,
+)
 
 
 def leaf_objects(g: Grammar) -> dict[tuple[type, str], set[int]]:
@@ -316,144 +329,247 @@ def tokenize(text: str, notation: NotationSpec) -> list[tuple]:
     return tokens
 
 
-class _RhsParser:
-    def __init__(self, tokens: list[_Token], end_line: int) -> None:
-        self.tokens = tokens
-        self.at = 0
-        self.end_line = end_line
+# the recovery that the one-pass loop replaced, kept verbatim: a token list,
+# rule chunks, a parse of each chunk and a last scan for first uses
 
-    def _line(self) -> int:
-        if self.at < len(self.tokens):
-            return self.tokens[self.at].line
-        return self.end_line
+_NAME_CHAR = "[A-Za-z0-9_-]"
+_NAME_RUN = _NAME_CHAR + "+"
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.at] if self.at < len(self.tokens) else None
 
-    def take(self) -> _Token:
-        token = self.tokens[self.at]
-        self.at += 1
-        return token
+class _Token(NamedTuple):
+    line: int
+    kind: str  # "lex" | "name" | "terminal"
+    text: str
+    role: str | None = None
 
-    def parse(self) -> Expr:
-        expr = self.alternation(closing=None)
-        if self.at != len(self.tokens):
-            token = self.tokens[self.at]
-            raise RecoveryError(token.line, f"unbalanced {token.text!r}")
-        return expr
 
-    def alternation(self, closing: str | None) -> Expr:
-        alternatives = [self.concatenation(closing)]
-        while True:
-            token = self.peek()
-            if token is not None and token.kind == "lex" \
-                    and token.role == "definition-separator":
-                self.take()
-                alternatives.append(self.concatenation(closing))
-            else:
-                break
-        return choice(*alternatives) if len(alternatives) > 1 else alternatives[0]
+def _scanner(notation: NotationSpec) -> tuple[re.Pattern, dict[str, str]]:
+    """The notation's token pattern, which matches at every position: a run
+    of non-newline whitespace, then a newline, a comment to the end of its
+    line, a lexeme, a name run, the end of the text or any other character,
+    the first that fits.  Also the role of each lexeme."""
+    roles = notation.as_dict()
+    role_of: dict[str, str] = {}
+    for role, lexeme in sorted(roles.items(), key=lambda item: -len(item[1])):
+        if role not in ("line-comment-start", "terminal-end-quote"):
+            role_of.setdefault(lexeme, role)
+    # longest first; a lexeme made of name characters only counts at a word boundary
+    lexemes = "|".join(
+        re.escape(lexeme) + (f"(?!{_NAME_CHAR})" if re.fullmatch(_NAME_RUN, lexeme) else "")
+        for lexeme in role_of)
+    comment = roles.get("line-comment-start")
+    alternatives = [r"(?P<nl>\n)",
+                    f"(?P<comment>(?={re.escape(comment)})[^\n]*)" if comment else None,
+                    f"(?P<lex>{lexemes})", f"(?P<name>{_NAME_RUN})", r"(?P<end>\Z)",
+                    "(?P<bad>.)"]
+    pattern = r"[^\S\n]*(?:" + "|".join(filter(None, alternatives)) + ")"
+    return re.compile(pattern, re.DOTALL), role_of
 
-    def concatenation(self, closing: str | None) -> Expr:
-        parts: list[Expr] = []
-        while True:
-            token = self.peek()
-            if token is None:
-                break
-            if token.kind == "lex" and token.role in ("definition-separator",):
-                break
-            if token.kind == "lex" and closing is not None and token.role == closing:
-                break
-            if token.kind == "lex" and token.role in ("group-end", "option-end",
-                                                      "nonterminal-end"):
-                break
-            if token.kind == "lex" and token.role == "concatenation":
-                self.take()
+
+def _tokenize(text: str, notation: NotationSpec) -> list[_Token]:
+    scanner, role_of = _scanner(notation)
+    quote_close = notation.get("terminal-end-quote")
+    tokens: list[_Token] = []
+    append = tokens.append
+    token = partial(tuple.__new__, _Token)  # skips NamedTuple's Python-level __new__
+    pos = 0
+    line = 1
+    while True:
+        for m in scanner.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "lex":
+                lexeme = m.group(m.lastindex)
+                role = role_of[lexeme]
+                if role != "terminal-start-quote":
+                    append(token((line, "lex", lexeme, role)))
+                    continue
+                end = text.find(quote_close, m.end())
+                if end == -1:
+                    raise RecoveryError(line, "unterminated terminal quote")
+                body = text[m.end():end]
+                if "\n" in body:
+                    raise RecoveryError(line, "terminal quote spans lines")
+                append(token((line, "terminal", body, None)))
+                pos = end + len(quote_close)
+                break  # rescan after the closing quote
+            elif kind == "name":
+                append(token((line, "name", m.group(m.lastindex), None)))
+            elif kind == "nl":
+                line += 1
+            elif kind == "bad":
+                raise RecoveryError(line, f"unexpected character {m.group(m.lastindex)!r}")
+        else:
+            return tokens
+
+
+
+def _name_expr(name: str, leaves: dict) -> Expr:
+    value = VALUE_NAMES.get(name)
+    return shared_leaf(leaves, Nonterminal, name) if value is None else value
+
+
+def _parse_rhs(tokens: list[_Token], end_line: int, leaves: dict) -> Expr:
+    """A rule body's expression, parsed in one pass.  An operand stays open to
+    postfix operators until the next token; it then joins the current
+    concatenation, or becomes the separator of a pending separator-list infix.
+    An open bracket pushes the enclosing body's state and its closer pops it,
+    so nesting costs no recursion.  Its leaves come from the `shared_leaf`
+    table `leaves`."""
+    stack: list[tuple[_Token, list[Expr], list[Expr], Callable | None]] = []
+    alternatives: list[Expr] = []
+    parts: list[Expr] = []
+    infix = None  # a separator-list constructor waiting for its separator
+    operand = None
+    stream = chain(tokens, [_Token(end_line, "end", "")])
+    for token in stream:
+        kind, role = token.kind, token.role
+        if operand is not None:
+            if role in _POSTFIX:
+                operand = _POSTFIX[role](operand)
                 continue
-            parts.append(self.seplist_term(closing))
-        if not parts:
-            return EPSILON
-        return seq(*parts)
-
-    def seplist_term(self, closing: str | None) -> Expr:
-        expr = self.postfixed(closing)
-        while True:
-            token = self.peek()
-            if token is not None and token.kind == "lex" \
-                    and token.role in ("seplist-star", "seplist-plus"):
-                self.take()
-                separator = self.postfixed(closing)
-                ctor = sepstar if token.role == "seplist-star" else sepplus
-                expr = ctor(expr, separator)
+            if infix is None:
+                parts.append(operand)
             else:
-                break
-        return expr
-
-    def postfixed(self, closing: str | None) -> Expr:
-        expr = self.primary(closing)
-        while True:
-            token = self.peek()
-            if token is not None and token.kind == "lex" and token.role in (
-                    "star-postfix", "plus-postfix", "option-postfix"):
-                self.take()
-                if token.role == "star-postfix":
-                    expr = star(expr)
-                elif token.role == "plus-postfix":
-                    expr = plus(expr)
-                else:
-                    expr = opt(expr)
-            else:
-                break
-        return expr
-
-    def primary(self, closing: str | None) -> Expr:
-        token = self.peek()
-        if token is None:
-            raise RecoveryError(self._line(), "expected an expression")
-        if token.kind == "terminal":
-            self.take()
+                parts[-1] = infix(parts[-1], operand)
+            operand = None
+            infix = _INFIX.get(role)
+            if infix is not None:
+                continue
+        if kind == "terminal":
             if not token.text:
                 raise RecoveryError(token.line, "empty terminal")
-            return Terminal(token.text)
-        if token.kind == "name":
-            self.take()
-            return self._name_expr(token.text)
-        if token.kind == "lex" and token.role == "group-start":
-            self.take()
-            inner = self.alternation("group-end")
-            closer = self.peek()
-            if closer is None or closer.kind != "lex" or closer.role != "group-end":
-                raise RecoveryError(token.line, "unbalanced group brackets")
-            self.take()
-            return inner
-        if token.kind == "lex" and token.role == "option-start":
-            self.take()
-            inner = self.alternation("option-end")
-            closer = self.peek()
-            if closer is None or closer.kind != "lex" or closer.role != "option-end":
-                raise RecoveryError(token.line, "unbalanced option brackets")
-            self.take()
-            return opt(inner)
-        if token.kind == "lex" and token.role == "nonterminal-start":
-            self.take()
-            inner = self.peek()
-            if inner is None or inner.kind != "name":
+            operand = shared_leaf(leaves, Terminal, token.text)
+        elif kind == "name":
+            operand = _name_expr(token.text, leaves)
+        elif role in _BRACKETS:
+            stack.append((token, alternatives, parts, infix))
+            alternatives, parts, infix = [], [], None
+        elif role == "nonterminal-start":
+            name = next(stream)  # never past the end token, which is no name
+            if name.kind != "name":
                 raise RecoveryError(token.line, "expected a name after nonterminal bracket")
-            self.take()
-            closer = self.peek()
-            if closer is None or closer.kind != "lex" or closer.role != "nonterminal-end":
+            if next(stream).role != "nonterminal-end":
                 raise RecoveryError(token.line, "unbalanced nonterminal brackets")
-            self.take()
-            return self._name_expr(inner.text)
-        raise RecoveryError(token.line, f"unexpected {token.text!r}")
+            operand = _name_expr(name.text, leaves)
+        elif infix is not None:
+            raise RecoveryError(token.line, "expected an expression" if kind == "end"
+                                else f"unexpected {token.text!r}")
+        elif role == "definition-separator":
+            alternatives.append(seq(*parts))
+            parts = []
+        elif kind == "end" or role in _CLOSERS:
+            alternatives.append(seq(*parts))
+            body = choice(*alternatives)
+            if not stack:
+                if kind == "end":
+                    return body
+                raise RecoveryError(token.line, f"unbalanced {token.text!r}")
+            opener, alternatives, parts, infix = stack.pop()
+            if role != _BRACKETS[opener.role]:
+                raise RecoveryError(opener.line, "unbalanced "
+                                    f"{opener.role.removesuffix('-start')} brackets")
+            operand = body if opener.role == "group-start" else opt(body)
+        elif role != "concatenation":
+            raise RecoveryError(token.line, f"unexpected {token.text!r}")
 
-    @staticmethod
-    def _name_expr(name: str) -> Expr:
-        return VALUE_NAMES.get(name, Nonterminal(name))
+
+def _split_rules(tokens: list[_Token], notation: NotationSpec, last_line: int,
+                 warnings: list[tuple[int, str]],
+                 heuristics: list[HeuristicEvent]) -> list[list[_Token]]:
+    if notation.has("terminator"):
+        chunks: list[list[_Token]] = []
+        current: list[_Token] = []
+        for token in tokens:
+            if token.kind == "lex" and token.role == "terminator":
+                if current:
+                    chunks.append(current)
+                    current = []
+                else:
+                    warnings.append((token.line, "stray terminator skipped"))
+                    heuristics.append(HeuristicEvent(
+                        token.line, "stray-terminator", "skipped an empty rule"))
+            else:
+                current.append(token)
+        if current:
+            warnings.append((last_line, "missing terminator before end of input"))
+            chunks.append(current)
+        return chunks
+    # without a terminator, a rule ends where the next line opens one
+    chunks = []
+    current = []
+    for i, token in enumerate(tokens):
+        if current and token.line > current[-1].line and _rule_head(tokens, i):
+            chunks.append(current)
+            current = []
+        current.append(token)
+    if current:
+        chunks.append(current)
+    return chunks
 
 
-def parse_rhs(tokens, end_line: int) -> Expr:
-    return _RhsParser(tokens, end_line).parse()
+def _rule_head(tokens: list[_Token], at: int) -> tuple[str, int] | None:
+    """`(name, width)` if a rule opens at `at` with the head `name defining`
+    or `<name> defining`, whose `width` tokens precede the body; else None."""
+    head = tokens[at:at + 4]
+    roles = [token.role for token in head]
+    if head[0].kind == "name" and roles[1:2] == ["defining"]:
+        return head[0].text, 2
+    if roles[0] == "nonterminal-start" and roles[2:] == ["nonterminal-end", "defining"] \
+            and head[1].kind == "name":
+        return head[1].text, 4
+    return None
+
+
+def _take_lhs(chunk: list[_Token]) -> tuple[str, list[_Token]]:
+    head = _rule_head(chunk, 0)
+    if head is not None:
+        name, width = head
+        return name, chunk[width:]
+    first = chunk[0]
+    if first.role == "defining":
+        raise RecoveryError(first.line, "defining symbol with no left-hand side")
+    if first.role == "nonterminal-start":
+        raise RecoveryError(first.line, "expected '<name> defining-symbol'")
+    if first.kind != "name":
+        raise RecoveryError(first.line, f"expected a rule, found {first.text!r}")
+    raise RecoveryError(first.line, f"expected defining symbol after {first.text!r}")
+
+
+def recover(text: str, notation: NotationSpec) -> RecoveryReport:
+    """Parse grammar text in the given dialect.  Roots are the recovered top
+    (defined-but-unused) nonterminals."""
+    warnings: list[tuple[int, str]] = []
+    heuristics: list[HeuristicEvent] = []
+    tokens = _tokenize(text, notation)
+    last_line = text.count("\n") + 1
+    if not tokens:
+        warnings.append((1, "empty input; recovered the empty grammar"))
+        return RecoveryReport(Grammar((), ()), warnings, heuristics)
+    productions: list[Production] = []
+    defined: set[str] = set()
+    first_use: dict[str, int] = {}
+    leaves: dict = {}  # one leaf per name and terminal text in the grammar
+    for chunk in _split_rules(tokens, notation, last_line, warnings, heuristics):
+        lhs, rhs_tokens = _take_lhs(chunk)
+        line = chunk[0].line
+        rhs = _parse_rhs(rhs_tokens, chunk[-1].line, leaves)
+        if lhs in defined:
+            heuristics.append(HeuristicEvent(
+                line, "vertical-redefinition",
+                f"{lhs} was already defined; appended another alternative"))
+        defined.add(lhs)
+        for token in rhs_tokens:
+            if token.kind == "name" and token.text not in VALUE_NAMES:
+                first_use.setdefault(token.text, token.line)
+        productions.append(Production(lhs, rhs))
+    for name in sorted(first_use.keys() - defined):
+        line = first_use[name]
+        warnings.append((line, f"nonterminal {name!r} is used but never defined"))
+        heuristics.append(HeuristicEvent(
+            line, "undefined-nonterminal", f"kept {name!r} as a plain nonterminal"))
+    roots = tuple(sorted(defined - first_use.keys()))
+    return RecoveryReport(Grammar(roots, tuple(productions)), warnings, heuristics)
+
 
 
 _MARKER_OF = {Optional: "?", Star: "*", Plus: "+"}

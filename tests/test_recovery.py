@@ -5,6 +5,7 @@ import pytest
 
 from gramconv.grammar import (
     EPSILON,
+    VALUE_NAMES,
     Grammar,
     Nonterminal,
     Terminal,
@@ -24,15 +25,7 @@ from gramconv.grammar import (
 )
 from gramconv.mutate import Mutation, anf_check, mutate
 from gramconv.notation import ROLES, NotationError, parse_spec, spec
-from gramconv.recovery import (
-    RecoveryError,
-    UnparseError,
-    _parse_rhs,
-    _Token,
-    _tokenize,
-    recover,
-    unparse,
-)
+from gramconv.recovery import RecoveryError, UnparseError, recover, unparse
 from gramconv.transform import rename_nonterminal
 
 import oracles
@@ -155,7 +148,7 @@ def test_recovery_total_on_unknown_words():
 
 def test_recovery_total_on_wordy_well_bracketed_fuzz():
     # arbitrary word soup with balanced brackets never aborts; only
-    # structural defects do
+    # structural defects do, and a reserved value name as a left-hand side
     rng = random.Random(71)
     words = ["alpha", "beta9", "x-y", "str", "int", "zz_1"]
     for _ in range(120):
@@ -170,7 +163,12 @@ def test_recovery_total_on_wordy_well_bracketed_fuzz():
                 pieces.append("( " + " ".join(rng.choices(words, k=2)) + " )")
             else:
                 pieces.append("|")
-        text = f"{rng.choice(words)} ::= {' '.join(pieces)} ;"
+        lhs = rng.choice(words)
+        text = f"{lhs} ::= {' '.join(pieces)} ;"
+        if lhs in VALUE_NAMES:
+            with pytest.raises(RecoveryError, match="^line 1: '(str|int)' is the reserved name"):
+                recover(text, BASIC)
+            continue
         report = recover(text, BASIC)
         assert report.grammar.productions
 
@@ -280,7 +278,7 @@ def test_roundtrip_or_the_missing_roles_over_reduced_dialects(data_dir):
             notation = dialect(kept + missing)
             text = unparse(g, notation)
             outcomes["completed"] += 1
-            written = {token.role or token.kind for token in _tokenize(text, notation)}
+            written = {role or kind for _, kind, _, role in oracles.tokenize(text, notation)}
             if "terminal" in written:
                 written |= {"terminal-start-quote", "terminal-end-quote"}
             assert written.issuperset(missing), (missing, text)
@@ -402,6 +400,94 @@ def test_rule_starts_split_alike_with_and_without_brackets():
     assert report.grammar.productions[0].rhs == seq(n("b"), n("c"), n("d"))
 
 
+def _error(text, notation) -> tuple[int, str]:
+    with pytest.raises(RecoveryError) as err:
+        recover(text, notation)
+    return err.value.line, err.value.reason
+
+
+BRACKETED = spec({"defining": "::=", "terminator": ";", "definition-separator": "|",
+                  "nonterminal-start": "<", "nonterminal-end": ">"})
+COLON = spec({"defining": ":", "definition-separator": "|"})
+
+
+@pytest.mark.parametrize("text, notation, line, name", [
+    ("str ::= a ;", BASIC, 1, "str"),
+    ("<int> ::= <a> ;", BRACKETED, 1, "int"),
+    ("a ::= b ;\n\nint ::= a ;", BASIC, 3, "int"),
+    ("<a> ::= <b> ;\n<\nstr\n> ::= <a> ;", BRACKETED, 2, "str"),
+    ("a : b\nstr : a\n", COLON, 2, "str"),
+], ids=["name", "bracketed", "later-rule", "bracketed-over-lines", "no-terminator"])
+def test_a_reserved_value_name_is_no_left_hand_side(text, notation, line, name):
+    # the interchange reader refuses such a rule in the same words
+    assert _error(text, notation) == (line, f"{name!r} is the reserved name of a built-in value")
+
+
+def test_a_reserved_left_hand_side_is_a_parse_error():
+    # a scanning error anywhere wins over it, and so does a parse error before it
+    assert _error("str ::= a ;\nb ::= $ ;", BASIC) == (2, "unexpected character '$'")
+    assert _error("a ::= ) ;\nstr ::= b ;", BASIC) == (1, "unbalanced ')'")
+    assert _error("str ::= ) ;", BASIC) == (1, "'str' is the reserved name of a built-in value")
+    # in a body a reserved name is the value
+    assert recover("a ::= str <int> ;", BRACKETED).grammar.productions[0].rhs == \
+        seq(VALUE_NAMES["str"], VALUE_NAMES["int"])
+
+
+def test_a_scanning_error_on_a_later_line_wins_over_an_earlier_parse_error(data_dir):
+    ref = reference_spec(data_dir)
+    assert _error("a ::= ) ;\nb ::= $ ;", BASIC) == (2, "unexpected character '$'")
+    assert _error('a ::= ) ;\nb ::= "x ;', ref) == (2, "unterminated terminal quote")
+    assert _error('a ::= ) ;\nb ::= "x\n" ;', ref) == (2, "terminal quote spans lines")
+    assert _error("a : b :\nc : d\n$\n", COLON) == (3, "unexpected character '$'")
+
+
+def test_warning_and_event_lines():
+    # a missing terminator is warned at the last line of the text; there a
+    # newline inside a lexeme counts, but not in the lines of tokens
+    report = recover("a ::= b ;\nc ::= d\n\n", BASIC)
+    assert report.warnings[0] == (4, "missing terminator before end of input")
+    broken = spec({"defining": "=\n", "terminator": ";"})
+    report = recover("a =\nb ;\nc =\nd", broken)
+    assert report.warnings == [(4, "missing terminator before end of input"),
+                               (1, "nonterminal 'b' is used but never defined"),
+                               (2, "nonterminal 'd' is used but never defined")]
+    assert _error("a =\nb ;\nc =\n$", broken) == (2, "unexpected character '$'")
+    # stray terminators are listed first, then redefinitions, each at its line
+    for text, stray, again in [("a ::= b ;\n;\na ::= c ;\n", 2, 3),
+                               ("a ::= b ;\na ::= c ;\n;", 3, 2)]:
+        report = recover(text, BASIC)
+        assert [(event.line, event.name) for event in report.heuristics[:2]] == \
+            [(stray, "stray-terminator"), (again, "vertical-redefinition")]
+        assert report.warnings[0] == (stray, "stray terminator skipped")
+
+
+def test_a_line_that_opens_no_rule_goes_on_with_the_body():
+    # without a terminator, a line that opens with a name or a bracketed name
+    # that the defining symbol does not follow continues the rule; a head
+    # may span lines
+    bracketed = spec({"defining": "::=", "definition-separator": "|", "star-postfix": "*",
+                      "nonterminal-start": "<", "nonterminal-end": ">"})
+    report = recover("<a> ::= <b>\n<c>* | <d>\n<\ne\n> ::= <a>\n<g>\n", bracketed)
+    assert report.grammar == Grammar(("e",), (p("a", choice(seq(n("b"), star(n("c"))), n("d"))),
+                                              p("e", seq(n("a"), n("g")))))
+    assert [line for line, _ in report.warnings] == [1, 2, 2, 6]
+    # a name that opens a later rule is no use of it
+    report = recover("a : b\nb : a c\nc :\n", COLON)
+    assert report.grammar.roots == () and report.warnings == []
+    # a head ends the rule before it, even one that an open bracket or infix
+    # leaves unfinished, which then ends on its own last line; a redefinition
+    # is noted on the line its head opens
+    bracketed = spec({"defining": ":", "nonterminal-start": "<", "nonterminal-end": ">",
+                      "seplist-plus": "#+"})
+    assert _error("a : <\nb : c\n", bracketed) == (1, "expected a name after nonterminal bracket")
+    assert _error("a : b #+\n\nc : d\n", bracketed) == (1, "expected an expression")
+    report = recover("<a> : <b>\n<\na\n> : <c>\n", bracketed)
+    assert [(event.line, event.name) for event in report.heuristics[:1]] == \
+        [(2, "vertical-redefinition")]
+    assert recover("a : <\nb > c\n", bracketed).grammar == \
+        Grammar(("a",), (p("a", seq(n("b"), n("c"))),))
+
+
 # lexemes that look like names, that prefix one another, that the two quote
 # roles may share, and that hold whitespace
 _LEXEMES = ["::=", ":", "=", ":=", ";", ".", "|", "||", "(", ")", "[", "]", "{",
@@ -447,24 +533,54 @@ def _random_text(rng: random.Random, notation) -> str:
     return "".join(pieces)
 
 
-def _token_stream(tokenizer, text, notation):
+def _recovered(recover, text, notation):
+    """What recovery gives: ("parsed", grammar, warnings, heuristics), or
+    ("error", line, reason)."""
     try:
-        return [tuple(token) for token in tokenizer(text, notation)]
+        report = recover(text, notation)
     except RecoveryError as exc:
-        return ("error", exc.line, str(exc))
+        return ("error", exc.line, exc.reason)
+    return ("parsed", report.grammar, report.warnings, report.heuristics)
 
 
-def test_tokenizer_matches_the_character_loop_on_random_notations():
+@pytest.fixture
+def reference(monkeypatch):
+    """The recovery that the one-pass loop replaced, which also refuses a
+    reserved value name as a left-hand side, at its rule's line, as a parse
+    error: the one difference `recover` may show against it."""
+    take_lhs = oracles._take_lhs
+
+    def refusing(chunk):
+        lhs, rest = take_lhs(chunk)
+        if lhs in VALUE_NAMES:
+            raise RecoveryError(chunk[0].line,
+                                f"{lhs!r} is the reserved name of a built-in value")
+        return lhs, rest
+
+    monkeypatch.setattr(oracles, "_take_lhs", refusing)
+    return partial(_recovered, oracles.recover)
+
+
+def _outcome(recovered) -> str:
+    return recovered[0] if recovered[0] == "parsed" else recovered[2].split(" '")[0]
+
+
+def test_one_pass_matches_the_token_list_recovery_on_random_notations(reference):
     rng = random.Random(97)
+    outcomes = set()
     for _ in range(400):
         notation = _random_notation(rng)
         for _ in range(6):
             text = _random_text(rng, notation)
-            assert _token_stream(_tokenize, text, notation) == \
-                _token_stream(oracles.tokenize, text, notation), (notation, text)
+            got = _recovered(recover, text, notation)
+            assert got == reference(text, notation), (notation, text)
+            outcomes.add(_outcome(got))
+    assert {"parsed", "unexpected character", "is the reserved name of a built-in value",
+            "unterminated terminal quote", "terminal quote spans lines"} <= \
+        {outcome.removeprefix("'str' ").removeprefix("'int' ") for outcome in outcomes}
 
 
-def test_tokenizer_matches_the_character_loop_on_fuzzed_texts(data_dir):
+def test_one_pass_matches_the_token_list_recovery_on_fuzzed_texts(data_dir, reference):
     rng = random.Random(98)
     notations = [BASIC, reference_spec(data_dir),
                  spec({"defining": "is", "terminator": "end", "definition-separator": "|",
@@ -475,8 +591,7 @@ def test_tokenizer_matches_the_character_loop_on_fuzzed_texts(data_dir):
              "a is 'x' b end -- note\nc is d | 'y' end\n"]
     for text in texts:
         for notation in notations:
-            assert _token_stream(_tokenize, text, notation) == \
-                _token_stream(oracles.tokenize, text, notation)
+            assert _recovered(recover, text, notation) == reference(text, notation)
         for _ in range(150):
             chars = list(text)
             for _ in range(rng.randint(1, 4)):  # insert, delete or replace
@@ -492,8 +607,29 @@ def test_tokenizer_matches_the_character_loop_on_fuzzed_texts(data_dir):
                         chars[at] = piece
             fuzzed = "".join(chars)
             for notation in notations:
-                assert _token_stream(_tokenize, fuzzed, notation) == \
-                    _token_stream(oracles.tokenize, fuzzed, notation), fuzzed
+                assert _recovered(recover, fuzzed, notation) == reference(fuzzed, notation), \
+                    fuzzed
+
+
+def test_one_pass_matches_the_token_list_recovery_where_lines_open_rules(reference):
+    # without a terminator a rule ends where a line opens the next one's
+    # head, which the body reads first; heads, names, brackets and operators
+    # over random line breaks
+    notation = spec({"defining": ":", "definition-separator": "|", "group-start": "(",
+                     "group-end": ")", "star-postfix": "*", "seplist-plus": "#+",
+                     "nonterminal-start": "<", "nonterminal-end": ">"})
+    pieces = ["a :", "<b> :", "<\nstr\n> :", "a", "b", "<", ">", ":", "|", "(", ")", "*",
+              "#+", "\n", "\n", "\n"]
+    rng = random.Random(101)
+    outcomes = set()
+    for _ in range(5000):
+        text = " ".join(rng.choice(pieces) for _ in range(rng.randint(0, 16)))
+        got = _recovered(recover, text, notation)
+        assert got == reference(text, notation), text
+        outcomes.add(_outcome(got))
+    assert {"parsed", "'str' is the reserved name of a built-in value", "unexpected",
+            "unbalanced nonterminal brackets", "expected a name after nonterminal bracket",
+            "expected defining symbol after", "expected"} <= outcomes
 
 
 # the roles that combine operands in a rule body; the other roles are drawn
@@ -501,43 +637,51 @@ def test_tokenizer_matches_the_character_loop_on_fuzzed_texts(data_dir):
 _OPERATORS = ["definition-separator", "concatenation", "group-start", "group-end",
               "option-start", "option-end", "star-postfix", "plus-postfix",
               "option-postfix", "seplist-star", "seplist-plus"]
+# a dialect with every role.  A role drawn that would end the rule, or open a
+# terminal or a comment, is written as the defining symbol, which no body
+# holds either
+_EVERY_ROLE = spec({"defining": "::=", "terminator": ";", "definition-separator": "|",
+                    "concatenation": ",", "group-start": "(", "group-end": ")",
+                    "option-start": "[", "option-end": "]", "star-postfix": "*",
+                    "plus-postfix": "+", "option-postfix": "?",
+                    "terminal-start-quote": '"', "terminal-end-quote": '"',
+                    "nonterminal-start": "<", "nonterminal-end": ">",
+                    "seplist-star": "#*", "seplist-plus": "#+",
+                    "line-comment-start": "//"})
+_WRITTEN = {role: _EVERY_ROLE.get(role) for role in ROLES} | {
+    role: "::=" for role in ("terminator", "terminal-start-quote", "terminal-end-quote",
+                             "line-comment-start")}
 
 
-def _random_rhs(rng: random.Random) -> tuple[list[_Token], int]:
-    tokens = []
+def _random_rule(rng: random.Random) -> str:
+    """One rule `r` of `_EVERY_ROLE`, whose random body spans a few lines."""
     line = rng.randint(1, 3)
+    pieces = ["\n" * (line - 1), "r ::="]
     for _ in range(rng.randint(0, 14)):
-        line += rng.random() < 0.1
+        if rng.random() < 0.1:
+            line += 1
+            pieces.append("\n")
         roll = rng.random()
         if roll < 0.4:
-            tokens.append(_Token(line, "name", rng.choice(["a", "b", "str", "int"])))
+            pieces.append(rng.choice(["a", "b", "str", "int"]))
         elif roll < 0.47:
-            tokens.append(_Token(line, "terminal", rng.choice(["x", "x", "x", ""])))
+            pieces.append('"' + rng.choice(["x", "x", "x", ""]) + '"')
         elif roll < 0.5:
-            tokens += [_Token(line, "lex", "<", "nonterminal-start"),
-                       _Token(line, "name", rng.choice(["c", "int"])),
-                       _Token(line, "lex", ">", "nonterminal-end")]
+            pieces.append(f"< {rng.choice(['c', 'int'])} >")
         else:
-            role = rng.choice(_OPERATORS if roll < 0.96 else ROLES)
-            tokens.append(_Token(line, "lex", role, role))
-    return tokens, line + rng.randint(0, 1)
+            pieces.append(_WRITTEN[rng.choice(_OPERATORS if roll < 0.96 else ROLES)])
+    pieces.append("\n" * rng.randint(0, 1) + ";")
+    return " ".join(pieces)
 
 
-def _parsed(parse, tokens, end_line):
-    try:
-        return parse(tokens, end_line)
-    except RecoveryError as exc:
-        return (exc.line, exc.reason)
-
-
-def test_rhs_parser_matches_the_recursive_descent_on_random_token_streams():
+def test_one_pass_matches_the_token_list_recovery_on_random_rule_bodies(reference):
     rng = random.Random(99)
     outcomes = set()
     for _ in range(100_000):
-        tokens, end_line = _random_rhs(rng)
-        got = _parsed(partial(_parse_rhs, leaves={}), tokens, end_line)
-        assert got == _parsed(oracles.parse_rhs, tokens, end_line), (tokens, end_line)
-        outcomes.add(got[1].split(" '")[0] if isinstance(got, tuple) else "parsed")
+        text = _random_rule(rng)
+        got = _recovered(recover, text, _EVERY_ROLE)
+        assert got == reference(text, _EVERY_ROLE), text
+        outcomes.add(_outcome(got))
     assert outcomes == {"parsed", "expected an expression", "empty terminal",
                         "unbalanced group brackets", "unbalanced option brackets",
                         "unbalanced nonterminal brackets",
