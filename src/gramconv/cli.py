@@ -149,10 +149,10 @@ def _parse_mutation(text: str) -> Mutation:
                                 "e.g. disciplined-rename:lower")
         params["convention"] = raw
     elif kind == "extract-subgrammar":
-        if not raw:
+        params["roots"] = [name.strip() for name in raw.split(",") if name.strip()]
+        if not params["roots"]:
             raise MutationError("extract-subgrammar needs root names, "
                                 "e.g. extract-subgrammar:expr,stmt")
-        params["roots"] = [name.strip() for name in raw.split(",") if name.strip()]
     elif raw:
         raise MutationError(f"mutation {kind!r} takes no argument")
     return Mutation(kind, params)

@@ -33,7 +33,6 @@ from .grammar import (
     SepListStar,
     Sequence,
     Star,
-    Terminal,
     VALUE_NAME_OF,
     VALUE_NAMES,
     children,
@@ -178,27 +177,24 @@ def render_prodsig(sig: dict[str, Footprint]) -> str:
 _Classes = dict[Footprint, tuple[str, ...]]
 
 
-def _keys(sig: dict[str, Footprint]) -> tuple[_Classes, dict[str, frozenset[Footprint] | None]]:
-    """A signature's weak classes (each weak footprint with the names that
-    carry it, in signature order) and the weak and strong keys that `_equiv`
-    compares: the weak key is the set of the classes' footprints, and a
-    signature whose footprints are not pairwise distinct has no strong key."""
-    classes: dict[Footprint, list[str]] = {}
+def _classes(sig: dict[str, Footprint], strength: str) -> _Classes | None:
+    """A signature's names grouped into classes at `strength`, each keyed by
+    a footprint, in signature order: at weak strength the names of each weak
+    footprint (+ read as *); at strong strength one name per footprint, or
+    None when footprints repeat.  The classes' footprints, as a set, are the
+    signature's key at that strength, which `_equiv` compares."""
+    if strength == "strong":
+        strong = {fp: (name,) for name, fp in sig.items()}
+        return strong if len(strong) == len(sig) else None
+    weak: dict[Footprint, list[str]] = {}
     for name, fp in sig.items():
-        classes.setdefault(fp.weak(), []).append(name)
-    strong = frozenset(sig.values())
-    return ({fp: tuple(names) for fp, names in classes.items()},
-            {"weak": frozenset(classes), "strong": strong if len(strong) == len(sig) else None})
-
-
-def _strong_classes(sig: dict[str, Footprint]) -> _Classes:
-    """A signature's classes at strong strength: one name per footprint."""
-    return {fp: (name,) for name, fp in sig.items()}
+        weak.setdefault(fp.weak(), []).append(name)
+    return {fp: tuple(names) for fp, names in weak.items()}
 
 
 def _equiv(p: Production, q: Production, strength: str) -> bool:
-    key = _keys(prodsig(p))[1][strength]
-    return key is not None and key == _keys(prodsig(q))[1][strength]
+    left, right = _classes(prodsig(p), strength), _classes(prodsig(q), strength)
+    return None not in (left, right) and left.keys() == right.keys()
 
 
 def strong_equiv(p: Production, q: Production) -> bool:
@@ -240,15 +236,13 @@ def pair_resolution(p: Production, q: Production, strength: str) -> list[Nominal
     signature over equal footprints); weak pairs induce every maximal
     relation pairing names with equivalent footprints one-to-one, with
     unmatched names related to the omega marker.  Both come from
-    `_class_relations`, over the strong or the weak classes."""
+    `_class_relations`, over the two signatures' classes at `strength`."""
     if strength not in ("strong", "weak"):
         raise ResolutionError(f"unknown equivalence strength {strength!r}")
     sp, sq = prodsig(p), prodsig(q)
-    (classes_p, keys_p), (classes_q, keys_q) = _keys(sp), _keys(sq)
-    if keys_p[strength] is None or keys_p[strength] != keys_q[strength]:
+    classes_p, classes_q = _classes(sp, strength), _classes(sq, strength)
+    if None in (classes_p, classes_q) or classes_p.keys() != classes_q.keys():
         raise ResolutionError(f"productions are not {strength}ly prodsig-equivalent")
-    if strength == "strong":
-        classes_p, classes_q = _strong_classes(sp), _strong_classes(sq)
     mappings = []
     for rel in _class_relations(classes_p, classes_q):
         left, right = {a for a, _ in rel}, {b for _, b in rel}
@@ -310,10 +304,10 @@ def _binds_alone(rel: _Relation) -> bool:
 
 def _class_relations(left: _Classes, right: _Classes) -> list[tuple[tuple[str, str], ...]]:
     """The relations of two signatures equivalent at some strength, from
-    their classes at that strength (`_strong_classes`, or `_keys`' weak
-    ones), in the order of `left`'s classes, each as its sorted pairs without
-    the omega entries for the names it leaves unpaired.  A class with one
-    name on each side gives its pair; a larger one expands by permutations."""
+    their `_classes` at that strength, in the order of `left`'s classes,
+    each as its sorted pairs without the omega entries for the names it
+    leaves unpaired.  A class with one name on each side gives its pair; a
+    larger one expands by permutations."""
     per_class: list[list[tuple[tuple[str, str], ...]]] = []
     for fp, lnames in left.items():
         rnames = right[fp]
@@ -331,24 +325,25 @@ def _class_relations(left: _Classes, right: _Classes) -> list[tuple[tuple[str, s
 
 class _SignatureIndex:
     """The signature facts of one grammar's productions, each derived once:
-    its signature, and from `_keys` its weak classes and the keys the
-    equivalences compare.  Production indices are bucketed by key in
-    ascending order."""
+    `sigs`, a signature per production, and per strength (the keys of
+    `classes`, `keys` and `buckets`) each production's `_classes`, its key
+    (their footprints as a set, None where it has no classes), and the
+    indices of the productions of each key, in ascending order."""
 
     def __init__(self, g: Grammar) -> None:
         self.productions = g.productions
         self.sigs = [prodsig(prod) for prod in g.productions]
-        self.classes: list[_Classes] = []
-        self.keys: dict[str, list[frozenset[Footprint] | None]] = {"weak": [], "strong": []}
-        self.buckets: dict[str, dict[frozenset[Footprint], list[int]]] = {
-            "weak": {}, "strong": {}}
-        for i, sig in enumerate(self.sigs):
-            classes, keys = _keys(sig)
-            self.classes.append(classes)
-            for strength, key in keys.items():
-                self.keys[strength].append(key)
+        self.classes: dict[str, list[_Classes | None]] = {}
+        self.keys: dict[str, list[frozenset[Footprint] | None]] = {}
+        self.buckets: dict[str, dict[frozenset[Footprint], list[int]]] = {}
+        for strength in ("weak", "strong"):
+            classes = self.classes[strength] = [_classes(sig, strength) for sig in self.sigs]
+            keys = self.keys[strength] = [None if found is None else frozenset(found)
+                                          for found in classes]
+            buckets = self.buckets[strength] = {}
+            for i, key in enumerate(keys):
                 if key is not None:
-                    self.buckets[strength].setdefault(key, []).append(i)
+                    buckets.setdefault(key, []).append(i)
 
     def exact_targets(self) -> set[tuple[str, frozenset[tuple[str, Footprint]]]]:
         return {(prod.lhs, frozenset(sig.items()))
@@ -361,9 +356,8 @@ class _Resolution:
     A servant production's options are its `(master production, relation)`
     pairs: the equivalent master productions in ascending order, each with
     the relations of `relations` that bind on their own, in their order.
-    Every relation comes from `_class_relations`: the weak ones over the two
-    productions' weak classes in the indexes, the strong ones over their
-    strong classes, derived here when a relation is asked for."""
+    Every relation comes from `_class_relations`, over the two productions'
+    classes at the strength asked for, as the indexes hold them."""
 
     def __init__(self, master: Grammar, servant: Grammar) -> None:
         self.master = _SignatureIndex(master)
@@ -372,18 +366,13 @@ class _Resolution:
 
     def candidates(self, si: int, strength: str) -> list[int]:
         """Master productions equivalent to servant production `si`."""
-        key = self.servant.keys[strength][si]
-        return self.master.buckets[strength].get(key, []) if key is not None else []
+        return self.master.buckets[strength].get(self.servant.keys[strength][si], [])
 
     def relations(self, si: int, mi: int, strength: str) -> list[_Relation]:
         """The pair's `pair_resolution` relations, each with the lhs pair
         first and the omega entries dropped."""
         lhs = (self.servant.productions[si].lhs, self.master.productions[mi].lhs)
-        if strength == "weak":
-            left, right = self.servant.classes[si], self.master.classes[mi]
-        else:
-            left = _strong_classes(self.servant.sigs[si])
-            right = _strong_classes(self.master.sigs[mi])
+        left, right = self.servant.classes[strength][si], self.master.classes[strength][mi]
         return [(lhs,) + pairs for pairs in _class_relations(left, right)]
 
     def options(self, strength: str) -> list[list[_Option]]:
@@ -617,11 +606,13 @@ class _Aligner:
     """Alignment of one servant rhs onto one master rhs under a name mapping.
 
     `walk` returns the steps that rewrite the servant side into the master's
-    shape, or None when the two do not align: sequence permutations,
-    repetition widenings (+ against *), and bindings of servant nonterminals
-    against built-in master values.  Paths address the servant tree as it
-    stands when the step applies (parent adjustments come before the steps
-    below them)."""
+    shape, or None when the two do not align.  A nonterminal aligns with its
+    mapped name, or is bound to a master value; a + is widened to a *, or a
+    * to a +; any other pair must be of one class: equal leaves, or
+    composites aligned child by child through `children` (a selector's name
+    compared first), whose rule-level sequence parts may be permuted.  Paths
+    address the servant tree as it stands when the step applies (parent
+    adjustments come before the steps below them)."""
 
     def __init__(self, mapping: dict[str, str], lhs: str, pos: int) -> None:
         self.mapping = mapping
@@ -629,47 +620,39 @@ class _Aligner:
         self.pos = pos
 
     def walk(self, s: Expr, m: Expr, path: tuple[int, ...]) -> list[TransformStep] | None:
-        if isinstance(s, Nonterminal):
-            if isinstance(m, Nonterminal):
+        kind = type(s)
+        if kind is Nonterminal:
+            if type(m) is Nonterminal:
                 return [] if self.mapping.get(s.name) == m.name else None
             # a nonterminal standing where the master has a built-in value
             return [self._set(path, m, s)] if type(m) in VALUE_NAME_OF else None
-        if type(s) is type(m) and isinstance(s, (Optional, Star, Plus)):
-            return self.walk(s.body, m.body, path + (0,))
-        if isinstance(s, (Star, Plus)) and isinstance(m, (Star, Plus)):
+        if kind is not type(m):
+            if kind not in (Star, Plus) or type(m) not in (Star, Plus):
+                return None
             # + against *: widen the servant side onto the master's kind
             inner = self.walk(s.body, m.body, path + (0,))
-            rewrapped = Star(s.body) if isinstance(m, Star) else Plus(s.body)
-            return None if inner is None else [self._set(path, rewrapped, s)] + inner
-        if isinstance(s, Sequence) and isinstance(m, Sequence):
-            return self._sequence(s.parts, m.parts, path)
-        if isinstance(s, Choice) and isinstance(m, Choice):
-            return self._sequence(s.alternatives, m.alternatives, path, permute=False)
-        if type(s) is type(m) and isinstance(s, (SepListStar, SepListPlus)):
-            item = self.walk(s.item, m.item, path + (0,))
-            separator = self.walk(s.separator, m.separator, path + (1,))
-            return None if item is None or separator is None else item + separator
-        if type(s) is type(m) and isinstance(s, Selectable):
-            return self.walk(s.body, m.body, path + (0,)) if s.selector == m.selector else None
-        if isinstance(s, Terminal):
-            return [] if isinstance(m, Terminal) and s.text == m.text else None
-        return [] if type(s) is type(m) else None  # values / epsilon / empty / any
-
-    def _sequence(self, s_parts, m_parts, path,
-                  permute: bool = True) -> list[TransformStep] | None:
-        """Sequence parts, or choice alternatives with `permute` off, aligned
-        position by position; a rule-level sequence may also be permuted."""
-        k = len(s_parts)
-        if len(m_parts) != k:
+            return None if inner is None else [self._set(path, type(m)(s.body), s)] + inner
+        s_kids = children(s)
+        if not s_kids:
+            return [] if s == m else None
+        if kind is Selectable and s.selector != m.selector:
             return None
-        diagonal = [self.walk(s_parts[i], m_parts[i], path + (i,)) for i in range(k)]
+        return self._children(s_kids, children(m), path, kind is Sequence)
+
+    def _children(self, s_kids, m_kids, path, permute: bool) -> list[TransformStep] | None:
+        """Children aligned position by position; the parts of a rule-level
+        sequence (`permute`) may also be permuted."""
+        k = len(s_kids)
+        if len(m_kids) != k:
+            return None
+        diagonal = [self.walk(s_kids[i], m_kids[i], path + (i,)) for i in range(k)]
         if None not in diagonal:
             return [step for cell in diagonal for step in cell]
         if path or not permute:
             return None  # permutations are recorded at rule level only
         # a part is walked at the position it moves to, so the chosen order
         # reuses the steps of its cells
-        table = [[diagonal[i] if j == i else self.walk(s_parts[i], m_parts[j], (j,))
+        table = [[diagonal[i] if j == i else self.walk(s_kids[i], m_kids[j], (j,))
                   for j in range(k)] for i in range(k)]
         order = _sequence_order(table)
         if order is None:
@@ -743,9 +726,7 @@ def structural_match(master: Grammar, servant: Grammar,
     grammars' signature indexes: the mapping's `indexes` when they were
     derived from these very rules, and otherwise indexes built here."""
     name_map = mapping.as_dict()
-    servant_names = set(names_in_order(servant, _leaf_name))
-    covered = {a for a, _ in mapping.pairs if a is not None}
-    missing = sorted(servant_names - covered - VALUE_NAME_SET)
+    missing = sorted(servant.names - {a for a, _ in mapping.pairs} - VALUE_NAME_SET)
     if missing:
         raise MatchError(f"mapping does not cover servant names: {', '.join(missing)}")
 

@@ -283,9 +283,9 @@ def sepplus(item: Expr, separator: Expr) -> SepListPlus:
 # --------------------------------------------------------------------------
 # The node table: how each expression class is taken apart and put back
 # together.  Generic tree walks go through `children` and `with_children`.
-# The two renderers keep a table per class for their text, but walk through
-# `children` too; code whose meaning differs per class (footprints,
-# alignment) keeps its own dispatch.
+# The two renderers (a table per class for their text) and structural
+# matching's aligner walk through `children` too; footprints, whose meaning
+# differs per class, keep their own dispatch.
 
 
 class NodeKind(NamedTuple):

@@ -20,9 +20,12 @@ walks each grammar once and builds no JSON tree of its expressions.
 node as soon as the object closes, so the document's dict tree is never
 walked again.  The hook never raises; if any part of its result is not a
 grammar, the text is read again by `grammar_from_json`, the checking
-walker, which is the one source of error texts.  Each reader keeps one leaf
-table per call, so a grammar read holds one leaf object per name and per
-terminal text.
+walker, which is the one source of error texts.  The checking walker keeps
+its own stack: each object is read by a generator that yields its child
+objects and is sent their nodes, so it reads every depth `json.loads`
+reads, also on Python 3.12 and later, where `json.loads` has a recursion
+limit of its own.  Each reader keeps one leaf table per call, so a grammar
+read holds one leaf object per name and per terminal text.
 """
 
 from __future__ import annotations
@@ -198,7 +201,25 @@ def expr_from_json(doc, path: str = "rhs") -> Expr:
 
 def _expr_from_json(doc, path: str, leaves: dict) -> Expr:
     """`expr_from_json`, with its leaves from the `shared_leaf` table
-    `leaves`, looked up once the field has passed its type check."""
+    `leaves`.  Each object is read by a `_read` generator, and one stack of
+    them stands for the recursion, so any depth `json.loads` gives is read."""
+    stack = [_read(doc, path, leaves)]
+    built = None
+    while True:
+        try:
+            stack.append(_read(*stack[-1].send(built), leaves))
+            built = None
+        except StopIteration as done:  # the reader on top has built its node
+            stack.pop()
+            if not stack:
+                return done.value
+            built = done.value
+
+
+def _read(doc, path: str, leaves: dict):
+    """The reading of one expression object: it yields each child object
+    with its path and is sent the child's node back, and it returns its own
+    node, with its leaf looked up once the field has passed its type check."""
     tag = _want(doc, "tag", str, path)
     decoder = _DECODERS.get(tag)
     if decoder is None:
@@ -212,10 +233,10 @@ def _expr_from_json(doc, path: str, leaves: dict) -> Expr:
         if kind is str:
             values.append(value)
         elif kind is dict:
-            values.append(_expr_from_json(value, f"{path}.{name}", leaves))
+            values.append((yield value, f"{path}.{name}"))
         else:
-            for i, kid in enumerate(value):  # a generator would cost a frame per level
-                values.append(_expr_from_json(kid, f"{path}.{name}[{i}]", leaves))
+            for i, kid in enumerate(value):
+                values.append((yield kid, f"{path}.{name}[{i}]"))
     if tag == "n" and values[0] in VALUE_NAMES:
         raise _reserved(values[0], f"{path}.name")
     leaf = _LEAF_CLASS.get(tag)

@@ -28,6 +28,12 @@ weak footprint class, with omega entries for the names left unpaired.
 `render_expr` (with `_render`) and `render_term` are the two renderers as
 they were before they read per-class tables: one isinstance test per node
 class, each spelling out its children.
+`_Aligner` is structural matching's aligner as it was before it walked the
+node table, kept verbatim: one branch per node class, each spelling out its
+children.  `grammar_from_json` (with `_expr_from_json`) is the checking
+interchange reader as it was before its explicit stack, kept verbatim: one
+Python frame per expression level, so it gives out before `json.loads`
+does.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from gramconv.converge import (
     _Binding,
     _binds_alone,
     _leaf_name,
+    _sequence_order,
     _SignatureIndex,
     _unwrapped_leaf,
     prodsig,
@@ -70,6 +77,7 @@ from gramconv.grammar import (
     Sequence,
     Star,
     Terminal,
+    VALUE_NAME_OF,
     ValueInt,
     ValueStr,
     choice,
@@ -82,6 +90,14 @@ from gramconv.grammar import (
     names_in_order,
     vocabulary,
 )
+from gramconv.interchange import (
+    _DECODERS,
+    _LEAF_CLASS,
+    InterchangeError,
+    _grammar,
+    _reserved,
+    _want,
+)
 from gramconv.notation import NotationSpec
 from gramconv.recovery import (
     _BRACKETS,
@@ -92,6 +108,7 @@ from gramconv.recovery import (
     RecoveryError,
     RecoveryReport,
 )
+from gramconv.transform import TransformStep
 
 
 def leaf_objects(g: Grammar) -> dict[tuple[type, str], set[int]]:
@@ -879,3 +896,108 @@ def render_term(expr: Expr) -> str:
     if isinstance(expr, SepListPlus):
         return f"sepplus({render_term(expr.item)}, {render_term(expr.separator)})"
     raise TypeError(f"not an expression: {expr!r}")
+
+
+class _Aligner:
+    """Alignment of one servant rhs onto one master rhs under a name mapping.
+
+    `walk` returns the steps that rewrite the servant side into the master's
+    shape, or None when the two do not align: sequence permutations,
+    repetition widenings (+ against *), and bindings of servant nonterminals
+    against built-in master values.  Paths address the servant tree as it
+    stands when the step applies (parent adjustments come before the steps
+    below them)."""
+
+    def __init__(self, mapping: dict[str, str], lhs: str, pos: int) -> None:
+        self.mapping = mapping
+        self.lhs = lhs
+        self.pos = pos
+
+    def walk(self, s: Expr, m: Expr, path: tuple[int, ...]) -> list[TransformStep] | None:
+        if isinstance(s, Nonterminal):
+            if isinstance(m, Nonterminal):
+                return [] if self.mapping.get(s.name) == m.name else None
+            # a nonterminal standing where the master has a built-in value
+            return [self._set(path, m, s)] if type(m) in VALUE_NAME_OF else None
+        if type(s) is type(m) and isinstance(s, (Optional, Star, Plus)):
+            return self.walk(s.body, m.body, path + (0,))
+        if isinstance(s, (Star, Plus)) and isinstance(m, (Star, Plus)):
+            # + against *: widen the servant side onto the master's kind
+            inner = self.walk(s.body, m.body, path + (0,))
+            rewrapped = Star(s.body) if isinstance(m, Star) else Plus(s.body)
+            return None if inner is None else [self._set(path, rewrapped, s)] + inner
+        if isinstance(s, Sequence) and isinstance(m, Sequence):
+            return self._sequence(s.parts, m.parts, path)
+        if isinstance(s, Choice) and isinstance(m, Choice):
+            return self._sequence(s.alternatives, m.alternatives, path, permute=False)
+        if type(s) is type(m) and isinstance(s, (SepListStar, SepListPlus)):
+            item = self.walk(s.item, m.item, path + (0,))
+            separator = self.walk(s.separator, m.separator, path + (1,))
+            return None if item is None or separator is None else item + separator
+        if type(s) is type(m) and isinstance(s, Selectable):
+            return self.walk(s.body, m.body, path + (0,)) if s.selector == m.selector else None
+        if isinstance(s, Terminal):
+            return [] if isinstance(m, Terminal) and s.text == m.text else None
+        return [] if type(s) is type(m) else None  # values / epsilon / empty / any
+
+    def _sequence(self, s_parts, m_parts, path,
+                  permute: bool = True) -> list[TransformStep] | None:
+        """Sequence parts, or choice alternatives with `permute` off, aligned
+        position by position; a rule-level sequence may also be permuted."""
+        k = len(s_parts)
+        if len(m_parts) != k:
+            return None
+        diagonal = [self.walk(s_parts[i], m_parts[i], path + (i,)) for i in range(k)]
+        if None not in diagonal:
+            return [step for cell in diagonal for step in cell]
+        if path or not permute:
+            return None  # permutations are recorded at rule level only
+        # a part is walked at the position it moves to, so the chosen order
+        # reuses the steps of its cells
+        table = [[diagonal[i] if j == i else self.walk(s_parts[i], m_parts[j], (j,))
+                  for j in range(k)] for i in range(k)]
+        order = _sequence_order(table)
+        if order is None:
+            return None
+        steps = [TransformStep("permute", {"lhs": self.lhs, "pos": self.pos,
+                                           "order": list(order)})]
+        return steps + [step for i, target in enumerate(order)
+                        for step in table[i][target - 1]]
+
+    def _set(self, path: tuple[int, ...], expr: Expr, previous: Expr) -> TransformStep:
+        return TransformStep("set-node", {"lhs": self.lhs, "pos": self.pos,
+                                          "path": list(path), "expr": expr,
+                                          "previous": previous})
+
+
+def _expr_from_json(doc, path: str, leaves: dict) -> Expr:
+    """`expr_from_json`, with its leaves from the `shared_leaf` table
+    `leaves`, looked up once the field has passed its type check."""
+    tag = _want(doc, "tag", str, path)
+    decoder = _DECODERS.get(tag)
+    if decoder is None:
+        raise InterchangeError(path, f"unknown expression tag {tag!r}")
+    build, spec = decoder
+    values: list = []
+    for name, kind in spec:
+        value = doc.get(name)
+        if not isinstance(value, kind):
+            _want(doc, name, kind, path)  # raises the missing-field or type error
+        if kind is str:
+            values.append(value)
+        elif kind is dict:
+            values.append(_expr_from_json(value, f"{path}.{name}", leaves))
+        else:
+            for i, kid in enumerate(value):  # a generator would cost a frame per level
+                values.append(_expr_from_json(kid, f"{path}.{name}[{i}]", leaves))
+    if tag == "n" and values[0] in VALUE_NAMES:
+        raise _reserved(values[0], f"{path}.name")
+    leaf = _LEAF_CLASS.get(tag)
+    if leaf is not None:
+        return shared_leaf(leaves, leaf, values[0])
+    return build(*values)
+
+
+def grammar_from_json(doc) -> Grammar:
+    leaves: dict = {}  # one leaf per name and terminal text in the grammar
+    return _grammar(doc, dict, lambda rhs, path: _expr_from_json(rhs, path, leaves))

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -276,8 +277,9 @@ def test_converge_duplicated_root_is_domain_error(tmp_path, data_dir, capsys):
     assert err == "error: $.roots[1]: duplicate root 'program'\n"
 
 
-# argv ({data} and {tmp} are filled in), exit code, and the text that the
-# error line holds, or, on success, that stdout or stderr holds
+# argv ({data} and {tmp} are filled in, then split as a shell would), exit
+# code, and the text that the error line holds, or, on success, that stdout
+# or stderr holds
 CLI_CASES = {
     "rename-without-convention": (
         "mutate {data}/fl_master.json --mutation disciplined-rename --out {tmp}/o.json",
@@ -287,6 +289,12 @@ CLI_CASES = {
         "--out {tmp}/o.json", 0, "err", "extract-subgrammar: 3 change(s)"),
     "extract-subgrammar-without-roots": (
         "mutate {data}/fl_master.json --mutation extract-subgrammar --out {tmp}/o.json",
+        1, "error", "extract-subgrammar needs root names"),
+    "extract-subgrammar-with-an-empty-root-list": (
+        "mutate {data}/fl_master.json --mutation extract-subgrammar:, --out {tmp}/o.json",
+        1, "error", "extract-subgrammar needs root names"),
+    "extract-subgrammar-with-a-blank-root": (
+        "mutate {data}/fl_master.json --mutation 'extract-subgrammar: ' --out {tmp}/o.json",
         1, "error", "extract-subgrammar needs root names"),
     "stray-argument": (
         "mutate {data}/fl_master.json --mutation normalize-anf:now --out {tmp}/o.json",
@@ -318,7 +326,7 @@ CLI_CASES = {
 def test_cli_outcomes(case, tmp_path, data_dir, capsys):
     command, expected_code, where, text = CLI_CASES[case]
     (tmp_path / "broken.json").write_text("[{", encoding="utf-8")
-    argv = command.format(data=data_dir, tmp=tmp_path).split()
+    argv = shlex.split(command.format(data=data_dir, tmp=tmp_path))
     code = main(argv)
     captured = capsys.readouterr()
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]

@@ -23,30 +23,44 @@ from gramconv.converge import (
 )
 from gramconv.converge import (
     ResolutionConflict,
+    _Aligner,
     _Binding,
     _complete_matchings,
     _greedy_fixpoint,
     _leaf_name,
     _Resolution,
+    _SignatureIndex,
 )
 from gramconv.grammar import (
     VALUE_INT,
+    VALUE_NAMES,
     VALUE_STR,
+    Choice,
     Grammar,
+    Nonterminal,
+    Plus,
+    Selectable,
+    Sequence,
+    Star,
+    Terminal,
+    children,
     choice,
     n,
     opt,
     p,
     plus,
+    sel,
     seq,
     star,
+    subterms,
     t,
+    with_children,
 )
 from gramconv.mutate import anf_check
 from gramconv.transform import TransformStep, apply_script, rename_nonterminal
 from conftest import FL_MAPPING
 
-from gen import random_anf, random_grammar, rooted_anf
+from gen import SELECTORS, TERMINALS, random_anf, random_expr, random_grammar, rooted_anf
 import oracles
 from oracles import resolution_oracle
 
@@ -245,6 +259,23 @@ def test_pair_resolution_omega_for_leftovers():
         omegas = [a for a, b in cand.pairs if b is None]
         assert len(omegas) == 1
         assert len(cand.as_dict()) == 1
+
+
+def test_a_repeated_footprint_gives_weak_classes_and_no_strong_ones():
+    # b and c both carry 1, so the signature has no equal-footprint
+    # bijection to be unique; + and * share a weak class
+    prod = p("a", seq(n("b"), n("c"), star(n("d")), plus(n("e"))))
+    index = _SignatureIndex(Grammar(("a",), (prod,)))
+    assert index.classes["weak"] == [{fp("1"): ("b", "c"), fp("*"): ("d", "e")}]
+    assert index.keys["weak"] == [frozenset({fp("1"), fp("*")})]
+    assert index.buckets["weak"] == {frozenset({fp("1"), fp("*")}): [0]}
+    assert index.classes["strong"] == index.keys["strong"] == [None]
+    assert index.buckets["strong"] == {}
+    assert weak_equiv(prod, prod) and not strong_equiv(prod, prod)
+    with pytest.raises(ResolutionError) as err:
+        pair_resolution(prod, prod, "strong")
+    assert str(err.value) == "productions are not strongly prodsig-equivalent"
+    assert len(pair_resolution(prod, prod, "weak")) == 4
 
 
 # -- nominal resolution -------------------------------------------------------------
@@ -767,6 +798,65 @@ def test_structural_match_permutation_under_identity_naming():
     report = structural_match(master, servant, mapping)
     permutes = [step for step in report.structural_trace if step.op == "permute"]
     assert [step.args["order"] for step in permutes] == [[3, 1, 2]]
+
+
+_ALIGN_NAMES = ["a", "b", "c", "d"]
+_ALIGN_MAPPING = {"a": "A", "b": "B", "c": "C"}  # d is left unmapped
+
+
+def _counterpart(rng: random.Random, s):
+    """A master-side expression made from the servant-side s: its names
+    renamed by _ALIGN_MAPPING, with seeded changes that an alignment may
+    undo (a permuted sequence, + against *, a value for a name) or not
+    (permuted alternatives, another selector, terminal, name or subtree)."""
+    roll = rng.random()
+    if roll < 0.04:
+        return random_expr(rng, ["A", "B", "C"], 2)
+    if type(s) is Nonterminal:
+        if roll < 0.15:
+            return rng.choice(list(VALUE_NAMES.values()))
+        if roll < 0.2:
+            return n(rng.choice(["A", "B", "C", "D"]))
+        return n(_ALIGN_MAPPING.get(s.name, s.name.upper()))
+    if type(s) is Terminal:
+        return t(rng.choice(TERMINALS)) if roll < 0.2 else s
+    kids = [_counterpart(rng, kid) for kid in children(s)]
+    if type(s) in (Sequence, Choice) and roll < 0.4:
+        rng.shuffle(kids)
+    if type(s) in (Star, Plus) and roll < 0.35:
+        return (plus if type(s) is Star else star)(kids[0])
+    if type(s) is Selectable and roll < 0.35:
+        return sel(rng.choice(SELECTORS), kids[0])
+    return with_children(s, kids)
+
+
+def test_aligner_agrees_with_the_aligner_it_replaced():
+    # on seeded pairs of arbitrary shapes, not only ANF: choices, separator
+    # lists, selectors, terminals, values, + against *, and permuted
+    # rule-level sequences
+    rng = random.Random(29)
+    seen = {"none": 0, "empty": 0, "selector": 0, "permute": 0, "widen": 0, "value": 0}
+    for _ in range(4000):
+        s = random_expr(rng, _ALIGN_NAMES, 4)
+        if rng.random() < 0.4:
+            s = seq(*(random_expr(rng, _ALIGN_NAMES, 2) for _ in range(rng.randint(2, 5))))
+        m = _counterpart(rng, s)
+        ours = _Aligner(_ALIGN_MAPPING, "r", 1).walk(s, m, ())
+        theirs = oracles._Aligner(_ALIGN_MAPPING, "r", 1).walk(s, m, ())
+        assert ours == theirs, (s, m)
+        if ours is None:
+            seen["none"] += 1
+            continue
+        seen["empty"] += not ours
+        seen["selector"] += any(type(sub) is Selectable for sub in subterms(s))
+        for step in ours:
+            if step.op == "permute":
+                seen["permute"] += 1
+            elif type(step.args["expr"]) in (Star, Plus):
+                seen["widen"] += 1
+            else:
+                seen["value"] += 1
+    assert all(count >= 50 for count in seen.values()), seen
 
 
 def test_structural_match_requires_total_mapping(fl_master_abstract, jaxb_anf):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -322,9 +323,11 @@ def _outcome(read, text: str):
 
 
 def _assert_reads_alike(text: str) -> None:
-    """`deserialize` gives what the checking reader gives."""
+    """`deserialize` gives what the checking reader gives, and the checking
+    reader what the recursive reader it replaced gives."""
     ours = _outcome(deserialize, text)
     assert ours == _outcome(lambda text: grammar_from_json(json.loads(text)), text), text
+    assert ours == _outcome(lambda text: oracles.grammar_from_json(json.loads(text)), text)
     if isinstance(ours, Grammar):
         assert all(len(ids) == 1 for ids in oracles.leaf_objects(ours).values())
 
@@ -415,6 +418,29 @@ def test_deserialize_reads_every_document_as_the_checking_reader_does(data_dir):
         for _ in range(rng.choice([1, 1, 1, 2, 3])):
             _mutate(rng, doc)
         _assert_reads_alike(json.dumps(doc))
+
+
+def test_the_checking_reader_reads_past_the_recursion_limit():
+    # the reader keeps its own stack, so it reads what the recursive reader
+    # it replaced could not, and names a fault at the bottom by its full path
+    depth = sys.getrecursionlimit() + 100
+    rhs = {"tag": "n", "name": "b"}
+    for _ in range(depth):
+        rhs = {"tag": "star", "body": {"tag": "seq", "parts": [{"tag": "t", "text": "c"}, rhs]}}
+    doc = {"roots": [], "productions": [{"label": None, "lhs": "a", "rhs": rhs}]}
+    with pytest.raises(RecursionError):
+        oracles.grammar_from_json(doc)
+    read = grammar_from_json(doc).productions[0].rhs
+    assert [type(sub).__name__ for sub in subterms(read)] == (
+        ["Star", "Sequence", "Terminal"] * depth + ["Nonterminal"])
+    bottom = doc["productions"][0]["rhs"]
+    for _ in range(depth):
+        bottom = bottom["body"]["parts"][1]
+    bottom["tag"] = "wat"
+    with pytest.raises(InterchangeError) as err:
+        grammar_from_json(doc)
+    assert str(err.value) == "$.productions[0].rhs" + ".body.parts[1]" * depth + (
+        ": unknown expression tag 'wat'")
 
 
 def test_deserialize_reads_every_depth_the_checking_reader_reads():
