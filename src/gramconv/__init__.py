@@ -47,7 +47,7 @@ from .transform import (
     apply_step,
     bidirectionalize,
 )
-from .mutate import AnfViolation, Mutation, MutationError, MutationResult, anf_check, mutate
+from .mutate import AnfViolation, Mutation, MutationError, MutationResult, anf_check
 from .converge import (
     Footprint,
     MatchReport,

@@ -52,7 +52,6 @@ from .grammar import (
     render_expr,
     seq,
     star,
-    subterms,
     tops,
     used_names,
 )
@@ -64,6 +63,7 @@ from .transform import (
     dnf,
     fresh_name,
     _sole_definition,
+    _UNIT,
     _uses,
 )
 
@@ -132,8 +132,12 @@ def _nodes(rules, classes) -> int:
     return count
 
 
+# the atomic leaves: a rule whose whole rhs is one is a chain rule
+_ATOMS = (Nonterminal, ValueStr, ValueInt, Epsilon, Empty, Anything)
+
+
 def _is_chain_rhs(rhs: Expr) -> bool:
-    return isinstance(rhs, (Nonterminal, ValueStr, ValueInt, Epsilon, Empty, Anything))
+    return isinstance(rhs, _ATOMS)
 
 
 def _is_trivial_rhs(rhs: Expr) -> bool:
@@ -144,11 +148,39 @@ def _is_trivial_rhs(rhs: Expr) -> bool:
 # per-kind implementations
 
 
-def _rewrite_rules(rec: _Recorder, rewrite) -> None:
+def _holds(rhs: Expr, classes) -> bool:
+    """Whether rhs holds a node of `classes` (a tuple) or a unit child that
+    the smart constructors would drop (an epsilon part of a sequence, an
+    empty alternative of a choice), found by a walk that stops at the
+    first."""
+    stack = [rhs]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind in classes:
+            return True
+        if kind not in _ATOMS:
+            kids = children(node)
+            unit = _UNIT.get(kind)
+            if unit is not None and unit in map(type, kids):
+                return True
+            stack.extend(kids)
+    return False
+
+
+def _rewrite_rules(rec: _Recorder, rewrite, classes) -> None:
     """Rewrite every rule rhs with `rewrite` (rhs to rhs), one recorded step
-    per changed rule."""
+    per changed rule.  `rewrite` rebuilds with the smart constructors and
+    acts only on nodes of `classes`, so a rule is skipped when its rhs holds
+    none of them and no unit child (`_holds`).  The skip is exact: such a
+    rhs is canonical but for unit children, which only the direct
+    constructors build, and rebuilding a canonical tree in which the
+    rewrite finds nothing to change gives an equal tree, so the rule would
+    have recorded no step."""
     for name in names_in_order(rec.grammar):
         for pos, prod in enumerate(rec.grammar.rules_of(name)):
+            if not _holds(prod.rhs, classes):
+                continue
             new = rewrite(prod.rhs)
             if new != prod.rhs:
                 rec.do("set-node", lhs=name, pos=pos, path=[], expr=new,
@@ -157,12 +189,12 @@ def _rewrite_rules(rec: _Recorder, rewrite) -> None:
 
 def _remove_terminals(rec: _Recorder, params: dict) -> None:
     _rewrite_rules(rec, lambda rhs: rebuild(
-        rhs, lambda node: EPSILON if isinstance(node, Terminal) else node))
+        rhs, lambda node: EPSILON if isinstance(node, Terminal) else node), (Terminal,))
 
 
 def _remove_selectors(rec: _Recorder, params: dict) -> None:
     _rewrite_rules(rec, lambda rhs: rebuild(
-        rhs, lambda node: node.body if isinstance(node, Selectable) else node))
+        rhs, lambda node: node.body if isinstance(node, Selectable) else node), (Selectable,))
 
 
 def _remove_labels(rec: _Recorder, params: dict) -> None:
@@ -352,11 +384,13 @@ def _nested_choice(node: Expr):
 def _distribute_round(rec: _Recorder) -> None:
     # surface what distribution can surface, then fold the choices that sit
     # under repetitions (which no amount of distribution can reach)
-    _rewrite_rules(rec, dnf)
+    _rewrite_rules(rec, dnf, (Choice,))
     for name in names_in_order(rec.grammar):
-        # each extract folds its offender in every rule, so re-read the rule
+        # each extract folds its offender in every rule, so re-read the rule;
+        # a rule that holds no choice has no offender
         for pos in range(len(rec.grammar.blocks[name])):
-            offender = _deepest(rec.rule(name, pos).rhs, _nested_choice)
+            rhs = rec.rule(name, pos).rhs
+            offender = _deepest(rhs, _nested_choice) if _holds(rhs, (Choice,)) else None
             if offender is not None:
                 fresh = fresh_name(name, rec.grammar)
                 rec.do("extract", name=fresh, expr=offender)
@@ -421,7 +455,7 @@ def _encode_seplists(rec: _Recorder, params: dict) -> None:
         if isinstance(node, SepListStar):
             return opt(seq(node.item, star(seq(node.separator, node.item))))
         return node
-    _rewrite_rules(rec, lambda rhs: rebuild(rhs, desugar))
+    _rewrite_rules(rec, lambda rhs: rebuild(rhs, desugar), (SepListStar, SepListPlus))
 
 
 _GROUPY = (Sequence, Choice, SepListStar, SepListPlus)
@@ -555,28 +589,42 @@ class AnfViolation:
 
 def anf_check(g: Grammar) -> list[AnfViolation]:
     """All violated abstract-normal-form conditions (empty list means ANF),
-    condition by condition."""
+    condition by condition.  Each rhs is walked once, pre-order as
+    `subterms` walks it, for conditions 2, 3, 4 and 6, so each condition's
+    violations come in the order a walk of its own would find them; no rule
+    is skipped.  The walk also collects the names each rule uses, and
+    condition 9 follows those from the roots, as `reachable` follows each
+    rule's `used_names`, with no second walk."""
     out: list[AnfViolation] = []
+    uses: dict[str, set[str]] = {}
     for prod in g.productions:
         if prod.label is not None:
             out.append(AnfViolation(1, f"rule {prod.lhs} carries label {prod.label!r}"))
         if isinstance(prod.rhs, Choice):
             out.append(AnfViolation(5, f"rule {prod.lhs} is horizontal"))
-        for sub in subterms(prod.rhs):
-            if isinstance(sub, Selectable):
+        names = uses.setdefault(prod.lhs, set())
+        stack = [prod.rhs]
+        while stack:
+            sub = stack.pop()
+            kind = type(sub)
+            if kind is Nonterminal:
+                names.add(sub.name)
+                continue
+            if kind is Selectable:
                 out.append(AnfViolation(
                     2, f"rule {prod.lhs} names a subexpression {sub.selector!r}"))
-            elif isinstance(sub, Terminal):
+            elif kind is Terminal:
                 out.append(AnfViolation(
                     3, f"rule {prod.lhs} contains terminal {sub.text!r}"))
-            elif isinstance(sub, (SepListStar, SepListPlus)):
+            elif kind is SepListStar or kind is SepListPlus:
                 out.append(AnfViolation(
                     6, f"rule {prod.lhs} contains a separator list"))
-            for kid in children(sub):
-                if isinstance(kid, Choice):
+            kids = children(sub)
+            for kid in kids:
+                if type(kid) is Choice:
                     out.append(AnfViolation(
-                        4, f"rule {prod.lhs} nests a choice under "
-                           f"{type(sub).__name__.lower()}"))
+                        4, f"rule {prod.lhs} nests a choice under {kind.__name__.lower()}"))
+            stack.extend(reversed(kids))
     for name in names_in_order(g):
         rules = g.rules_of(name)
         if len(rules) == 1 and _is_trivial_rhs(rules[0].rhs):
@@ -590,7 +638,14 @@ def anf_check(g: Grammar) -> list[AnfViolation]:
         out.append(AnfViolation(
             9, f"top nonterminals {sorted(top_set)} differ from roots {sorted(g.roots)}"))
     else:
-        loose = sorted(g.names - reachable(g, g.roots))
+        seen: set[str] = set()
+        work = list(g.roots)
+        while work:
+            name = work.pop()
+            if name not in seen:
+                seen.add(name)
+                work.extend(uses.get(name, ()))
+        loose = sorted(g.names - seen)
         if loose:
             out.append(AnfViolation(
                 9, f"unreachable from the roots: {', '.join(loose)}"))

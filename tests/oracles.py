@@ -34,6 +34,12 @@ children.  `grammar_from_json` (with `_expr_from_json`) is the checking
 interchange reader as it was before its explicit stack, kept verbatim: one
 Python frame per expression level, so it gives out before `json.loads`
 does.
+`anf_check` is the ANF checker as it was before it walked each rule once,
+kept verbatim: it walks each rhs through `subterms`, scans every node's
+children a second time for condition 4, and reads condition 9's
+reachability through `reachable`, a second walk of the rules; the
+`render_expr` it calls for condition 7 is the oracle renderer above, which
+agrees with `grammar.render_expr`.
 """
 
 from __future__ import annotations
@@ -80,14 +86,17 @@ from gramconv.grammar import (
     VALUE_NAME_OF,
     ValueInt,
     ValueStr,
+    children,
     choice,
     opt,
+    reachable,
     sepplus,
     sepstar,
     seq,
     shared_leaf,
     subterms,
     names_in_order,
+    tops,
     vocabulary,
 )
 from gramconv.interchange import (
@@ -98,6 +107,7 @@ from gramconv.interchange import (
     _reserved,
     _want,
 )
+from gramconv.mutate import AnfViolation, _is_chain_rhs, _is_trivial_rhs
 from gramconv.notation import NotationSpec
 from gramconv.recovery import (
     _BRACKETS,
@@ -1001,3 +1011,50 @@ def _expr_from_json(doc, path: str, leaves: dict) -> Expr:
 def grammar_from_json(doc) -> Grammar:
     leaves: dict = {}  # one leaf per name and terminal text in the grammar
     return _grammar(doc, dict, lambda rhs, path: _expr_from_json(rhs, path, leaves))
+
+
+def anf_check(g: Grammar) -> list[AnfViolation]:
+    """All violated abstract-normal-form conditions (empty list means ANF),
+    condition by condition."""
+    out: list[AnfViolation] = []
+    for prod in g.productions:
+        if prod.label is not None:
+            out.append(AnfViolation(1, f"rule {prod.lhs} carries label {prod.label!r}"))
+        if isinstance(prod.rhs, Choice):
+            out.append(AnfViolation(5, f"rule {prod.lhs} is horizontal"))
+        for sub in subterms(prod.rhs):
+            if isinstance(sub, Selectable):
+                out.append(AnfViolation(
+                    2, f"rule {prod.lhs} names a subexpression {sub.selector!r}"))
+            elif isinstance(sub, Terminal):
+                out.append(AnfViolation(
+                    3, f"rule {prod.lhs} contains terminal {sub.text!r}"))
+            elif isinstance(sub, (SepListStar, SepListPlus)):
+                out.append(AnfViolation(
+                    6, f"rule {prod.lhs} contains a separator list"))
+            for kid in children(sub):
+                if isinstance(kid, Choice):
+                    out.append(AnfViolation(
+                        4, f"rule {prod.lhs} nests a choice under "
+                           f"{type(sub).__name__.lower()}"))
+    for name in names_in_order(g):
+        rules = g.rules_of(name)
+        if len(rules) == 1 and _is_trivial_rhs(rules[0].rhs):
+            out.append(AnfViolation(
+                7, f"{name} is trivially defined as {render_expr(rules[0].rhs)}"))
+        flags = [_is_chain_rhs(prod.rhs) for prod in rules]
+        if any(flags) and not all(flags):
+            out.append(AnfViolation(8, f"{name} mixes chain and non-chain rules"))
+    top_set = tops(g)
+    if top_set != set(g.roots):
+        out.append(AnfViolation(
+            9, f"top nonterminals {sorted(top_set)} differ from roots {sorted(g.roots)}"))
+    else:
+        loose = sorted(g.names - reachable(g, g.roots))
+        if loose:
+            out.append(AnfViolation(
+                9, f"unreachable from the roots: {', '.join(loose)}"))
+    # the walks above find several conditions at once; a stable sort lists
+    # each condition's violations in the order they were found
+    out.sort(key=lambda violation: violation.condition)
+    return out

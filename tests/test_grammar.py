@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 import sys
 
@@ -576,3 +578,16 @@ def test_the_grammar_submodule_is_not_shadowed():
     import gramconv.grammar as G
     assert G is sys.modules["gramconv.grammar"]
     assert G.Grammar is Grammar
+
+
+def test_every_submodule_imports_as_its_module():
+    # `import gramconv.x as X` binds the package attribute x, so a function
+    # exported from the package under a submodule's name would be bound
+    import gramconv
+    import gramconv.mutate as M
+    assert M is sys.modules["gramconv.mutate"]
+    names = [info.name for info in pkgutil.iter_modules(gramconv.__path__)]
+    assert {"grammar", "mutate", "converge", "cli"} <= set(names)
+    for name in names:
+        module = importlib.import_module(f"gramconv.{name}")
+        assert getattr(gramconv, name) is module, name

@@ -5,16 +5,22 @@ import random
 import pytest
 
 from gramconv.grammar import (
+    EMPTY,
+    EPSILON,
+    VALUE_INT,
+    VALUE_STR,
     Choice,
     Grammar,
     Production,
     Selectable,
+    Sequence,
     Star,
     choice,
     n,
     opt,
     p,
     plus,
+    render_production,
     sel,
     sepplus,
     seq,
@@ -38,7 +44,15 @@ from gramconv.notation import parse_spec
 from gramconv.recovery import recover
 from gramconv.transform import apply_script, bidirectionalize, script_to_json
 
-from gen import corpus, random_expressible, random_grammar, renamed_copies
+import oracles
+from gen import (
+    corpus,
+    random_anf,
+    random_expressible,
+    random_grammar,
+    renamed_copies,
+    rooted_anf,
+)
 
 
 def run(g, kind, **params):
@@ -369,6 +383,114 @@ def test_anf_check_lists_violations_condition_by_condition():
         "condition 4: rule b nests a choice under optional",
         "condition 6: rule a contains a separator list",
     ]
+
+
+# (condition, a grammar that breaks only it); condition 9 both ways: roots
+# that are not the tops, and a cycle the roots do not reach
+ANF_BREAKERS = [
+    (1, Grammar(("a",), (p("a", seq(n("b"), VALUE_STR), label="l"), p("b", VALUE_INT)))),
+    (2, Grammar(("a",), (p("a", seq(sel("s", n("b")), VALUE_STR)), p("b", VALUE_INT)))),
+    (3, Grammar(("a",), (p("a", seq(t("x"), n("b"))), p("b", VALUE_INT)))),
+    (4, Grammar(("a",), (p("a", star(choice(n("b"), VALUE_STR))), p("b", VALUE_INT)))),
+    (5, Grammar(("a",), (p("a", choice(n("b"), VALUE_INT)), p("b", VALUE_STR)))),
+    (6, Grammar(("a",), (p("a", sepplus(n("b"), n("c"))), p("b", VALUE_INT),
+                         p("c", VALUE_STR)))),
+    (7, Grammar(("a",), (p("a", seq(n("b"), VALUE_STR)), p("b", EPSILON)))),
+    (8, Grammar(("a",), (p("a", n("b")), p("a", seq(n("b"), VALUE_STR)),
+                         p("b", VALUE_INT)))),
+    (9, Grammar((), (p("a", seq(n("b"), VALUE_STR)), p("b", VALUE_INT)))),
+    (9, Grammar(("a",), (p("a", seq(n("b"), VALUE_STR)), p("b", VALUE_INT),
+                         p("c", seq(n("d"), VALUE_INT)), p("d", plus(n("c")))))),
+]
+
+
+@pytest.mark.parametrize("condition, g", ANF_BREAKERS)
+def test_anf_check_agrees_with_the_checker_it_replaced_on_each_condition(condition, g):
+    violations = anf_check(g)
+    assert violations == oracles.anf_check(g)
+    assert [v.condition for v in violations] == [condition]
+
+
+def test_anf_check_agrees_with_the_checker_it_replaced_on_generated_grammars():
+    # every violation, its text and its place in the list, on grammars of
+    # every construct, on expressible ones, on ANF ones and on normal forms
+    rng = random.Random(2400)
+    grammars = corpus(2401, 600, max_productions=12) + [
+        random_expressible(rng, max_productions=12) for _ in range(200)]
+    grammars += [random_anf(rng, rng.randint(2, 8)) for _ in range(100)]
+    grammars += [rooted_anf(rng, rng.randint(4, 30)) for _ in range(50)]
+    grammars += [run(g, "normalize-anf").grammar for g in grammars[:100]]
+    counts: dict[int, int] = {}
+    for g in grammars:
+        violations = anf_check(g)
+        assert violations == oracles.anf_check(g)
+        for v in violations:
+            counts[v.condition] = counts.get(v.condition, 0) + 1
+    # the corpora break every condition many times over
+    assert sorted(counts) == list(range(1, 10))
+    assert min(counts.values()) >= 50
+
+
+def _unit_children() -> Grammar:
+    """Rules built with the direct constructors, which keep the unit
+    children (an epsilon part, an empty alternative) that the smart
+    constructors drop; one rule also holds a selector, a terminal and a
+    separator list, and one holds none of those and no unit child."""
+    return Grammar(("top",), (
+        p("top", Sequence((n("a"), EPSILON, n("b")))),
+        p("a", Choice((VALUE_STR, EMPTY))),
+        p("a", star(Sequence((EPSILON, n("b"), VALUE_INT)))),
+        p("b", opt(Choice((EMPTY, n("a"), VALUE_INT)))),
+        p("b", plus(n("a"))),
+        p("a", Sequence((sel("s", sepplus(n("b"), t(","))), EPSILON))),
+    ))
+
+
+# kind -> (rendered rules, step ops, sha256 of the `_outcome` text), as
+# they were before the rewrite phases skipped rules
+UNIT_CHILD_OUTCOMES = {
+    "remove-selectors": (
+        ["p('', top, seq([a, b]))", "p('', a, str)", "p('', a, *(seq([b, int])))",
+         "p('', b, ?(choice([a, int])))", "p('', b, +(a))", "p('', a, sepplus(b, \",\"))"],
+        ["set-node"] * 5,
+        "8994ee6dccb9dc0876aa29acd31a2e46254759f4b4f7df96caf35ebe069bf081"),
+    "remove-terminals": (
+        ["p('', top, seq([a, b]))", "p('', a, str)", "p('', a, *(seq([b, int])))",
+         "p('', b, ?(choice([a, int])))", "p('', b, +(a))",
+         "p('', a, sel(s, sepplus(b, epsilon)))"],
+        ["set-node"] * 5,
+        "b21b043d0c7ed736e8f85edc0257edd0e89da6c8af5e1e284abbe09736a76911"),
+    "encode-seplists": (
+        ["p('', top, seq([a, b]))", "p('', a, str)", "p('', a, *(seq([b, int])))",
+         "p('', b, ?(choice([a, int])))", "p('', b, +(a))",
+         "p('', a, sel(s, seq([b, *(seq([\",\", b]))])))"],
+        ["set-node"] * 5,
+        "9997033ae440f22cea841b0873d1ea9cf2c13464ff0aaa57b193cd620df0686f"),
+    "distribute-all": (
+        ["p('', top, seq([a, b]))", "p('', a, str)", "p('', a, *(seq([b, int])))",
+         "p('', b, ?(b_1))", "p('', b, +(a))", "p('', a, sel(s, sepplus(b, \",\")))",
+         "p('', b_1, choice([a, int]))"],
+        ["set-node"] * 5 + ["extract"],
+        "e93b94c2323fcd165c81a009e807ad6c83d5653c3d65148debbc59c784490b2f"),
+    "normalize-anf": (
+        ["p('', top, seq([a, b]))", "p('', a, str)", "p('', a, a_1)", "p('', b, ?(b_1))",
+         "p('', b, +(a))", "p('', a, a_2)", "p('', b_1, a)", "p('', b_1, int)",
+         "p('', a_1, *(seq([b, int])))", "p('', a_2, seq([b, *(b)]))"],
+        ["set-node"] * 7 + ["extract", "vertical", "extract", "extract"],
+        "16e1b5eeb7508f0453fd71c2b4cb39c00c26e9d90b74ce745d06b60e1a998a0c"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNIT_CHILD_OUTCOMES))
+def test_rewrite_phases_drop_unit_children_that_the_direct_constructors_keep(kind):
+    # a rule is skipped only when it holds none of its phase's classes and
+    # no unit child: a skip on the classes alone leaves these rules as built
+    rules, ops, digest = UNIT_CHILD_OUTCOMES[kind]
+    result = run(_unit_children(), kind)
+    assert [render_production(prod) for prod in result.grammar.productions] == rules
+    assert [step.op for step in result.trace] == ops
+    outcome = _outcome(_unit_children(), kind, {})
+    assert hashlib.sha256(outcome.encode()).hexdigest() == digest
 
 
 # -- exact outputs of every kind ----------------------------------------------
