@@ -14,18 +14,26 @@ lays out the containers itself, since any indent sends `json.dumps` to its
 pure-Python encoder, encodes strings with the C string encoder and leaves
 every other scalar to `json.dumps`.  It writes an expression straight from
 its fields, as the tagged object `expr_to_json` would give, so `serialize`
-walks each grammar once and builds no JSON tree of its expressions.
+walks each grammar once and builds no JSON tree of its expressions; it
+writes a leaf's whole object, and each rule's object up to its rhs, as one
+string.
 `deserialize` builds the expressions in the parser's own pass: the
 `json.loads` object hook turns each well-formed expression object into its
 node as soon as the object closes, so the document's dict tree is never
-walked again.  The hook never raises; if any part of its result is not a
-grammar, the text is read again by `grammar_from_json`, the checking
-walker, which is the one source of error texts.  The checking walker keeps
-its own stack: each object is read by a generator that yields its child
-objects and is sent their nodes, so it reads every depth `json.loads`
-reads, also on Python 3.12 and later, where `json.loads` has a recursion
-limit of its own.  Each reader keeps one leaf table per call, so a grammar
-read holds one leaf object per name and per terminal text.
+walked again.  The hook dispatches on the tag.  It checks first that the
+tag is a string: a dict or list tag cannot be hashed, and the hook must
+hand such an object back for the checking walker to explain, not raise.
+It then builds `n` and `t` from their leaf tables, `seq` and `choice`
+from their list, and `star`, `plus` and `opt` from their body, and leaves
+the rare tags to the generic per-field loop over `_DECODERS`.  The hook
+never raises; if any part of its result is not a grammar, the text is read
+again by `grammar_from_json`, the checking walker, which is the one source
+of error texts.  The checking walker keeps its own stack: each object is
+read by a generator that yields its child objects and is sent their nodes,
+so it reads every depth `json.loads` reads, also on Python 3.12 and later,
+where `json.loads` has a recursion limit of its own.  Each reader keeps its leaf tables for one call only, so
+a grammar read holds one leaf object per name and per terminal text, and
+no two reads share one.
 """
 
 from __future__ import annotations
@@ -55,6 +63,8 @@ from .grammar import (
     Terminal,
     ValueInt,
     ValueStr,
+    choice,
+    seq,
     shared_leaf,
 )
 
@@ -68,12 +78,18 @@ _CLASS_OF_TAG = {
 }
 _TAG_OF_CLASS = {cls: tag for tag, cls in _CLASS_OF_TAG.items()}
 _LEAF_CLASS = {"t": Terminal, "n": Nonterminal}  # the leaves `shared_leaf` builds
+_LISTED = {"seq": "parts", "choice": "alternatives"}  # tag -> its list field
+_BODIED = {"star": Star, "plus": Plus, "opt": Optional}  # tag -> its class, of one body
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _TAG_OF_CLASS}
 # the key texts `dumps` writes for each class: the tag entry, then each
 # field's name with its encoded key
 _KEYS = {cls: ('"tag": ' + _encode_str(tag),
                tuple((name, _encode_str(name) + ": ") for name in _FIELDS[cls]))
          for cls, tag in _TAG_OF_CLASS.items()}
+# for each leaf class: its tag entry and comma, its one field's key, and that
+# field's name
+_LEAF_KEYS = {cls: (_KEYS[cls][0] + ",", _KEYS[cls][1][0][1], _KEYS[cls][1][0][0])
+              for cls in _LEAF_CLASS.values()}
 
 
 def _decoder(cls: type) -> tuple:
@@ -135,7 +151,17 @@ def dumps(doc) -> str:
 
 
 def _write(value, newline: str, write) -> None:
-    if type(value) is str:
+    """Write the JSON text of value, whose first line is already written and
+    whose later lines start with newline.  A leaf, all four lines of its
+    object, is one write; any other expression writes its own lines and
+    leaves each field's value to `_write`."""
+    leaf = _LEAF_KEYS.get(type(value))
+    if leaf is not None:
+        head, key, field = leaf
+        inner = newline + "  "
+        write("{" + inner + head + inner + key + _encode_str(getattr(value, field))
+              + newline + "}")
+    elif type(value) is str:
         write(_encode_str(value))
     elif type(value) in _KEYS:  # an expression, as its expr_to_json object
         head, keys = _KEYS[type(value)]
@@ -170,13 +196,29 @@ def _write(value, newline: str, write) -> None:
 
 
 def serialize(g: Grammar) -> str:
-    """`dumps(grammar_to_json(g))`, with each rhs left for `dumps` to write."""
-    productions = []
+    """`dumps(grammar_to_json(g))`.  Each rule's object, up to its rhs, is
+    written as one string; a rule whose label is neither None nor a string,
+    or whose lhs is not a string, is written by `_write` as a dict."""
     for prod in g.productions:
         if type(prod.rhs) not in _KEYS:
             raise TypeError(f"not an expression: {prod.rhs!r}")
-        productions.append({"label": prod.label, "lhs": prod.lhs, "rhs": prod.rhs})
-    return dumps({"roots": list(g.roots), "productions": productions})
+    out = ['{\n  "roots": ']
+    write = out.append
+    _write(list(g.roots), "\n  ", write)
+    sep = ',\n  "productions": [\n    '
+    for prod in g.productions:
+        label = prod.label
+        if (label is None or type(label) is str) and type(prod.lhs) is str:
+            write(sep + '{\n      "label": ' + ("null" if label is None else _encode_str(label))
+                  + ',\n      "lhs": ' + _encode_str(prod.lhs) + ',\n      "rhs": ')
+            _write(prod.rhs, "\n      ", write)
+            write("\n    }")
+        else:
+            write(sep)
+            _write({"label": label, "lhs": prod.lhs, "rhs": prod.rhs}, "\n    ", write)
+        sep = ",\n    "
+    write("\n  ]\n}\n" if g.productions else ',\n  "productions": []\n}\n')
+    return "".join(out)
 
 
 def _reserved(name: str, path: str) -> InterchangeError:
@@ -282,43 +324,52 @@ def _grammar(doc, rhs_kind: type, read_rhs) -> Grammar:
 
 def _builder():
     """A `json.loads` object hook that returns each well-formed expression
-    object as its node, built from its already built children with the
-    `_DECODERS` builders and one `shared_leaf` table, and every other
-    object unchanged.  It never raises: what it cannot build is left as
-    a dict for the checking reader to explain."""
-    leaves: dict = {}
+    object as its node, built from its already built children, and every
+    other object unchanged, dispatching on the tag as the module docstring
+    says; its leaves come from one table per leaf tag, keyed by text.  It
+    never raises: what it cannot build is left as a dict for the checking
+    reader to explain."""
+    leaves: dict = {"n": {}, "t": {}}
 
     def build(obj: dict):
         tag = obj.get("tag")
-        decoder = _DECODERS.get(tag) if type(tag) is str else None
+        if type(tag) is not str:
+            return obj
+        table = leaves.get(tag)
+        if table is not None:
+            text = obj.get("name" if tag == "n" else "text")
+            if type(text) is not str:
+                return obj
+            leaf = table.get(text)
+            if leaf is None:
+                if not text or (tag == "n" and text in VALUE_NAMES):  # refused by the checks
+                    return obj
+                leaf = table[text] = _LEAF_CLASS[tag](text)
+            return leaf
+        field = _LISTED.get(tag)
+        if field is not None:
+            kids = obj.get(field)
+            if type(kids) is not list:
+                return obj
+            for kid in kids:
+                if not isinstance(kid, Expr):
+                    return obj
+            return seq(*kids) if tag == "seq" else choice(*kids)
+        cls = _BODIED.get(tag)
+        if cls is not None:
+            body = obj.get("body")
+            return cls(body) if isinstance(body, Expr) else obj
+        decoder = _DECODERS.get(tag)
         if decoder is None:
             return obj
         make, spec = decoder
         values: list = []
-        for name, kind in spec:
+        for name, kind in spec:  # a plain string or one child: no rare tag has a list
             value = obj.get(name)
-            if kind is str:
-                if type(value) is not str:
-                    return obj
-                values.append(value)
-            elif kind is dict:  # one child, which the hook has built by now
-                if not isinstance(value, Expr):
-                    return obj
-                values.append(value)
-            else:
-                if type(value) is not list:
-                    return obj
-                for kid in value:
-                    if not isinstance(kid, Expr):
-                        return obj
-                values.extend(value)
-        leaf = _LEAF_CLASS.get(tag)
-        if leaf is None:
-            return make(*values)
-        text = values[0]
-        if not text or (tag == "n" and text in VALUE_NAMES):  # refused by the checks
-            return obj
-        return shared_leaf(leaves, leaf, text)
+            if not (type(value) is str if kind is str else isinstance(value, Expr)):
+                return obj
+            values.append(value)
+        return make(*values)
 
     return build
 

@@ -377,6 +377,9 @@ def unparse(g: Grammar, notation: NotationSpec) -> str:
         return text
 
     def render(expr: Expr, need: int, tight: bool) -> str:
+        # children are rendered in plain loops, not in a comprehension or a
+        # generator, so a level of `( c ... )*` costs two frames: the star's
+        # and the sequence's
         nonlocal quote_clash
         kind = type(expr)
         if kind is Nonterminal:
@@ -388,13 +391,17 @@ def unparse(g: Grammar, notation: NotationSpec) -> str:
             return f"{lexeme('terminal-start-quote')}{expr.text}{quote_close}"
         if kind is Choice:
             inner = tight or need > _ALT
-            pieces = [lexeme("definition-separator")] * (2 * len(expr.alternatives) - 1)
-            pieces[::2] = [render(alt, _SEQ, inner) for alt in expr.alternatives]
-            body = spaced(pieces, inner)
+            pieces = []
+            for alt in expr.alternatives:
+                pieces += (lexeme("definition-separator"), render(alt, _SEQ, inner))
+            body = spaced(pieces[1:], inner)
             return grouped(body) if need > _ALT else body
         if kind is Sequence:
             inner = tight or need > _SEQ
-            body = joiner.join(render(part, _SEP, inner) for part in expr.parts)
+            texts = []
+            for part in expr.parts:
+                texts.append(render(part, _SEP, inner))
+            body = joiner.join(texts)
             return grouped(body) if need > _SEQ else body
         role = _ROLE_OF.get(kind)
         if role in _INFIX:

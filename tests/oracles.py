@@ -40,14 +40,25 @@ children a second time for condition 4, and reads condition 9's
 reachability through `reachable`, a second walk of the rules; the
 `render_expr` it calls for condition 7 is the oracle renderer above, which
 agrees with `grammar.render_expr`.
+`dumps` (with `_write`), `serialize`, `_builder`, `deserialize` and
+`unparse` are the interchange writer and reader and the unparser as they
+were before the reader built nodes by tag, the writer wrote leaves and rule
+frames whole and the renderer built its children's texts in plain loops,
+kept verbatim: every object goes through the `_DECODERS` loop, every rule
+through a dict, every leaf through two `_write` calls, and each sequence
+and choice through a generator or comprehension.  The `grammar_from_json`
+that this `deserialize` falls back on is the recursive reader above, which
+gives the checking reader's outcome on every document it can read.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from functools import partial
 from itertools import chain
+from json.encoder import encode_basestring as _encode_str
 from typing import Callable, NamedTuple
 
 from gramconv.converge import (
@@ -101,6 +112,7 @@ from gramconv.grammar import (
 )
 from gramconv.interchange import (
     _DECODERS,
+    _KEYS,
     _LEAF_CLASS,
     InterchangeError,
     _grammar,
@@ -110,13 +122,20 @@ from gramconv.interchange import (
 from gramconv.mutate import AnfViolation, _is_chain_rhs, _is_trivial_rhs
 from gramconv.notation import NotationSpec
 from gramconv.recovery import (
+    _ALT,
+    _ATOM,
     _BRACKETS,
     _CLOSERS,
     _INFIX,
     _POSTFIX,
+    _ROLE_OF,
+    _SEP,
+    _SEQ,
+    _UNWRITABLE,
     HeuristicEvent,
     RecoveryError,
     RecoveryReport,
+    UnparseError,
 )
 from gramconv.transform import TransformStep
 
@@ -1058,3 +1077,215 @@ def anf_check(g: Grammar) -> list[AnfViolation]:
     # each condition's violations in the order they were found
     out.sort(key=lambda violation: violation.condition)
     return out
+
+
+# the interchange writer and reader as they were before the reader built
+# nodes by tag and the writer wrote leaves and rule frames whole
+
+
+def dumps(doc) -> str:
+    """What `json.dumps` writes for doc with a two-space indent and
+    `ensure_ascii` off, and a newline, byte for byte, where each expression
+    in doc stands for its `expr_to_json` object.  A circular document
+    raises RecursionError, not ValueError."""
+    out: list[str] = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, write) -> None:
+    if type(value) is str:
+        write(_encode_str(value))
+    elif type(value) in _KEYS:  # an expression, as its expr_to_json object
+        head, keys = _KEYS[type(value)]
+        inner = newline + "  "
+        write("{" + inner + head)
+        for name, key in keys:
+            write("," + inner + key)
+            _write(getattr(value, name), inner, write)
+        write(newline + "}")
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            # json.dumps converts a key that is not a string, or rejects it
+            text = _encode_str(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
+            write(sep + text + ": ")
+            _write(item, inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write(item, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+    elif value is None:
+        write("null")
+    else:  # numbers, booleans, empty containers, str subclasses, errors
+        write(json.dumps(value, ensure_ascii=False))
+
+
+def serialize(g: Grammar) -> str:
+    """`dumps(grammar_to_json(g))`, with each rhs left for `dumps` to write."""
+    productions = []
+    for prod in g.productions:
+        if type(prod.rhs) not in _KEYS:
+            raise TypeError(f"not an expression: {prod.rhs!r}")
+        productions.append({"label": prod.label, "lhs": prod.lhs, "rhs": prod.rhs})
+    return dumps({"roots": list(g.roots), "productions": productions})
+
+
+def _builder():
+    """A `json.loads` object hook that returns each well-formed expression
+    object as its node, built from its already built children with the
+    `_DECODERS` builders and one `shared_leaf` table, and every other
+    object unchanged.  It never raises: what it cannot build is left as
+    a dict for the checking reader to explain."""
+    leaves: dict = {}
+
+    def build(obj: dict):
+        tag = obj.get("tag")
+        decoder = _DECODERS.get(tag) if type(tag) is str else None
+        if decoder is None:
+            return obj
+        make, spec = decoder
+        values: list = []
+        for name, kind in spec:
+            value = obj.get(name)
+            if kind is str:
+                if type(value) is not str:
+                    return obj
+                values.append(value)
+            elif kind is dict:  # one child, which the hook has built by now
+                if not isinstance(value, Expr):
+                    return obj
+                values.append(value)
+            else:
+                if type(value) is not list:
+                    return obj
+                for kid in value:
+                    if not isinstance(kid, Expr):
+                        return obj
+                values.extend(value)
+        leaf = _LEAF_CLASS.get(tag)
+        if leaf is None:
+            return make(*values)
+        text = values[0]
+        if not text or (tag == "n" and text in VALUE_NAMES):  # refused by the checks
+            return obj
+        return shared_leaf(leaves, leaf, text)
+
+    return build
+
+
+def deserialize(text: str) -> Grammar:
+    """The grammar of an interchange document.  Its expressions are built
+    while `json.loads` reads the text; if any part of the result is not a
+    well-formed grammar, the text is read again by `grammar_from_json`,
+    which raises the error that says what is wrong and where."""
+    try:
+        doc = json.loads(text, object_hook=_builder())
+    except json.JSONDecodeError as exc:
+        raise InterchangeError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    except RecursionError:  # the hook's frames cost the parser a level or two
+        return grammar_from_json(json.loads(text))
+    try:
+        return _grammar(doc, Expr, lambda rhs, path: rhs)
+    except InterchangeError:
+        return grammar_from_json(json.loads(text))
+
+
+# unparse as it was before its renderer built children's texts in plain loops
+
+
+def unparse(g: Grammar, notation: NotationSpec) -> str:
+    """Render g in the given dialect; recovery of the output yields g again.
+    Grouping is inserted wherever precedence would otherwise reassociate.
+    The one walk that writes the text also collects what the dialect cannot
+    write, then raises UnparseError for the constructs no dialect writes,
+    else for the roles the notation lacks, else for a terminal that holds
+    the end quote."""
+    roles = notation.as_dict()
+    impossible: set[str] = set()
+    missing: set[str] = set()
+    quote_clash = False
+    joiner = f" {roles['concatenation']} " if "concatenation" in roles else " "
+    bracket_option = "option-postfix" not in roles and "option-start" in roles
+
+    def lexeme(role: str) -> str:
+        text = roles.get(role)
+        if text is None:
+            missing.add(role)
+            return ""
+        return text
+
+    def spaced(pieces: list[str], tight: bool) -> str:
+        """The pieces, a space between each two.  Inside a group (tight) an
+        empty piece, an epsilon alternative or body, leaves no space of its
+        own; the layout at rule level is kept as it was first written."""
+        return " ".join([piece for piece in pieces if piece] if tight else pieces)
+
+    def grouped(text: str) -> str:
+        return spaced([lexeme("group-start"), text, lexeme("group-end")], True)
+
+    def name(text: str) -> str:
+        if "nonterminal-start" in roles:
+            return f"{roles['nonterminal-start']}{text}{roles['nonterminal-end']}"
+        return text
+
+    def render(expr: Expr, need: int, tight: bool) -> str:
+        nonlocal quote_clash
+        kind = type(expr)
+        if kind is Nonterminal:
+            return name(expr.name)
+        if kind is Terminal:
+            quote_close = lexeme("terminal-end-quote")
+            if quote_close and quote_close in expr.text:
+                quote_clash = True
+            return f"{lexeme('terminal-start-quote')}{expr.text}{quote_close}"
+        if kind is Choice:
+            inner = tight or need > _ALT
+            pieces = [lexeme("definition-separator")] * (2 * len(expr.alternatives) - 1)
+            pieces[::2] = [render(alt, _SEQ, inner) for alt in expr.alternatives]
+            body = spaced(pieces, inner)
+            return grouped(body) if need > _ALT else body
+        if kind is Sequence:
+            inner = tight or need > _SEQ
+            body = joiner.join(render(part, _SEP, inner) for part in expr.parts)
+            return grouped(body) if need > _SEQ else body
+        role = _ROLE_OF.get(kind)
+        if role in _INFIX:
+            inner = tight or need > _SEP
+            body = (f"{render(expr.item, _ATOM, inner)} {lexeme(role)} "
+                    f"{render(expr.separator, _ATOM, inner)}")
+            return grouped(body) if need > _SEP else body
+        if kind is Optional and bracket_option:
+            return spaced([roles["option-start"], render(expr.body, _ALT, tight),
+                           roles["option-end"]], tight)
+        if role is not None:
+            return render(expr.body, _ATOM, tight) + lexeme(role)
+        if kind is Epsilon:
+            return grouped("") if need > _SEQ else ""
+        if kind in VALUE_NAME_OF:
+            return name(VALUE_NAME_OF[kind])
+        if kind is Selectable:
+            impossible.add(f"selector {expr.selector!r}")
+            return render(expr.body, need, tight)
+        impossible.add(_UNWRITABLE[kind])
+        return ""
+
+    lines = []
+    terminator = roles.get("terminator")
+    for prod in g.productions:
+        if prod.label is not None:
+            impossible.add(f"production label {prod.label!r}")
+        line = f"{name(prod.lhs)} {roles['defining']} {render(prod.rhs, _ALT, False)}".rstrip()
+        lines.append(f"{line} {terminator}" if terminator else line)
+    for unwritten in (impossible, missing, ["terminal-end-quote"] if quote_clash else []):
+        if unwritten:
+            raise UnparseError(unwritten)
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -446,12 +446,17 @@ def test_the_checking_reader_reads_past_the_recursion_limit():
 def test_deserialize_reads_every_depth_the_checking_reader_reads():
     # the hook's frames at the innermost object cost the parser a level or
     # two, which the checking reader makes up for; the trees are compared
-    # by their preorders, since == recurses
+    # by their preorders, since == recurses.  Each depth's rhs wraps the
+    # previous depth's, so the texts cost O(depth) each to build
+    def wrapped(rhs: str) -> str:
+        return '{"tag": "star", "body": {"tag": "seq", "parts": [%s, %s]}}' % (
+            '{"tag": "t", "text": "c"}', rhs)
+
+    rhs = '{"tag": "n", "name": "b"}'
+    for _ in range(199):
+        rhs = wrapped(rhs)
     for depth in itertools.count(200):
-        rhs = '{"tag": "n", "name": "b"}'
-        for _ in range(depth):
-            rhs = '{"tag": "star", "body": {"tag": "seq", "parts": [%s, %s]}}' % (
-                '{"tag": "t", "text": "c"}', rhs)
+        rhs = wrapped(rhs)
         text = '{"roots": [], "productions": [{"label": null, "lhs": "a", "rhs": %s}]}' % rhs
         ours = _outcome(deserialize, text)
         theirs = _outcome(lambda text: grammar_from_json(json.loads(text)), text)
@@ -462,3 +467,144 @@ def test_deserialize_reads_every_depth_the_checking_reader_reads():
         assert ([type(sub) for sub in subterms(ours.productions[0].rhs)]
                 == [type(sub) for sub in subterms(theirs.productions[0].rhs)])
     assert depth > 250
+
+
+def _committed_grammars(data_dir) -> list[Grammar]:
+    """Every committed grammar: the interchange fixtures, and the committed
+    texts recovered in their dialects."""
+    found = []
+    for path in sorted(data_dir.glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        if "productions" in json.loads(text):
+            found.append(deserialize(text))
+    dialects = {name: parse_spec((data_dir / name).read_text(encoding="utf-8"))
+                for name in ("factorial.edd", "pgen.edd")}
+    found.append(recover((data_dir / "fl_master.ebnf").read_text(encoding="utf-8"),
+                         dialects["factorial.edd"]).grammar)
+    for path in sorted(data_dir.glob("lib2to3_Grammar*.txt")):
+        found.append(recover(path.read_text(encoding="utf-8"), dialects["pgen.edd"]).grammar)
+    return found
+
+
+def _odd_rules() -> list[Grammar]:
+    """Grammars whose labels or left-hand sides are not strings, each before
+    a rule that is well formed, and one whose bad rhs follows a bad label."""
+    class Text(str):
+        pass
+
+    good = Production("b", seq(n("c"), t("d")), "l")
+    odd = [Production("a", n("b"), label) for label in
+           (5, 1.5, True, ["l"], {"k": "v"}, Text("sub"), float("nan"), object())]
+    odd += [Production(7, n("b")), Production(Text("a"), n("b"), Text("l"))]
+    grammars = [Grammar((), (prod, good)) for prod in odd]
+    grammars.append(Grammar((), (Production("a", n("b"), 5), Production("b", "oops"))))
+    return grammars
+
+
+def test_serialize_writes_what_the_dict_per_rule_writer_wrote(data_dir):
+    grammars = (_committed_grammars(data_dir) + corpus(31, 200) + _expression_grammars()
+                + [Grammar((), ()), Grammar(("a",), (p("a", n("b")),))])
+    for g in grammars:
+        assert serialize(g) == oracles.serialize(g)
+    for g in _odd_rules():
+        assert _outcome(serialize, g) == _outcome(oracles.serialize, g), g.productions[0]
+    # a label that is not a string keeps its JSON type
+    assert '"label": 5,' in serialize(_odd_rules()[0])
+
+
+def _leaf_shape(g: Grammar) -> list[int]:
+    """For each leaf occurrence in preorder, the rank of its object in the
+    order objects first appear: readers that share leaves alike give the
+    same list."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(sub), len(first))
+            for prod in g.productions for sub in subterms(prod.rhs) if not children(sub)]
+
+
+def test_deserialize_builds_what_the_decoder_loop_built(data_dir):
+    texts = [path.read_text(encoding="utf-8") for path in sorted(data_dir.glob("*.json"))]
+    texts = [text for text in texts if "productions" in json.loads(text)]
+    texts += [serialize(g) for g in _committed_grammars(data_dir) + corpus(37, 200)
+              + _expression_grammars()]
+    for text in texts:
+        ours, theirs = deserialize(text), oracles.deserialize(text)
+        assert ours == theirs and repr(ours) == repr(theirs)
+        assert all(len(ids) == 1 for ids in oracles.leaf_objects(ours).values())
+        assert _leaf_shape(ours) == _leaf_shape(theirs)
+
+
+_GOOD_RULE = {"label": None, "lhs": "x", "rhs": {"tag": "seq", "parts": [
+    {"tag": "n", "name": "a"}, {"tag": "t", "text": "c"}]}}
+
+# right-hand sides aimed at each path the reader's hook builds directly
+_CORRUPT = [
+    # a tag that is not a string: unhashable, a node, a number, null, missing
+    {"tag": {"tag": "n"}, "name": "a"}, {"tag": {"tag": "epsilon"}}, {"tag": ["n"], "name": "a"},
+    {"tag": ["seq"], "parts": []}, {"tag": 1}, {"tag": None}, {"name": "a"},
+    {"tag": "seq", "parts": [{"tag": {"tag": "t", "text": "c"}, "text": "c"},
+                             {"tag": "n", "name": "a"}]},
+    # a name or text that is not a string, empty, reserved or missing
+    {"tag": "n", "name": 5}, {"tag": "n", "name": None}, {"tag": "n", "name": ["a"]},
+    {"tag": "n", "name": {"tag": "n", "name": "a"}}, {"tag": "n", "name": ""},
+    {"tag": "n", "name": "str"}, {"tag": "n", "name": "int"}, {"tag": "n"},
+    {"tag": "n", "text": "a"}, {"tag": "t", "text": 5}, {"tag": "t", "text": ""},
+    {"tag": "t", "text": {"tag": "t", "text": "c"}}, {"tag": "t"}, {"tag": "t", "name": "a"},
+    {"tag": "t", "text": "str"},
+    {"tag": "seq", "parts": [{"tag": "n", "name": "a"}, {"tag": "n", "name": "str"}]},
+    {"tag": "choice", "alternatives": [{"tag": "t", "text": "c"}, {"tag": "t", "text": ""}]},
+    # a child that is not an expression
+    {"tag": "seq", "parts": [{"tag": "n", "name": "a"}, 5]},
+    {"tag": "seq", "parts": [{"tag": "n", "name": "a"}, "b"]},
+    {"tag": "seq", "parts": [{"tag": "n", "name": "a"}, None]},
+    {"tag": "seq", "parts": [{"tag": "n", "name": "a"}, [{"tag": "n", "name": "b"}]]},
+    {"tag": "seq", "parts": [{"tag": "n", "name": "a"}, {"tag": "wat"}]},
+    {"tag": "seq", "parts": {"tag": "n", "name": "a"}}, {"tag": "seq", "parts": "ab"},
+    {"tag": "seq"}, {"tag": "seq", "alternatives": [{"tag": "n", "name": "a"}]},
+    {"tag": "choice", "alternatives": [{"tag": "n", "name": "a"}, {"extra": 1}]},
+    {"tag": "choice", "alternatives": None}, {"tag": "choice", "parts": []},
+    {"tag": "star", "body": 5}, {"tag": "star", "body": [{"tag": "n", "name": "a"}]},
+    {"tag": "star"}, {"tag": "plus", "body": {"tag": "wat"}}, {"tag": "opt", "body": None},
+    {"tag": "opt", "body": "a"}, {"tag": "star", "parts": [{"tag": "n", "name": "a"}]},
+    {"tag": "sel", "selector": 5, "body": {"tag": "n", "name": "a"}},
+    {"tag": "sepstar", "item": {"tag": "n", "name": "a"}, "separator": 5},
+    # nested or one-part sequences and choices, and unit children
+    {"tag": "seq", "parts": [{"tag": "n", "name": "a"}]}, {"tag": "seq", "parts": []},
+    {"tag": "choice", "alternatives": [{"tag": "t", "text": "c"}]},
+    {"tag": "choice", "alternatives": []},
+    {"tag": "seq", "parts": [{"tag": "seq", "parts": [{"tag": "n", "name": "a"},
+                                                      {"tag": "t", "text": "c"}]},
+                             {"tag": "n", "name": "a"}]},
+    {"tag": "choice", "alternatives": [
+        {"tag": "choice", "alternatives": [{"tag": "n", "name": "a"}, {"tag": "n", "name": "b"}]},
+        {"tag": "seq", "parts": [{"tag": "epsilon"}, {"tag": "n", "name": "a"}]}]},
+    {"tag": "seq", "parts": [{"tag": "epsilon"}, {"tag": "n", "name": "a"}, {"tag": "epsilon"}]},
+    {"tag": "seq", "parts": [{"tag": "epsilon"}, {"tag": "epsilon"}]},
+    {"tag": "seq", "parts": [{"tag": "empty"}, {"tag": "n", "name": "a"}]},
+    {"tag": "choice", "alternatives": [{"tag": "empty"}, {"tag": "t", "text": "c"}]},
+    {"tag": "choice", "alternatives": [{"tag": "empty"}, {"tag": "empty"}]},
+    {"tag": "choice", "alternatives": [{"tag": "epsilon"}, {"tag": "n", "name": "a"}]},
+    {"tag": "star", "body": {"tag": "seq", "parts": [{"tag": "t", "text": "c"}]}},
+    {"tag": "plus", "body": {"tag": "choice", "alternatives": [{"tag": "empty"}]}},
+    {"tag": "opt", "body": {"tag": "epsilon"}, "parts": 5},
+]
+
+
+@pytest.mark.parametrize("rhs", _CORRUPT, ids=lambda rhs: json.dumps(rhs)[:60])
+def test_a_corrupt_expression_reads_as_the_checking_reader_reads_it(rhs):
+    doc = {"roots": [], "productions": [_GOOD_RULE, {"label": None, "lhs": "y", "rhs": rhs}]}
+    text = json.dumps(doc)
+    ours = _outcome(deserialize, text)
+    assert ours == _outcome(lambda text: grammar_from_json(json.loads(text)), text)
+    assert ours == _outcome(oracles.deserialize, text)
+    if isinstance(ours, Grammar):
+        assert all(len(ids) == 1 for ids in oracles.leaf_objects(ours).values())
+
+
+@pytest.mark.parametrize("label", [5, True, 1.5, [], ["l"], {"tag": "n", "name": "a"},
+                                   {"tag": "t", "text": "c"}, {}, "", "l"])
+def test_a_label_reads_as_the_checking_reader_reads_it(label):
+    doc = {"roots": [], "productions": [_GOOD_RULE, dict(_GOOD_RULE, label=label)]}
+    text = json.dumps(doc)
+    ours = _outcome(deserialize, text)
+    assert ours == _outcome(lambda text: grammar_from_json(json.loads(text)), text)
+    assert ours == _outcome(oracles.deserialize, text)

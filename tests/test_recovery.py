@@ -1,4 +1,5 @@
 import random
+import sys
 from functools import partial
 
 import pytest
@@ -23,13 +24,14 @@ from gramconv.grammar import (
     used_names,
     vocabulary,
 )
+from gramconv.interchange import deserialize
 from gramconv.mutate import Mutation, anf_check, mutate
 from gramconv.notation import ROLES, NotationError, parse_spec, spec
 from gramconv.recovery import RecoveryError, UnparseError, recover, unparse
 from gramconv.transform import rename_nonterminal
 
 import oracles
-from gen import random_expressible
+from gen import random_expressible, random_grammar
 
 BASIC = spec({"defining": "::=", "terminator": ";", "definition-separator": "|",
               "plus-postfix": "+", "star-postfix": "*", "option-postfix": "?",
@@ -284,6 +286,61 @@ def test_roundtrip_or_the_missing_roles_over_reduced_dialects(data_dir):
             assert written.issuperset(missing), (missing, text)
         assert recover(text, notation).grammar == g, (notation, text)
     assert min(outcomes.values()) > 50, outcomes
+
+
+def _unparsed(write, g: Grammar, notation):
+    """What write(g, notation) gives: the text, or the roles the error lists."""
+    try:
+        return write(g, notation)
+    except UnparseError as err:
+        return UnparseError, str(err), err.missing
+
+
+def test_unparse_writes_what_the_generator_renderer_wrote(data_dir):
+    # every committed grammar, and random ones with and without the
+    # constructs no dialect writes, in the three committed dialects and in
+    # dialects that lack some roles
+    dialects = [parse_spec((data_dir / name).read_text(encoding="utf-8"))
+                for name in ("factorial.edd", "reference.edd", "pgen.edd")]
+    ref = dialects[1].as_dict()
+    units = [("terminator",), ("definition-separator",), ("group-start", "group-end"),
+             ("option-start", "option-end"), ("star-postfix",), ("plus-postfix",),
+             ("option-postfix",), ("terminal-start-quote", "terminal-end-quote"),
+             ("seplist-star",), ("seplist-plus",), ("concatenation",)]
+    ref["concatenation"] = ","
+    rng = random.Random(47)
+    for _ in range(12):
+        kept = [role for unit in units if rng.random() < 0.5 for role in unit]
+        dialects.append(spec({role: ref[role] for role in ["defining"] + kept}))
+    grammars = [deserialize(path.read_text(encoding="utf-8"))
+                for path in sorted(data_dir.glob("*.json"))
+                if "productions" in path.read_text(encoding="utf-8")]
+    grammars.append(recover((data_dir / "fl_master.ebnf").read_text(encoding="utf-8"),
+                            dialects[0]).grammar)
+    grammars += [recover_lib2to3(data_dir, version).grammar for version in LIB2TO3]
+    rng = random.Random(53)
+    grammars += [draw(rng) for _ in range(150) for draw in (random_grammar, random_expressible)]
+    outcomes = {str: 0, tuple: 0}
+    for g in grammars:
+        for notation in dialects:
+            ours = _unparsed(unparse, g, notation)
+            assert ours == _unparsed(oracles.unparse, g, notation)
+            outcomes[type(ours)] += 1
+    assert min(outcomes.values()) > 500, outcomes
+
+
+def test_unparse_writes_400_levels_that_recover_reads_back(data_dir):
+    # two frames a level: the star's render and the sequence's
+    assert sys.getrecursionlimit() == 1000
+    ref = reference_spec(data_dir)
+    text = "a ::= " + "( c " * 400 + "b" + " )*" * 400 + " ;\n"
+    g = recover(text, ref).grammar
+    written = unparse(g, ref)
+    assert written == text
+    again = recover(written, ref).grammar
+    assert again.roots == g.roots == ("a",)
+    assert [prod.lhs for prod in again.productions] == ["a"]
+    assert _same_tree(again.productions[0].rhs, g.productions[0].rhs)
 
 
 # version: (fixture, rules, ANF productions, names used but never defined);
