@@ -36,7 +36,6 @@ from .grammar import (
     VALUE_NAME_OF,
     VALUE_NAMES,
     children,
-    names_in_order,
     render_expr,
     render_production,
 )
@@ -125,8 +124,9 @@ def _unwrapped_leaf(expr: Expr) -> str | None:
     return _leaf_name(expr)
 
 
-def _footprints(expr: Expr) -> dict[str, Footprint]:
-    """Each name's non-empty footprint in expr, in first-occurrence order,
+def _occurrences(expr: Expr) -> dict[str, list[str]]:
+    """Every name in expr, in first-occurrence order, with the markers of
+    its footprint there (none for a name met only where nothing counts),
     from one pre-order pass over the subterms.  A node at a counted position
     (expr itself, a sequence part, a selectable body, a separator-list item)
     adds 1 for a bare name, or for ?/*/+ its marker to the leaf it wraps;
@@ -144,6 +144,8 @@ def _footprints(expr: Expr) -> dict[str, Footprint]:
             continue
         marker = _MARKER_OF.get(kind)
         if marker is not None and counted:
+            # only unary wrappers stand between the node and its leaf, so
+            # the leaf keeps its first-occurrence place
             leaf = _unwrapped_leaf(node.body)
             if leaf is not None:
                 markers.setdefault(leaf, []).append(marker)
@@ -153,7 +155,12 @@ def _footprints(expr: Expr) -> dict[str, Footprint]:
             stack += ((node.separator, False), (node.item, counted))
         else:
             stack.extend((kid, counted) for kid in reversed(children(node)))
-    return {name: Footprint.of(found) for name, found in markers.items() if found}
+    return markers
+
+
+def _footprints(expr: Expr) -> dict[str, Footprint]:
+    """Each name's non-empty footprint in expr, in first-occurrence order."""
+    return {name: Footprint.of(found) for name, found in _occurrences(expr).items() if found}
 
 
 def footprint(name: str, expr: Expr) -> Footprint:
@@ -177,19 +184,26 @@ def render_prodsig(sig: dict[str, Footprint]) -> str:
 _Classes = dict[Footprint, tuple[str, ...]]
 
 
-def _classes(sig: dict[str, Footprint], strength: str) -> _Classes | None:
-    """A signature's names grouped into classes at `strength`, each keyed by
-    a footprint, in signature order: at weak strength the names of each weak
-    footprint (+ read as *); at strong strength one name per footprint, or
-    None when footprints repeat.  The classes' footprints, as a set, are the
-    signature's key at that strength, which `_equiv` compares."""
-    if strength == "strong":
-        strong = {fp: (name,) for name, fp in sig.items()}
-        return strong if len(strong) == len(sig) else None
-    weak: dict[Footprint, list[str]] = {}
+def _weak_and_strong(sig: dict[str, Footprint]) -> tuple[_Classes, _Classes | None]:
+    """A signature's names grouped into classes at both strengths, from one
+    pass, each class keyed by a footprint, in signature order: at weak
+    strength the names of each weak footprint (+ read as *); at strong
+    strength one name per footprint, or None when footprints repeat.  The
+    classes' footprints, as a set, are the signature's key at that
+    strength, which `_equiv` compares."""
+    weak: _Classes = {}
+    strong: _Classes = {}
     for name, fp in sig.items():
-        weak.setdefault(fp.weak(), []).append(name)
-    return {fp: tuple(names) for fp, names in weak.items()}
+        key = fp.weak()
+        weak[key] = weak.get(key, ()) + (name,)
+        strong[fp] = (name,)
+    return weak, strong if len(strong) == len(sig) else None
+
+
+def _classes(sig: dict[str, Footprint], strength: str) -> _Classes | None:
+    """A signature's classes at `strength`, as `_weak_and_strong` gives them."""
+    weak, strong = _weak_and_strong(sig)
+    return strong if strength == "strong" else weak
 
 
 def _equiv(p: Production, q: Production, strength: str) -> bool:
@@ -279,12 +293,6 @@ class _Binding:
         self.fwd[a] = b
         self.rev[b] = a
 
-    def copy(self) -> "_Binding":
-        clone = _Binding()
-        clone.fwd = dict(self.fwd)
-        clone.rev = dict(self.rev)
-        return clone
-
 
 _Relation = tuple[tuple[str, str], ...]
 _Option = tuple[int, _Relation]  # (master production, relation)
@@ -323,27 +331,53 @@ def _class_relations(left: _Classes, right: _Classes) -> list[tuple[tuple[str, s
             for combo in itertools.product(*per_class)]
 
 
+class _Buckets(dict):
+    """Per strength, the indices of the productions of each key, in
+    ascending order, derived from `keys` the first time the strength is
+    looked up: the search reads only the weak ones."""
+
+    def __init__(self, keys: dict[str, list[frozenset[Footprint] | None]]) -> None:
+        super().__init__()
+        self.keys = keys
+
+    def __missing__(self, strength: str) -> dict[frozenset[Footprint], list[int]]:
+        buckets: dict[frozenset[Footprint], list[int]] = {}
+        for i, key in enumerate(self.keys[strength]):
+            if key is not None:
+                buckets.setdefault(key, []).append(i)
+        self[strength] = buckets
+        return buckets
+
+
 class _SignatureIndex:
-    """The signature facts of one grammar's productions, each derived once:
-    `sigs`, a signature per production, and per strength (the keys of
-    `classes`, `keys` and `buckets`) each production's `_classes`, its key
-    (their footprints as a set, None where it has no classes), and the
-    indices of the productions of each key, in ascending order."""
+    """The signature facts of one grammar's productions, from one
+    `_occurrences` walk per rule: `sigs`, a signature per production;
+    `names`, the grammar's names in first-occurrence order (each rule's lhs,
+    then the names in its rhs, as `names_in_order(g, _leaf_name)` lists
+    them); and per strength (the keys of `classes`, `keys` and `buckets`)
+    each production's classes, its key (their footprints as a set, None
+    where it has no classes), and the `_Buckets`."""
 
     def __init__(self, g: Grammar) -> None:
         self.productions = g.productions
-        self.sigs = [prodsig(prod) for prod in g.productions]
-        self.classes: dict[str, list[_Classes | None]] = {}
-        self.keys: dict[str, list[frozenset[Footprint] | None]] = {}
-        self.buckets: dict[str, dict[frozenset[Footprint], list[int]]] = {}
-        for strength in ("weak", "strong"):
-            classes = self.classes[strength] = [_classes(sig, strength) for sig in self.sigs]
-            keys = self.keys[strength] = [None if found is None else frozenset(found)
-                                          for found in classes]
-            buckets = self.buckets[strength] = {}
-            for i, key in enumerate(keys):
-                if key is not None:
-                    buckets.setdefault(key, []).append(i)
+        self.sigs: list[dict[str, Footprint]] = []
+        names: dict[str, object] = {}
+        weak: list[_Classes] = []
+        strong: list[_Classes | None] = []
+        for prod in g.productions:
+            found = _occurrences(prod.rhs)
+            names[prod.lhs] = None  # a key set again keeps its first place
+            names.update(found)
+            sig = {name: Footprint.of(markers) for name, markers in found.items() if markers}
+            self.sigs.append(sig)
+            weak_classes, strong_classes = _weak_and_strong(sig)
+            weak.append(weak_classes)
+            strong.append(strong_classes)
+        self.names = list(names)
+        self.classes = {"weak": weak, "strong": strong}
+        self.keys = {strength: [None if found is None else frozenset(found) for found in classes]
+                     for strength, classes in self.classes.items()}
+        self.buckets = _Buckets(self.keys)
 
     def exact_targets(self) -> set[tuple[str, frozenset[tuple[str, Footprint]]]]:
         return {(prod.lhs, frozenset(sig.items()))
@@ -352,7 +386,8 @@ class _SignatureIndex:
 
 class _Resolution:
     """State of one nominal resolution: both grammars' signature indexes and,
-    per strength, the option table the search and the greedy pass narrow.
+    per strength, the option table the greedy pass narrows; the search
+    watches the weak table's options (`_complete_matchings`).
     A servant production's options are its `(master production, relation)`
     pairs: the equivalent master productions in ascending order, each with
     the relations of `relations` that bind on their own, in their order.
@@ -399,13 +434,17 @@ def nominal_resolution(master: Grammar, servant: Grammar) -> NominalMapping:
 
     Seeded with the root-to-root pair, the complete consistent matchings
     are searched first: every servant production is paired injectively with
-    a weakly equivalent master production.  Each open production's options,
-    from the weak option table, form its domain; each node narrows the
-    domains it is handed to the options that avoid the master production
-    just taken and agree with the binding, and expands the production with
-    the fewest left.  Among the distinct full bindings found, those with the
-    most exactly-matching productions win.  A single winner is adopted, and
-    several raise ResolutionAmbiguity.
+    a weakly equivalent master production.  An option of the weak option
+    table is live while its master production is free and its relation
+    agrees with the binding; each option is watched by the names it pairs
+    and by its master production.  Each node expands the open production
+    with the fewest live options (the lowest index among equals); a branch
+    binds its relation's new pairs, re-checks only the options that watch a
+    newly bound name or the master production just taken, and puts each
+    option it kills on a trail that backtracking unwinds.  Among the
+    distinct full bindings found, those with the most exactly-matching
+    productions win (a single binding found is the winner).  A single
+    winner is adopted, and several raise ResolutionAmbiguity.
 
     The search stops after SEARCH_NODE_CAP nodes, or once it holds
     SEARCH_MAX_BINDINGS distinct bindings and would look for more.  Either
@@ -441,10 +480,10 @@ def _resolve(master: Grammar, servant: Grammar) -> NominalMapping:
         seed.bind(rs, rm)
 
     res = _Resolution(master, servant)
-    servant_names = names_in_order(servant, _leaf_name)
+    servant_names = res.servant.names
     candidates, capped = _complete_matchings(res, seed)
     if candidates and not capped:
-        best = _best_bindings(res, candidates)
+        best = candidates if len(candidates) == 1 else _best_bindings(res, candidates)
         if len(best) > 1:
             raise ResolutionAmbiguity(best)
         fwd = best[0]
@@ -456,7 +495,7 @@ def _resolve(master: Grammar, servant: Grammar) -> NominalMapping:
     pairs: list[tuple[str | None, str | None]] = [
         (name, fwd.get(name)) for name in servant_names]
     mapped = {b for _, b in pairs if b is not None}
-    for name in names_in_order(master, _leaf_name):
+    for name in res.master.names:
         if name not in mapped:
             pairs.append((None, name))
     mapping = NominalMapping(frozenset(pairs))
@@ -519,40 +558,109 @@ def _complete_matchings(res: _Resolution, seed: _Binding,
     injectively with a weakly equivalent master production, consistently
     with the seed.  Returns (bindings, capped): capped is set when the
     search stopped at `cap` nodes or at SEARCH_MAX_BINDINGS bindings before
-    it was done, so the bindings may be incomplete."""
+    it was done, so the bindings may be incomplete.
+
+    An option of the weak option table stays live while its master
+    production is free and its relation extends the binding.  It is watched
+    by the names it pairs and by its master production, so a branch
+    re-checks only the options that watch a name it newly binds or the
+    master production it takes; each option it kills goes on a trail, and
+    backtracking revives them."""
+    table = res.options("weak")
+    fwd, rev = dict(seed.fwd), dict(seed.rev)
+    first = [0]            # servant production si owns options first[si]..first[si + 1]
+    owner: list[int] = []  # each option's servant production
+    holders: dict[tuple[str, str], list[int]] = {}  # a pair -> the options pairing it
+    users: dict[int, list[int]] = {}  # master production -> the options on it
+    for si, options in enumerate(table):
+        for mi, rel in options:
+            o = len(owner)
+            owner.append(si)
+            users.setdefault(mi, []).append(o)
+            for pair in rel:
+                holders.setdefault(pair, []).append(o)
+        first.append(len(owner))
+    images: dict[str, list[str]] = {}    # servant name -> the names options pair it with
+    preimages: dict[str, list[str]] = {}  # master name -> the names options pair with it
+    for a, b in holders:
+        images.setdefault(a, []).append(b)
+        preimages.setdefault(b, []).append(a)
+    alive = bytearray(b"\1") * len(owner)
+    live = [len(options) for options in table]
+    open_s = set(range(len(table)))
+    trail: list[int] = []
+
+    def cut(options: list[int], spare: int = -1) -> bool:
+        """Kill the live ones among `options`, but for those of servant
+        production `spare`; whether an open production lost its last
+        option (the kills stop there)."""
+        for o in options:
+            if alive[o] and owner[o] != spare:
+                alive[o] = 0
+                trail.append(o)
+                si = owner[o]
+                live[si] -= 1
+                if not live[si] and si in open_s:
+                    return True
+        return False
+
+    def bind(pairs) -> bool:
+        """Kill the options that pair a name of `pairs`, bound just now,
+        with anything else; whether the branch is dead."""
+        for a, b in pairs:
+            for x in images.get(a, ()):
+                if x != b and cut(holders[a, x]):
+                    return True
+            for y in preimages.get(b, ()):
+                if y != a and cut(holders[y, b]):
+                    return True
+        return False
+
     results: list[dict[str, str]] = []
     seen: set[tuple] = set()
-    budget = [cap]
-    capped = [False]
+    budget = cap
+    capped = False
 
-    def dfs(current: _Binding, domains: dict[int, list[_Option]], taken: int | None) -> None:
-        if budget[0] <= 0 or len(results) >= SEARCH_MAX_BINDINGS:
-            capped[0] = True
+    def dfs(dead: bool) -> None:
+        nonlocal budget, capped
+        if budget <= 0 or len(results) >= SEARCH_MAX_BINDINGS:
+            capped = True
             return
-        budget[0] -= 1
-        if not domains:
-            key = tuple(sorted(current.fwd.items()))
+        budget -= 1
+        if not open_s:
+            key = tuple(sorted(fwd.items()))
             if key not in seen:
                 seen.add(key)
-                results.append(dict(current.fwd))
+                results.append(dict(fwd))
             return
-        # forward checking: drop the options of the open productions that
-        # use the master production just taken or contradict the binding
-        narrowed = {si: [(mi, rel) for mi, rel in options
-                         if mi != taken and current.admits(rel)]
-                    for si, options in domains.items()}
-        if not all(narrowed.values()):
-            return  # dead branch
-        # fail-first: expand the production with the fewest options
-        si = min(narrowed, key=lambda x: (len(narrowed[x]), x))
-        for mi, rel in narrowed.pop(si):
-            branch = current.copy()
+        if dead:
+            return
+        # fail-first: expand the production with the fewest live options
+        si = min(open_s, key=lambda x: (live[x], x))
+        open_s.remove(si)
+        for o, (mi, rel) in enumerate(table[si], first[si]):
+            if not alive[o]:
+                continue
+            mark = len(trail)
+            new = []
             for a, b in rel:
-                branch.bind(a, b)
-            dfs(branch, narrowed, mi)
+                if a not in fwd:  # a self-referential rule repeats its lhs pair
+                    fwd[a] = b
+                    rev[b] = a
+                    new.append((a, b))
+            # the other productions lose master production mi
+            dfs(cut(users[mi], si) or bind(new))
+            while len(trail) > mark:
+                back = trail.pop()
+                alive[back] = 1
+                live[owner[back]] += 1
+            for a, b in new:
+                del fwd[a], rev[b]
+        open_s.add(si)
 
-    dfs(seed.copy(), dict(enumerate(res.options("weak"))), None)
-    return results, capped[0]
+    # the root is dead when a production has no option, or none the seed admits
+    dfs(not all(live) or bind(fwd.items()))
+    return results, capped
 
 
 def _exact_score(targets: set, servant: _SignatureIndex, fwd: dict[str, str]) -> int:

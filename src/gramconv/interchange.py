@@ -258,29 +258,44 @@ def _expr_from_json(doc, path: str, leaves: dict) -> Expr:
             built = done.value
 
 
-def _read(doc, path: str, leaves: dict):
+def _shown(path) -> str:
+    """The text of a path that `_read` hands down as `(parent, field,
+    index)` links, the index None for a field that holds one object."""
+    parts = []
+    while type(path) is tuple:
+        path, name, i = path
+        parts.append(f".{name}" if i is None else f".{name}[{i}]")
+    return path + "".join(reversed(parts))
+
+
+def _read(doc, path, leaves: dict):
     """The reading of one expression object: it yields each child object
     with its path and is sent the child's node back, and it returns its own
-    node, with its leaf looked up once the field has passed its type check."""
-    tag = _want(doc, "tag", str, path)
+    node, with its leaf looked up once the field has passed its type check.
+    A child's path is a link to its parent's, spelt out by `_shown` only
+    for an error, so a deep object costs no longer path text than a
+    shallow one."""
+    tag = doc.get("tag") if isinstance(doc, dict) else None
+    if not isinstance(tag, str):
+        tag = _want(doc, "tag", str, _shown(path))  # raises the object, field or type error
     decoder = _DECODERS.get(tag)
     if decoder is None:
-        raise InterchangeError(path, f"unknown expression tag {tag!r}")
+        raise InterchangeError(_shown(path), f"unknown expression tag {tag!r}")
     build, spec = decoder
     values: list = []
     for name, kind in spec:
         value = doc.get(name)
         if not isinstance(value, kind):
-            _want(doc, name, kind, path)  # raises the missing-field or type error
+            _want(doc, name, kind, _shown(path))  # raises the missing-field or type error
         if kind is str:
             values.append(value)
         elif kind is dict:
-            values.append((yield value, f"{path}.{name}"))
+            values.append((yield value, (path, name, None)))
         else:
             for i, kid in enumerate(value):
-                values.append((yield kid, f"{path}.{name}[{i}]"))
+                values.append((yield kid, (path, name, i)))
     if tag == "n" and values[0] in VALUE_NAMES:
-        raise _reserved(values[0], f"{path}.name")
+        raise _reserved(values[0], _shown(path) + ".name")
     leaf = _LEAF_CLASS.get(tag)
     if leaf is not None:
         return shared_leaf(leaves, leaf, values[0])

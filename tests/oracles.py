@@ -18,8 +18,10 @@ recursion that the one pass over a rule's subterms replaced, and
 for the checks that a grammar that is read shares its leaves.
 `_Resolution` (with `consistent` and its two memos), `_greedy_fixpoint`,
 `_complete_matchings` and `_resolve` are nominal resolution as it was before
-the option table, kept verbatim: every node of the search re-derives each
-open production's options from the candidates through `consistent`.
+the option table, kept verbatim but for `_copied`, the binding copy the
+search takes at every node: every node of the search re-derives each
+open production's options from the candidates through `consistent`, and
+`_resolve` walks both grammars with `names_in_order`.
 `_signature_relations` is the definition of the relations one production
 pair induces, from its two signatures, that the relation builder over
 strong and weak classes replaced: the single equal-footprint bijection at
@@ -802,6 +804,14 @@ def _greedy_fixpoint(res: _Resolution, binding: _Binding) -> _Binding:
     return binding
 
 
+def _copied(binding: _Binding) -> _Binding:
+    """`_Binding.copy`, which the trail-based search no longer needs."""
+    clone = _Binding()
+    clone.fwd = dict(binding.fwd)
+    clone.rev = dict(binding.rev)
+    return clone
+
+
 def _complete_matchings(res: _Resolution, seed: _Binding,
                         cap: int = SEARCH_NODE_CAP) -> tuple[list[dict[str, str]], bool]:
     """Distinct full bindings reachable by pairing every servant production
@@ -840,12 +850,12 @@ def _complete_matchings(res: _Resolution, seed: _Binding,
         count, si, options = min(scored, key=lambda item: (item[0], item[1]))
         rest = [x for x in open_s if x != si]
         for mi, rel in options:
-            branch = current.copy()
+            branch = _copied(current)
             for a, b in rel:
                 branch.bind(a, b)
             dfs(branch, rest, used_m | {mi})
 
-    dfs(seed.copy(), list(range(len(res.servant.productions))), set())
+    dfs(_copied(seed), list(range(len(res.servant.productions))), set())
     return results, capped[0]
 
 

@@ -548,10 +548,11 @@ def _outcome(resolve, master, servant):
 
 
 def test_option_table_search_agrees_with_the_search_it_replaced(monkeypatch):
-    # the narrowed option table against the verbatim search that re-derived
-    # every open production's options at every node: the same bindings in
-    # the same order, the same capped flag under forced node and binding
-    # limits, the same greedy binding and the same resolution or error
+    # the search over watched options, which undoes its kills from a trail,
+    # against the verbatim search that re-derived every open production's
+    # options at every node: the same bindings in the same order, the same
+    # capped flag under forced node and binding limits, the same greedy
+    # binding and the same resolution or error
     import gramconv.converge as converge
     from gramconv.converge import _resolve
     seen = {"capped": 0, "unmatched": 0, "refused": 0}
@@ -575,6 +576,57 @@ def test_option_table_search_agrees_with_the_search_it_replaced(monkeypatch):
         want = oracles._greedy_fixpoint(old, _seed_of(master, servant)).fwd
         assert list(got.items()) == list(want.items())
     assert min(seen.values()) >= 3, seen
+    # renamed, rule-shuffled masters of 40 and 80 rules, where the search
+    # runs deep, under caps that stop it early, midway and not at all
+    rng = random.Random(31)
+    capped = 0
+    for size in (40, 40, 80, 80):
+        master = rooted_anf(rng, size)
+        servant = _planted_servant(rng, master)[0]
+        res, old = _Resolution(master, servant), oracles._Resolution(master, servant)
+        for cap in (2, 10, 100, 30000):
+            got = _complete_matchings(res, _seed_of(master, servant), cap=cap)
+            want = oracles._complete_matchings(old, _seed_of(master, servant), cap)
+            assert [list(fwd.items()) for fwd in got[0]] == \
+                   [list(fwd.items()) for fwd in want[0]]
+            assert got[1] == want[1]
+            capped += got[1]
+        assert _outcome(_resolve, master, servant) == _outcome(oracles._resolve, master, servant)
+    assert capped >= 8
+
+
+def test_a_self_referential_rule_binds_its_lhs_pair_once():
+    # a's relation pairs a with A twice, as the lhs and as a name of the
+    # rhs: the search binds the pair once and takes it back once
+    master = Grammar(("s",), (p("a", seq(n("b"), opt(n("a")))), p("s", n("a")),
+                              p("b", VALUE_INT)))
+    servant = _apply_bijection(master, {"a": "A", "s": "S", "b": "B"})
+    res = _Resolution(master, servant)
+    assert [rel for _, rel in res.options("weak")[0]] == [(("A", "a"), ("A", "a"), ("B", "b"))]
+    got = _complete_matchings(res, _seed_of(master, servant))
+    want = oracles._complete_matchings(oracles._Resolution(master, servant),
+                                       _seed_of(master, servant))
+    assert [list(fwd.items()) for fwd in got[0]] == [list(fwd.items()) for fwd in want[0]] \
+        == [[("S", "s"), ("A", "a"), ("B", "b"), ("int", "int")]]
+    assert got[1] is want[1] is False
+    assert nominal_resolution(master, servant).as_dict() == \
+        {"A": "a", "S": "s", "B": "b", "int": "int"}
+
+
+def test_signature_index_names_follow_names_in_order():
+    # the index lists each grammar's names from its one walk per rule, in
+    # the order of names_in_order(g, _leaf_name), also on grammars that are
+    # not in ANF, whose names may sit under choices, separators and selectors
+    from gramconv.grammar import names_in_order
+    from gen import corpus
+    rng = random.Random(47)
+    grammars = [*corpus(43, 300), *(random_anf(rng, vocab=rng.randint(2, 8)) for _ in range(60)),
+                *(rooted_anf(rng, size) for size in (4, 12, 40))]
+    for g in grammars:
+        index = _SignatureIndex(g)
+        assert index.names == names_in_order(g, _leaf_name)
+        assert index.sigs == [prodsig(prod) for prod in g.productions]
+    assert any(anf_check(g) for g in grammars)
 
 
 def _six_twins_master():
