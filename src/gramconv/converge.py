@@ -87,7 +87,15 @@ class Footprint:
 
     @staticmethod
     def of(markers) -> "Footprint":
-        return Footprint(tuple(sorted(markers, key=_MARKER_ORDER.__getitem__)))
+        """The footprint of `markers` in any order: one shared instance per
+        marker sequence while the bounded cache `_SHARED` holds it."""
+        key = tuple(markers)
+        found = _SHARED.get(key)
+        if found is None:
+            if len(_SHARED) >= _SHARED_MAX:
+                _SHARED.clear()
+            found = _SHARED[key] = Footprint(tuple(sorted(key, key=_MARKER_ORDER.__getitem__)))
+        return found
 
     def union(self, other: "Footprint") -> "Footprint":
         return Footprint.of(self.markers + other.markers)
@@ -96,7 +104,7 @@ class Footprint:
         # + sorts just before *, so reading it as * keeps the order
         if "+" not in self.markers:
             return self
-        return Footprint(tuple("*" if m == "+" else m for m in self.markers))
+        return Footprint.of(["*" if m == "+" else m for m in self.markers])
 
     def __bool__(self) -> bool:
         return bool(self.markers)
@@ -105,7 +113,12 @@ class Footprint:
         return "".join(self.markers)
 
 
-_EMPTY_FP = Footprint(())
+# marker sequence -> its footprint, shared by every caller, which no caller
+# can tell apart from its own: a footprint is an immutable value.  Emptied
+# when it reaches _SHARED_MAX.
+_SHARED: dict[tuple[str, ...], Footprint] = {}
+_SHARED_MAX = 4096
+_EMPTY_FP = Footprint.of(())
 
 
 _MARKER_OF = {Optional: "?", Star: "*", Plus: "+"}
@@ -314,14 +327,20 @@ def _class_relations(left: _Classes, right: _Classes) -> list[tuple[tuple[str, s
     """The relations of two signatures equivalent at some strength, from
     their `_classes` at that strength, in the order of `left`'s classes,
     each as its sorted pairs without the omega entries for the names it
-    leaves unpaired.  A class with one name on each side gives its pair; a
-    larger one expands by permutations."""
+    leaves unpaired.  When every class holds one name on each side, the one
+    relation pairs them; otherwise each class expands by permutations."""
+    pairs = []
+    for fp, lnames in left.items():
+        rnames = right[fp]
+        if len(lnames) != 1 or len(rnames) != 1:
+            break
+        pairs.append((lnames[0], rnames[0]))
+    else:
+        return [tuple(sorted(pairs))]
     per_class: list[list[tuple[tuple[str, str], ...]]] = []
     for fp, lnames in left.items():
         rnames = right[fp]
-        if len(lnames) == 1 == len(rnames):
-            per_class.append([((lnames[0], rnames[0]),)])
-        elif len(lnames) <= len(rnames):
+        if len(lnames) <= len(rnames):
             per_class.append([tuple(zip(lnames, image))
                               for image in itertools.permutations(rnames, len(lnames))])
         else:
@@ -617,7 +636,7 @@ def _complete_matchings(res: _Resolution, seed: _Binding,
         return False
 
     results: list[dict[str, str]] = []
-    seen: set[tuple] = set()
+    seen: set[frozenset] = set()
     budget = cap
     capped = False
 
@@ -628,7 +647,7 @@ def _complete_matchings(res: _Resolution, seed: _Binding,
             return
         budget -= 1
         if not open_s:
-            key = tuple(sorted(fwd.items()))
+            key = frozenset(fwd.items())
             if key not in seen:
                 seen.add(key)
                 results.append(dict(fwd))

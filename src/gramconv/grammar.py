@@ -15,9 +15,9 @@ interchange reader build, gets its sequences and choices from them, and
 they skip the shape check that calling `Sequence` or `Choice` runs.  So
 they are the one place where interning composite nodes would go.
 Each grammar derives its rule blocks when it is built, and its name index
-the first time it is asked for; a grammar built by `Grammar.edit` carries
-both from its parent.  The analyses read those facts instead of walking the
-rules again.
+and its rules' class masks the first time each is asked for; a grammar
+built by `Grammar.edit` carries all three from its parent.  The analyses
+read those facts instead of walking the rules again.
 """
 
 from __future__ import annotations
@@ -348,6 +348,57 @@ def with_children(expr: Expr, kids) -> Expr:
 
 
 # --------------------------------------------------------------------------
+# Class masks.  The mask of an expression is an int: a bit per node class it
+# holds, and two flags about how its nodes sit.  A phase that acts only on
+# some classes reads a rule's mask to skip a rule it cannot change.
+
+CLASS_BIT: dict[type, int] = {cls: 1 << i for i, cls in enumerate(NODE_TABLE)}
+# a unit child the smart constructors would drop (an epsilon part of a
+# sequence, an empty alternative of a choice), which only the direct
+# constructors build
+UNIT_CHILD = 1 << len(NODE_TABLE)
+NESTED_CHOICE = UNIT_CHILD << 1  # a choice directly under a composite
+
+# the unit element seq and choice drop from their children
+UNIT = {Sequence: Epsilon, Choice: Empty}
+
+
+def class_bits(classes) -> int:
+    """The bits of `classes` in a mask."""
+    bits = 0
+    for cls in classes:
+        bits |= CLASS_BIT[cls]
+    return bits
+
+
+_COMPOSITE = class_bits(_GET)  # the classes that have children
+_CHOICE_BIT = CLASS_BIT[Choice]
+_UNIT_BIT = {cls: CLASS_BIT[unit] for cls, unit in UNIT.items()}
+
+
+def class_mask(expr: Expr) -> int:
+    """The mask of expr, from one walk of its composite nodes, each of which
+    adds its children's bits and the flags they raise under it."""
+    mask = CLASS_BIT[type(expr)]
+    stack = [expr] if mask & _COMPOSITE else []
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        below = 0
+        for kid in _GET[kind](node):
+            bit = CLASS_BIT[type(kid)]
+            below |= bit
+            if bit & _COMPOSITE:
+                stack.append(kid)
+        if below & _CHOICE_BIT:
+            below |= NESTED_CHOICE
+        if below & _UNIT_BIT.get(kind, 0):
+            below |= UNIT_CHILD
+        mask |= below
+    return mask
+
+
+# --------------------------------------------------------------------------
 # Productions and grammars
 
 
@@ -376,17 +427,22 @@ class Grammar:
       order;
     - the name index `_users` maps each name used in a rhs to the tuple of
       the lhs of each rule that uses it, in no particular order; its keys
-      are the used names.  Derived on first use.
+      are the used names.  Derived on first use;
+    - `masks` holds each rule's `class_mask`, by position, in a list that is
+      never changed once built.  Derived on first use.
 
-    The constructor derives `blocks` from scratch, and the index when asked.
-    `edit` builds a grammar from its parent and carries the facts instead:
-    `blocks` is shared by an edit that moves no rule (rules rewritten in
-    place, or new roots), shifted past the splice of one that does (a rule
-    appended, inserted or removed, one rule spliced into several), and
-    derived again, as by the constructor, when a rewrite changes an lhs; the
-    index, when the parent has derived it, is updated by re-reading only the
-    rules the edit removes and adds.  The index holds left-hand sides, not
-    positions, so a splice moves none of its entries."""
+    The constructor derives `blocks` from scratch, and the other two when
+    asked.  `edit` builds a grammar from its parent and carries the facts
+    instead: `blocks` is shared by an edit that moves no rule (rules
+    rewritten in place, or new roots), shifted past the splice of one that
+    does (a rule appended, inserted or removed, one rule spliced into
+    several), and derived again, as by the constructor, when a rewrite
+    changes an lhs; the index, when the parent has derived it, is updated by
+    re-reading only the rules the edit removes and adds.  The index holds
+    left-hand sides, not positions, so a splice moves none of its entries.
+    The masks, when the parent has derived them, are the parent's, spliced
+    as the rules are, with a new mask only for each rule whose rhs is
+    new."""
 
     roots: tuple[str, ...] = ()
     productions: tuple[Production, ...] = ()
@@ -412,6 +468,10 @@ class Grammar:
                 users.setdefault(name, []).append(prod.lhs)
         return {name: tuple(lhss) for name, lhss in users.items()}
 
+    @cached_property
+    def masks(self) -> list[int]:
+        return [class_mask(prod.rhs) for prod in self.productions]
+
     def users_of(self, name: str) -> tuple[str, ...]:
         """The lhs of each rule whose rhs uses `name`, in no particular order."""
         return self._users.get(name, ())
@@ -432,6 +492,9 @@ class Grammar:
         when given.  The facts are carried (see the class docstring); the
         roots are checked as by the constructor."""
         rules = list(self.productions)
+        masks = self.__dict__.get("masks")
+        if masks is not None:
+            masks = list(masks)
         gone: list[Production] = []
         added: list[Production] = []
         moved = False  # whether a rewrite changed an lhs
@@ -441,6 +504,8 @@ class Grammar:
                 moved = moved or prod.lhs != old.lhs
                 gone.append(old)
                 added.append(prod)
+                if masks is not None and prod.rhs is not old.rhs:
+                    masks[i] = class_mask(prod.rhs)
             rules[i] = prod
         blocks = self.blocks
         if at is not None:
@@ -448,6 +513,8 @@ class Grammar:
             added += insert
             rules[at:at + removed] = insert
             blocks = _spliced(blocks, rules, at, removed, len(insert))
+            if masks is not None:
+                masks[at:at + removed] = [class_mask(prod.rhs) for prod in insert]
         if moved:  # derived again, as by the constructor
             blocks = _spliced({}, rules, 0, 0, len(rules))
         child = object.__new__(Grammar)
@@ -456,6 +523,8 @@ class Grammar:
         object.__setattr__(child, "blocks", blocks)
         if "_users" in self.__dict__:
             child.__dict__["_users"] = _reindexed(self._users, gone, added)
+        if masks is not None:
+            child.__dict__["masks"] = masks
         child._check_roots()
         return child
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 from .grammar import (
     EPSILON,
+    NESTED_CHOICE,
+    UNIT_CHILD,
     VALUE_NAMES,
     Anything,
     Choice,
@@ -45,6 +47,7 @@ from .grammar import (
     ValueInt,
     ValueStr,
     children,
+    class_bits,
     names_in_order,
     opt,
     reachable,
@@ -63,7 +66,6 @@ from .transform import (
     dnf,
     fresh_name,
     _sole_definition,
-    _UNIT,
     _uses,
 )
 
@@ -148,39 +150,22 @@ def _is_trivial_rhs(rhs: Expr) -> bool:
 # per-kind implementations
 
 
-def _holds(rhs: Expr, classes) -> bool:
-    """Whether rhs holds a node of `classes` (a tuple) or a unit child that
-    the smart constructors would drop (an epsilon part of a sequence, an
-    empty alternative of a choice), found by a walk that stops at the
-    first."""
-    stack = [rhs]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind in classes:
-            return True
-        if kind not in _ATOMS:
-            kids = children(node)
-            unit = _UNIT.get(kind)
-            if unit is not None and unit in map(type, kids):
-                return True
-            stack.extend(kids)
-    return False
-
-
 def _rewrite_rules(rec: _Recorder, rewrite, classes) -> None:
     """Rewrite every rule rhs with `rewrite` (rhs to rhs), one recorded step
     per changed rule.  `rewrite` rebuilds with the smart constructors and
-    acts only on nodes of `classes`, so a rule is skipped when its rhs holds
-    none of them and no unit child (`_holds`).  The skip is exact: such a
-    rhs is canonical but for unit children, which only the direct
-    constructors build, and rebuilding a canonical tree in which the
-    rewrite finds nothing to change gives an equal tree, so the rule would
-    have recorded no step."""
-    for name in names_in_order(rec.grammar):
-        for pos, prod in enumerate(rec.grammar.rules_of(name)):
-            if not _holds(prod.rhs, classes):
+    acts only on nodes of `classes`, so a rule is skipped when its mask holds
+    none of them and no unit child.  The skip is exact: such a rhs is
+    canonical but for unit children, which only the direct constructors
+    build, and rebuilding a canonical tree in which the rewrite finds
+    nothing to change gives an equal tree, so the rule would have recorded
+    no step.  A set-node step moves no rule, so the blocks read at the start
+    hold every rule's position throughout."""
+    wanted = class_bits(classes) | UNIT_CHILD
+    for name, positions in rec.grammar.blocks.items():
+        for pos, i in enumerate(positions):
+            if not rec.grammar.masks[i] & wanted:
                 continue
+            prod = rec.grammar.productions[i]
             new = rewrite(prod.rhs)
             if new != prod.rhs:
                 rec.do("set-node", lhs=name, pos=pos, path=[], expr=new,
@@ -385,12 +370,15 @@ def _distribute_round(rec: _Recorder) -> None:
     # surface what distribution can surface, then fold the choices that sit
     # under repetitions (which no amount of distribution can reach)
     _rewrite_rules(rec, dnf, (Choice,))
-    for name in names_in_order(rec.grammar):
-        # each extract folds its offender in every rule, so re-read the rule;
-        # a rule that holds no choice has no offender
-        for pos in range(len(rec.grammar.blocks[name])):
-            rhs = rec.rule(name, pos).rhs
-            offender = _deepest(rhs, _nested_choice) if _holds(rhs, (Choice,)) else None
+    # each extract folds its offender in every rule, so re-read the rule; an
+    # extract appends its rule, so the blocks read here hold every position
+    # this round visits; a rule with no choice under a composite has no
+    # offender
+    for name, positions in rec.grammar.blocks.items():
+        for i in positions:
+            if not rec.grammar.masks[i] & NESTED_CHOICE:
+                continue
+            offender = _deepest(rec.grammar.productions[i].rhs, _nested_choice)
             if offender is not None:
                 fresh = fresh_name(name, rec.grammar)
                 rec.do("extract", name=fresh, expr=offender)
@@ -587,29 +575,31 @@ class AnfViolation:
         return f"condition {self.condition}: {self.detail}"
 
 
+# a rule whose mask holds none of these breaks none of conditions 2, 3, 4, 6
+_WALKED = class_bits((Selectable, Terminal, SepListStar, SepListPlus)) | NESTED_CHOICE
+
+
 def anf_check(g: Grammar) -> list[AnfViolation]:
     """All violated abstract-normal-form conditions (empty list means ANF),
-    condition by condition.  Each rhs is walked once, pre-order as
-    `subterms` walks it, for conditions 2, 3, 4 and 6, so each condition's
-    violations come in the order a walk of its own would find them; no rule
-    is skipped.  The walk also collects the names each rule uses, and
-    condition 9 follows those from the roots, as `reachable` follows each
-    rule's `used_names`, with no second walk."""
+    condition by condition.  A rule whose mask shows a selector, a terminal,
+    a separator list or a choice under a composite is walked once, pre-order
+    as `subterms` walks it, for conditions 2, 3, 4 and 6, so each
+    condition's violations come in the order a walk of its own would find
+    them; no other rule can break them, and none is walked.  Condition 9
+    follows from the roots the names each rule uses, read from the name
+    index, as `reachable` follows each rule's `used_names`."""
     out: list[AnfViolation] = []
-    uses: dict[str, set[str]] = {}
-    for prod in g.productions:
+    for prod, mask in zip(g.productions, g.masks):
         if prod.label is not None:
             out.append(AnfViolation(1, f"rule {prod.lhs} carries label {prod.label!r}"))
         if isinstance(prod.rhs, Choice):
             out.append(AnfViolation(5, f"rule {prod.lhs} is horizontal"))
-        names = uses.setdefault(prod.lhs, set())
+        if not mask & _WALKED:
+            continue
         stack = [prod.rhs]
         while stack:
             sub = stack.pop()
             kind = type(sub)
-            if kind is Nonterminal:
-                names.add(sub.name)
-                continue
             if kind is Selectable:
                 out.append(AnfViolation(
                     2, f"rule {prod.lhs} names a subexpression {sub.selector!r}"))
@@ -638,6 +628,10 @@ def anf_check(g: Grammar) -> list[AnfViolation]:
         out.append(AnfViolation(
             9, f"top nonterminals {sorted(top_set)} differ from roots {sorted(g.roots)}"))
     else:
+        uses: dict[str, list[str]] = {}  # lhs -> the names its rules use
+        for name, lhss in g._users.items():
+            for lhs in lhss:
+                uses.setdefault(lhs, []).append(name)
         seen: set[str] = set()
         work = list(g.roots)
         while work:

@@ -36,10 +36,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .grammar import (
+    CLASS_BIT,
     EPSILON,
+    UNIT,
     VALUE_NAMES,
     Choice,
-    Empty,
     Epsilon,
     Expr,
     Grammar,
@@ -141,11 +142,13 @@ def _uses(g: Grammar, name: str) -> list[int]:
 def _replace_in_rules(g: Grammar, old: Expr, new: Expr,
                       scope: str | None = None) -> dict[int, Production]:
     """The rules of g (of `scope` only, when given) in which `old` occurs,
-    each occurrence replaced by `new`, by position."""
+    each occurrence replaced by `new`, by position.  A rule whose mask lacks
+    old's class is not searched."""
     out = {}
+    bit, masks = CLASS_BIT[type(old)], g.masks
     for i in _rules_using(g, used_names(old), scope):
         prod = g.productions[i]
-        if occurs(old, prod.rhs):
+        if masks[i] & bit and occurs(old, prod.rhs):
             out[i] = Production(prod.lhs, replace_subterm(prod.rhs, old, new), prod.label)
     return out
 
@@ -333,9 +336,6 @@ def horizontal(g: Grammar, name: str) -> Grammar:
 # the most alternatives one sequence may distribute into
 DNF_MAX_ALTERNATIVES = 4096
 
-# the unit element seq and choice drop from their children
-_UNIT = {Sequence: Epsilon, Choice: Empty}
-
 
 def dnf(expr: Expr) -> Expr:
     """Fully distribute sequences over choices, everywhere in the tree.  A
@@ -355,7 +355,7 @@ def dnf(expr: Expr) -> Expr:
             factors.append(alts)
         return choice(*(seq(*combo) for combo in itertools.product(*factors)))
     # the smart constructors would drop a unit child
-    if all(map(operator.is_, normal, kids)) and _UNIT.get(type(expr)) not in map(type, kids):
+    if all(map(operator.is_, normal, kids)) and UNIT.get(type(expr)) not in map(type, kids):
         return expr
     return with_children(expr, normal)
 

@@ -42,6 +42,10 @@ children a second time for condition 4, and reads condition 9's
 reachability through `reachable`, a second walk of the rules; the
 `render_expr` it calls for condition 7 is the oracle renderer above, which
 agrees with `grammar.render_expr`.
+`_holds` is the test by which the rewrite phases skipped a rule before
+each grammar carried its rules' class masks, kept verbatim: a walk of the
+rhs that stops at the first node of the phase's classes or the first unit
+child the smart constructors would drop.
 `dumps` (with `_write`), `serialize`, `_builder`, `deserialize` and
 `unparse` are the interchange writer and reader and the unparser as they
 were before the reader built nodes by tag, the writer wrote leaves and rule
@@ -121,7 +125,7 @@ from gramconv.interchange import (
     _reserved,
     _want,
 )
-from gramconv.mutate import AnfViolation, _is_chain_rhs, _is_trivial_rhs
+from gramconv.mutate import _ATOMS, AnfViolation, _is_chain_rhs, _is_trivial_rhs
 from gramconv.notation import NotationSpec
 from gramconv.recovery import (
     _ALT,
@@ -1087,6 +1091,33 @@ def anf_check(g: Grammar) -> list[AnfViolation]:
     # each condition's violations in the order they were found
     out.sort(key=lambda violation: violation.condition)
     return out
+
+
+# the rule test of the rewrite phases as it was before each grammar carried
+# its rules' class masks
+
+# the unit element seq and choice drop from their children
+_UNIT = {Sequence: Epsilon, Choice: Empty}
+
+
+def _holds(rhs: Expr, classes) -> bool:
+    """Whether rhs holds a node of `classes` (a tuple) or a unit child that
+    the smart constructors would drop (an epsilon part of a sequence, an
+    empty alternative of a choice), found by a walk that stops at the
+    first."""
+    stack = [rhs]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind in classes:
+            return True
+        if kind not in _ATOMS:
+            kids = children(node)
+            unit = _UNIT.get(kind)
+            if unit is not None and unit in map(type, kids):
+                return True
+            stack.extend(kids)
+    return False
 
 
 # the interchange writer and reader as they were before the reader built

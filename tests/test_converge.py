@@ -136,6 +136,34 @@ def test_footprints_match_the_per_name_recursion():
                 assert footprint(name, prod.rhs) == oracles.footprint(name, prod.rhs)
 
 
+def test_shared_footprints_equal_and_hash_like_built_ones():
+    # Footprint.of shares one instance per marker sequence; a footprint
+    # built directly from the sorted markers is equal to it and hashes alike
+    import dataclasses
+    import itertools
+    from gramconv import converge
+    order = {"1": 0, "?": 1, "+": 2, "*": 3}
+    assert [f.name for f in dataclasses.fields(Footprint)] == ["markers"]
+    rng = random.Random(41)
+    for size in range(6):
+        for markers in itertools.product("1?+*", repeat=size):
+            shuffled = list(markers)
+            rng.shuffle(shuffled)
+            built = Footprint(tuple(sorted(markers, key=order.__getitem__)))
+            shared = Footprint.of(markers)
+            assert shared == built and hash(shared) == hash(built)
+            assert repr(shared) == repr(built) == f"Footprint(markers={built.markers!r})"
+            assert Footprint.of(markers) is shared and Footprint.of(shuffled) == shared
+            weak = Footprint(tuple("*" if m == "+" else m for m in built.markers))
+            assert shared.weak() == weak and hash(shared.weak()) == hash(weak)
+            assert shared.weak() is (Footprint.of(weak.markers) if "+" in markers else shared)
+    # the cache stays bounded, and gives the same footprints once emptied
+    for k in range(converge._SHARED_MAX + 10):
+        assert Footprint.of(("1",) * k + ("*",)).markers == ("1",) * k + ("*",)
+        assert len(converge._SHARED) <= converge._SHARED_MAX
+    assert Footprint.of(["*", "1"]) == Footprint(("1", "*"))
+
+
 # -- prodsigs -------------------------------------------------------------------
 
 
@@ -375,10 +403,14 @@ def _apply_bijection(g, phi):
 def test_signature_index_agrees_with_pairwise_definitions():
     # the bucket lookup stands in for strong_equiv/weak_equiv, and both
     # pair_resolution and the resolution's relations give the relations of
-    # the oracle's definition, on arbitrary (not only normalized) productions
+    # the oracle's definition, on arbitrary (not only normalized)
+    # productions; at weak strength both on pairs whose classes all hold one
+    # name on each side, whose one relation `_class_relations` builds
+    # directly, and on pairs where some class holds more
     rng = random.Random(83)
     keyed = {"strong": 0, "weak": 0}
-    for _ in range(80):
+    shapes = {True: 0, False: 0}  # whether every weak class is one name each side
+    for _ in range(200):
         master, servant = (random_grammar(rng) if rng.random() < 0.5
                            else random_anf(rng, vocab=rng.randint(2, 6))
                            for _ in range(2))
@@ -400,7 +432,12 @@ def test_signature_index_agrees_with_pairwise_definitions():
                                            if a is not None and b is not None))
                             for pairs in defined]
                     assert res.relations(si, mi, strength) == want
+                    if strength == "weak":
+                        shapes[all(len(names) == 1 for classes in (
+                            res.servant.classes["weak"][si], res.master.classes["weak"][mi])
+                            for names in classes.values())] += 1
     assert keyed["strong"] >= 100 and keyed["weak"] > keyed["strong"]
+    assert min(shapes.values()) >= 100, shapes
 
 
 def _root_seed(master, servant):

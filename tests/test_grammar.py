@@ -7,12 +7,17 @@ import pytest
 
 from gramconv.grammar import (
     ANYTHING,
+    CLASS_BIT,
     EMPTY,
     EPSILON,
+    NESTED_CHOICE,
     NODE_TABLE,
+    UNIT_CHILD,
     VALUE_INT,
     VALUE_STR,
     Choice,
+    Empty,
+    Epsilon,
     Grammar,
     GrammarError,
     Nonterminal,
@@ -20,6 +25,8 @@ from gramconv.grammar import (
     Terminal,
     children,
     choice,
+    class_bits,
+    class_mask,
     n,
     p,
     opt,
@@ -349,6 +356,7 @@ def _assert_facts_are_fresh(g):
     """g's facts, carried or derived, equal those the constructor derives."""
     fresh = Grammar(g.roots, g.productions)
     assert list(g.blocks.items()) == list(fresh.blocks.items())
+    assert type(g.masks) is list and g.masks == fresh.masks
     assert set(g._users) == set(fresh._users)
     for name, found in g._users.items():
         assert type(found) is tuple and type(fresh._users[name]) is tuple  # one entry shape
@@ -427,7 +435,7 @@ def test_carried_facts_equal_a_fresh_derivation_at_every_step():
                 scripts.append((g, mutate(g, Mutation(kind, params)).trace))
             except ValueError:
                 pass
-    applied, carried = {}, {}
+    applied, carried, masked = {}, {}, {}
     for g in grammars:
         current, steps = g, []
         for _ in range(400):
@@ -442,20 +450,21 @@ def test_carried_facts_equal_a_fresh_derivation_at_every_step():
         scripts.append((g, steps))
     for g, steps in scripts:
         current = g
-        _assert_facts_are_fresh(current)  # derives the index, so the next step carries it
+        _assert_facts_are_fresh(current)  # derives the facts, so the next step carries them
         for step in steps:
             child = apply_step(current, step)
             key = step.op + (" scoped" if step.args.get("scope") else "")
             applied[key] = applied.get(key, 0) + 1
             carried[key] = carried.get(key, 0) + ("_users" in vars(child))
+            masked[key] = masked.get(key, 0) + ("masks" in vars(child))
             if step.op in ("set-node", "set-label", "set-roots", "factor", "distribute",
                            "permute"):
                 assert child.blocks is current.blocks  # no rule moved
             _assert_facts_are_fresh(child)
             current = child
     assert {key.split()[0] for key in applied} == set(_OPS)
-    # every step carries the index its parent had derived
-    assert carried == applied
+    # every step carries the index and the masks its parent had derived
+    assert carried == applied and masked == applied
     for key in ("set-node", "set-label", "extract", "extract scoped", "vertical",
                 "insert-rule", "remove-rule", "inline", "rename"):
         assert carried[key] >= 20, (key, carried)
@@ -463,11 +472,65 @@ def test_carried_facts_equal_a_fresh_derivation_at_every_step():
 
 def test_an_edit_that_changes_an_lhs_derives_the_blocks_again():
     h = Grammar(("a",), (p("a", n("b")), p("b", t("x")), p("c", n("a")), p("b", n("c"))))
-    h.names  # derives the index, so the edit carries it
+    h.names, h.masks  # derives the index and the masks, so the edit carries them
     edited = h.edit({1: p("c", t("x")), 3: p("d", n("c"))})
     assert list(edited.blocks) == ["a", "c", "d"]
-    assert "_users" in vars(edited)
+    assert "_users" in vars(edited) and "masks" in vars(edited)
     _assert_facts_are_fresh(edited)
+    # a rewrite that changes an lhs and keeps its rhs keeps its mask, and a
+    # rewrite, a removal and an insertion in one edit splice the masks
+    spliced = h.edit({0: p("e", h.productions[0].rhs), 3: p("b", star(choice(n("a"), t("y"))))},
+                     at=1, removed=2, insert=(p("f", seq(n("a"), EPSILON)),
+                                              p("f", sel("s", n("b"))), p("b", EMPTY)))
+    assert spliced.masks[0] is h.masks[0]
+    assert len(spliced.masks) == len(spliced.productions) == 5
+    _assert_facts_are_fresh(spliced)
+
+
+def _defined_mask(expr) -> int:
+    """The class mask of expr from its definition, over `subterms`."""
+    mask = 0
+    for sub in subterms(expr):
+        kinds = {type(kid) for kid in children(sub)}
+        mask |= CLASS_BIT[type(sub)]
+        if Choice in kinds:
+            mask |= NESTED_CHOICE
+        if (type(sub) is Sequence and Epsilon in kinds
+                or type(sub) is Choice and Empty in kinds):
+            mask |= UNIT_CHILD
+    return mask
+
+
+def test_class_masks_follow_their_definition():
+    # rules of every construct, unit children built by the direct
+    # constructors, and nests that raise each flag deep down
+    exprs = [prod.rhs for g in corpus(48, 200, max_productions=12) for prod in g.productions]
+    nest = n("y")
+    for _ in range(50):
+        nest = star(seq(n("y"), nest))
+    exprs += [Sequence((n("a"), EPSILON)), Choice((EMPTY, t("x"))),
+              star(Sequence((EPSILON, n("b")))), opt(choice(n("a"), n("b"))),
+              seq(n("a"), choice(n("b"), t("c"))), nest, star(Choice((nest, EMPTY))),
+              star(seq(nest, opt(choice(n("a"), nest)))), sepstar(n("a"), Choice((t(","), EMPTY)))]
+    seen = 0
+    for expr in exprs:
+        mask = class_mask(expr)
+        assert mask == _defined_mask(expr), expr
+        seen |= mask
+    assert seen == class_bits(NODE_TABLE) | UNIT_CHILD | NESTED_CHOICE
+
+
+def test_reading_a_grammar_derives_no_masks(data_dir):
+    # the masks are derived on first use, and reading uses none
+    from gramconv.interchange import deserialize, serialize
+    from gramconv.notation import parse_spec
+    from gramconv.recovery import recover
+    notation = parse_spec((data_dir / "factorial.edd").read_text(encoding="utf-8"))
+    read = recover((data_dir / "fl_master.ebnf").read_text(encoding="utf-8"), notation).grammar
+    again = deserialize(serialize(read))
+    assert again == read
+    for g in (read, again):
+        assert "masks" not in vars(g)
     g = Grammar(("a",), (p("a", n("b")), p("b", t("x"))))
     with pytest.raises(GrammarError, match="declared root 'a' is neither defined nor used"):
         g.edit(at=0, removed=1)

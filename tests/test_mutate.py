@@ -9,13 +9,20 @@ from gramconv.grammar import (
     EPSILON,
     VALUE_INT,
     VALUE_STR,
+    NESTED_CHOICE,
+    UNIT_CHILD,
     Choice,
     Grammar,
     Production,
     Selectable,
+    SepListPlus,
+    SepListStar,
     Sequence,
     Star,
+    Terminal,
+    children,
     choice,
+    class_bits,
     n,
     opt,
     p,
@@ -36,6 +43,8 @@ from gramconv.mutate import (
     NAMING_CONVENTIONS,
     Mutation,
     MutationError,
+    _deepest,
+    _nested_choice,
     anf_check,
     apply_convention,
     mutate,
@@ -491,6 +500,61 @@ def test_rewrite_phases_drop_unit_children_that_the_direct_constructors_keep(kin
     assert [step.op for step in result.trace] == ops
     outcome = _outcome(_unit_children(), kind, {})
     assert hashlib.sha256(outcome.encode()).hexdigest() == digest
+
+
+def _with_unit_children(rng, g: Grammar) -> Grammar:
+    """g with a unit child in every rule, built with the direct
+    constructors: an epsilon part in a sequence, an empty alternative in a
+    choice, and otherwise an optional choice of the rhs and empty."""
+    rules = []
+    for prod in g.productions:
+        rhs = prod.rhs
+        if isinstance(rhs, Sequence):
+            at = rng.randrange(len(rhs.parts) + 1)
+            rhs = Sequence(rhs.parts[:at] + (EPSILON,) + rhs.parts[at:])
+        elif isinstance(rhs, Choice):
+            rhs = Choice(rhs.alternatives + (EMPTY,))
+        else:
+            rhs = opt(Choice((rhs, EMPTY)))
+        rules.append(Production(prod.lhs, rhs, prod.label))
+    return Grammar(g.roots, tuple(rules))
+
+
+# the classes each rewrite phase acts on: remove-selectors, remove-terminals,
+# encode-seplists and distribution's dnf pass
+PHASE_CLASSES = [(Selectable,), (Terminal,), (SepListStar, SepListPlus), (Choice,)]
+
+
+def test_rule_skips_agree_with_the_walk_they_replaced():
+    # a rewrite phase skips a rule exactly when the walk it replaced found
+    # none of the phase's classes and no unit child, and distribution's
+    # offender scan skips only rules in which no offender can be found
+    rng = random.Random(2700)
+    grammars = corpus(2701, 300, max_productions=12) + [_unit_children()]
+    grammars += [_with_unit_children(rng, g) for g in grammars[:100]]
+    held = {True: 0, False: 0}
+    scanned = 0
+    for g in grammars:
+        for prod, mask in zip(g.productions, g.masks):
+            for classes in PHASE_CLASSES:
+                found = bool(mask & (class_bits(classes) | UNIT_CHILD))
+                assert found == oracles._holds(prod.rhs, classes), (prod, classes)
+                held[found] += 1
+            if mask & NESTED_CHOICE:
+                scanned += 1
+            else:
+                assert _deepest(prod.rhs, _nested_choice) is None
+                assert all(type(kid) is not Choice for sub in subterms(prod.rhs)
+                           for kid in children(sub))
+    assert min(held.values()) >= 1000 and scanned >= 200
+    unit = _unit_children()
+    # the first rule holds no class of any phase: only its epsilon part
+    # keeps it from being skipped
+    assert [bool(mask & UNIT_CHILD) for mask in unit.masks] == [
+        True, True, True, True, False, True]
+    for classes in PHASE_CLASSES[:3]:
+        assert oracles._holds(unit.productions[0].rhs, classes)
+        assert not unit.masks[0] & class_bits(classes)
 
 
 # -- exact outputs of every kind ----------------------------------------------
