@@ -31,7 +31,7 @@ from . import converge as cv
 from . import interchange, notation, recovery
 from .grammar import Grammar
 from .mutate import MUTATION_KINDS, Mutation, MutationError, mutate
-from .transform import apply_script, script_from_json, script_to_json
+from .transform import apply_script, script_from_json
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -158,11 +158,21 @@ def _parse_mutation(text: str) -> Mutation:
     return Mutation(kind, params)
 
 
+def _step_doc(step) -> dict:
+    # what `step_to_json` gives, with the expressions left in for `dumps`
+    return {"op": step.op, "args": step.args}
+
+
+def _production_doc(prod) -> dict:
+    # what `production_to_json` gives, with the rhs left in for `dumps`
+    return {"label": prod.label, "lhs": prod.lhs, "rhs": prod.rhs}
+
+
 def cmd_mutate(args) -> int:
     mutation = _parse_mutation(args.mutation)
     result = mutate(_load_grammar(args.grammar), mutation)
     _write_text(args.out, interchange.serialize(result.grammar))
-    _write_text(args.out + ".trace", interchange.dumps(script_to_json(result.trace)))
+    _write_text(args.out + ".trace", interchange.dumps([_step_doc(step) for step in result.trace]))
     print(f"{mutation.kind}: {result.changed_count} change(s)", file=sys.stderr)
     return 0
 
@@ -171,7 +181,7 @@ def cmd_transform(args) -> int:
     steps = script_from_json(json.loads(_read_text(args.script)))
     result = apply_script(_load_grammar(args.grammar), steps)
     _write_text(args.out, interchange.serialize(result))
-    _write_text(args.out + ".trace", interchange.dumps(script_to_json(steps)))
+    _write_text(args.out + ".trace", interchange.dumps([_step_doc(step) for step in steps]))
     return 0
 
 
@@ -206,7 +216,8 @@ def cmd_converge(args) -> int:
         print(f"warning: {message}", file=sys.stderr)
     _print(cv.render_match_report(report))
     if args.report:
-        _write_text(args.report, interchange.dumps(cv.report_to_json(report)))
+        _write_text(args.report, interchange.dumps(
+            cv._report_doc(report, _production_doc, _step_doc)))
     return RESIDUE if report.residue else 0
 
 

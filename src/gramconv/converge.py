@@ -85,6 +85,12 @@ class MatchError(ValueError):
 class Footprint:
     markers: tuple[str, ...]
 
+    def __post_init__(self) -> None:  # hashed once, as the generated hash would
+        object.__setattr__(self, "_hash", hash((self.markers,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @staticmethod
     def of(markers) -> "Footprint":
         """The footprint of `markers` in any order: one shared instance per
@@ -121,20 +127,26 @@ _SHARED_MAX = 4096
 _EMPTY_FP = Footprint.of(())
 
 
-_MARKER_OF = {Optional: "?", Star: "*", Plus: "+"}
-
-
 def _leaf_name(expr: Expr) -> str | None:
     if isinstance(expr, Nonterminal):
         return expr.name
     return VALUE_NAME_OF.get(type(expr))
 
 
+# `_occurrences` reads a node by one lookup: "name", a value's name, a marker or a layout
+_ROLE = {Nonterminal: "name", **VALUE_NAME_OF, Optional: "?", Star: "*", Plus: "+",
+         Sequence: "seq", Selectable: "sel", Choice: "choice",
+         SepListStar: "list", SepListPlus: "list"}
+_UNARY_ROLES = frozenset(["?", "*", "+", "sel"])
+
+
 def _unwrapped_leaf(expr: Expr) -> str | None:
     # peel unary wrappers; the outermost marker is the one that counts
-    while isinstance(expr, (Optional, Star, Plus, Selectable)):
+    role = _ROLE.get(type(expr))
+    while role in _UNARY_ROLES:
         expr = expr.body
-    return _leaf_name(expr)
+        role = _ROLE.get(type(expr))
+    return expr.name if role == "name" else role if role in VALUE_NAME_SET else None
 
 
 def _occurrences(expr: Expr) -> dict[str, list[str]]:
@@ -148,26 +160,27 @@ def _occurrences(expr: Expr) -> dict[str, list[str]]:
     stack = [(expr, True)]
     while stack:
         node, counted = stack.pop()
-        kind = type(node)
-        name = _leaf_name(node)
-        if name is not None:
-            found = markers.setdefault(name, [])
+        role = _ROLE.get(type(node))
+        if role == "name" or role in VALUE_NAME_SET:
+            found = markers.setdefault(node.name if role == "name" else role, [])
             if counted:
                 found.append("1")
-            continue
-        marker = _MARKER_OF.get(kind)
-        if marker is not None and counted:
-            # only unary wrappers stand between the node and its leaf, so
-            # the leaf keeps its first-occurrence place
-            leaf = _unwrapped_leaf(node.body)
-            if leaf is not None:
-                markers.setdefault(leaf, []).append(marker)
-        if marker is not None or kind is Choice:
-            counted = False
-        if kind is SepListStar or kind is SepListPlus:
+        elif role == "seq":
+            for part in reversed(node.parts):
+                stack.append((part, counted))
+        elif role == "sel":
+            stack.append((node.body, counted))
+        elif role == "list":
             stack += ((node.separator, False), (node.item, counted))
-        else:
-            stack.extend((kid, counted) for kid in reversed(children(node)))
+        elif role == "choice":
+            for alternative in reversed(node.alternatives):
+                stack.append((alternative, False))
+        elif role is not None:  # ?, * or +: only unary wrappers stand
+            # between it and its leaf, so the leaf keeps its first place
+            leaf = _unwrapped_leaf(node.body) if counted else None
+            if leaf is not None:
+                markers.setdefault(leaf, []).append(role)
+            stack.append((node.body, False))
     return markers
 
 
@@ -309,26 +322,23 @@ class _Binding:
 
 _Relation = tuple[tuple[str, str], ...]
 _Option = tuple[int, _Relation]  # (master production, relation)
+_VALUE_PINS = {name: name for name in VALUE_NAMES}
 
 
-def _binds_alone(rel: _Relation) -> bool:
-    """Whether `rel` binds on its own, as an empty `_Binding` would find."""
-    fwd: dict[str, str] = {}
-    rev: dict[str, str] = {}
-    for a, b in rel:
-        if not _extends(fwd, rev, a, b):
-            return False
-        fwd[a] = b
-        rev[b] = a
-    return True
-
-
-def _class_relations(left: _Classes, right: _Classes) -> list[tuple[tuple[str, str], ...]]:
+def _class_relations(left: _Classes, right: _Classes,
+                     lhs: tuple[str, str] | None = None) -> list[tuple[tuple[str, str], ...]]:
     """The relations of two signatures equivalent at some strength, from
     their `_classes` at that strength, in the order of `left`'s classes,
     each as its sorted pairs without the omega entries for the names it
     leaves unpaired.  When every class holds one name on each side, the one
-    relation pairs them; otherwise each class expands by permutations."""
+    relation pairs them; otherwise each class expands by permutations.
+    Given the production pair's `lhs` pair, only the relations that extend
+    it are built: a pinned name (a value, an lhs) pairs only with its
+    partner or stays unpaired, so each class permutes the names its pins
+    leave free, in the order that filtering the full expansion keeps."""
+    fwd, rev = ({lhs[0]: lhs[1]}, {lhs[1]: lhs[0]}) if lhs else ({}, {})
+    if lhs and not _extends(fwd, rev, *lhs):
+        return []
     pairs = []
     for fp, lnames in left.items():
         rnames = right[fp]
@@ -336,16 +346,25 @@ def _class_relations(left: _Classes, right: _Classes) -> list[tuple[tuple[str, s
             break
         pairs.append((lnames[0], rnames[0]))
     else:
+        for a, b in pairs if lhs else ():
+            if not _extends(fwd, rev, a, b):
+                return []
         return [tuple(sorted(pairs))]
+    pin_l, pin_r = ({**_VALUE_PINS, **fwd}, {**_VALUE_PINS, **rev}) if lhs else ({}, {})
     per_class: list[list[tuple[tuple[str, str], ...]]] = []
     for fp, lnames in left.items():
         rnames = right[fp]
-        if len(lnames) <= len(rnames):
-            per_class.append([tuple(zip(lnames, image))
-                              for image in itertools.permutations(rnames, len(lnames))])
-        else:
-            per_class.append([tuple(zip(domain, rnames))
-                              for domain in itertools.permutations(lnames, len(rnames))])
+        # the smaller side pairs all its names; a smaller right side's pairs are flipped
+        flip = len(lnames) > len(rnames)
+        short, long, pins, long_pins = ((rnames, lnames, pin_r, pin_l) if flip
+                                        else (lnames, rnames, pin_l, pin_r))
+        fixed = tuple((a, pins[a]) for a in short if a in pins)
+        if any(b not in long for _, b in fixed):
+            return []
+        rest = [a for a in short if a not in pins]
+        free = [b for b in long if b not in long_pins]
+        found = [fixed + tuple(zip(rest, im)) for im in itertools.permutations(free, len(rest))]
+        per_class.append([tuple((a, b) for b, a in rel) for rel in found] if flip else found)
     return [tuple(sorted(itertools.chain.from_iterable(combo)))
             for combo in itertools.product(*per_class)]
 
@@ -409,9 +428,9 @@ class _Resolution:
     watches the weak table's options (`_complete_matchings`).
     A servant production's options are its `(master production, relation)`
     pairs: the equivalent master productions in ascending order, each with
-    the relations of `relations` that bind on their own, in their order.
-    Every relation comes from `_class_relations`, over the two productions'
-    classes at the strength asked for, as the indexes hold them."""
+    the relations of `relations` that bind on their own, in their order,
+    which `_class_relations` builds alone from the two productions' classes
+    at that strength, as the indexes hold them, pinned by the lhs pair."""
 
     def __init__(self, master: Grammar, servant: Grammar) -> None:
         self.master = _SignatureIndex(master)
@@ -422,12 +441,12 @@ class _Resolution:
         """Master productions equivalent to servant production `si`."""
         return self.master.buckets[strength].get(self.servant.keys[strength][si], [])
 
-    def relations(self, si: int, mi: int, strength: str) -> list[_Relation]:
-        """The pair's `pair_resolution` relations, each with the lhs pair
-        first and the omega entries dropped."""
+    def relations(self, si: int, mi: int, strength: str, pinned: bool = False) -> list[_Relation]:
+        """The pair's `pair_resolution` relations, the lhs pair first and
+        omega dropped; when `pinned`, only those that bind on their own."""
         lhs = (self.servant.productions[si].lhs, self.master.productions[mi].lhs)
         left, right = self.servant.classes[strength][si], self.master.classes[strength][mi]
-        return [(lhs,) + pairs for pairs in _class_relations(left, right)]
+        return [(lhs,) + pairs for pairs in _class_relations(left, right, lhs if pinned else None)]
 
     def options(self, strength: str) -> list[list[_Option]]:
         """The option table at `strength`, indexed by servant production,
@@ -435,7 +454,7 @@ class _Resolution:
         if strength not in self._tables:
             self._tables[strength] = [
                 [(mi, rel) for mi in self.candidates(si, strength)
-                 for rel in self.relations(si, mi, strength) if _binds_alone(rel)]
+                 for rel in self.relations(si, mi, strength, pinned=True)]
                 for si in range(len(self.servant.productions))]
         return self._tables[strength]
 
@@ -453,17 +472,19 @@ def nominal_resolution(master: Grammar, servant: Grammar) -> NominalMapping:
 
     Seeded with the root-to-root pair, the complete consistent matchings
     are searched first: every servant production is paired injectively with
-    a weakly equivalent master production.  An option of the weak option
-    table is live while its master production is free and its relation
-    agrees with the binding; each option is watched by the names it pairs
-    and by its master production.  Each node expands the open production
-    with the fewest live options (the lowest index among equals); a branch
-    binds its relation's new pairs, re-checks only the options that watch a
-    newly bound name or the master production just taken, and puts each
-    option it kills on a trail that backtracking unwinds.  Among the
-    distinct full bindings found, those with the most exactly-matching
-    productions win (a single binding found is the winner).  A single
-    winner is adopted, and several raise ResolutionAmbiguity.
+    a weakly equivalent master production.  The option tables are built
+    from pinned classes, so every relation in them binds on its own.  An
+    option of the weak option table is live while its master production is
+    free and its relation agrees with the binding; each option is watched
+    by the names it pairs and by its master production.  Each node expands
+    the open production with the fewest live options (the lowest index
+    among equals); a branch binds its relation's new pairs, re-checks only
+    the options that watch a newly bound name or the master production
+    just taken, and puts each option it kills on a trail that backtracking
+    unwinds.  Among the distinct full bindings found, those with the most
+    exactly-matching productions win (a single binding found is the
+    winner).  A single winner is adopted, and several raise
+    ResolutionAmbiguity.
 
     The search stops after SEARCH_NODE_CAP nodes, or once it holds
     SEARCH_MAX_BINDINGS distinct bindings and would look for more.  Either
@@ -986,17 +1007,21 @@ def _shown(name: str | None) -> str:
 
 
 def report_to_json(report: MatchReport) -> dict:
+    return _report_doc(report, production_to_json, step_to_json)
+
+
+def _report_doc(report: MatchReport, production, step) -> dict:
+    """The report's layout, with each rule and step as its encoder gives it."""
     mapping = sorted(([_shown(a), _shown(b)] for a, b in report.mapping.pairs),
                      key=lambda ab: (ab[0] == "omega", ab[0], ab[1]))
     return {
         "mapping": mapping,
-        "pairs": [{"left": production_to_json(pair.left),
-                   "right": production_to_json(pair.right),
+        "pairs": [{"left": production(pair.left), "right": production(pair.right),
                    "strength": pair.strength} for pair in report.pairs],
-        "residue": [{"side": entry.side, "production": production_to_json(entry.production)}
+        "residue": [{"side": entry.side, "production": production(entry.production)}
                     for entry in report.residue],
-        "normalization_trace": [step_to_json(step) for step in report.normalization_trace],
-        "structural_trace": [step_to_json(step) for step in report.structural_trace],
+        "normalization_trace": [step(item) for item in report.normalization_trace],
+        "structural_trace": [step(item) for item in report.structural_trace],
         "warnings": list(report.warnings),
     }
 

@@ -183,10 +183,13 @@ def _remove_selectors(rec: _Recorder, params: dict) -> None:
 
 
 def _remove_labels(rec: _Recorder, params: dict) -> None:
-    for name in names_in_order(rec.grammar):
-        for pos, prod in enumerate(rec.grammar.rules_of(name)):
-            if prod.label is not None:
-                rec.do("set-label", lhs=name, pos=pos, label=None, previous=prod.label)
+    # a set-label step moves no rule, so the blocks read here hold every
+    # rule's position throughout
+    for name, positions in rec.grammar.blocks.items():
+        for pos, i in enumerate(positions):
+            label = rec.grammar.productions[i].label
+            if label is not None:
+                rec.do("set-label", lhs=name, pos=pos, label=None, previous=label)
 
 
 _WORD = re.compile(r"[A-Z]+(?=[A-Z][a-z0-9])|[A-Z]?[a-z0-9]+|[A-Z]+")
@@ -281,13 +284,13 @@ def _hoist_top_selectors(rec: _Recorder, name: str) -> None:
 
 def _vertical_round(rec: _Recorder) -> None:
     for name in names_in_order(rec.grammar):
-        rules = rec.grammar.rules_of(name)
-        if len(rules) == 1 and isinstance(rules[0].rhs, Choice):
-            if rules[0].label is not None:
-                rec.do("set-label", lhs=name, pos=0, label=None,
-                       previous=rules[0].label)
+        rules, positions = rec.grammar.productions, rec.grammar.blocks[name]
+        if len(positions) == 1 and isinstance(rules[positions[0]].rhs, Choice):
+            label = rules[positions[0]].label
+            if label is not None:
+                rec.do("set-label", lhs=name, pos=0, label=None, previous=label)
             rec.do("vertical", name=name)
-        elif len(rules) > 1 and any(isinstance(r.rhs, Choice) for r in rules):
+        elif len(positions) > 1 and any(isinstance(rules[i].rhs, Choice) for i in positions):
             # several rules: split each choice rule in place, keeping the
             # other rule boundaries (and hence the trace invertible)
             _split_choice_rules(rec, name)
@@ -473,9 +476,9 @@ def _fold_groups(rec: _Recorder, params: dict) -> None:
 
 
 def _inline_first_trivial(rec: _Recorder) -> None:
-    for name in names_in_order(rec.grammar):
-        rules = rec.grammar.rules_of(name)
-        if len(rules) == 1 and _is_trivial_rhs(rules[0].rhs):
+    g = rec.grammar  # the round ends at its one step
+    for name, positions in g.blocks.items():
+        if len(positions) == 1 and _is_trivial_rhs(g.productions[positions[0]].rhs):
             args = _inline_target(rec, name)
             if args is not None:
                 rec.do("inline", **args)
@@ -487,7 +490,8 @@ def _fix_chain_mixing(rec: _Recorder) -> None:
     # block it folds in; the chain rules before it hold no composite body,
     # so one pass in block order extracts each non-chain rule in turn
     for name in names_in_order(rec.grammar):
-        flags = [_is_chain_rhs(prod.rhs) for prod in rec.grammar.rules_of(name)]
+        rules = rec.grammar.productions
+        flags = [_is_chain_rhs(rules[i].rhs) for i in rec.grammar.blocks[name]]
         if all(flags) or not any(flags):
             continue
         for pos in range(len(flags)):
@@ -615,12 +619,12 @@ def anf_check(g: Grammar) -> list[AnfViolation]:
                     out.append(AnfViolation(
                         4, f"rule {prod.lhs} nests a choice under {kind.__name__.lower()}"))
             stack.extend(reversed(kids))
-    for name in names_in_order(g):
-        rules = g.rules_of(name)
-        if len(rules) == 1 and _is_trivial_rhs(rules[0].rhs):
+    rules = g.productions
+    for name, positions in g.blocks.items():
+        if len(positions) == 1 and _is_trivial_rhs(rules[positions[0]].rhs):
             out.append(AnfViolation(
-                7, f"{name} is trivially defined as {render_expr(rules[0].rhs)}"))
-        flags = [_is_chain_rhs(prod.rhs) for prod in rules]
+                7, f"{name} is trivially defined as {render_expr(rules[positions[0]].rhs)}"))
+        flags = [_is_chain_rhs(rules[i].rhs) for i in positions]
         if any(flags) and not all(flags):
             out.append(AnfViolation(8, f"{name} mixes chain and non-chain rules"))
     top_set = tops(g)

@@ -27,6 +27,9 @@ pair induces, from its two signatures, that the relation builder over
 strong and weak classes replaced: the single equal-footprint bijection at
 strong strength, and at weak strength every one-to-one pairing within each
 weak footprint class, with omega entries for the names left unpaired.
+`_binds_alone` is the filter by which the option tables kept the relations
+that bind on their own before the relation builder took the pins of a
+production pair, kept verbatim.
 `render_expr` (with `_render`) and `render_term` are the two renderers as
 they were before they read per-class tables: one isinstance test per node
 class, each spelling out its children.
@@ -75,7 +78,7 @@ from gramconv.converge import (
     ResolutionAmbiguity,
     _best_bindings,
     _Binding,
-    _binds_alone,
+    _extends,
     _leaf_name,
     _sequence_order,
     _SignatureIndex,
@@ -682,6 +685,18 @@ def _signature_relations(sp: dict[str, Footprint], sq: dict[str, Footprint],
         per_class.append(options)
     return [frozenset(pair for chunk in combo for pair in chunk)
             for combo in itertools.product(*per_class)]
+
+
+def _binds_alone(rel: _Relation) -> bool:
+    """Whether `rel` binds on its own, as an empty `_Binding` would find."""
+    fwd: dict[str, str] = {}
+    rev: dict[str, str] = {}
+    for a, b in rel:
+        if not _extends(fwd, rev, a, b):
+            return False
+        fwd[a] = b
+        rev[b] = a
+    return True
 
 
 class _Resolution:

@@ -534,3 +534,74 @@ def test_a_failed_write_to_standard_output_is_named(data_dir, command):
         done = _gramconv(*command.format(data=data_dir).split(), stdout=full)
     assert done.returncode == 2
     assert done.stderr == "error: standard output: No space left on device\n"
+
+
+def _planted_ladder_pairs(count):
+    """Seeded rooted_anf masters, each with a renamed, rule-shuffled copy
+    that swaps some + and * (weak-only pairs) and labels one rule, which
+    normalization removes."""
+    import random
+    from gen import rooted_anf
+    from gramconv.grammar import Plus, Production, Star, names_in_order, plus, rebuild, \
+        rename_expr, star
+    rng = random.Random(61)
+
+    def swap(node):
+        if isinstance(node, (Plus, Star)) and rng.random() < 0.3:
+            return star(node.body) if isinstance(node, Plus) else plus(node.body)
+        return node
+
+    for _ in range(count):
+        master = rooted_anf(rng, rng.randint(6, 16))
+        names = names_in_order(master)
+        image = [f"s{i}" for i in range(len(names))]
+        rng.shuffle(image)
+        phi = dict(zip(names, image))
+        labeled = rng.randrange(len(master.productions))
+        rules = [Production(phi[prod.lhs], rebuild(rename_expr(prod.rhs, phi), swap),
+                            "l1" if i == labeled else None)
+                 for i, prod in enumerate(master.productions)]
+        rng.shuffle(rules)
+        yield master, Grammar((phi[master.roots[0]],), tuple(rules))
+
+
+def test_reports_and_traces_are_the_bytes_of_their_json_objects(tmp_path, data_dir):
+    # the CLI hands `dumps` its reports and traces with their expressions
+    # left in; the bytes are those of the JSON objects `report_to_json` and
+    # `script_to_json` build, on the fixtures and on planted ladder pairs
+    from gramconv.converge import guided_converge, report_to_json
+    from gramconv.interchange import dumps
+    from gramconv.mutate import Mutation, mutate
+    from gramconv.transform import script_from_json, script_to_json
+    fixtures = [deserialize(read(data_dir / name)) for name in
+                ("fl_master_abstract.json", "jaxb_model.json", "jaxb_anf.json")]
+    pairs = [(fixtures[0], fixtures[1]), (fixtures[2], fixtures[2]),
+             (fixtures[0], _alien_grammar()), *_planted_ladder_pairs(20)]
+    master_path, servant_path = tmp_path / "master.json", tmp_path / "servant.json"
+    report_path, out = tmp_path / "report.json", tmp_path / "out.json"
+    trace = tmp_path / "out.json.trace"
+    seen = {"reports": 0, "residue": 0, "steps": 0}
+    for master, servant in pairs:
+        master_path.write_text(serialize(master), encoding="utf-8")
+        servant_path.write_text(serialize(servant), encoding="utf-8")
+        code = main(["converge", str(master_path), str(servant_path),
+                     "--report", str(report_path)])
+        assert code in (0, 3)
+        report = guided_converge(master, servant)
+        assert report_path.read_text(encoding="utf-8") == dumps(report_to_json(report))
+        seen["reports"] += 1
+        seen["residue"] += code == 3
+        seen["steps"] += bool(report.normalization_trace and report.structural_trace)
+        report_path.unlink()
+        for kind in ("normalize-anf", "deyaccify-all"):
+            assert main(["mutate", str(servant_path), "--mutation", kind, "--out", str(out)]) == 0
+            steps = mutate(servant, Mutation(kind)).trace
+            assert trace.read_text(encoding="utf-8") == dumps(script_to_json(steps))
+            script = tmp_path / "script.json"
+            trace.replace(script)
+            assert main(["transform", str(servant_path), "--script", str(script),
+                         "--out", str(out)]) == 0
+            replayed = script_from_json(json.loads(read(script)))
+            assert trace.read_text(encoding="utf-8") == dumps(script_to_json(replayed)) \
+                == read(script)
+    assert seen["reports"] == 23 and seen["residue"] >= 1 and seen["steps"] >= 10, seen

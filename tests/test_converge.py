@@ -679,7 +679,7 @@ def _defined_table(res, strength):
     """The option table at `strength` from its definitions: the oracle's
     `_signature_relations`, the lhs pair first and omega dropped, filtered
     by `_binds_alone`."""
-    from gramconv.converge import _binds_alone
+    from oracles import _binds_alone
     table = []
     for si, sprod in enumerate(res.servant.productions):
         options = []
@@ -737,6 +737,101 @@ def test_weak_classes_give_the_defined_option_table_and_match_strengths(
         assert structural_match(anf["master-anf"], reverse, report.mapping) == \
             structural_match(anf["master-anf"], reverse, NominalMapping(report.mapping.pairs))
     assert seen["widest"] >= 720 and seen["converged"] >= 100 and seen["strong"] >= 300, seen
+
+
+def _pinned_rows(master, servant):
+    """The weak option table's row sizes, once both option tables are
+    checked against their definitions."""
+    res = _Resolution(master, servant)
+    assert res.options("weak") == _defined_table(res, "weak")
+    assert res.options("strong") == _defined_table(res, "strong")
+    return [len(row) for row in res.options("weak")]
+
+
+def test_a_value_on_one_side_of_a_class_pairs_with_no_name():
+    # r's class {a, str} against R's {A, B}, either way round: the value
+    # has no value to pair with, and paired with a name it never binds
+    with_value = Grammar(("r",), (p("r", seq(n("a"), VALUE_STR)), p("a", VALUE_INT)))
+    plain = Grammar(("R",), (p("R", seq(n("A"), n("B"))), p("A", VALUE_INT),
+                             p("B", VALUE_INT)))
+    assert _pinned_rows(with_value, plain) == [0, 1, 1]
+    assert _pinned_rows(plain, with_value) == [0, 2]
+
+
+def test_two_values_in_a_four_name_class_pair_only_with_themselves():
+    # of the 4! pairings of r's and R's classes, the two that pair each
+    # value with itself bind; the strong classes pair str with int
+    master = Grammar(("r",), (p("r", seq(n("a"), VALUE_STR, n("b"), VALUE_INT)),))
+    servant = Grammar(("R",), (p("R", seq(VALUE_INT, n("B"), VALUE_STR, n("A"))),))
+    assert _pinned_rows(master, servant) == [2]
+    master = Grammar(("r",), (p("r", seq(opt(n("a")), VALUE_STR, star(n("b")),
+                                         plus(VALUE_INT))),))
+    servant = Grammar(("R",), (p("R", seq(opt(n("A")), VALUE_INT, star(n("B")),
+                                          plus(VALUE_STR))),))
+    assert strong_equiv(servant.productions[0], master.productions[0])
+    assert _pinned_rows(master, servant) == [0]
+
+
+def test_a_self_referential_lhs_in_a_class_pairs_only_with_the_other_lhs():
+    # R -> R A B against r -> a r b: R pairs with r, A and B with a and b;
+    # an lhs in one class only is left for the other side's names to skip
+    master = Grammar(("r",), (p("r", seq(n("a"), n("r"), n("b"))),))
+    servant = Grammar(("R",), (p("R", seq(n("R"), n("A"), n("B"))),))
+    assert _pinned_rows(master, servant) == [2]
+    assert _pinned_rows(master, Grammar(("R",), (p("R", seq(n("C"), n("A"), n("B"))),))) == [0]
+    assert _pinned_rows(Grammar(("r",), (p("r", seq(n("a"), n("c"), n("b"))),)), servant) == [0]
+    wide = Grammar(("r",), (p("r", seq(n("a"), n("r"), n("b"), n("c"))),))
+    assert _pinned_rows(wide, servant) == [6]
+    # an lhs that bears a value's name binds only to that name
+    valued = Grammar(("str",), (p("str", seq(n("a"), n("b"))),))
+    assert _pinned_rows(valued, Grammar(("R",), (p("R", seq(n("A"), n("B"))),))) == [0]
+    assert _pinned_rows(valued, Grammar(("str",), (p("str", seq(n("A"), n("B"))),))) == [2]
+
+
+def test_a_value_only_the_larger_side_holds_is_left_unpaired():
+    # the larger class pairs only its free names with the smaller one's,
+    # on either side
+    master = Grammar(("r",), (p("r", seq(n("a"), n("b"))),))
+    servant = Grammar(("R",), (p("R", seq(n("A"), VALUE_STR, n("B"))),))
+    assert _pinned_rows(master, servant) == [2]
+    assert _pinned_rows(servant, master) == [2]
+    assert _pinned_rows(Grammar(("r",), (p("r", seq(n("a"), VALUE_INT)),)), servant) == [0]
+
+
+def test_a_class_expands_only_over_its_free_names():
+    # nine names a class, str and int among them on each side: 7! relations
+    # for the pair, where expanding all nine names (9! = 362,880
+    # permutations, then filtered) peaked at about 260 MiB
+    import tracemalloc
+    rng = random.Random(3)
+    names = [n(f"a{i}") for i in range(7)] + [VALUE_STR, VALUE_INT]
+    upper = [n(leaf.name.upper()) if type(leaf) is Nonterminal else leaf for leaf in names]
+    rng.shuffle(names)
+    rng.shuffle(upper)
+    master = Grammar(("r",), (p("r", seq(*names)),))
+    servant = Grammar(("R",), (p("R", seq(*upper)),))
+    tracemalloc.start()
+    try:
+        table = _Resolution(master, servant).options("weak")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table[0]) == 5040
+    assert peak < 32 * 2**20
+
+
+def test_a_footprint_hashes_once_as_its_markers_tuple():
+    # the hash a footprint keeps is the generated dataclass hash, and a
+    # footprint built after the shared cache is emptied is equal to one
+    # built before and finds it in a table
+    from gramconv import converge
+    first = Footprint.of(("*", "1", "+"))
+    table = {first: "found"}
+    assert hash(first) == hash((first.markers,))
+    converge._SHARED.clear()
+    again = Footprint.of(("+", "*", "1"))
+    assert again is not first and again == first and hash(again) == hash(first)
+    assert table[again] == "found" and again in {Footprint(("1", "+", "*"))}
 
 
 def test_conflict_names_the_pair_that_blocks_it():
