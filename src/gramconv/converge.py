@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .grammar import (
     Choice,
@@ -369,53 +370,32 @@ def _class_relations(left: _Classes, right: _Classes,
             for combo in itertools.product(*per_class)]
 
 
-class _Buckets(dict):
-    """Per strength, the indices of the productions of each key, in
-    ascending order, derived from `keys` the first time the strength is
-    looked up: the search reads only the weak ones."""
-
-    def __init__(self, keys: dict[str, list[frozenset[Footprint] | None]]) -> None:
-        super().__init__()
-        self.keys = keys
-
-    def __missing__(self, strength: str) -> dict[frozenset[Footprint], list[int]]:
-        buckets: dict[frozenset[Footprint], list[int]] = {}
-        for i, key in enumerate(self.keys[strength]):
-            if key is not None:
-                buckets.setdefault(key, []).append(i)
-        self[strength] = buckets
-        return buckets
-
-
 class _SignatureIndex:
     """The signature facts of one grammar's productions, from one
     `_occurrences` walk per rule: `sigs`, a signature per production;
     `names`, the grammar's names in first-occurrence order (each rule's lhs,
     then the names in its rhs, as `names_in_order(g, _leaf_name)` lists
-    them); and per strength (the keys of `classes`, `keys` and `buckets`)
-    each production's classes, its key (their footprints as a set, None
-    where it has no classes), and the `_Buckets`."""
+    them); per production its weak `classes` and their footprints as a set,
+    its `keys`; and its `strong_keys`, the footprints of its strong classes
+    as a set, None where footprints repeat."""
 
     def __init__(self, g: Grammar) -> None:
         self.productions = g.productions
         self.sigs: list[dict[str, Footprint]] = []
+        self.classes: list[_Classes] = []
+        self.strong_keys: list[frozenset[Footprint] | None] = []
         names: dict[str, object] = {}
-        weak: list[_Classes] = []
-        strong: list[_Classes | None] = []
         for prod in g.productions:
             found = _occurrences(prod.rhs)
             names[prod.lhs] = None  # a key set again keeps its first place
             names.update(found)
             sig = {name: Footprint.of(markers) for name, markers in found.items() if markers}
             self.sigs.append(sig)
-            weak_classes, strong_classes = _weak_and_strong(sig)
-            weak.append(weak_classes)
-            strong.append(strong_classes)
+            weak, strong = _weak_and_strong(sig)
+            self.classes.append(weak)
+            self.strong_keys.append(None if strong is None else frozenset(strong))
         self.names = list(names)
-        self.classes = {"weak": weak, "strong": strong}
-        self.keys = {strength: [None if found is None else frozenset(found) for found in classes]
-                     for strength, classes in self.classes.items()}
-        self.buckets = _Buckets(self.keys)
+        self.keys = [frozenset(classes) for classes in self.classes]
 
     def exact_targets(self) -> set[tuple[str, frozenset[tuple[str, Footprint]]]]:
         return {(prod.lhs, frozenset(sig.items()))
@@ -423,40 +403,51 @@ class _SignatureIndex:
 
 
 class _Resolution:
-    """State of one nominal resolution: both grammars' signature indexes and,
-    per strength, the option table the greedy pass narrows; the search
-    watches the weak table's options (`_complete_matchings`).
+    """State of one nominal resolution: both grammars' signature indexes,
+    the master productions of each weak key, and the one option table, which
+    the search watches (`_complete_matchings`) and the greedy pass narrows
+    together with its strong view (`strong_options`).
     A servant production's options are its `(master production, relation)`
-    pairs: the equivalent master productions in ascending order, each with
-    the relations of `relations` that bind on their own, in their order,
-    which `_class_relations` builds alone from the two productions' classes
-    at that strength, as the indexes hold them, pinned by the lhs pair."""
+    pairs: the weakly equivalent master productions in ascending order, each
+    with the relations of `relations`, in their order, which
+    `_class_relations` builds from the two productions' weak classes, as the
+    indexes hold them, pinned by the lhs pair, so each binds on its own."""
 
     def __init__(self, master: Grammar, servant: Grammar) -> None:
         self.master = _SignatureIndex(master)
         self.servant = _SignatureIndex(servant)
-        self._tables: dict[str, list[list[_Option]]] = {}
+        self.buckets: dict[frozenset[Footprint], list[int]] = {}
+        for mi, key in enumerate(self.master.keys):
+            self.buckets.setdefault(key, []).append(mi)
 
-    def candidates(self, si: int, strength: str) -> list[int]:
-        """Master productions equivalent to servant production `si`."""
-        return self.master.buckets[strength].get(self.servant.keys[strength][si], [])
+    def candidates(self, si: int) -> list[int]:
+        """Master productions weakly equivalent to servant production `si`."""
+        return self.buckets.get(self.servant.keys[si], [])
 
-    def relations(self, si: int, mi: int, strength: str, pinned: bool = False) -> list[_Relation]:
-        """The pair's `pair_resolution` relations, the lhs pair first and
-        omega dropped; when `pinned`, only those that bind on their own."""
+    def relations(self, si: int, mi: int) -> list[_Relation]:
+        """The pair's weak `pair_resolution` relations that bind on their
+        own, the lhs pair first and omega dropped."""
         lhs = (self.servant.productions[si].lhs, self.master.productions[mi].lhs)
-        left, right = self.servant.classes[strength][si], self.master.classes[strength][mi]
-        return [(lhs,) + pairs for pairs in _class_relations(left, right, lhs if pinned else None)]
+        return [(lhs,) + pairs for pairs in
+                _class_relations(self.servant.classes[si], self.master.classes[mi], lhs)]
 
-    def options(self, strength: str) -> list[list[_Option]]:
-        """The option table at `strength`, indexed by servant production,
-        derived the first time it is asked for."""
-        if strength not in self._tables:
-            self._tables[strength] = [
-                [(mi, rel) for mi in self.candidates(si, strength)
-                 for rel in self.relations(si, mi, strength, pinned=True)]
+    @cached_property
+    def options(self) -> list[list[_Option]]:
+        """The option table, indexed by servant production."""
+        return [[(mi, rel) for mi in self.candidates(si) for rel in self.relations(si, mi)]
                 for si in range(len(self.servant.productions))]
-        return self._tables[strength]
+
+    def strong_options(self) -> list[list[_Option]]:
+        """The options of strongly equivalent pairs, read from the option
+        table: a strong pair is weakly equivalent with classes of equal
+        sizes, and its one relation is the weak one that pairs equal
+        footprints, under the same pins."""
+        skeys, mkeys = self.servant.strong_keys, self.master.strong_keys
+        ssigs, msigs = self.servant.sigs, self.master.sigs
+        return [[(mi, rel) for mi, rel in row
+                 if skeys[si] is not None and skeys[si] == mkeys[mi]
+                 and all(ssigs[si][a] == msigs[mi][b] for a, b in rel[1:])]
+                for si, row in enumerate(self.options)]
 
 
 # Limits of the complete-matching search: expanded nodes, and distinct full
@@ -472,11 +463,11 @@ def nominal_resolution(master: Grammar, servant: Grammar) -> NominalMapping:
 
     Seeded with the root-to-root pair, the complete consistent matchings
     are searched first: every servant production is paired injectively with
-    a weakly equivalent master production.  The option tables are built
-    from pinned classes, so every relation in them binds on its own.  An
-    option of the weak option table is live while its master production is
-    free and its relation agrees with the binding; each option is watched
-    by the names it pairs and by its master production.  Each node expands
+    a weakly equivalent master production.  The option table is built from
+    pinned weak classes, so every relation in it binds on its own.  An
+    option is live while its master production is free and its relation
+    agrees with the binding; each option is watched by the names it pairs
+    and by its master production.  Each node expands
     the open production with the fewest live options (the lowest index
     among equals); a branch binds its relation's new pairs, re-checks only
     the options that watch a newly bound name or the master production
@@ -491,10 +482,10 @@ def nominal_resolution(master: Grammar, servant: Grammar) -> NominalMapping:
     way its candidate list is incomplete, so no winner is chosen from it.
     Only then, or when the search finds no complete matching (structurally
     alien grammars), a greedy fixpoint runs: from the same seed, its rounds
-    filter each strength's option table by the binding and commit every
-    production pair that is the unique consistent choice at its strength
-    (strong first, then weak), binding the paired left-hand sides
-    and the unambiguous part of the induced relation, and matched pairs are
+    filter the option table's strong options, then the whole table, by the
+    binding and commit every production pair that is the unique consistent
+    choice among them, binding the paired left-hand sides and the
+    unambiguous part of the induced relation, and matched pairs are
     re-narrowed as the binding grows.  After a capped search its result is
     kept when it binds every servant name, and otherwise ResolutionAmbiguity
     is raised with the candidates found (or the greedy partial binding when
@@ -550,40 +541,42 @@ def _shared_pairs(relations: list[_Relation]) -> list[tuple[str, str]]:
 def _greedy_fixpoint(res: _Resolution, binding: _Binding) -> _Binding:
     unmatched_s = list(range(len(res.servant.productions)))
     unmatched_m = set(range(len(res.master.productions)))
-    matched: list[tuple[int, int, str]] = []
+    matched: list[tuple[int, int, list[list[_Option]]]] = []
 
-    def viable(si: int, strength: str, masters: set[int]) -> dict[int, list[_Relation]]:
+    def viable(si: int, table: list[list[_Option]],
+               masters: set[int]) -> dict[int, list[_Relation]]:
         # the options of `si` among `masters` that extend the binding
         found: dict[int, list[_Relation]] = {}
-        for mi, rel in res.options(strength)[si]:
+        for mi, rel in table[si]:
             if mi in masters and binding.admits(rel):
                 found.setdefault(mi, []).append(rel)
         return found
 
     def narrow() -> bool:
         moved = False
-        for si, mi, strength in matched:
+        for si, mi, table in matched:
             # the matched pair's relations, when any still extends the binding
-            for relations in viable(si, strength, {mi}).values():
+            for relations in viable(si, table, {mi}).values():
                 for a, b in _shared_pairs(relations):
                     if binding.fwd.get(a) != b:
                         binding.bind(a, b)
                         moved = True
         return moved
 
+    tables = (res.strong_options(), res.options)  # strong first, then weak
     progress = True
     while progress:
         progress = False
-        for strength in ("strong", "weak"):
+        for table in tables:
             for si in list(unmatched_s):
-                options = viable(si, strength, unmatched_m)
+                options = viable(si, table, unmatched_m)
                 if len(options) == 1:
                     (mi, relations), = options.items()
                     for a, b in _shared_pairs(relations):
                         binding.bind(a, b)
                     unmatched_s.remove(si)
                     unmatched_m.remove(mi)
-                    matched.append((si, mi, strength))
+                    matched.append((si, mi, table))
                     progress = True
             if progress:
                 break
@@ -600,13 +593,13 @@ def _complete_matchings(res: _Resolution, seed: _Binding,
     search stopped at `cap` nodes or at SEARCH_MAX_BINDINGS bindings before
     it was done, so the bindings may be incomplete.
 
-    An option of the weak option table stays live while its master
-    production is free and its relation extends the binding.  It is watched
-    by the names it pairs and by its master production, so a branch
-    re-checks only the options that watch a name it newly binds or the
-    master production it takes; each option it kills goes on a trail, and
-    backtracking revives them."""
-    table = res.options("weak")
+    An option of the option table stays live while its master production
+    is free and its relation extends the binding.  It is watched by the
+    names it pairs and by its master production, so a branch re-checks only
+    the options that watch a name it newly binds or the master production
+    it takes; each option it kills goes on a trail, and backtracking
+    revives them."""
+    table = res.options
     fwd, rev = dict(seed.fwd), dict(seed.rev)
     first = [0]            # servant production si owns options first[si]..first[si + 1]
     owner: list[int] = []  # each option's servant production
@@ -882,7 +875,7 @@ def structural_match(master: Grammar, servant: Grammar,
     if indexes is None or (indexes[0].productions is not master.productions
                            or indexes[1].productions is not servant.productions):
         indexes = (_SignatureIndex(master), _SignatureIndex(servant))
-    master_keys, servant_keys = indexes[0].keys["strong"], indexes[1].keys["strong"]
+    master_keys, servant_keys = indexes[0].strong_keys, indexes[1].strong_keys
 
     matched_master: set[int] = set()
     rows: list[tuple[int, PairMatch]] = []

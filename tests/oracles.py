@@ -30,6 +30,11 @@ weak footprint class, with omega entries for the names left unpaired.
 `_binds_alone` is the filter by which the option tables kept the relations
 that bind on their own before the relation builder took the pins of a
 production pair, kept verbatim.
+`_StrengthKeys` (with `_weak_and_strong` and `_Buckets`) holds each
+production's classes, key and bucket per strength, as the signature index
+derived them before resolution read its strong options from the weak
+option table, kept verbatim, so that the oracle's `_Resolution` never reads
+the keys of the index it checks.
 `render_expr` (with `_render`) and `render_term` are the two renderers as
 they were before they read per-class tables: one isinstance test per node
 class, each spelling out its children.
@@ -699,20 +704,79 @@ def _binds_alone(rel: _Relation) -> bool:
     return True
 
 
+_Classes = dict[Footprint, tuple[str, ...]]
+
+
+def _weak_and_strong(sig: dict[str, Footprint]) -> tuple[_Classes, _Classes | None]:
+    """A signature's names grouped into classes at both strengths, from one
+    pass, each class keyed by a footprint, in signature order: at weak
+    strength the names of each weak footprint (+ read as *); at strong
+    strength one name per footprint, or None when footprints repeat.  The
+    classes' footprints, as a set, are the signature's key at that
+    strength, which `_equiv` compares."""
+    weak: _Classes = {}
+    strong: _Classes = {}
+    for name, fp in sig.items():
+        key = fp.weak()
+        weak[key] = weak.get(key, ()) + (name,)
+        strong[fp] = (name,)
+    return weak, strong if len(strong) == len(sig) else None
+
+
+class _Buckets(dict):
+    """Per strength, the indices of the productions of each key, in
+    ascending order, derived from `keys` the first time the strength is
+    looked up: the search reads only the weak ones."""
+
+    def __init__(self, keys: dict[str, list[frozenset[Footprint] | None]]) -> None:
+        super().__init__()
+        self.keys = keys
+
+    def __missing__(self, strength: str) -> dict[frozenset[Footprint], list[int]]:
+        buckets: dict[frozenset[Footprint], list[int]] = {}
+        for i, key in enumerate(self.keys[strength]):
+            if key is not None:
+                buckets.setdefault(key, []).append(i)
+        self[strength] = buckets
+        return buckets
+
+
+class _StrengthKeys:
+    """Per strength (the keys of `classes`, `keys` and `buckets`), each of a
+    grammar's productions' classes, its key (their footprints as a set,
+    None where it has no classes), and the `_Buckets`, from the
+    productions' signatures."""
+
+    def __init__(self, sigs: list[dict[str, Footprint]]) -> None:
+        weak: list[_Classes] = []
+        strong: list[_Classes | None] = []
+        for sig in sigs:
+            weak_classes, strong_classes = _weak_and_strong(sig)
+            weak.append(weak_classes)
+            strong.append(strong_classes)
+        self.classes = {"weak": weak, "strong": strong}
+        self.keys = {strength: [None if found is None else frozenset(found) for found in classes]
+                     for strength, classes in self.classes.items()}
+        self.buckets = _Buckets(self.keys)
+
+
 class _Resolution:
-    """State of one nominal resolution: both grammars' signature indexes and
-    a memo of the relations each production pair induces."""
+    """State of one nominal resolution: both grammars' signature indexes,
+    their per-strength keys and buckets, and a memo of the relations each
+    production pair induces."""
 
     def __init__(self, master: Grammar, servant: Grammar) -> None:
         self.master = _SignatureIndex(master)
         self.servant = _SignatureIndex(servant)
+        self.master_keys = _StrengthKeys(self.master.sigs)
+        self.servant_keys = _StrengthKeys(self.servant.sigs)
         self._relations: dict[tuple[int, int, str], list[_Relation]] = {}
         self._viable: dict[tuple[int, int, str], list[_Relation]] = {}
 
     def candidates(self, si: int, strength: str) -> list[int]:
         """Master productions equivalent to servant production `si`."""
-        key = self.servant.keys[strength][si]
-        return self.master.buckets[strength].get(key, []) if key is not None else []
+        key = self.servant_keys.keys[strength][si]
+        return self.master_keys.buckets[strength].get(key, []) if key is not None else []
 
     def relations(self, si: int, mi: int, strength: str) -> list[_Relation]:
         """The pair's `pair_resolution` relations, each with the lhs pair
