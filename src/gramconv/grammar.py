@@ -9,22 +9,30 @@ Every node class declares its slots and `Production` is a slotted
 dataclass, so neither carries an instance dict.  A grammar that `recover` or
 `deserialize` reads holds one leaf object per name and per terminal text,
 shared by all its occurrences (see `shared_leaf`).
-`seq` and `choice` are the trusted constructors of sequences and choices:
-every tree the node table rebuilds, and every tree the parser and the
-interchange reader build, gets its sequences and choices from them, and
-they skip the shape check that calling `Sequence` or `Choice` runs.  So
-they are the one place where interning composite nodes would go.
-Each grammar derives its rule blocks when it is built, and its name index
-and its rules' class masks the first time each is asked for; a grammar
-built by `Grammar.edit` carries all three from its parent.  The analyses
-read those facts instead of walking the rules again.
+The smart constructors of the composite nodes (`seq`, `choice`, `opt`,
+`star`, `plus`, `sel`, `sepstar`, `sepplus`) and of rules (`p`) are
+trusted: they fill the slots of a new object directly and run no dataclass
+`__init__`.  `seq` and `choice` skip the shape check that calling
+`Sequence` or `Choice` runs, since their flattening gives what it checks;
+the other composite classes check nothing, and `p` keeps the one check of
+`Production`, a non-empty lhs.  Every tree the node table rebuilds, every
+tree the parser and the interchange reader build, and every rule they and
+the transformation operators build come from them, so they are the one
+place where interning would go.
+Each grammar derives its rule blocks when it is built, and the first time
+either is asked for, each rule's class mask and the names it uses, from one
+walk of the rule, and from those names its name index; a grammar built by
+`Grammar.edit` carries all of them from its parent.  The analyses read those
+facts instead of walking the rules again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cached_property
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
 
@@ -193,9 +201,10 @@ VALUE_NAME_OF = {type(value): name for name, value in VALUE_NAMES.items()}
 # sequences and choices are flattened, unit elements are dropped, and
 # degenerate arities collapse (0-ary sequence is epsilon, 0-ary choice is the
 # empty language, 1-ary either is the child itself).  Canonical forms make
-# structural equality meaningful.  `seq` and `choice` fill the slot of a new
-# node directly: their flattening already gives what `Sequence.__post_init__`
-# and `Choice.__post_init__` check.
+# structural equality meaningful.  Every composite constructor fills the
+# slots of a new node directly: the flattening of `seq` and `choice` already
+# gives what `Sequence.__post_init__` and `Choice.__post_init__` check, and
+# the other composite classes check nothing.
 
 _new = object.__new__
 _set_parts = Sequence.parts.__set__  # the slot setter, which frozen does not block
@@ -256,28 +265,33 @@ def choice(*alternatives: Expr) -> Expr:
     return node
 
 
-def opt(body: Expr) -> Optional:
-    return Optional(body)
+def _trusted(cls: type) -> Callable[..., Expr]:
+    """The trusted constructor of cls, a composite class of one or two
+    fields that checks nothing: it fills the slots of a new node in field
+    order."""
+    first, *rest = [getattr(cls, f.name).__set__ for f in fields(cls)]
+    if not rest:
+        def build(value):
+            node = _new(cls)
+            first(node, value)
+            return node
+        return build
+    (second,) = rest
+
+    def build_two(a, b):
+        node = _new(cls)
+        first(node, a)
+        second(node, b)
+        return node
+    return build_two
 
 
-def star(body: Expr) -> Star:
-    return Star(body)
-
-
-def plus(body: Expr) -> Plus:
-    return Plus(body)
-
-
-def sel(selector: str, body: Expr) -> Selectable:
-    return Selectable(selector, body)
-
-
-def sepstar(item: Expr, separator: Expr) -> SepListStar:
-    return SepListStar(item, separator)
-
-
-def sepplus(item: Expr, separator: Expr) -> SepListPlus:
-    return SepListPlus(item, separator)
+opt = _trusted(Optional)
+star = _trusted(Star)
+plus = _trusted(Plus)
+sel = _trusted(Selectable)  # (selector, body)
+sepstar = _trusted(SepListStar)  # (item, separator)
+sepplus = _trusted(SepListPlus)
 
 
 # --------------------------------------------------------------------------
@@ -348,9 +362,10 @@ def with_children(expr: Expr, kids) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# Class masks.  The mask of an expression is an int: a bit per node class it
-# holds, and two flags about how its nodes sit.  A phase that acts only on
-# some classes reads a rule's mask to skip a rule it cannot change.
+# Class masks and used names.  The mask of an expression is an int: a bit
+# per node class it holds, and two flags about how its nodes sit.  A phase
+# that acts only on some classes reads a rule's mask to skip a rule it
+# cannot change.  The walk that gives a mask also gives the names used.
 
 CLASS_BIT: dict[type, int] = {cls: 1 << i for i, cls in enumerate(NODE_TABLE)}
 # a unit child the smart constructors would drop (an epsilon part of a
@@ -372,15 +387,21 @@ def class_bits(classes) -> int:
 
 
 _COMPOSITE = class_bits(_GET)  # the classes that have children
+_NAME_BIT = CLASS_BIT[Nonterminal]
 _CHOICE_BIT = CLASS_BIT[Choice]
 _UNIT_BIT = {cls: CLASS_BIT[unit] for cls, unit in UNIT.items()}
 
 
-def class_mask(expr: Expr) -> int:
-    """The mask of expr, from one walk of its composite nodes, each of which
-    adds its children's bits and the flags they raise under it."""
-    mask = CLASS_BIT[type(expr)]
-    stack = [expr] if mask & _COMPOSITE else []
+def rule_facts(expr: Expr) -> tuple[int, tuple[str, ...]]:
+    """The mask of expr and the distinct nonterminal names it uses, from one
+    walk of its composite nodes, each of which adds its children's bits and
+    the flags they raise under it, and its nonterminal children's names."""
+    kind = type(expr)
+    mask = CLASS_BIT[kind]
+    if not mask & _COMPOSITE:
+        return mask, (expr.name,) if kind is Nonterminal else ()
+    names = set()
+    stack = [expr]
     while stack:
         node = stack.pop()
         kind = type(node)
@@ -390,16 +411,29 @@ def class_mask(expr: Expr) -> int:
             below |= bit
             if bit & _COMPOSITE:
                 stack.append(kid)
+            elif bit == _NAME_BIT:
+                names.add(kid.name)
         if below & _CHOICE_BIT:
             below |= NESTED_CHOICE
         if below & _UNIT_BIT.get(kind, 0):
             below |= UNIT_CHILD
         mask |= below
-    return mask
+    return mask, tuple(names)
+
+
+def used_names(expr: Expr) -> tuple[str, ...]:
+    """The distinct nonterminal names in expr, in no particular order (see
+    `rule_facts`)."""
+    return rule_facts(expr)[1]
 
 
 # --------------------------------------------------------------------------
 # Productions and grammars
+
+
+def _check_lhs(lhs: str) -> None:
+    if not lhs:
+        raise GrammarError("production left-hand side must be non-empty")
 
 
 @dataclass(frozen=True, slots=True)
@@ -409,12 +443,22 @@ class Production:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.lhs:
-            raise GrammarError("production left-hand side must be non-empty")
+        _check_lhs(self.lhs)
+
+
+_set_lhs, _set_rhs, _set_label = (getattr(Production, f.name).__set__
+                                  for f in fields(Production))
 
 
 def p(lhs: str, rhs: Expr, label: str | None = None) -> Production:
-    return Production(lhs, rhs, label)
+    """The trusted constructor of rules: `Production`'s one check, then the
+    slots of a new rule filled directly."""
+    _check_lhs(lhs)
+    rule = _new(Production)
+    _set_lhs(rule, lhs)
+    _set_rhs(rule, rhs)
+    _set_label(rule, label)
+    return rule
 
 
 @dataclass(frozen=True)
@@ -425,24 +469,27 @@ class Grammar:
     them a field, so repr, ==, hash and fields() ignore them:
     - `blocks` maps each lhs to its rule positions, lhs in first-appearance
       order;
+    - `masks` and `refs` hold, by position, each rule's class mask and the
+      tuple of the distinct names its rhs uses, from one `rule_facts` walk
+      of the rule, in lists that are never changed once built.  Derived
+      together on first use;
     - the name index `_users` maps each name used in a rhs to the tuple of
       the lhs of each rule that uses it, in no particular order; its keys
-      are the used names.  Derived on first use;
-    - `masks` holds each rule's `class_mask`, by position, in a list that is
-      never changed once built.  Derived on first use.
+      are the used names.  Derived from `refs` on first use.
 
-    The constructor derives `blocks` from scratch, and the other two when
+    The constructor derives `blocks` from scratch, and the others when
     asked.  `edit` builds a grammar from its parent and carries the facts
     instead: `blocks` is shared by an edit that moves no rule (rules
     rewritten in place, or new roots), shifted past the splice of one that
     does (a rule appended, inserted or removed, one rule spliced into
     several), and derived again, as by the constructor, when a rewrite
-    changes an lhs; the index, when the parent has derived it, is updated by
-    re-reading only the rules the edit removes and adds.  The index holds
-    left-hand sides, not positions, so a splice moves none of its entries.
-    The masks, when the parent has derived them, are the parent's, spliced
-    as the rules are, with a new mask only for each rule whose rhs is
-    new."""
+    changes an lhs.  The masks and names, when the parent has derived them,
+    are the parent's, spliced as the rules are, with a walk only of each
+    rule whose rhs is new: a rule that a splice puts back (the same object)
+    keeps its facts.  The index, when the parent has derived it, is updated
+    from the stored names of the rules the edit removes and of those it
+    adds; it holds left-hand sides, not positions, so a splice moves none of
+    its entries, and a rule put back changes none."""
 
     roots: tuple[str, ...] = ()
     productions: tuple[Production, ...] = ()
@@ -461,16 +508,27 @@ class Grammar:
         return name in self.blocks or name in self._users
 
     @cached_property
-    def _users(self) -> dict[str, tuple[str, ...]]:
-        users: dict[str, list[str]] = {}
-        for prod in self.productions:
-            for name in used_names(prod.rhs):
-                users.setdefault(name, []).append(prod.lhs)
-        return {name: tuple(lhss) for name, lhss in users.items()}
+    def masks(self) -> list[int]:
+        return self._walked()[0]
 
     @cached_property
-    def masks(self) -> list[int]:
-        return [class_mask(prod.rhs) for prod in self.productions]
+    def refs(self) -> list[tuple[str, ...]]:
+        return self._walked()[1]
+
+    def _walked(self) -> tuple[list[int], list[tuple[str, ...]]]:
+        """`masks` and `refs`, both stored, from one walk of each rule."""
+        facts = [rule_facts(prod.rhs) for prod in self.productions]
+        masks, refs = [mask for mask, _ in facts], [names for _, names in facts]
+        self.__dict__.update(masks=masks, refs=refs)
+        return masks, refs
+
+    @cached_property
+    def _users(self) -> dict[str, tuple[str, ...]]:
+        users: dict[str, list[str]] = {}
+        for prod, names in zip(self.productions, self.refs):
+            for name in names:
+                users.setdefault(name, []).append(prod.lhs)
+        return {name: tuple(lhss) for name, lhss in users.items()}
 
     def users_of(self, name: str) -> tuple[str, ...]:
         """The lhs of each rule whose rhs uses `name`, in no particular order."""
@@ -492,63 +550,74 @@ class Grammar:
         when given.  The facts are carried (see the class docstring); the
         roots are checked as by the constructor."""
         rules = list(self.productions)
-        masks = self.__dict__.get("masks")
-        if masks is not None:
-            masks = list(masks)
-        gone: list[Production] = []
-        added: list[Production] = []
+        walked = "refs" in self.__dict__
+        if walked:
+            masks, refs = self.masks, self.refs  # copied before the first change
+        # the (lhs, names) of each rule the edit removes and of each it adds
+        gone: list[tuple[str, tuple[str, ...]]] = []
+        added: list[tuple[str, tuple[str, ...]]] = []
         moved = False  # whether a rewrite changed an lhs
         for i, prod in (replace or {}).items():
             old = rules[i]
-            if prod.lhs != old.lhs or prod.rhs is not old.rhs:
-                moved = moved or prod.lhs != old.lhs
-                gone.append(old)
-                added.append(prod)
-                if masks is not None and prod.rhs is not old.rhs:
-                    masks[i] = class_mask(prod.rhs)
             rules[i] = prod
+            if prod.lhs == old.lhs and prod.rhs is old.rhs:
+                continue
+            moved = moved or prod.lhs != old.lhs
+            if walked:
+                gone.append((old.lhs, refs[i]))
+                if prod.rhs is not old.rhs:
+                    if masks is self.masks:
+                        masks, refs = list(masks), list(refs)
+                    masks[i], refs[i] = rule_facts(prod.rhs)
+                added.append((prod.lhs, refs[i]))
         blocks = self.blocks
         if at is not None:
-            gone += rules[at:at + removed]
-            added += insert
-            rules[at:at + removed] = insert
+            end = at + removed
+            if walked:
+                # the rules it may put back
+                back = dict(zip(map(id, rules[at:end]), range(at, end))) if removed else {}
+                kept, new_masks, new_refs = [], [], []
+                for prod in insert:
+                    i = back.pop(id(prod), None) if back else None
+                    if i is None:
+                        mask, names = rule_facts(prod.rhs)
+                        added.append((prod.lhs, names))
+                    else:
+                        kept.append(i)
+                        mask, names = masks[i], refs[i]
+                    new_masks.append(mask)
+                    new_refs.append(names)
+                for i in set(range(at, end)).difference(kept) if kept else range(at, end):
+                    gone.append((rules[i].lhs, refs[i]))
+                masks = masks[:at] + new_masks + masks[end:]
+                refs = refs[:at] + new_refs + refs[end:]
+            rules[at:end] = insert
             blocks = _spliced(blocks, rules, at, removed, len(insert))
-            if masks is not None:
-                masks[at:at + removed] = [class_mask(prod.rhs) for prod in insert]
         if moved:  # derived again, as by the constructor
             blocks = _spliced({}, rules, 0, 0, len(rules))
         child = object.__new__(Grammar)
-        object.__setattr__(child, "roots", self.roots if roots is None else tuple(roots))
-        object.__setattr__(child, "productions", tuple(rules))
-        object.__setattr__(child, "blocks", blocks)
+        state = child.__dict__  # which holds the fields too, the class having no slots
+        state.update(roots=self.roots if roots is None else tuple(roots),
+                     productions=tuple(rules), blocks=blocks)
+        if walked:
+            state.update(masks=masks, refs=refs)
         if "_users" in self.__dict__:
-            child.__dict__["_users"] = _reindexed(self._users, gone, added)
-        if masks is not None:
-            child.__dict__["masks"] = masks
+            state["_users"] = _reindexed(self._users, gone, added)
         child._check_roots()
         return child
 
 
-def used_names(expr: Expr) -> set[str]:
-    """The nonterminal names in expr."""
-    names = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Nonterminal:
-            names.add(node.name)
-        else:
-            get = _GET.get(kind)
-            if get is not None:
-                stack.extend(get(node))
-    return names
+_first = itemgetter(0)  # a block's first position
 
 
 def _spliced(blocks: dict[str, tuple[int, ...]], rules: list[Production], at: int,
              removed: int, added: int) -> dict[str, tuple[int, ...]]:
     """`blocks` after the rules [at, at + removed) were replaced by the
-    `added` rules now at [at, at + added) of `rules`."""
+    `added` rules now at [at, at + added) of `rules`.  Blocks come in
+    first-position order, so those from the first that starts at or after
+    the end of the splice lie wholly after it: they are moved in one pass,
+    and of the blocks before them only those that reach the splice, or gain
+    one of its rules, are cut."""
     end, shift = at + removed, added - removed
     new: dict[str, list[int]] = {}
     for i in range(at, at + added):
@@ -558,39 +627,48 @@ def _spliced(blocks: dict[str, tuple[int, ...]], rules: list[Production], at: in
         for lhs, positions in new.items():
             out[lhs] = out.get(lhs, ()) + tuple(positions)
         return out
-    out = {}
-    ordered, last = True, -1
-    for lhs, positions in blocks.items():
-        if positions[-1] >= at:
-            if positions[0] >= end:
-                positions = tuple([i + shift for i in positions]) if shift else positions
-            else:
-                positions = tuple([i if i < at else i + shift for i in positions
-                                   if i < at or i >= end])
+    values = list(blocks.values())
+    after = bisect_left(values, end, key=_first)  # the index of the first block after it
+    out = dict(islice(blocks.items(), after))
+    ordered = True  # whether the blocks stay in first-position order as they are placed
+    for lhs in [lhs for lhs, positions in out.items() if positions[-1] >= at or lhs in new]:
+        old = out[lhs]
+        positions = tuple([i if i < at else i + shift for i in old if i < at or i >= end])
         if lhs in new:
             positions = tuple(sorted(positions + tuple(new.pop(lhs))))
         if positions:
             out[lhs] = positions
+            ordered = ordered and positions[0] == old[0]
+        else:
+            del out[lhs]
+    if new:  # left-hand sides the grammar lacked come next
+        last = next(reversed(out.values()))[0] if out else -1
+        for lhs in [lhs for lhs in new if lhs not in blocks]:
+            positions = out[lhs] = tuple(new.pop(lhs))
             ordered = ordered and positions[0] > last
-            last = positions[0]
-    for lhs, positions in new.items():  # left-hand sides the grammar lacked
-        out[lhs] = tuple(positions)
-        ordered = ordered and positions[0] > last
-        last = positions[0]
+    moved = islice(values, after, None)
+    if shift:  # most blocks hold one or two rules: those are shifted without a loop
+        moved = [(ps[0] + shift,) if len(ps) == 1 else (ps[0] + shift, ps[1] + shift)
+                 if len(ps) == 2 else tuple([i + shift for i in ps]) for ps in moved]
+    out.update(zip(islice(blocks, after, None), moved))
+    for lhs, positions in new.items():  # blocks after the splice that gain rules
+        out[lhs] = tuple(sorted(out[lhs] + tuple(positions)))
+        ordered = False
     if ordered:
         return out
     return dict(sorted(out.items(), key=lambda item: item[1][0]))
 
 
-def _reindexed(users: dict[str, tuple[str, ...]], gone: list[Production],
-               added: list[Production]) -> dict[str, tuple[str, ...]]:
+def _reindexed(users: dict[str, tuple[str, ...]], gone: list[tuple[str, tuple[str, ...]]],
+               added: list[tuple[str, tuple[str, ...]]]) -> dict[str, tuple[str, ...]]:
     """The name index `users` after the rules `gone` were removed and the
-    rules `added` added; `users` itself when no entry changes."""
+    rules `added` added, each given as its lhs and the names its rhs uses;
+    `users` itself when no entry changes."""
     delta: dict[tuple[str, str], int] = {}
     for sign, rules in ((-1, gone), (1, added)):
-        for prod in rules:
-            for name in used_names(prod.rhs):
-                delta[name, prod.lhs] = delta.get((name, prod.lhs), 0) + sign
+        for lhs, names in rules:
+            for name in names:
+                delta[name, lhs] = delta.get((name, lhs), 0) + sign
     out = None
     for (name, lhs), change in delta.items():
         if not change:
@@ -660,7 +738,7 @@ def rebuild(expr: Expr, fn) -> Expr:
 def replace_subterm(expr: Expr, old: Expr, new: Expr) -> Expr:
     """Replace every occurrence of the whole subterm `old` with `new`,
     top-down (matched nodes are not descended into)."""
-    if expr == old:
+    if type(expr) is type(old) and expr == old:
         return new
     kids = children(expr)
     if not kids:
@@ -721,8 +799,8 @@ def reachable(g: Grammar, from_names) -> set[str]:
         if name in result:
             continue
         result.add(name)
-        for prod in g.rules_of(name):
-            for ref in used_names(prod.rhs):
+        for i in g.blocks.get(name, ()):
+            for ref in g.refs[i]:
                 if ref not in result:
                     work.append(ref)
     return result

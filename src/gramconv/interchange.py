@@ -64,8 +64,12 @@ from .grammar import (
     ValueInt,
     ValueStr,
     choice,
+    opt,
+    p,
+    plus,
     seq,
     shared_leaf,
+    star,
 )
 
 # the expression tag of each class; a node's other JSON keys are its
@@ -79,7 +83,7 @@ _CLASS_OF_TAG = {
 _TAG_OF_CLASS = {cls: tag for tag, cls in _CLASS_OF_TAG.items()}
 _LEAF_CLASS = {"t": Terminal, "n": Nonterminal}  # the leaves `shared_leaf` builds
 _LISTED = {"seq": "parts", "choice": "alternatives"}  # tag -> its list field
-_BODIED = {"star": Star, "plus": Plus, "opt": Optional}  # tag -> its class, of one body
+_BODIED = {"star": star, "plus": plus, "opt": opt}  # tag -> the constructor of its one body
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _TAG_OF_CLASS}
 # the key texts `dumps` writes for each class: the tag entry, then each
 # field's name with its encoded key
@@ -333,7 +337,7 @@ def _grammar(doc, rhs_kind: type, read_rhs) -> Grammar:
         if lhs in VALUE_NAMES:
             raise _reserved(lhs, f"{path}.lhs")
         rhs = read_rhs(_want(raw, "rhs", rhs_kind, path), f"{path}.rhs")
-        productions.append(Production(lhs, rhs, label))
+        productions.append(p(lhs, rhs, label))
     return Grammar(tuple(roots), tuple(productions))
 
 
@@ -370,10 +374,10 @@ def _builder():
                 if not isinstance(kid, Expr):
                     return obj
             return seq(*kids) if tag == "seq" else choice(*kids)
-        cls = _BODIED.get(tag)
-        if cls is not None:
+        wrap = _BODIED.get(tag)
+        if wrap is not None:
             body = obj.get("body")
-            return cls(body) if isinstance(body, Expr) else obj
+            return wrap(body) if isinstance(body, Expr) else obj
         decoder = _DECODERS.get(tag)
         if decoder is None:
             return obj

@@ -56,7 +56,6 @@ from .grammar import (
     seq,
     star,
     tops,
-    used_names,
 )
 from .transform import (
     TransformError,
@@ -124,9 +123,11 @@ def _until_still(rec: _Recorder, round_, what: str, cap) -> None:
             raise MutationError(f"{what} did not converge")
 
 
-def _nodes(rules, classes) -> int:
-    """How many subterms of the rules' right-hand sides are of `classes`."""
-    count, stack = 0, [prod.rhs for prod in rules]
+def _nodes(g: Grammar, positions, classes) -> int:
+    """How many subterms of the right-hand sides of the rules at `positions`
+    are of `classes`; a rule whose mask holds none of them is not walked."""
+    bits = class_bits(classes)
+    count, stack = 0, [g.productions[i].rhs for i in positions if g.masks[i] & bits]
     while stack:
         node = stack.pop()
         count += isinstance(node, classes)
@@ -241,11 +242,12 @@ def _disciplined_rename(rec: _Recorder, params: dict) -> None:
 
 def _reroot_to_top(rec: _Recorder, params: dict) -> None:
     # the roots become the tops whose rules use a nonterminal
-    top_set = tops(rec.grammar)
-    roots = [name for name in names_in_order(rec.grammar) if name in top_set
-             and any(used_names(prod.rhs) for prod in rec.grammar.rules_of(name))]
-    if tuple(roots) != rec.grammar.roots:
-        rec.do("set-roots", roots=roots, previous=list(rec.grammar.roots))
+    g = rec.grammar
+    top_set = tops(g)
+    roots = [name for name, positions in g.blocks.items() if name in top_set
+             and any(g.refs[i] for i in positions)]
+    if tuple(roots) != g.roots:
+        rec.do("set-roots", roots=roots, previous=list(g.roots))
 
 
 def _eliminate_unreachable(rec: _Recorder, params: dict) -> None:
@@ -303,7 +305,7 @@ def _all_vertical(rec: _Recorder, params: dict) -> None:
     # a choice at the top of a rule and makes none, so the choices bound the
     # rounds
     _until_still(rec, _vertical_round, "all-vertical",
-                 lambda g: _nodes(g.productions, Choice) + 1)
+                 lambda g: _nodes(g, range(len(g.productions)), (Choice,)) + 1)
 
 
 def _split_choice_rules(rec: _Recorder, name: str) -> None:
@@ -338,7 +340,7 @@ def _all_horizontal(rec: _Recorder, params: dict) -> None:
             _hoist_top_selectors(rec, name)
             _split_choice_rules(rec, name)
         _until_still(rec, unnest, "all-horizontal",
-                     lambda g: _nodes(g.rules_of(name), (Selectable, Choice)) + 1)
+                     lambda g: _nodes(g, g.blocks[name], (Selectable, Choice)) + 1)
         # an empty-language alternative would silently vanish in the merged
         # choice; dropping it as a recorded step keeps the trace invertible
         removed = 0
@@ -393,7 +395,7 @@ def _distribute_all(rec: _Recorder, params: dict) -> None:
     # later round that acts folds one of those away, so the choices bound the
     # rounds
     _until_still(rec, _distribute_round, "distribute-all",
-                 lambda g: _nodes(g.productions, Choice) + 1)
+                 lambda g: _nodes(g, range(len(g.productions)), (Choice,)) + 1)
 
 
 def _potentially_horizontal_to_vertical(rec: _Recorder, params: dict) -> None:

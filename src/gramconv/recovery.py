@@ -59,6 +59,7 @@ from .grammar import (
     VALUE_NAMES,
     choice,
     opt,
+    p,
     seq,
 )
 from .notation import NotationSpec
@@ -311,7 +312,7 @@ def recover(text: str, notation: NotationSpec) -> RecoveryReport:
                             rule_line, "vertical-redefinition",
                             f"{lhs} was already defined; appended another alternative"))
                     defined.add(lhs)
-                    productions.append(Production(lhs, body))
+                    productions.append(p(lhs, body))
                     lhs, opening, rule_line = opening, None, head_line
                     if lhs in VALUE_NAMES:
                         raise RecoveryError(

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .grammar import (
-    CLASS_BIT,
     EPSILON,
     UNIT,
     VALUE_NAMES,
@@ -54,10 +53,12 @@ from .grammar import (
     children,
     choice,
     occurs,
+    p,
     plus,
     render_expr,
     rename_expr,
     replace_subterm,
+    rule_facts,
     sel,
     seq,
     star,
@@ -143,13 +144,14 @@ def _replace_in_rules(g: Grammar, old: Expr, new: Expr,
                       scope: str | None = None) -> dict[int, Production]:
     """The rules of g (of `scope` only, when given) in which `old` occurs,
     each occurrence replaced by `new`, by position.  A rule whose mask lacks
-    old's class is not searched."""
+    a bit of old's mask cannot hold it, and is not searched."""
     out = {}
-    bit, masks = CLASS_BIT[type(old)], g.masks
-    for i in _rules_using(g, used_names(old), scope):
+    wanted, names = rule_facts(old)
+    masks = g.masks
+    for i in _rules_using(g, names, scope):
         prod = g.productions[i]
-        if masks[i] & bit and occurs(old, prod.rhs):
-            out[i] = Production(prod.lhs, replace_subterm(prod.rhs, old, new), prod.label)
+        if not wanted & ~masks[i] and occurs(old, prod.rhs):
+            out[i] = p(prod.lhs, replace_subterm(prod.rhs, old, new), prod.label)
     return out
 
 
@@ -165,10 +167,9 @@ def _slot(g: Grammar, index: int | None, default: int, op: str) -> int:
 def _unreserved(op: str, *names: str) -> None:
     """Refuse `names` for nonterminals a step creates when a built-in value
     owns one of them (the first in sorted order is named)."""
-    reserved = sorted(VALUE_NAMES.keys() & names)
-    if reserved:
-        raise TransformError(
-            f"{op}: {reserved[0]!r} is the reserved name of a built-in value")
+    if not VALUE_NAMES.keys().isdisjoint(names):
+        raise TransformError(f"{op}: {min(VALUE_NAMES.keys() & names)!r} "
+                             "is the reserved name of a built-in value")
 
 
 def fresh_name(base: str, taken) -> str:
@@ -196,8 +197,8 @@ def rename_nonterminal(g: Grammar, x: str, y: str) -> Grammar:
     leaves: dict = {}  # one leaf for y in every rule
     for i in (*g.blocks.get(x, ()), *_rules_using(g, (x,))):
         prod = g.productions[i]
-        renamed[i] = Production(y if prod.lhs == x else prod.lhs,
-                                rename_expr(prod.rhs, {x: y}, leaves), prod.label)
+        renamed[i] = p(y if prod.lhs == x else prod.lhs,
+                       rename_expr(prod.rhs, {x: y}, leaves), prod.label)
     return _with_productions(g, renamed, roots=[y if r == x else r for r in g.roots])
 
 
@@ -219,7 +220,7 @@ def extract(g: Grammar, name: str, expr: Expr, scope: str | None = None,
     if not hits:
         where = f" in rules of {scope!r}" if scope else ""
         raise TransformError(f"extract: {render_expr(expr)} does not occur{where}")
-    return _with_productions(g, hits, at, insert=(Production(name, expr),))
+    return _with_productions(g, hits, at, insert=(p(name, expr),))
 
 
 def _sole_definition(g: Grammar, name: str, op: str) -> tuple[int, Expr]:
@@ -275,9 +276,9 @@ def chain(g: Grammar, production: Production, target: Expr | None = None,
             raise TransformError(f"chain: no rule {lhs} -> {render_expr(target)}")
         at = hits[0]
     old = g.productions[at]
-    return _with_productions(g, {at: Production(lhs, Nonterminal(fresh), old.label)},
+    return _with_productions(g, {at: p(lhs, Nonterminal(fresh), old.label)},
                              _slot(g, index, at + 1, "chain"),
-                             insert=(Production(fresh, old.rhs),))
+                             insert=(p(fresh, old.rhs),))
 
 
 def unchain(g: Grammar, name: str) -> Grammar:
@@ -290,7 +291,7 @@ def unchain(g: Grammar, name: str) -> Grammar:
     use = g.productions[uses[0]]
     if use.rhs != Nonterminal(name):
         raise TransformError(f"unchain: the use of {name!r} is not a whole rule body")
-    return _with_productions(g, {uses[0]: Production(use.lhs, body, use.label)}, at,
+    return _with_productions(g, {uses[0]: p(use.lhs, body, use.label)}, at,
                              removed=1)
 
 
@@ -313,9 +314,9 @@ def vertical(g: Grammar, name: str) -> Grammar:
     pieces = []
     for alt in rhs.alternatives:
         if isinstance(alt, Selectable):
-            pieces.append(Production(name, alt.body, alt.selector))
+            pieces.append(p(name, alt.body, alt.selector))
         else:
-            pieces.append(Production(name, alt))
+            pieces.append(p(name, alt))
     return _with_productions(g, at=at, removed=1, insert=tuple(pieces))
 
 
@@ -327,7 +328,7 @@ def horizontal(g: Grammar, name: str) -> Grammar:
     for i in positions:
         prod = g.productions[i]
         alts.append(sel(prod.label, prod.rhs) if prod.label else prod.rhs)
-    return _without(g, positions[1:], {positions[0]: Production(name, choice(*alts))})
+    return _without(g, positions[1:], {positions[0]: p(name, choice(*alts))})
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +386,7 @@ def distribute(g: Grammar, name: str) -> Grammar:
         prod = g.productions[i]
         expanded = dnf(prod.rhs)
         if expanded != prod.rhs:
-            out[i] = Production(prod.lhs, expanded, prod.label)
+            out[i] = p(prod.lhs, expanded, prod.label)
     if not out:
         raise TransformError(f"distribute: no inner choice to surface in {name!r}")
     return _with_productions(g, out)
@@ -435,7 +436,7 @@ def deyaccify(g: Grammar, name: str, style: str | None = None) -> Grammar:
     else:
         rhs = seq(star(step), base)
     positions = g.blocks[name]
-    return _with_productions(g, {positions[0]: Production(name, rhs)}, positions[1],
+    return _with_productions(g, {positions[0]: p(name, rhs)}, positions[1],
                              removed=1)
 
 
@@ -470,7 +471,7 @@ def yaccify(g: Grammar, name: str, style: str) -> Grammar:
     me = Nonterminal(name)
     rec = seq(me, step) if style == "left" else seq(step, me)
     return _with_productions(g, at=positions[0], removed=1,
-                             insert=(Production(name, base), Production(name, rec)))
+                             insert=(p(name, base), p(name, rec)))
 
 
 # --------------------------------------------------------------------------
@@ -497,16 +498,17 @@ def _locate(g: Grammar, lhs: str, pos: int) -> int:
 def set_node(g: Grammar, lhs: str, pos: int, path: list[int], expr: Expr) -> Grammar:
     """Replace the subtree at `path` within rule `pos` of `lhs` (path [] is
     the whole rhs)."""
-    _unreserved("set-node", *used_names(expr))
     at = _locate(g, lhs, pos)
     prod = g.productions[at]
-    return _with_productions(
-        g, {at: Production(lhs, _replace_at_path(prod.rhs, list(path), expr), prod.label)})
+    child = _with_productions(
+        g, {at: p(lhs, _replace_at_path(prod.rhs, list(path), expr), prod.label)})
+    _unreserved("set-node", *child.refs[at])  # the names of the rule it writes
+    return child
 
 
 def set_label(g: Grammar, lhs: str, pos: int, label: str | None) -> Grammar:
     at = _locate(g, lhs, pos)
-    return _with_productions(g, {at: Production(lhs, g.productions[at].rhs, label)})
+    return _with_productions(g, {at: p(lhs, g.productions[at].rhs, label)})
 
 
 def set_roots(g: Grammar, roots) -> Grammar:
@@ -517,8 +519,12 @@ def set_roots(g: Grammar, roots) -> Grammar:
 
 
 def define(g: Grammar, name: str, rhs: Expr) -> Grammar:
+    """Add the rule name -> rhs for a name that has no rule (one that is
+    fresh or only used), which `eliminate` drops again."""
     _unreserved("define", name, *used_names(rhs))
-    return _with_productions(g, at=len(g.productions), insert=(Production(name, rhs),))
+    if name in g.blocks:
+        raise TransformError(f"define: {name!r} is already defined")
+    return _with_productions(g, at=len(g.productions), insert=(p(name, rhs),))
 
 
 def eliminate(g: Grammar, name: str) -> Grammar:
@@ -540,7 +546,7 @@ def insert_rule(g: Grammar, lhs: str, pos: int, rhs: Expr,
         at = positions[pos] if pos < len(positions) else positions[-1] + 1
     else:
         at = len(g.productions)
-    return _with_productions(g, at=at, insert=(Production(lhs, rhs, label),))
+    return _with_productions(g, at=at, insert=(p(lhs, rhs, label),))
 
 
 def remove_rule(g: Grammar, lhs: str, pos: int, rhs: Expr | None = None) -> Grammar:
@@ -565,7 +571,7 @@ def permute(g: Grammar, lhs: str, pos: int, order: list[int]) -> Grammar:
     new_parts: list[Expr | None] = [None] * len(parts)
     for i, target in enumerate(order):
         new_parts[target - 1] = parts[i]
-    return _with_productions(g, {at: Production(lhs, seq(*new_parts), prod.label)})
+    return _with_productions(g, {at: p(lhs, seq(*new_parts), prod.label)})
 
 
 # --------------------------------------------------------------------------
@@ -639,7 +645,7 @@ _OPS: dict[str, _Op] = {
     "inline": _Op(inline, "name:name | body:expr? index:index?", lambda a: (
         "extract", {"name": a["name"], "expr": a["body"], **_present(a, "index")})),
     "chain": _Op(lambda g, lhs, name, label, target, index: chain(
-                     g, Production(lhs, Nonterminal(name), label), target, index),
+                     g, p(lhs, Nonterminal(name), label), target, index),
                  "lhs:name name:name label:label? target:expr? index:index?",
                  lambda a: ("unchain", {"name": a["name"]})),
     "unchain": _Op(unchain, "name:name | lhs:name? body:expr? index:index?", lambda a: (

@@ -63,6 +63,11 @@ through a dict, every leaf through two `_write` calls, and each sequence
 and choice through a generator or comprehension.  The `grammar_from_json`
 that this `deserialize` falls back on is the recursive reader above, which
 gives the checking reader's outcome on every document it can read.
+`_spliced`, `_reindexed` and `name_index` are how a grammar's blocks and
+name index were carried through a splice before the blocks wholly after it
+were moved in one pass and the index was updated from each rule's stored
+names, kept verbatim: `_spliced` tests every block, and `_reindexed` and
+`name_index` walk each rule they read with `used_names`.
 """
 
 from __future__ import annotations
@@ -122,6 +127,7 @@ from gramconv.grammar import (
     subterms,
     names_in_order,
     tops,
+    used_names,
     vocabulary,
 )
 from gramconv.interchange import (
@@ -1409,3 +1415,75 @@ def unparse(g: Grammar, notation: NotationSpec) -> str:
         if unwritten:
             raise UnparseError(unwritten)
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _spliced(blocks: dict[str, tuple[int, ...]], rules: list[Production], at: int,
+             removed: int, added: int) -> dict[str, tuple[int, ...]]:
+    """`blocks` after the rules [at, at + removed) were replaced by the
+    `added` rules now at [at, at + added) of `rules`."""
+    end, shift = at + removed, added - removed
+    new: dict[str, list[int]] = {}
+    for i in range(at, at + added):
+        new.setdefault(rules[i].lhs, []).append(i)
+    if not removed and at == len(rules) - added:  # appended: nothing shifts
+        out = dict(blocks)
+        for lhs, positions in new.items():
+            out[lhs] = out.get(lhs, ()) + tuple(positions)
+        return out
+    out = {}
+    ordered, last = True, -1
+    for lhs, positions in blocks.items():
+        if positions[-1] >= at:
+            if positions[0] >= end:
+                positions = tuple([i + shift for i in positions]) if shift else positions
+            else:
+                positions = tuple([i if i < at else i + shift for i in positions
+                                   if i < at or i >= end])
+        if lhs in new:
+            positions = tuple(sorted(positions + tuple(new.pop(lhs))))
+        if positions:
+            out[lhs] = positions
+            ordered = ordered and positions[0] > last
+            last = positions[0]
+    for lhs, positions in new.items():  # left-hand sides the grammar lacked
+        out[lhs] = tuple(positions)
+        ordered = ordered and positions[0] > last
+        last = positions[0]
+    if ordered:
+        return out
+    return dict(sorted(out.items(), key=lambda item: item[1][0]))
+
+
+def _reindexed(users: dict[str, tuple[str, ...]], gone: list[Production],
+               added: list[Production]) -> dict[str, tuple[str, ...]]:
+    """The name index `users` after the rules `gone` were removed and the
+    rules `added` added; `users` itself when no entry changes."""
+    delta: dict[tuple[str, str], int] = {}
+    for sign, rules in ((-1, gone), (1, added)):
+        for prod in rules:
+            for name in used_names(prod.rhs):
+                delta[name, prod.lhs] = delta.get((name, prod.lhs), 0) + sign
+    out = None
+    for (name, lhs), change in delta.items():
+        if not change:
+            continue
+        if out is None:
+            out = dict(users)
+        lhss = list(out.get(name, ()))
+        for _ in range(-change):
+            lhss.remove(lhs)
+        lhss += [lhs] * change
+        if lhss:
+            out[name] = tuple(lhss)
+        else:
+            del out[name]
+    return users if out is None else out
+
+
+def name_index(g: Grammar) -> dict[str, tuple[str, ...]]:
+    """The name index of g, derived from scratch."""
+    users: dict[str, list[str]] = {}
+    for prod in g.productions:
+        for name in used_names(prod.rhs):
+            users.setdefault(name, []).append(prod.lhs)
+    return {name: tuple(lhss) for name, lhss in users.items()}

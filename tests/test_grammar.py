@@ -26,7 +26,6 @@ from gramconv.grammar import (
     children,
     choice,
     class_bits,
-    class_mask,
     n,
     p,
     opt,
@@ -34,6 +33,7 @@ from gramconv.grammar import (
     reachable,
     rebuild,
     render_expr,
+    rule_facts,
     render_term,
     sel,
     sepplus,
@@ -357,6 +357,13 @@ def _assert_facts_are_fresh(g):
     fresh = Grammar(g.roots, g.productions)
     assert list(g.blocks.items()) == list(fresh.blocks.items())
     assert type(g.masks) is list and g.masks == fresh.masks
+    # each rule's stored names: a tuple of distinct names, those a walk of
+    # its rhs finds
+    assert type(g.refs) is list and len(g.refs) == len(g.productions)
+    for names, fresh_names, prod in zip(g.refs, fresh.refs, g.productions):
+        assert type(names) is tuple and len(set(names)) == len(names)
+        assert set(names) == set(fresh_names) == {
+            sub.name for sub in subterms(prod.rhs) if isinstance(sub, Nonterminal)}
     assert set(g._users) == set(fresh._users)
     for name, found in g._users.items():
         assert type(found) is tuple and type(fresh._users[name]) is tuple  # one entry shape
@@ -383,6 +390,8 @@ def _random_step(rng, g):
         path.append(rng.randrange(len(children(node))))
         node = children(node)[path[-1]]
     fresh = fresh_name("f", g)
+    undefined = sorted(g.names - set(g.blocks)) or [fresh]
+    last = g.productions[-1].lhs if g.productions else fresh
     expr = random_expr(rng, names, rng.randint(0, 2))
     slot = rng.choice([None, rng.randrange(len(g.productions) + 1)])
     parts = len(body.parts) if isinstance(body, Sequence) else 1
@@ -402,9 +411,12 @@ def _random_step(rng, g):
         "set-node": {"lhs": lhs, "pos": pos, "path": path, "expr": expr},
         "set-label": {"lhs": lhs, "pos": pos, "label": rng.choice([None, "l1"])},
         "set-roots": {"roots": rng.sample(names, rng.randint(0, min(2, len(names))))},
-        "define": {"name": rng.choice([lhs, fresh]), "rhs": expr},
+        "define": {"name": rng.choice([fresh, rng.choice(undefined)]), "rhs": expr},
         "eliminate": {"name": lhs},
-        "insert-rule": {"lhs": rng.choice([lhs, fresh]), "pos": pos, "rhs": expr},
+        "insert-rule": rng.choice([
+            {"lhs": rng.choice([lhs, fresh]), "pos": pos, "rhs": expr},
+            # a rule appended to the grammar's last block, at the end
+            {"lhs": last, "pos": len(g.blocks.get(last, ())), "rhs": expr}]),
         "remove-rule": {"lhs": lhs, "pos": pos},
         "permute": {"lhs": lhs, "pos": pos,
                     "order": rng.sample(range(1, parts + 1), parts)},
@@ -416,7 +428,9 @@ def _random_step(rng, g):
 def test_carried_facts_equal_a_fresh_derivation_at_every_step():
     # the traces of every mutation kind, then seeded scripts over every
     # operator, replayed step by step; half the grammars have their rules
-    # shuffled, so that blocks are scattered and splices cut through them
+    # shuffled, so that blocks are scattered and splices cut through them.
+    # A rule appended to a block that has rules is drawn by insert-rule,
+    # since define refuses a name that is defined
     from gramconv.mutate import MUTATION_KINDS, Mutation, mutate
     from gramconv.transform import _OPS, TransformError, apply_step
     rng = random.Random(47)
@@ -436,6 +450,7 @@ def test_carried_facts_equal_a_fresh_derivation_at_every_step():
             except ValueError:
                 pass
     applied, carried, masked = {}, {}, {}
+    appended = 0  # rules appended, at the end of the grammar, to a block that has rules
     for g in grammars:
         current, steps = g, []
         for _ in range(400):
@@ -460,6 +475,10 @@ def test_carried_facts_equal_a_fresh_derivation_at_every_step():
             if step.op in ("set-node", "set-label", "set-roots", "factor", "distribute",
                            "permute"):
                 assert child.blocks is current.blocks  # no rule moved
+            if step.op in ("define", "insert-rule"):
+                lhs = step.args.get("name", step.args.get("lhs"))
+                appended += (lhs in current.blocks
+                             and child.blocks[lhs][-1] == len(current.productions))
             _assert_facts_are_fresh(child)
             current = child
     assert {key.split()[0] for key in applied} == set(_OPS)
@@ -468,6 +487,7 @@ def test_carried_facts_equal_a_fresh_derivation_at_every_step():
     for key in ("set-node", "set-label", "extract", "extract scoped", "vertical",
                 "insert-rule", "remove-rule", "inline", "rename"):
         assert carried[key] >= 20, (key, carried)
+    assert carried["define"] >= 10 and appended >= 20, (carried, appended)
 
 
 def test_an_edit_that_changes_an_lhs_derives_the_blocks_again():
@@ -485,6 +505,112 @@ def test_an_edit_that_changes_an_lhs_derives_the_blocks_again():
     assert spliced.masks[0] is h.masks[0]
     assert len(spliced.masks) == len(spliced.productions) == 5
     _assert_facts_are_fresh(spliced)
+
+
+def _index_by_name(users):
+    """A name index with each entry as a sorted list, so that two indexes
+    compare whatever order their entries hold."""
+    return {name: sorted(lhss) for name, lhss in users.items()}
+
+
+def test_a_splice_carries_what_the_parent_derivation_gives():
+    # seeded random splices, each checked against the blocks and the name
+    # index the parent's derivation gives (kept in oracles): every shift
+    # sign, blocks scattered across the splice, fresh and existing left-hand
+    # sides inserted, rules the splice puts back, whole blocks removed, and
+    # splices at the start and at the end
+    rng = random.Random(53)
+    seen = dict.fromkeys(("shift<0", "shift=0", "shift>0", "straddled", "fresh lhs mid-grammar",
+                          "put back", "block removed", "at start", "at end"), 0)
+    for g in corpus(53, 60, max_productions=14):
+        rules = list(g.productions)
+        rng.shuffle(rules)
+        g = Grammar((), tuple(rules))
+        g.names, g.masks  # derives the index and the rule facts, so edits carry them
+        for _ in range(12):
+            count = len(g.productions)
+            at = rng.randint(0, count)
+            removed = rng.randint(0, min(4, count - at))
+            cut = list(g.productions[at:at + removed])
+            lhss = list(g.blocks) + [f"f{len(g.productions)}"]
+            insert = [p(rng.choice(lhss), random_expr(rng, NAMES[:6], rng.randint(0, 2)))
+                      for _ in range(rng.randint(0, 3))]
+            if cut and rng.random() < 0.4:  # some of the cut rules, put back
+                insert += rng.sample(cut, rng.randint(1, len(cut)))
+                rng.shuffle(insert)
+            child = g.edit(at=at, removed=removed, insert=tuple(insert))
+            after = list(g.productions)
+            after[at:at + removed] = insert
+            expected = oracles._spliced(g.blocks, after, at, removed, len(insert))
+            assert list(child.blocks.items()) == list(expected.items())
+            reindexed = oracles._reindexed(oracles.name_index(g), cut, insert)
+            assert _index_by_name(child._users) == _index_by_name(reindexed) == _index_by_name(
+                oracles.name_index(child))
+            _assert_facts_are_fresh(child)
+            shift = len(insert) - removed
+            seen["shift<0" if shift < 0 else "shift=0" if shift == 0 else "shift>0"] += 1
+            seen["straddled"] += any(ps[0] < at <= ps[-1] for ps in g.blocks.values())
+            seen["fresh lhs mid-grammar"] += at < count and any(
+                prod.lhs not in g.blocks for prod in insert)
+            seen["put back"] += any(prod in cut for prod in insert)
+            seen["block removed"] += len(child.blocks) < len(g.blocks)
+            seen["at start"] += at == 0
+            seen["at end"] += at + removed == count
+            g = child
+    assert min(seen.values()) >= 20, seen
+
+
+def test_eliminating_a_scattered_block_walks_no_kept_rule(monkeypatch):
+    # six renamed copies of a draw whose first block has 28 of its 29 rules,
+    # shuffled: eliminating one copy's block splices from its first rule to
+    # its last, and puts back the 144 rules between them
+    from gen import renamed_copies
+    from gramconv import grammar
+    from gramconv.transform import eliminate
+    g = renamed_copies(corpus(9, 17, max_productions=30)[16], 6)
+    rules = list(g.productions)
+    random.Random(5).shuffle(rules)
+    g = Grammar(g.roots, tuple(rules))
+    g.names, g.masks  # derives the index and the rule facts, so the edit carries them
+    positions = g.blocks["c3_ee"]
+    assert len(g.productions) == 174 and len(positions) == 28
+    assert positions[-1] - positions[0] + 1 - len(positions) == 144
+    walks = []
+    walk = grammar.rule_facts
+    monkeypatch.setattr(grammar, "rule_facts", lambda expr: walks.append(expr) or walk(expr))
+    child = eliminate(g, "c3_ee")
+    assert walks == []
+    monkeypatch.undo()
+    # each kept rule keeps its stored mask and names
+    at = {id(prod): i for i, prod in enumerate(g.productions)}
+    for i, prod in enumerate(child.productions):
+        assert child.refs[i] is g.refs[at[id(prod)]]
+        assert child.masks[i] == g.masks[at[id(prod)]]
+    _assert_facts_are_fresh(child)
+
+
+def test_trusted_constructors_build_what_the_classes_build():
+    from dataclasses import fields
+    from gramconv.grammar import Production
+    kids = (n("a"), t("x"), star(n("b")))
+    for cls, kind in NODE_TABLE.items():
+        # the values of cls's fields, in field order, which puts its other
+        # fields before its children, as its constructor takes them
+        values = [kids if kind.variadic else kids[i] if f.name in kind.child_fields else f"v{i}"
+                  for i, f in enumerate(fields(cls))]
+        built = kind.build(*(values[0] if kind.variadic else values))
+        direct = cls(*values)
+        assert type(built) is cls
+        assert built == direct and hash(built) == hash(direct) and repr(built) == repr(direct)
+        assert fields(built) == fields(direct)
+        assert not hasattr(built, "__dict__")
+    for args in (("a", seq(n("b"), t("x"))), ("a", n("b"), "l")):
+        built, direct = p(*args), Production(*args)
+        assert type(built) is Production
+        assert built == direct and hash(built) == hash(direct) and repr(built) == repr(direct)
+        assert fields(built) == fields(direct)
+    with pytest.raises(GrammarError, match="production left-hand side must be non-empty"):
+        p("", n("b"))
 
 
 def _defined_mask(expr) -> int:
@@ -514,8 +640,10 @@ def test_class_masks_follow_their_definition():
               star(seq(nest, opt(choice(n("a"), nest)))), sepstar(n("a"), Choice((t(","), EMPTY)))]
     seen = 0
     for expr in exprs:
-        mask = class_mask(expr)
+        mask, names = rule_facts(expr)  # and the names, from the same walk
         assert mask == _defined_mask(expr), expr
+        assert len(set(names)) == len(names) and set(names) == {
+            sub.name for sub in subterms(expr) if isinstance(sub, Nonterminal)}
         seen |= mask
     assert seen == class_bits(NODE_TABLE) | UNIT_CHILD | NESTED_CHOICE
 
@@ -530,7 +658,7 @@ def test_reading_a_grammar_derives_no_masks(data_dir):
     again = deserialize(serialize(read))
     assert again == read
     for g in (read, again):
-        assert "masks" not in vars(g)
+        assert "masks" not in vars(g) and "refs" not in vars(g)
     g = Grammar(("a",), (p("a", n("b")), p("b", t("x"))))
     with pytest.raises(GrammarError, match="declared root 'a' is neither defined nor used"):
         g.edit(at=0, removed=1)

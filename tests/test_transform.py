@@ -339,6 +339,22 @@ def test_bidirectional_roundtrip_on_fl(fl_master):
     assert apply_script(there, [pair.backward]) == fl_master
 
 
+def test_define_refuses_a_defined_name(fl_master):
+    # its inverse, eliminate, would drop every rule of the name
+    step = TransformStep("define", {"name": "expr", "rhs": n("x")})
+    with pytest.raises(ScriptError, match="step 0 \\(define\\): define: 'expr' is already defined"):
+        apply_script(fl_master, [step])
+
+
+@pytest.mark.parametrize("name", ["fresh", "operator"])  # a new name, a used-but-undefined one
+def test_define_then_its_inverse_gives_back_the_input(fl_master, name):
+    assert name not in fl_master.blocks and (name in fl_master) == (name == "operator")
+    pair = bidirectionalize(TransformStep("define", {"name": name, "rhs": seq(n("expr"), t("+"))}))
+    there = apply_script(fl_master, [pair.forward])
+    assert there.rules_of(name) == (p(name, seq(n("expr"), t("+"))),)
+    assert apply_script(there, [pair.backward]) == fl_master
+
+
 # -- the operator registry ----------------------------------------------------
 
 
