@@ -32,7 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter
 from typing import Callable, NamedTuple
 
 
@@ -296,8 +296,9 @@ sepplus = _trusted(SepListPlus)
 
 # --------------------------------------------------------------------------
 # The node table: how each expression class is taken apart and put back
-# together.  Generic tree walks go through `children` and `with_children`.
-# The two renderers (a table per class for their text) and structural
+# together.  Generic tree walks go through `children`, and rewrites put a
+# node back through `reassembled`, which keeps a node whose children all
+# stay.  The two renderers (a table per class for their text) and structural
 # matching's aligner walk through `children` too; footprints, whose meaning
 # differs per class, keep their own dispatch.
 
@@ -325,6 +326,9 @@ NODE_TABLE: dict[type, NodeKind] = {
     SepListStar: NodeKind(("item", "separator"), False, sepstar),
     SepListPlus: NodeKind(("item", "separator"), False, sepplus),
 }
+
+# the unit element seq and choice drop from their children
+UNIT = {Sequence: Epsilon, Choice: Empty}
 
 # derived from NODE_TABLE for each composite class: getter, rebuilder, and
 # the names of its other fields, in field order
@@ -354,11 +358,18 @@ def children(expr: Expr) -> tuple[Expr, ...]:
     return get(expr) if get is not None else ()
 
 
+def reassembled(node: Expr, old, kids) -> Expr:
+    """node, whose children are `old`, with `kids` in their place: node itself
+    when each kid is its old child object and none of `old` is the `UNIT` of
+    node's class; else rebuilt by the smart constructors, which drop it."""
+    if all(map(is_, kids, old)) and UNIT.get(type(node)) not in map(type, old):
+        return node
+    return _PUT[type(node)](node, kids)
+
+
 def with_children(expr: Expr, kids) -> Expr:
-    """expr with its children replaced by kids, reassembled with the smart
-    constructors (so the result is canonical); a leaf is returned as is."""
-    put = _PUT.get(type(expr))
-    return put(expr, kids) if put is not None else expr
+    """expr with its children replaced by kids, through `reassembled`."""
+    return reassembled(expr, children(expr), kids)
 
 
 # --------------------------------------------------------------------------
@@ -373,9 +384,6 @@ CLASS_BIT: dict[type, int] = {cls: 1 << i for i, cls in enumerate(NODE_TABLE)}
 # constructors build
 UNIT_CHILD = 1 << len(NODE_TABLE)
 NESTED_CHOICE = UNIT_CHILD << 1  # a choice directly under a composite
-
-# the unit element seq and choice drop from their children
-UNIT = {Sequence: Epsilon, Choice: Empty}
 
 
 def class_bits(classes) -> int:
@@ -726,24 +734,25 @@ def occurs(sub: Expr, expr: Expr) -> bool:
 
 def rebuild(expr: Expr, fn) -> Expr:
     """Rebuild expr bottom-up, applying fn to every node after its children
-    have been rebuilt.  Composite nodes are reassembled with the smart
-    constructors, so fn may return epsilon/empty to delete a node and the
-    surrounding structure renormalizes."""
+    have been rebuilt, each through `reassembled`: fn may return epsilon/empty
+    to delete a node and the surrounding structure renormalizes, and a
+    subtree where fn hands back each node it gets comes back as itself."""
     get = _GET.get(type(expr))
     if get is not None:
-        expr = _PUT[type(expr)](expr, [rebuild(kid, fn) for kid in get(expr)])
+        kids = get(expr)
+        expr = reassembled(expr, kids, [rebuild(kid, fn) for kid in kids])
     return fn(expr)
 
 
 def replace_subterm(expr: Expr, old: Expr, new: Expr) -> Expr:
     """Replace every occurrence of the whole subterm `old` with `new`,
-    top-down (matched nodes are not descended into)."""
+    top-down (matched nodes are not descended into), through `reassembled`."""
     if type(expr) is type(old) and expr == old:
         return new
     kids = children(expr)
     if not kids:
         return expr
-    return with_children(expr, [replace_subterm(kid, old, new) for kid in kids])
+    return reassembled(expr, kids, [replace_subterm(kid, old, new) for kid in kids])
 
 
 def rename_expr(expr: Expr, mapping: dict[str, str], leaves: dict | None = None) -> Expr:

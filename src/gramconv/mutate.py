@@ -55,6 +55,7 @@ from .grammar import (
     render_expr,
     seq,
     star,
+    subterms,
     tops,
 )
 from .transform import (
@@ -127,12 +128,8 @@ def _nodes(g: Grammar, positions, classes) -> int:
     """How many subterms of the right-hand sides of the rules at `positions`
     are of `classes`; a rule whose mask holds none of them is not walked."""
     bits = class_bits(classes)
-    count, stack = 0, [g.productions[i].rhs for i in positions if g.masks[i] & bits]
-    while stack:
-        node = stack.pop()
-        count += isinstance(node, classes)
-        stack.extend(children(node))
-    return count
+    return sum(isinstance(node, classes) for i in positions if g.masks[i] & bits
+               for node in subterms(g.productions[i].rhs))
 
 
 # the atomic leaves: a rule whose whole rhs is one is a chain rule
@@ -153,14 +150,13 @@ def _is_trivial_rhs(rhs: Expr) -> bool:
 
 def _rewrite_rules(rec: _Recorder, rewrite, classes) -> None:
     """Rewrite every rule rhs with `rewrite` (rhs to rhs), one recorded step
-    per changed rule.  `rewrite` rebuilds with the smart constructors and
-    acts only on nodes of `classes`, so a rule is skipped when its mask holds
-    none of them and no unit child.  The skip is exact: such a rhs is
-    canonical but for unit children, which only the direct constructors
-    build, and rebuilding a canonical tree in which the rewrite finds
-    nothing to change gives an equal tree, so the rule would have recorded
-    no step.  A set-node step moves no rule, so the blocks read at the start
-    hold every rule's position throughout."""
+    per changed rule.  `rewrite` builds through `grammar.reassembled` and acts
+    only on nodes of `classes`, so it hands back the rule's own rhs exactly
+    when it changes nothing, and a rule is skipped when its mask holds none
+    of them and no unit child.  The skip is exact: the rewrite hands back
+    the rule's own rhs, so the rule would have recorded no step.  A set-node
+    step moves no rule, so the blocks read at the start hold every rule's
+    position throughout."""
     wanted = class_bits(classes) | UNIT_CHILD
     for name, positions in rec.grammar.blocks.items():
         for pos, i in enumerate(positions):
@@ -168,7 +164,7 @@ def _rewrite_rules(rec: _Recorder, rewrite, classes) -> None:
                 continue
             prod = rec.grammar.productions[i]
             new = rewrite(prod.rhs)
-            if new != prod.rhs:
+            if new is not prod.rhs:
                 rec.do("set-node", lhs=name, pos=pos, path=[], expr=new,
                        previous=prod.rhs)
 

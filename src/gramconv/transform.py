@@ -31,13 +31,11 @@ split by vertical carries no label of its own.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .grammar import (
     EPSILON,
-    UNIT,
     VALUE_NAMES,
     Choice,
     Epsilon,
@@ -55,6 +53,7 @@ from .grammar import (
     occurs,
     p,
     plus,
+    reassembled,
     render_expr,
     rename_expr,
     replace_subterm,
@@ -64,7 +63,6 @@ from .grammar import (
     star,
     subterms,
     used_names,
-    with_children,
 )
 from .interchange import expr_from_json, expr_to_json
 
@@ -339,8 +337,8 @@ DNF_MAX_ALTERNATIVES = 4096
 
 
 def dnf(expr: Expr) -> Expr:
-    """Fully distribute sequences over choices, everywhere in the tree.  A
-    canonical subtree with nothing to distribute is returned as it is."""
+    """Fully distribute sequences over choices, everywhere in the tree; a
+    subtree with nothing to distribute is kept as `reassembled` keeps it."""
     kids = children(expr)
     if not kids:
         return expr
@@ -355,10 +353,7 @@ def dnf(expr: Expr) -> Expr:
                 raise TransformError("distribute: expansion is too large")
             factors.append(alts)
         return choice(*(seq(*combo) for combo in itertools.product(*factors)))
-    # the smart constructors would drop a unit child
-    if all(map(operator.is_, normal, kids)) and UNIT.get(type(expr)) not in map(type, kids):
-        return expr
-    return with_children(expr, normal)
+    return reassembled(expr, kids, normal)
 
 
 def factor(g: Grammar, name: str, from_expr: Expr, to_expr: Expr) -> Grammar:
@@ -385,7 +380,7 @@ def distribute(g: Grammar, name: str) -> Grammar:
     for i in positions:
         prod = g.productions[i]
         expanded = dnf(prod.rhs)
-        if expanded != prod.rhs:
+        if expanded is not prod.rhs:
             out[i] = p(prod.lhs, expanded, prod.label)
     if not out:
         raise TransformError(f"distribute: no inner choice to surface in {name!r}")
@@ -480,12 +475,12 @@ def yaccify(g: Grammar, name: str, style: str) -> Grammar:
 def _replace_at_path(node: Expr, path: list[int], new: Expr) -> Expr:
     if not path:
         return new
-    kids = list(children(node))
+    old = children(node)
     head = path[0]
-    if head >= len(kids):
+    if head >= len(old):
         raise TransformError(f"set-node: path step {head} out of range")
-    kids[head] = _replace_at_path(kids[head], path[1:], new)
-    return with_children(node, kids)
+    kids = old[:head] + (_replace_at_path(old[head], path[1:], new),) + old[head + 1:]
+    return reassembled(node, old, kids)
 
 
 def _locate(g: Grammar, lhs: str, pos: int) -> int:

@@ -68,12 +68,18 @@ name index were carried through a splice before the blocks wholly after it
 were moved in one pass and the index was updated from each rule's stored
 names, kept verbatim: `_spliced` tests every block, and `_reindexed` and
 `name_index` walk each rule they read with `used_names`.
+`rebuild`, `replace_subterm` and `dnf` (with `with_children`) are the three
+rewriting walks as they were before they built through
+`grammar.reassembled`, kept verbatim: `rebuild` and `replace_subterm`
+rebuild every composite node they pass with the smart constructors, and
+`dnf` spells out its own rule for keeping a subtree.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
 from functools import partial
 from itertools import chain
@@ -96,6 +102,9 @@ from gramconv.converge import (
     prodsig,
 )
 from gramconv.grammar import (
+    _GET,
+    _PUT,
+    UNIT,
     VALUE_NAMES,
     Anything,
     Choice,
@@ -157,7 +166,7 @@ from gramconv.recovery import (
     RecoveryReport,
     UnparseError,
 )
-from gramconv.transform import TransformStep
+from gramconv.transform import DNF_MAX_ALTERNATIVES, TransformError, TransformStep
 
 
 def leaf_objects(g: Grammar) -> dict[tuple[type, str], set[int]]:
@@ -1487,3 +1496,59 @@ def name_index(g: Grammar) -> dict[str, tuple[str, ...]]:
         for name in used_names(prod.rhs):
             users.setdefault(name, []).append(prod.lhs)
     return {name: tuple(lhss) for name, lhss in users.items()}
+
+
+# the three rewriting walks as they were before they built through
+# grammar.reassembled
+
+
+def with_children(expr: Expr, kids) -> Expr:
+    """expr with its children replaced by kids, reassembled with the smart
+    constructors (so the result is canonical); a leaf is returned as is."""
+    put = _PUT.get(type(expr))
+    return put(expr, kids) if put is not None else expr
+
+
+def rebuild(expr: Expr, fn) -> Expr:
+    """Rebuild expr bottom-up, applying fn to every node after its children
+    have been rebuilt.  Composite nodes are reassembled with the smart
+    constructors, so fn may return epsilon/empty to delete a node and the
+    surrounding structure renormalizes."""
+    get = _GET.get(type(expr))
+    if get is not None:
+        expr = _PUT[type(expr)](expr, [rebuild(kid, fn) for kid in get(expr)])
+    return fn(expr)
+
+
+def replace_subterm(expr: Expr, old: Expr, new: Expr) -> Expr:
+    """Replace every occurrence of the whole subterm `old` with `new`,
+    top-down (matched nodes are not descended into)."""
+    if type(expr) is type(old) and expr == old:
+        return new
+    kids = children(expr)
+    if not kids:
+        return expr
+    return with_children(expr, [replace_subterm(kid, old, new) for kid in kids])
+
+
+def dnf(expr: Expr) -> Expr:
+    """Fully distribute sequences over choices, everywhere in the tree.  A
+    canonical subtree with nothing to distribute is returned as it is."""
+    kids = children(expr)
+    if not kids:
+        return expr
+    normal = [dnf(kid) for kid in kids]
+    if type(expr) is Sequence and Choice in map(type, normal):
+        factors = []
+        total = 1
+        for part in normal:
+            alts = part.alternatives if isinstance(part, Choice) else (part,)
+            total *= len(alts)
+            if total > DNF_MAX_ALTERNATIVES:
+                raise TransformError("distribute: expansion is too large")
+            factors.append(alts)
+        return choice(*(seq(*combo) for combo in itertools.product(*factors)))
+    # the smart constructors would drop a unit child
+    if all(map(operator.is_, normal, kids)) and UNIT.get(type(expr)) not in map(type, kids):
+        return expr
+    return with_children(expr, normal)

@@ -217,11 +217,11 @@ def test_no_node_and_no_production_carries_an_instance_dict():
 def test_with_children_of_children_is_identity():
     from gramconv.grammar import children, with_children
     for expr in _one_of_each_class():
-        assert with_children(expr, children(expr)) == expr
+        assert with_children(expr, children(expr)) is expr
     for g in corpus(31, 60) + corpus(32, 60, expressible=True):
         for prod in g.productions:
             for sub in subterms(prod.rhs):
-                assert with_children(sub, children(sub)) == sub
+                assert with_children(sub, children(sub)) is sub
 
 
 def test_with_children_renormalizes():
@@ -230,6 +230,120 @@ def test_with_children_renormalizes():
     assert with_children(choice(n("a"), n("b")), [choice(n("c"), n("d")), n("b")]) \
         == choice(n("c"), n("d"), n("b"))
     assert with_children(n("a"), []) == n("a")
+
+
+# -- rewrites hand back what they do not change ------------------------------
+
+
+def _planted(rng, expr):
+    """expr with unit children that the direct constructors keep: an
+    epsilon part in some of its sequences, an empty alternative in some of
+    its choices (the smart constructors of their parents carry them up
+    when they flatten)."""
+    def plant(node):
+        if type(node) is Sequence and rng.random() < 0.4:
+            at = rng.randrange(len(node.parts) + 1)
+            return Sequence(node.parts[:at] + (EPSILON,) + node.parts[at:])
+        if type(node) is Choice and rng.random() < 0.4:
+            return Choice(node.alternatives + (EMPTY,))
+        return node
+    return oracles.rebuild(expr, plant)
+
+
+def _rewrite_draws():
+    """Canonical right-hand sides from `tests/gen` corpora and
+    `random_expr`, each with a copy that holds unit children."""
+    rng = random.Random(3200)
+    canonical = [prod.rhs for g in corpus(3201, 120) + corpus(3202, 60, expressible=True)
+                 for prod in g.productions]
+    canonical += [random_expr(rng, NAMES[:5], 5) for _ in range(300)]
+    return [(expr, _planted(rng, expr)) for expr in canonical], rng
+
+
+def _renamed(mapping):
+    return lambda node: n(mapping[node.name]) \
+        if type(node) is Nonterminal and node.name in mapping else node
+
+
+def test_rewriting_walks_agree_with_the_walks_they_replaced():
+    from gramconv.grammar import rename_expr, replace_subterm
+    from gramconv.transform import TransformError
+    draws, rng = _rewrite_draws()
+    planted = units = 0
+    for canonical, with_units in draws:
+        planted += with_units != canonical
+        for expr in (canonical, with_units):
+            for fn in (lambda node: node, lambda node: _REPLACED.get(node, node),
+                       lambda node: EPSILON if type(node) is Terminal else node):
+                assert rebuild(expr, fn) == oracles.rebuild(expr, fn)
+            mapping = {rng.choice(NAMES[:5]): "zz"}
+            assert rename_expr(expr, mapping) == oracles.rebuild(expr, _renamed(mapping))
+            subs = list(subterms(expr))
+            for old in (rng.choice(subs), rng.choice(subs), t("absent")):
+                for new in (n("zz"), EPSILON, EMPTY, seq(n("y"), n("z")), choice(n("y"), n("z"))):
+                    assert replace_subterm(expr, old, new) \
+                        == oracles.replace_subterm(expr, old, new)
+            # a rewrite drops every unit child, wherever it sits
+            units += bool(rule_facts(expr)[0] & UNIT_CHILD)
+            assert not rule_facts(rebuild(expr, lambda node: node))[0] & UNIT_CHILD
+            try:
+                want = oracles.dnf(expr)
+            except TransformError:
+                with pytest.raises(TransformError):
+                    dnf(expr)
+                continue
+            assert dnf(expr) == want
+            assert not rule_facts(want)[0] & UNIT_CHILD
+    assert planted == units >= 200
+
+
+def test_a_rewrite_that_changes_nothing_hands_back_its_input():
+    from gramconv.grammar import occurs, rename_expr, replace_subterm
+    from gramconv.transform import TransformError
+    draws, rng = _rewrite_draws()
+    shared = 0
+    for expr, _ in draws:
+        assert rebuild(expr, lambda node: node) is expr
+        assert replace_subterm(expr, t("absent"), n("q")) is expr
+        assert rename_expr(expr, {"unused": "q"}) is expr
+        try:
+            distributed = dnf(expr)
+        except TransformError:
+            continue
+        assert dnf(distributed) is distributed
+        # every subtree of the result that holds no occurrence of the new
+        # subterm (a name no draw uses) is the input's own object
+        old = rng.choice(list(subterms(expr)))
+        result = replace_subterm(expr, old, n("zz"))
+        assert result == oracles.replace_subterm(expr, old, n("zz"))
+        mine = {id(sub) for sub in subterms(expr)}
+        for sub in subterms(result):
+            if not occurs(n("zz"), sub):
+                assert id(sub) in mine, (expr, old, sub)
+                shared += bool(children(sub))
+    assert shared >= 300
+
+
+def test_a_unit_child_is_dropped_also_under_unchanged_siblings():
+    from gramconv.grammar import rename_expr, replace_subterm, with_children
+    from gramconv.transform import _replace_at_path
+    for direct, canonical in ((Sequence((EPSILON, n("a"), n("b"))), seq(n("a"), n("b"))),
+                              (Choice((EMPTY, n("a"), n("b"))), choice(n("a"), n("b")))):
+        # the unit child directly, and two levels under a parent whose
+        # other children the rewrites leave alone
+        deep = seq(n("x"), star(direct), n("y"))
+        for expr, want in ((direct, canonical), (deep, seq(n("x"), star(canonical), n("y")))):
+            images = [rebuild(expr, lambda node: node), dnf(expr),
+                      replace_subterm(expr, t("absent"), n("q")),
+                      rename_expr(expr, {"unused": "q"})]
+            if expr is direct:
+                images += [with_children(expr, children(expr)),
+                           _replace_at_path(expr, [1], n("a"))]
+            for image in images:
+                assert image == want and image != expr
+                assert not rule_facts(image)[0] & UNIT_CHILD
+                if expr is deep:
+                    assert image.parts[0] is deep.parts[0] and image.parts[2] is deep.parts[2]
 
 
 def test_subterms_is_the_recursive_preorder():

@@ -557,6 +557,40 @@ def test_rule_skips_agree_with_the_walk_they_replaced():
         assert not unit.masks[0] & class_bits(classes)
 
 
+def test_a_rewrite_hands_back_another_object_exactly_when_it_changes_the_rhs(monkeypatch):
+    # the rewrite phases and `distribute` read "changed" as "another
+    # object"; over normalize-anf of corpus draws, with and without unit
+    # children, and `distribute` of every name, each rewrite they run
+    # changes its rhs exactly when it hands back another object
+    import gramconv.mutate as M
+    import gramconv.transform as T
+    from gramconv.transform import TransformError
+    seen = {True: 0, False: 0}
+
+    def watched(rewrite):
+        def check(rhs):
+            new = rewrite(rhs)
+            assert (new is not rhs) == (new != rhs), rhs
+            seen[new is not rhs] += 1
+            return new
+        return check
+    rewrite_rules = M._rewrite_rules
+    monkeypatch.setattr(M, "_rewrite_rules",
+                        lambda rec, rewrite, classes: rewrite_rules(rec, watched(rewrite), classes))
+    monkeypatch.setattr(T, "dnf", watched(T.dnf))
+    rng = random.Random(3300)
+    grammars = corpus(3301, 150, max_productions=10)
+    grammars += [_with_unit_children(rng, g) for g in grammars[:50]] + [_unit_children()]
+    for g in grammars:
+        run(g, "normalize-anf")
+        for name in g.blocks:
+            try:
+                T.distribute(g, name)
+            except TransformError:
+                pass
+    assert min(seen.values()) >= 500
+
+
 # -- exact outputs of every kind ----------------------------------------------
 
 
