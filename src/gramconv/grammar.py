@@ -19,11 +19,13 @@ the other composite classes check nothing, and `p` keeps the one check of
 tree the parser and the interchange reader build, and every rule they and
 the transformation operators build come from them, so they are the one
 place where interning would go.
-Each grammar derives its rule blocks when it is built, and the first time
-either is asked for, each rule's class mask and the names it uses, from one
-walk of the rule, and from those names its name index; a grammar built by
-`Grammar.edit` carries all of them from its parent.  The analyses read those
-facts instead of walking the rules again.
+A rhs node keeps its class mask and the names it uses, from one walk of it,
+in a slot that is no field, the first time `rule_facts` is asked for them;
+every grammar that holds the node reads them there.  Each grammar derives
+its rule blocks when it is built, and its name index from its rules' names
+the first time it is asked for; a grammar built by `Grammar.edit` carries
+both from its parent.  The analyses read those facts instead of walking the
+rules again.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class Nonterminal(Expr):
 class Selectable(Expr):
     """A named subexpression (a selector attached to a body)."""
 
-    __slots__ = ("selector", "body")
+    __slots__ = ("selector", "body", "_facts")
 
     selector: str
     body: Expr
@@ -119,7 +121,7 @@ class Selectable(Expr):
 
 @dataclass(frozen=True)
 class Sequence(Expr):
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_facts")
 
     parts: tuple[Expr, ...]
 
@@ -132,7 +134,7 @@ class Sequence(Expr):
 
 @dataclass(frozen=True)
 class Choice(Expr):
-    __slots__ = ("alternatives",)
+    __slots__ = ("alternatives", "_facts")
 
     alternatives: tuple[Expr, ...]
 
@@ -145,21 +147,21 @@ class Choice(Expr):
 
 @dataclass(frozen=True)
 class Optional(Expr):
-    __slots__ = ("body",)
+    __slots__ = ("body", "_facts")
 
     body: Expr
 
 
 @dataclass(frozen=True)
 class Star(Expr):
-    __slots__ = ("body",)
+    __slots__ = ("body", "_facts")
 
     body: Expr
 
 
 @dataclass(frozen=True)
 class Plus(Expr):
-    __slots__ = ("body",)
+    __slots__ = ("body", "_facts")
 
     body: Expr
 
@@ -168,7 +170,7 @@ class Plus(Expr):
 class SepListStar(Expr):
     """Possibly empty separator list: items separated by a separator."""
 
-    __slots__ = ("item", "separator")
+    __slots__ = ("item", "separator", "_facts")
 
     item: Expr
     separator: Expr
@@ -178,7 +180,7 @@ class SepListStar(Expr):
 class SepListPlus(Expr):
     """Non-empty separator list: one or more items separated by a separator."""
 
-    __slots__ = ("item", "separator")
+    __slots__ = ("item", "separator", "_facts")
 
     item: Expr
     separator: Expr
@@ -401,13 +403,28 @@ _UNIT_BIT = {cls: CLASS_BIT[unit] for cls, unit in UNIT.items()}
 
 
 def rule_facts(expr: Expr) -> tuple[int, tuple[str, ...]]:
-    """The mask of expr and the distinct nonterminal names it uses, from one
-    walk of its composite nodes, each of which adds its children's bits and
-    the flags they raise under it, and its nonterminal children's names."""
+    """The mask of expr and the distinct nonterminal names it uses.  A leaf
+    gives them directly.  A composite node gives them from one walk
+    (`_walk_facts`) the first time they are asked of it, and stores them in
+    its `_facts` slot, which is no field, so ==, hash, repr and fields()
+    ignore it; the node is immutable, so they hold for as long as it lives,
+    whichever grammars hold it."""
+    facts = getattr(expr, "_facts", None)
+    if facts is not None:
+        return facts
     kind = type(expr)
-    mask = CLASS_BIT[kind]
-    if not mask & _COMPOSITE:
-        return mask, (expr.name,) if kind is Nonterminal else ()
+    if kind not in _GET:
+        return CLASS_BIT[kind], (expr.name,) if kind is Nonterminal else ()
+    facts = _walk_facts(expr)
+    object.__setattr__(expr, "_facts", facts)  # the slot, past the frozen guard
+    return facts
+
+
+def _walk_facts(expr: Expr) -> tuple[int, tuple[str, ...]]:
+    """The facts of the composite node expr, from one walk of its composite
+    nodes, each of which adds its children's bits and the flags they raise
+    under it, and its nonterminal children's names."""
+    mask = CLASS_BIT[type(expr)]
     names = set()
     stack = [expr]
     while stack:
@@ -473,31 +490,27 @@ def p(lhs: str, rhs: Expr, label: str | None = None) -> Production:
 class Grammar:
     """Ordered roots over ordered production rules.
 
-    Besides its two fields a grammar keeps facts about its rules, none of
-    them a field, so repr, ==, hash and fields() ignore them:
+    Besides its two fields a grammar keeps two facts about its rules, neither
+    of them a field, so repr, ==, hash and fields() ignore them:
     - `blocks` maps each lhs to its rule positions, lhs in first-appearance
       order;
-    - `masks` and `refs` hold, by position, each rule's class mask and the
-      tuple of the distinct names its rhs uses, from one `rule_facts` walk
-      of the rule, in lists that are never changed once built.  Derived
-      together on first use;
     - the name index `_users` maps each name used in a rhs to the tuple of
       the lhs of each rule that uses it, in no particular order; its keys
-      are the used names.  Derived from `refs` on first use.
+      are the used names.  Derived on first use from the names each rule's
+      `rule_facts` give.
 
-    The constructor derives `blocks` from scratch, and the others when
-    asked.  `edit` builds a grammar from its parent and carries the facts
-    instead: `blocks` is shared by an edit that moves no rule (rules
-    rewritten in place, or new roots), shifted past the splice of one that
-    does (a rule appended, inserted or removed, one rule spliced into
-    several), and derived again, as by the constructor, when a rewrite
-    changes an lhs.  The masks and names, when the parent has derived them,
-    are the parent's, spliced as the rules are, with a walk only of each
-    rule whose rhs is new: a rule that a splice puts back (the same object)
-    keeps its facts.  The index, when the parent has derived it, is updated
-    from the stored names of the rules the edit removes and of those it
+    A rule's class mask and used names are no fact of the grammar: they live
+    on its rhs node (see `rule_facts`), so every grammar that holds a rhs
+    object reads the one walk of it.  The constructor derives `blocks` from
+    scratch, and the index when asked.  `edit` builds a grammar from its
+    parent and carries both instead: `blocks` is shared by an edit that
+    moves no rule (rules rewritten in place, or new roots), shifted past the
+    splice of one that does (a rule appended, inserted or removed, one rule
+    spliced into several), and derived again, as by the constructor, when a
+    rewrite changes an lhs.  The index, when the parent has derived it, is
+    updated from the names of the rules the edit removes and of those it
     adds; it holds left-hand sides, not positions, so a splice moves none of
-    its entries, and a rule put back changes none."""
+    its entries, and a rule the splice puts back changes none."""
 
     roots: tuple[str, ...] = ()
     productions: tuple[Production, ...] = ()
@@ -516,25 +529,10 @@ class Grammar:
         return name in self.blocks or name in self._users
 
     @cached_property
-    def masks(self) -> list[int]:
-        return self._walked()[0]
-
-    @cached_property
-    def refs(self) -> list[tuple[str, ...]]:
-        return self._walked()[1]
-
-    def _walked(self) -> tuple[list[int], list[tuple[str, ...]]]:
-        """`masks` and `refs`, both stored, from one walk of each rule."""
-        facts = [rule_facts(prod.rhs) for prod in self.productions]
-        masks, refs = [mask for mask, _ in facts], [names for _, names in facts]
-        self.__dict__.update(masks=masks, refs=refs)
-        return masks, refs
-
-    @cached_property
     def _users(self) -> dict[str, tuple[str, ...]]:
         users: dict[str, list[str]] = {}
-        for prod, names in zip(self.productions, self.refs):
-            for name in names:
+        for prod in self.productions:
+            for name in rule_facts(prod.rhs)[1]:
                 users.setdefault(name, []).append(prod.lhs)
         return {name: tuple(lhss) for name, lhss in users.items()}
 
@@ -558,47 +556,17 @@ class Grammar:
         when given.  The facts are carried (see the class docstring); the
         roots are checked as by the constructor."""
         rules = list(self.productions)
-        walked = "refs" in self.__dict__
-        if walked:
-            masks, refs = self.masks, self.refs  # copied before the first change
-        # the (lhs, names) of each rule the edit removes and of each it adds
-        gone: list[tuple[str, tuple[str, ...]]] = []
-        added: list[tuple[str, tuple[str, ...]]] = []
-        moved = False  # whether a rewrite changed an lhs
+        gone: list[Production] = []  # the rules the edit removes
+        added = list((replace or {}).values())  # and those it adds
         for i, prod in (replace or {}).items():
-            old = rules[i]
+            gone.append(rules[i])
             rules[i] = prod
-            if prod.lhs == old.lhs and prod.rhs is old.rhs:
-                continue
-            moved = moved or prod.lhs != old.lhs
-            if walked:
-                gone.append((old.lhs, refs[i]))
-                if prod.rhs is not old.rhs:
-                    if masks is self.masks:
-                        masks, refs = list(masks), list(refs)
-                    masks[i], refs[i] = rule_facts(prod.rhs)
-                added.append((prod.lhs, refs[i]))
+        moved = any(old.lhs != new.lhs for old, new in zip(gone, added))  # an lhs changed
         blocks = self.blocks
         if at is not None:
             end = at + removed
-            if walked:
-                # the rules it may put back
-                back = dict(zip(map(id, rules[at:end]), range(at, end))) if removed else {}
-                kept, new_masks, new_refs = [], [], []
-                for prod in insert:
-                    i = back.pop(id(prod), None) if back else None
-                    if i is None:
-                        mask, names = rule_facts(prod.rhs)
-                        added.append((prod.lhs, names))
-                    else:
-                        kept.append(i)
-                        mask, names = masks[i], refs[i]
-                    new_masks.append(mask)
-                    new_refs.append(names)
-                for i in set(range(at, end)).difference(kept) if kept else range(at, end):
-                    gone.append((rules[i].lhs, refs[i]))
-                masks = masks[:at] + new_masks + masks[end:]
-                refs = refs[:at] + new_refs + refs[end:]
+            gone += rules[at:end]
+            added += insert
             rules[at:end] = insert
             blocks = _spliced(blocks, rules, at, removed, len(insert))
         if moved:  # derived again, as by the constructor
@@ -607,8 +575,6 @@ class Grammar:
         state = child.__dict__  # which holds the fields too, the class having no slots
         state.update(roots=self.roots if roots is None else tuple(roots),
                      productions=tuple(rules), blocks=blocks)
-        if walked:
-            state.update(masks=masks, refs=refs)
         if "_users" in self.__dict__:
             state["_users"] = _reindexed(self._users, gone, added)
         child._check_roots()
@@ -667,15 +633,17 @@ def _spliced(blocks: dict[str, tuple[int, ...]], rules: list[Production], at: in
     return dict(sorted(out.items(), key=lambda item: item[1][0]))
 
 
-def _reindexed(users: dict[str, tuple[str, ...]], gone: list[tuple[str, tuple[str, ...]]],
-               added: list[tuple[str, tuple[str, ...]]]) -> dict[str, tuple[str, ...]]:
+def _reindexed(users: dict[str, tuple[str, ...]], gone: list[Production],
+               added: list[Production]) -> dict[str, tuple[str, ...]]:
     """The name index `users` after the rules `gone` were removed and the
-    rules `added` added, each given as its lhs and the names its rhs uses;
-    `users` itself when no entry changes."""
+    rules `added` added, each read as its lhs and the names its rhs uses;
+    `users` itself when no entry changes, as when every rule removed is
+    added back."""
     delta: dict[tuple[str, str], int] = {}
     for sign, rules in ((-1, gone), (1, added)):
-        for lhs, names in rules:
-            for name in names:
+        for prod in rules:
+            lhs = prod.lhs
+            for name in rule_facts(prod.rhs)[1]:
                 delta[name, lhs] = delta.get((name, lhs), 0) + sign
     out = None
     for (name, lhs), change in delta.items():
@@ -809,7 +777,7 @@ def reachable(g: Grammar, from_names) -> set[str]:
             continue
         result.add(name)
         for i in g.blocks.get(name, ()):
-            for ref in g.refs[i]:
+            for ref in rule_facts(g.productions[i].rhs)[1]:
                 if ref not in result:
                     work.append(ref)
     return result

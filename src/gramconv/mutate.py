@@ -53,6 +53,7 @@ from .grammar import (
     reachable,
     rebuild,
     render_expr,
+    rule_facts,
     seq,
     star,
     subterms,
@@ -128,8 +129,9 @@ def _nodes(g: Grammar, positions, classes) -> int:
     """How many subterms of the right-hand sides of the rules at `positions`
     are of `classes`; a rule whose mask holds none of them is not walked."""
     bits = class_bits(classes)
-    return sum(isinstance(node, classes) for i in positions if g.masks[i] & bits
-               for node in subterms(g.productions[i].rhs))
+    rules = g.productions
+    return sum(isinstance(node, classes) for i in positions if rule_facts(rules[i].rhs)[0] & bits
+               for node in subterms(rules[i].rhs))
 
 
 # the atomic leaves: a rule whose whole rhs is one is a chain rule
@@ -152,17 +154,17 @@ def _rewrite_rules(rec: _Recorder, rewrite, classes) -> None:
     """Rewrite every rule rhs with `rewrite` (rhs to rhs), one recorded step
     per changed rule.  `rewrite` builds through `grammar.reassembled` and acts
     only on nodes of `classes`, so it hands back the rule's own rhs exactly
-    when it changes nothing, and a rule is skipped when its mask holds none
-    of them and no unit child.  The skip is exact: the rewrite hands back
-    the rule's own rhs, so the rule would have recorded no step.  A set-node
-    step moves no rule, so the blocks read at the start hold every rule's
-    position throughout."""
+    when it changes nothing, and a rule is skipped when its class mask, which
+    its rhs node stores (`rule_facts`), holds none of them and no unit
+    child.  The skip is exact: the rewrite hands back the rule's own rhs, so
+    the rule would have recorded no step.  A set-node step moves no rule, so
+    the blocks read at the start hold every rule's position throughout."""
     wanted = class_bits(classes) | UNIT_CHILD
     for name, positions in rec.grammar.blocks.items():
         for pos, i in enumerate(positions):
-            if not rec.grammar.masks[i] & wanted:
-                continue
             prod = rec.grammar.productions[i]
+            if not rule_facts(prod.rhs)[0] & wanted:
+                continue
             new = rewrite(prod.rhs)
             if new is not prod.rhs:
                 rec.do("set-node", lhs=name, pos=pos, path=[], expr=new,
@@ -241,7 +243,7 @@ def _reroot_to_top(rec: _Recorder, params: dict) -> None:
     g = rec.grammar
     top_set = tops(g)
     roots = [name for name, positions in g.blocks.items() if name in top_set
-             and any(g.refs[i] for i in positions)]
+             and any(rule_facts(g.productions[i].rhs)[1] for i in positions)]
     if tuple(roots) != g.roots:
         rec.do("set-roots", roots=roots, previous=list(g.roots))
 
@@ -377,9 +379,10 @@ def _distribute_round(rec: _Recorder) -> None:
     # offender
     for name, positions in rec.grammar.blocks.items():
         for i in positions:
-            if not rec.grammar.masks[i] & NESTED_CHOICE:
+            rhs = rec.grammar.productions[i].rhs
+            if not rule_facts(rhs)[0] & NESTED_CHOICE:
                 continue
-            offender = _deepest(rec.grammar.productions[i].rhs, _nested_choice)
+            offender = _deepest(rhs, _nested_choice)
             if offender is not None:
                 fresh = fresh_name(name, rec.grammar)
                 rec.do("extract", name=fresh, expr=offender)
@@ -583,20 +586,21 @@ _WALKED = class_bits((Selectable, Terminal, SepListStar, SepListPlus)) | NESTED_
 
 def anf_check(g: Grammar) -> list[AnfViolation]:
     """All violated abstract-normal-form conditions (empty list means ANF),
-    condition by condition.  A rule whose mask shows a selector, a terminal,
-    a separator list or a choice under a composite is walked once, pre-order
-    as `subterms` walks it, for conditions 2, 3, 4 and 6, so each
+    condition by condition.  A rule whose class mask, read from its rhs node
+    (`rule_facts`), shows a selector, a terminal, a separator list or a
+    choice under a composite is walked once, pre-order as `subterms` walks
+    it, for conditions 2, 3, 4 and 6, so each
     condition's violations come in the order a walk of its own would find
     them; no other rule can break them, and none is walked.  Condition 9
     follows from the roots the names each rule uses, read from the name
     index, as `reachable` follows each rule's `used_names`."""
     out: list[AnfViolation] = []
-    for prod, mask in zip(g.productions, g.masks):
+    for prod in g.productions:
         if prod.label is not None:
             out.append(AnfViolation(1, f"rule {prod.lhs} carries label {prod.label!r}"))
         if isinstance(prod.rhs, Choice):
             out.append(AnfViolation(5, f"rule {prod.lhs} is horizontal"))
-        if not mask & _WALKED:
+        if not rule_facts(prod.rhs)[0] & _WALKED:
             continue
         stack = [prod.rhs]
         while stack:

@@ -141,14 +141,14 @@ def _uses(g: Grammar, name: str) -> list[int]:
 def _replace_in_rules(g: Grammar, old: Expr, new: Expr,
                       scope: str | None = None) -> dict[int, Production]:
     """The rules of g (of `scope` only, when given) in which `old` occurs,
-    each occurrence replaced by `new`, by position.  A rule whose mask lacks
-    a bit of old's mask cannot hold it, and is not searched."""
+    each occurrence replaced by `new`, by position.  A rule whose class
+    mask, read from its rhs node (`rule_facts`), lacks a bit of old's mask
+    cannot hold it, and is not searched."""
     out = {}
     wanted, names = rule_facts(old)
-    masks = g.masks
     for i in _rules_using(g, names, scope):
         prod = g.productions[i]
-        if not wanted & ~masks[i] and occurs(old, prod.rhs):
+        if not wanted & ~rule_facts(prod.rhs)[0] and occurs(old, prod.rhs):
             out[i] = p(prod.lhs, replace_subterm(prod.rhs, old, new), prod.label)
     return out
 
@@ -497,7 +497,7 @@ def set_node(g: Grammar, lhs: str, pos: int, path: list[int], expr: Expr) -> Gra
     prod = g.productions[at]
     child = _with_productions(
         g, {at: p(lhs, _replace_at_path(prod.rhs, list(path), expr), prod.label)})
-    _unreserved("set-node", *child.refs[at])  # the names of the rule it writes
+    _unreserved("set-node", *rule_facts(child.productions[at].rhs)[1])  # the rule it writes
     return child
 
 

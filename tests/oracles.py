@@ -67,7 +67,12 @@ gives the checking reader's outcome on every document it can read.
 name index were carried through a splice before the blocks wholly after it
 were moved in one pass and the index was updated from each rule's stored
 names, kept verbatim: `_spliced` tests every block, and `_reindexed` and
-`name_index` walk each rule they read with `used_names`.
+`name_index` walk each rule they read with `used_names`, which reads the
+uncached `rule_facts` below.
+`rule_facts` is the walk that gives an expression's class mask and used
+names as it was before a composite node kept them in its slot, kept
+verbatim: it walks the expression every time it is asked, and stores
+nothing.
 `rebuild`, `replace_subterm` and `dnf` (with `with_children`) are the three
 rewriting walks as they were before they built through
 `grammar.reassembled`, kept verbatim: `rebuild` and `replace_subterm`
@@ -102,9 +107,16 @@ from gramconv.converge import (
     prodsig,
 )
 from gramconv.grammar import (
+    _CHOICE_BIT,
+    _COMPOSITE,
     _GET,
+    _NAME_BIT,
     _PUT,
+    _UNIT_BIT,
+    CLASS_BIT,
+    NESTED_CHOICE,
     UNIT,
+    UNIT_CHILD,
     VALUE_NAMES,
     Anything,
     Choice,
@@ -136,7 +148,6 @@ from gramconv.grammar import (
     subterms,
     names_in_order,
     tops,
-    used_names,
     vocabulary,
 )
 from gramconv.interchange import (
@@ -1424,6 +1435,48 @@ def unparse(g: Grammar, notation: NotationSpec) -> str:
         if unwritten:
             raise UnparseError(unwritten)
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+# an expression's class mask and used names as they were derived before a
+# composite node kept them in its slot
+
+
+def rule_facts(expr: Expr) -> tuple[int, tuple[str, ...]]:
+    """The mask of expr and the distinct nonterminal names it uses, from one
+    walk of its composite nodes, each of which adds its children's bits and
+    the flags they raise under it, and its nonterminal children's names."""
+    kind = type(expr)
+    mask = CLASS_BIT[kind]
+    if not mask & _COMPOSITE:
+        return mask, (expr.name,) if kind is Nonterminal else ()
+    names = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        below = 0
+        for kid in _GET[kind](node):
+            bit = CLASS_BIT[type(kid)]
+            below |= bit
+            if bit & _COMPOSITE:
+                stack.append(kid)
+            elif bit == _NAME_BIT:
+                names.add(kid.name)
+        if below & _CHOICE_BIT:
+            below |= NESTED_CHOICE
+        if below & _UNIT_BIT.get(kind, 0):
+            below |= UNIT_CHILD
+        mask |= below
+    return mask, tuple(names)
+
+
+def used_names(expr: Expr) -> tuple[str, ...]:
+    """The distinct nonterminal names in expr, from the walk above."""
+    return rule_facts(expr)[1]
+
+
+# a grammar's blocks and name index as they were carried through a splice
+# before the blocks wholly after it were moved in one pass
 
 
 def _spliced(blocks: dict[str, tuple[int, ...]], rules: list[Production], at: int,

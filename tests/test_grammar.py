@@ -22,6 +22,7 @@ from gramconv.grammar import (
     GrammarError,
     Nonterminal,
     Sequence,
+    Star,
     Terminal,
     children,
     choice,
@@ -363,6 +364,36 @@ def test_subterms_walks_deep_nesting_without_recursion():
     assert sum(1 for _ in subterms(expr)) == 1 + 5000 * 3
 
 
+def test_rule_facts_read_deep_nesting_without_recursion():
+    expr = n("a")
+    for _ in range(10_000):
+        expr = star(seq(n("b"), expr))
+    facts = rule_facts(expr)
+    assert facts[0] == class_bits((Star, Sequence, Nonterminal))
+    assert sorted(facts[1]) == ["a", "b"]
+    assert rule_facts(expr) is facts  # stored on the node: asked again, it is not walked
+
+
+def test_stored_facts_are_invisible():
+    # two equal nodes of each class, facts stored on one only: nothing that
+    # reads a node's fields can tell them apart, and neither has a dict
+    from dataclasses import fields
+    from gramconv.interchange import serialize
+    for stored, bare in zip(_one_of_each_class(), _one_of_each_class()):
+        assert type(stored) is type(bare)
+        facts = rule_facts(stored)
+        if type(stored) in NODE_TABLE and NODE_TABLE[type(stored)].child_fields:
+            assert stored is not bare
+            assert getattr(stored, "_facts", None) is facts
+            assert getattr(bare, "_facts", None) is None
+        assert stored == bare and bare == stored and hash(stored) == hash(bare)
+        assert repr(stored) == repr(bare)
+        assert fields(stored) == fields(bare)
+        assert serialize(Grammar(("a",), (p("a", stored),))) == serialize(
+            Grammar(("a",), (p("a", bare),)))
+        assert not hasattr(stored, "__dict__") and not hasattr(bare, "__dict__")
+
+
 def _fact_corpus():
     """200 generated grammars, half with their rules shuffled so that rule
     blocks of one nonterminal are scattered."""
@@ -466,22 +497,31 @@ def test_extract_carries_facts_that_agree_with_a_walk():
     assert carried > 100
 
 
+def _index_by_name(users):
+    """A name index with each entry as a sorted list, so that two indexes
+    compare whatever order their entries hold."""
+    return {name: sorted(lhss) for name, lhss in users.items()}
+
+
 def _assert_facts_are_fresh(g):
-    """g's facts, carried or derived, equal those the constructor derives."""
+    """g's facts, carried or derived, equal those the constructor derives,
+    and each rule's facts, read from its rhs, those the uncached walk gives."""
     fresh = Grammar(g.roots, g.productions)
     assert list(g.blocks.items()) == list(fresh.blocks.items())
-    assert type(g.masks) is list and g.masks == fresh.masks
-    # each rule's stored names: a tuple of distinct names, those a walk of
-    # its rhs finds
-    assert type(g.refs) is list and len(g.refs) == len(g.productions)
-    for names, fresh_names, prod in zip(g.refs, fresh.refs, g.productions):
+    for prod in g.productions:
+        mask, names = rule_facts(prod.rhs)
+        walked_mask, walked_names = oracles.rule_facts(prod.rhs)
+        assert mask == walked_mask, prod
+        # a tuple of distinct names, those a walk of its rhs finds
         assert type(names) is tuple and len(set(names)) == len(names)
-        assert set(names) == set(fresh_names) == {
+        assert set(names) == set(walked_names) == {
             sub.name for sub in subterms(prod.rhs) if isinstance(sub, Nonterminal)}
     assert set(g._users) == set(fresh._users)
     for name, found in g._users.items():
         assert type(found) is tuple and type(fresh._users[name]) is tuple  # one entry shape
         assert sorted(g.users_of(name)) == sorted(fresh.users_of(name))
+    # the carried index is the one a derivation by the uncached walk gives
+    assert _index_by_name(g._users) == _index_by_name(oracles.name_index(g))
     assert g.names == fresh.names
     assert vocabulary(g) == vocabulary(fresh)
     assert tops(g) == tops(fresh)
@@ -563,7 +603,7 @@ def test_carried_facts_equal_a_fresh_derivation_at_every_step():
                 scripts.append((g, mutate(g, Mutation(kind, params)).trace))
             except ValueError:
                 pass
-    applied, carried, masked = {}, {}, {}
+    applied, carried = {}, {}
     appended = 0  # rules appended, at the end of the grammar, to a block that has rules
     for g in grammars:
         current, steps = g, []
@@ -579,13 +619,12 @@ def test_carried_facts_equal_a_fresh_derivation_at_every_step():
         scripts.append((g, steps))
     for g, steps in scripts:
         current = g
-        _assert_facts_are_fresh(current)  # derives the facts, so the next step carries them
+        _assert_facts_are_fresh(current)  # derives the index, so the next step carries it
         for step in steps:
             child = apply_step(current, step)
             key = step.op + (" scoped" if step.args.get("scope") else "")
             applied[key] = applied.get(key, 0) + 1
             carried[key] = carried.get(key, 0) + ("_users" in vars(child))
-            masked[key] = masked.get(key, 0) + ("masks" in vars(child))
             if step.op in ("set-node", "set-label", "set-roots", "factor", "distribute",
                            "permute"):
                 assert child.blocks is current.blocks  # no rule moved
@@ -596,35 +635,37 @@ def test_carried_facts_equal_a_fresh_derivation_at_every_step():
             _assert_facts_are_fresh(child)
             current = child
     assert {key.split()[0] for key in applied} == set(_OPS)
-    # every step carries the index and the masks its parent had derived
-    assert carried == applied and masked == applied
+    # every step carries the index its parent had derived
+    assert carried == applied
     for key in ("set-node", "set-label", "extract", "extract scoped", "vertical",
                 "insert-rule", "remove-rule", "inline", "rename"):
         assert carried[key] >= 20, (key, carried)
     assert carried["define"] >= 10 and appended >= 20, (carried, appended)
 
 
-def test_an_edit_that_changes_an_lhs_derives_the_blocks_again():
-    h = Grammar(("a",), (p("a", n("b")), p("b", t("x")), p("c", n("a")), p("b", n("c"))))
-    h.names, h.masks  # derives the index and the masks, so the edit carries them
+def test_an_edit_that_changes_an_lhs_derives_the_blocks_again(monkeypatch):
+    from gramconv import grammar
+    h = Grammar(("a",), (p("a", opt(n("b"))), p("b", t("x")), p("c", n("a")), p("b", n("c"))))
+    h.names  # derives the index, and with it each rule's facts, so the edit carries it
     edited = h.edit({1: p("c", t("x")), 3: p("d", n("c"))})
     assert list(edited.blocks) == ["a", "c", "d"]
-    assert "_users" in vars(edited) and "masks" in vars(edited)
+    assert "_users" in vars(edited)
     _assert_facts_are_fresh(edited)
-    # a rewrite that changes an lhs and keeps its rhs keeps its mask, and a
-    # rewrite, a removal and an insertion in one edit splice the masks
-    spliced = h.edit({0: p("e", h.productions[0].rhs), 3: p("b", star(choice(n("a"), t("y"))))},
+    # a rewrite that changes an lhs and keeps its rhs, and a rewrite, a
+    # removal and an insertion in one edit: only the new composite right-hand
+    # sides are walked
+    starred, selected = star(choice(n("a"), t("y"))), sel("s", n("b"))
+    walks = []
+    walk = grammar._walk_facts
+    monkeypatch.setattr(grammar, "_walk_facts", lambda expr: walks.append(expr) or walk(expr))
+    spliced = h.edit({0: p("e", h.productions[0].rhs), 3: p("b", starred)},
                      at=1, removed=2, insert=(p("f", seq(n("a"), EPSILON)),
-                                              p("f", sel("s", n("b"))), p("b", EMPTY)))
-    assert spliced.masks[0] is h.masks[0]
-    assert len(spliced.masks) == len(spliced.productions) == 5
+                                              p("f", selected), p("b", EMPTY)))
+    assert sorted(map(id, walks)) == sorted(map(id, (starred, selected)))
+    monkeypatch.undo()
+    assert list(spliced.blocks) == ["e", "f", "b"] and len(spliced.productions) == 5
+    assert "_users" in vars(spliced)
     _assert_facts_are_fresh(spliced)
-
-
-def _index_by_name(users):
-    """A name index with each entry as a sorted list, so that two indexes
-    compare whatever order their entries hold."""
-    return {name: sorted(lhss) for name, lhss in users.items()}
 
 
 def test_a_splice_carries_what_the_parent_derivation_gives():
@@ -640,7 +681,7 @@ def test_a_splice_carries_what_the_parent_derivation_gives():
         rules = list(g.productions)
         rng.shuffle(rules)
         g = Grammar((), tuple(rules))
-        g.names, g.masks  # derives the index and the rule facts, so edits carry them
+        g.names  # derives the index, so edits carry it
         for _ in range(12):
             count = len(g.productions)
             at = rng.randint(0, count)
@@ -685,21 +726,19 @@ def test_eliminating_a_scattered_block_walks_no_kept_rule(monkeypatch):
     rules = list(g.productions)
     random.Random(5).shuffle(rules)
     g = Grammar(g.roots, tuple(rules))
-    g.names, g.masks  # derives the index and the rule facts, so the edit carries them
+    g.names  # derives the index, and with it each rule's facts
     positions = g.blocks["c3_ee"]
     assert len(g.productions) == 174 and len(positions) == 28
     assert positions[-1] - positions[0] + 1 - len(positions) == 144
     walks = []
-    walk = grammar.rule_facts
-    monkeypatch.setattr(grammar, "rule_facts", lambda expr: walks.append(expr) or walk(expr))
+    walk = grammar._walk_facts
+    monkeypatch.setattr(grammar, "_walk_facts", lambda expr: walks.append(expr) or walk(expr))
     child = eliminate(g, "c3_ee")
     assert walks == []
     monkeypatch.undo()
-    # each kept rule keeps its stored mask and names
-    at = {id(prod): i for i, prod in enumerate(g.productions)}
-    for i, prod in enumerate(child.productions):
-        assert child.refs[i] is g.refs[at[id(prod)]]
-        assert child.masks[i] == g.masks[at[id(prod)]]
+    # each kept rule is its parent's rule object, whose rhs holds its facts
+    kept = set(map(id, g.productions))
+    assert len(child.productions) == 146 and all(id(prod) in kept for prod in child.productions)
     _assert_facts_are_fresh(child)
 
 
@@ -762,8 +801,9 @@ def test_class_masks_follow_their_definition():
     assert seen == class_bits(NODE_TABLE) | UNIT_CHILD | NESTED_CHOICE
 
 
-def test_reading_a_grammar_derives_no_masks(data_dir):
-    # the masks are derived on first use, and reading uses none
+def test_reading_a_grammar_stores_facts_on_no_rhs(data_dir):
+    # a node stores its facts when they are first asked of it, and reading
+    # asks for none
     from gramconv.interchange import deserialize, serialize
     from gramconv.notation import parse_spec
     from gramconv.recovery import recover
@@ -772,7 +812,9 @@ def test_reading_a_grammar_derives_no_masks(data_dir):
     again = deserialize(serialize(read))
     assert again == read
     for g in (read, again):
-        assert "masks" not in vars(g) and "refs" not in vars(g)
+        assert "_users" not in vars(g)
+        assert all(getattr(sub, "_facts", None) is None
+                   for prod in g.productions for sub in subterms(prod.rhs))
     g = Grammar(("a",), (p("a", n("b")), p("b", t("x"))))
     with pytest.raises(GrammarError, match="declared root 'a' is neither defined nor used"):
         g.edit(at=0, removed=1)
@@ -802,7 +844,8 @@ def test_deriving_the_facts_leaves_repr_eq_and_hash_alone():
 
 
 def test_facts_derived_from_several_threads_at_once_agree():
-    # a thread may read the used names while another is deriving them
+    # a thread may read the used names while another is deriving them, and
+    # the facts of one shared rhs while another is walking it
     import sys
     import threading
     interval = sys.getswitchinterval()
@@ -810,13 +853,21 @@ def test_facts_derived_from_several_threads_at_once_agree():
     try:
         for g in corpus(45, 20, max_productions=12):
             want = _walked_facts(g)
+            # a copy of g's rules that no thread has yet asked about
+            shared = oracles.rebuild(seq(*[prod.rhs for prod in g.productions]),
+                                     lambda node: node)
+            assert getattr(shared, "_facts", None) is None
+            mask, names = oracles.rule_facts(shared)
+            want += ((mask, frozenset(names)),)
             start = threading.Barrier(8)
             seen = []
 
             def read():
                 start.wait(timeout=10)
                 voc = vocabulary(g)
-                seen.append((voc.defined, voc.used, voc.terminals))
+                facts = rule_facts(shared)
+                seen.append((voc.defined, voc.used, voc.terminals,
+                             (facts[0], frozenset(facts[1]))))
             threads = [threading.Thread(target=read) for _ in range(8)]
             for thread in threads:
                 thread.start()

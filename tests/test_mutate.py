@@ -28,6 +28,7 @@ from gramconv.grammar import (
     p,
     plus,
     render_production,
+    rule_facts,
     sel,
     sepplus,
     seq,
@@ -535,7 +536,9 @@ def test_rule_skips_agree_with_the_walk_they_replaced():
     held = {True: 0, False: 0}
     scanned = 0
     for g in grammars:
-        for prod, mask in zip(g.productions, g.masks):
+        for prod in g.productions:
+            mask = rule_facts(prod.rhs)[0]
+            assert mask == oracles.rule_facts(prod.rhs)[0], prod
             for classes in PHASE_CLASSES:
                 found = bool(mask & (class_bits(classes) | UNIT_CHILD))
                 assert found == oracles._holds(prod.rhs, classes), (prod, classes)
@@ -550,11 +553,34 @@ def test_rule_skips_agree_with_the_walk_they_replaced():
     unit = _unit_children()
     # the first rule holds no class of any phase: only its epsilon part
     # keeps it from being skipped
-    assert [bool(mask & UNIT_CHILD) for mask in unit.masks] == [
-        True, True, True, True, False, True]
+    masks = [rule_facts(prod.rhs)[0] for prod in unit.productions]
+    assert [bool(mask & UNIT_CHILD) for mask in masks] == [True, True, True, True, False, True]
     for classes in PHASE_CLASSES[:3]:
         assert oracles._holds(unit.productions[0].rhs, classes)
-        assert not unit.masks[0] & class_bits(classes)
+        assert not masks[0] & class_bits(classes)
+
+
+def test_normalize_anf_and_its_replay_walk_each_rhs_object_once(monkeypatch):
+    # a rhs keeps its facts from its one walk: over normalize-anf and the
+    # replay of its trace no object is walked twice, and the replay walks
+    # none of the set-node operands the mutation built
+    from gramconv import grammar
+    walked = []  # which keeps each walked object alive, so ids stay distinct
+    walk = grammar._walk_facts
+    monkeypatch.setattr(grammar, "_walk_facts", lambda expr: walked.append(expr) or walk(expr))
+    counts = {"mutation": 0, "replay": 0, "set-node operands": 0}
+    for g in corpus(2900, 80, max_productions=12):
+        before = len(walked)
+        trace = mutate(g, Mutation("normalize-anf")).trace
+        middle = len(walked)
+        apply_script(g, trace)
+        operands = {id(step.args["expr"]) for step in trace if step.op == "set-node"}
+        assert operands.isdisjoint(map(id, walked[middle:]))
+        counts["mutation"] += middle - before
+        counts["replay"] += len(walked) - middle
+        counts["set-node operands"] += len(operands)
+    assert len(set(map(id, walked))) == len(walked)
+    assert min(counts.values()) >= 50, counts
 
 
 def test_a_rewrite_hands_back_another_object_exactly_when_it_changes_the_rhs(monkeypatch):
