@@ -47,9 +47,20 @@ class GrammarError(ValueError):
 
 
 class Expr:
-    """Base class of all grammar expressions."""
+    """Base class of all grammar expressions.  A node is immutable, so a copy
+    of it is the node itself, and a pickle rebuilds it from its field values
+    through its class, which checks them again and stores no `_facts`."""
 
     __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 @dataclass(frozen=True)
@@ -403,12 +414,12 @@ _UNIT_BIT = {cls: CLASS_BIT[unit] for cls, unit in UNIT.items()}
 
 
 def rule_facts(expr: Expr) -> tuple[int, tuple[str, ...]]:
-    """The mask of expr and the distinct nonterminal names it uses.  A leaf
-    gives them directly.  A composite node gives them from one walk
-    (`_walk_facts`) the first time they are asked of it, and stores them in
-    its `_facts` slot, which is no field, so ==, hash, repr and fields()
-    ignore it; the node is immutable, so they hold for as long as it lives,
-    whichever grammars hold it."""
+    """The mask of expr and the distinct nonterminal names it uses, in the
+    order the walk meets them.  A leaf gives them directly.  A composite
+    node gives them from one walk (`_walk_facts`) the first time they are
+    asked of it, and stores them in its `_facts` slot, which is no field, so
+    ==, hash, repr and fields() ignore it; the node is immutable, so they
+    hold for as long as it lives, whichever grammars hold it."""
     facts = getattr(expr, "_facts", None)
     if facts is not None:
         return facts
@@ -425,7 +436,7 @@ def _walk_facts(expr: Expr) -> tuple[int, tuple[str, ...]]:
     nodes, each of which adds its children's bits and the flags they raise
     under it, and its nonterminal children's names."""
     mask = CLASS_BIT[type(expr)]
-    names = set()
+    names: dict[str, None] = {}  # in the order the walk meets them
     stack = [expr]
     while stack:
         node = stack.pop()
@@ -437,7 +448,7 @@ def _walk_facts(expr: Expr) -> tuple[int, tuple[str, ...]]:
             if bit & _COMPOSITE:
                 stack.append(kid)
             elif bit == _NAME_BIT:
-                names.add(kid.name)
+                names[kid.name] = None
         if below & _CHOICE_BIT:
             below |= NESTED_CHOICE
         if below & _UNIT_BIT.get(kind, 0):
@@ -447,8 +458,8 @@ def _walk_facts(expr: Expr) -> tuple[int, tuple[str, ...]]:
 
 
 def used_names(expr: Expr) -> tuple[str, ...]:
-    """The distinct nonterminal names in expr, in no particular order (see
-    `rule_facts`)."""
+    """The distinct nonterminal names in expr, in the order the walk meets
+    them (see `rule_facts`)."""
     return rule_facts(expr)[1]
 
 

@@ -14,9 +14,9 @@ lays out the containers itself, since any indent sends `json.dumps` to its
 pure-Python encoder, encodes strings with the C string encoder and leaves
 every other scalar to `json.dumps`.  It writes an expression straight from
 its fields, as the tagged object `expr_to_json` would give, so `serialize`
-walks each grammar once and builds no JSON tree of its expressions; it
-writes a leaf's whole object, and each rule's object up to its rhs, as one
-string.
+walks each grammar once and builds no JSON tree of its expressions.  Every
+expression, leaves included, is written one way, field by field; only each
+rule's object up to its rhs is written as one string.
 `deserialize` builds the expressions in the parser's own pass: the
 `json.loads` object hook turns each well-formed expression object into its
 node as soon as the object closes, so the document's dict tree is never
@@ -90,10 +90,6 @@ _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _TAG_OF_CLASS}
 _KEYS = {cls: ('"tag": ' + _encode_str(tag),
                tuple((name, _encode_str(name) + ": ") for name in _FIELDS[cls]))
          for cls, tag in _TAG_OF_CLASS.items()}
-# for each leaf class: its tag entry and comma, its one field's key, and that
-# field's name
-_LEAF_KEYS = {cls: (_KEYS[cls][0] + ",", _KEYS[cls][1][0][1], _KEYS[cls][1][0][0])
-              for cls in _LEAF_CLASS.values()}
 
 
 def _decoder(cls: type) -> tuple:
@@ -156,16 +152,9 @@ def dumps(doc) -> str:
 
 def _write(value, newline: str, write) -> None:
     """Write the JSON text of value, whose first line is already written and
-    whose later lines start with newline.  A leaf, all four lines of its
-    object, is one write; any other expression writes its own lines and
-    leaves each field's value to `_write`."""
-    leaf = _LEAF_KEYS.get(type(value))
-    if leaf is not None:
-        head, key, field = leaf
-        inner = newline + "  "
-        write("{" + inner + head + inner + key + _encode_str(getattr(value, field))
-              + newline + "}")
-    elif type(value) is str:
+    whose later lines start with newline.  An expression writes its own
+    lines and leaves each field's value to `_write`."""
+    if type(value) is str:
         write(_encode_str(value))
     elif type(value) in _KEYS:  # an expression, as its expr_to_json object
         head, keys = _KEYS[type(value)]

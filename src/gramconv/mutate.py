@@ -588,12 +588,10 @@ def anf_check(g: Grammar) -> list[AnfViolation]:
     """All violated abstract-normal-form conditions (empty list means ANF),
     condition by condition.  A rule whose class mask, read from its rhs node
     (`rule_facts`), shows a selector, a terminal, a separator list or a
-    choice under a composite is walked once, pre-order as `subterms` walks
-    it, for conditions 2, 3, 4 and 6, so each
-    condition's violations come in the order a walk of its own would find
-    them; no other rule can break them, and none is walked.  Condition 9
-    follows from the roots the names each rule uses, read from the name
-    index, as `reachable` follows each rule's `used_names`."""
+    choice under a composite is walked once by `subterms`, for conditions
+    2, 3, 4 and 6, so each condition's violations come in the order a walk
+    of its own would find them; no other rule can break them, and none is
+    walked.  Condition 9 reads the names `reachable` finds from the roots."""
     out: list[AnfViolation] = []
     for prod in g.productions:
         if prod.label is not None:
@@ -602,9 +600,7 @@ def anf_check(g: Grammar) -> list[AnfViolation]:
             out.append(AnfViolation(5, f"rule {prod.lhs} is horizontal"))
         if not rule_facts(prod.rhs)[0] & _WALKED:
             continue
-        stack = [prod.rhs]
-        while stack:
-            sub = stack.pop()
+        for sub in subterms(prod.rhs):
             kind = type(sub)
             if kind is Selectable:
                 out.append(AnfViolation(
@@ -615,12 +611,10 @@ def anf_check(g: Grammar) -> list[AnfViolation]:
             elif kind is SepListStar or kind is SepListPlus:
                 out.append(AnfViolation(
                     6, f"rule {prod.lhs} contains a separator list"))
-            kids = children(sub)
-            for kid in kids:
+            for kid in children(sub):
                 if type(kid) is Choice:
                     out.append(AnfViolation(
                         4, f"rule {prod.lhs} nests a choice under {kind.__name__.lower()}"))
-            stack.extend(reversed(kids))
     rules = g.productions
     for name, positions in g.blocks.items():
         if len(positions) == 1 and _is_trivial_rhs(rules[positions[0]].rhs):
@@ -634,18 +628,7 @@ def anf_check(g: Grammar) -> list[AnfViolation]:
         out.append(AnfViolation(
             9, f"top nonterminals {sorted(top_set)} differ from roots {sorted(g.roots)}"))
     else:
-        uses: dict[str, list[str]] = {}  # lhs -> the names its rules use
-        for name, lhss in g._users.items():
-            for lhs in lhss:
-                uses.setdefault(lhs, []).append(name)
-        seen: set[str] = set()
-        work = list(g.roots)
-        while work:
-            name = work.pop()
-            if name not in seen:
-                seen.add(name)
-                work.extend(uses.get(name, ()))
-        loose = sorted(g.names - seen)
+        loose = sorted(g.names - reachable(g, g.roots))
         if loose:
             out.append(AnfViolation(
                 9, f"unreachable from the roots: {', '.join(loose)}"))

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import stat
 import subprocess
@@ -15,6 +16,7 @@ from gramconv.grammar import Grammar, n, p
 from gramconv.interchange import deserialize, serialize
 
 from conftest import FL_MAPPING
+from gen import corpus
 
 
 def read(path):
@@ -605,3 +607,81 @@ def test_reports_and_traces_are_the_bytes_of_their_json_objects(tmp_path, data_d
             assert trace.read_text(encoding="utf-8") == dumps(script_to_json(replayed)) \
                 == read(script)
     assert seen["reports"] == 23 and seen["residue"] >= 1 and seen["steps"] >= 10, seen
+
+
+# values a fuzzed document puts in place of one of its own
+_JUNK = [None, 0, -1, 2.5, True, "", "x", "n", "seq", [], [None], ["n"], {}, {"tag": "wat"},
+         {"tag": 5}, {"tag": ["n"]}, {"tag": "n"}, {"tag": "star", "body": None}]
+
+
+def _fuzzed(doc, rng):
+    """doc with one to three seeded changes, each at a random object or list
+    in it: an item dropped from a list (which often leaves a document that
+    reads), a key dropped, or a value swapped for one of `_JUNK`."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 3)):
+        boxes: dict[type, list] = {dict: [], list: []}
+        stack = [doc]
+        while stack:
+            box = stack.pop()
+            if isinstance(box, (dict, list)) and box:
+                boxes[type(box)].append(box)
+                stack.extend(box.values() if isinstance(box, dict) else box)
+        change = rng.choice(("drop item", "drop item", "drop key", "swap", "swap"))
+        kind = {"drop item": list, "drop key": dict}.get(change) or rng.choice((list, dict))
+        if not boxes[kind]:
+            break
+        box = rng.choice(boxes[kind])
+        key = rng.choice(list(box)) if kind is dict else rng.randrange(len(box))
+        if change == "swap":
+            box[key] = rng.choice(_JUNK)
+        else:
+            del box[key]
+    return doc
+
+
+def _fuzz_inputs(data_dir, script: Path) -> list[bytes]:
+    rng = random.Random(3501)
+    master = json.loads((data_dir / "fl_master.json").read_text(encoding="utf-8"))
+    steps = json.loads(script.read_text(encoding="utf-8"))
+    inputs = [json.dumps(_fuzzed(master, rng)).encode() for _ in range(200)]
+    inputs += [json.dumps(_fuzzed(steps, rng)).encode() for _ in range(60)]
+    inputs += [serialize(g).encode() for g in corpus(3502, 20)]
+    deep = '{"tag": "star", "body": ' * 5000 + '{"tag": "n", "name": "a"}' + "}" * 5000
+    inputs.append(('{"roots": ["s"], "productions": [{"label": null, "lhs": "s", "rhs": %s}]}'
+                   % deep).encode())
+    inputs.append(b"[" * 100_000 + b"]" * 100_000)
+    inputs.append(b'{"roots": ["\xff\xfe"], "productions": [\x80\xc3]}')
+    return inputs
+
+
+def test_the_commands_survive_malformed_and_odd_inputs(tmp_path, data_dir, capsys):
+    # every call returns an exit code and raises nothing; a failure leaves
+    # one error line, the last thing it writes to standard error.  Each
+    # input is read as a grammar, and as a script over the master, whose
+    # renaming trace is the script the grammars are transformed by
+    renamed = tmp_path / "upper.json"
+    assert main(["mutate", str(data_dir / "fl_master.json"), "--mutation",
+                 "disciplined-rename:UPPER", "--out", str(renamed)]) == 0
+    script = tmp_path / "upper.json.trace"
+    codes = set()
+    for i, data in enumerate(_fuzz_inputs(data_dir, script)):
+        doc = tmp_path / f"in{i}.json"
+        doc.write_bytes(data)
+        doc, out = str(doc), str(tmp_path / "out.json")
+        for argv in (["prodsig", doc], ["metrics", doc],
+                     ["mutate", doc, "--mutation", "normalize-anf", "--out", out],
+                     ["converge", str(data_dir / "fl_master_abstract.json"), doc],
+                     ["converge", doc, doc],
+                     ["unparse", doc, "--notation", str(data_dir / "factorial.edd")],
+                     ["transform", doc, "--script", str(script), "--out", out],
+                     ["transform", str(data_dir / "fl_master.json"), "--script", doc,
+                      "--out", out]):
+            code = main(argv)
+            err = capsys.readouterr().err.splitlines()
+            assert code in (0, 1, 2, 3), (i, argv)
+            if code in (1, 2):
+                errors = [line for line in err if line.startswith("error:")]
+                assert len(errors) == 1 and err[-1] == errors[0], (i, argv, err)
+            codes.add(code)
+    assert {0, 1, 3} <= codes

@@ -1,7 +1,12 @@
+import copy
 import importlib
+import os
+import pickle
 import pkgutil
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -374,6 +379,30 @@ def test_rule_facts_read_deep_nesting_without_recursion():
     assert rule_facts(expr) is facts  # stored on the node: asked again, it is not walked
 
 
+# a digest of the names each rule of a corpus uses, as `rule_facts` gives them
+_NAMES_DIGEST = """
+import hashlib, sys
+sys.path[:0] = sys.argv[1:]
+from gen import corpus
+from gramconv.grammar import rule_facts
+names = [rule_facts(prod.rhs)[1]
+         for g in corpus(11, 200, max_productions=12) for prod in g.productions]
+print(hashlib.sha256(repr(names).encode()).hexdigest())
+"""
+
+
+def test_the_names_a_rule_uses_come_in_one_order_under_every_hash_seed():
+    package = Path(importlib.import_module("gramconv").__file__)
+    paths = [str(package.parents[1]), str(Path(__file__).parent)]
+    digests = set()
+    for seed in ("0", "1", "2"):
+        done = subprocess.run([sys.executable, "-c", _NAMES_DIGEST, *paths],
+                              env=dict(os.environ, PYTHONHASHSEED=seed),
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.add(done.stdout)
+    assert len(digests) == 1, digests
+
+
 def test_stored_facts_are_invisible():
     # two equal nodes of each class, facts stored on one only: nothing that
     # reads a node's fields can tell them apart, and neither has a dict
@@ -501,6 +530,29 @@ def _index_by_name(users):
     """A name index with each entry as a sorted list, so that two indexes
     compare whatever order their entries hold."""
     return {name: sorted(lhss) for name, lhss in users.items()}
+
+
+def test_a_node_of_every_class_pickles_and_copies_as_itself():
+    from gramconv.interchange import dumps
+    nodes = _one_of_each_class()
+    assert {type(node) for node in nodes} == set(NODE_TABLE)
+    for node in nodes:
+        rule_facts(node)  # a composite node stores its facts; no copy carries them
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(node, protocol))
+            assert type(again) is type(node) and again == node, (node, protocol)
+            assert dumps(again) == dumps(node)
+            assert getattr(again, "_facts", None) is None
+            assert rule_facts(again) == rule_facts(node)
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+
+
+def test_a_pickled_node_is_checked_again_by_its_class():
+    broken = object.__new__(Terminal)
+    object.__setattr__(broken, "text", "")  # past the check that Terminal("") runs
+    with pytest.raises(GrammarError, match="terminal text must be non-empty"):
+        pickle.loads(pickle.dumps(broken))
 
 
 def _assert_facts_are_fresh(g):

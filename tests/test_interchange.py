@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 import sys
 
@@ -10,7 +12,9 @@ from gramconv.grammar import (
     NODE_TABLE,
     Grammar,
     GrammarError,
+    Nonterminal,
     Production,
+    Terminal,
     children,
     n,
     p,
@@ -253,6 +257,15 @@ def test_dumps_matches_json_indent_on_cli_traces_and_reports(tmp_path, data_dir)
     for name in ("recover.json", "anf.json.trace", "converge.json"):
         text = (tmp_path / name).read_text(encoding="utf-8")
         assert text == _indented(json.loads(text)), name
+
+
+def test_a_leaf_whose_text_is_no_string_is_written_as_json_dumps_writes_it():
+    # no reader builds such a leaf, but direct construction can
+    leaves = [Nonterminal(5), Terminal(1.5)]
+    for leaf in leaves:
+        assert dumps(leaf) == _indented(expr_to_json(leaf))
+    g = Grammar(("a",), (p("a", seq(*leaves)), p("b", Nonterminal(5)), p("c", Terminal(1.5))))
+    assert serialize(g) == _indented(grammar_to_json(g))
 
 
 def _non_ascii(g: Grammar) -> Grammar:
@@ -608,3 +621,19 @@ def test_a_label_reads_as_the_checking_reader_reads_it(label):
     ours = _outcome(deserialize, text)
     assert ours == _outcome(lambda text: grammar_from_json(json.loads(text)), text)
     assert ours == _outcome(oracles.deserialize, text)
+
+
+def test_every_committed_grammar_pickles_and_deep_copies(data_dir):
+    grammars = _committed_grammars(data_dir)
+    assert len(grammars) >= 10
+    for g in grammars:
+        again = pickle.loads(pickle.dumps(g))
+        assert again == g
+        assert serialize(again) == serialize(g)
+        # a pickle keeps one object per object it was given, leaves included
+        assert ({key: len(ids) for key, ids in oracles.leaf_objects(again).items()}
+                == {key: len(ids) for key, ids in oracles.leaf_objects(g).items()})
+        copied = copy.deepcopy(g)
+        assert copied == g
+        assert serialize(copied) == serialize(g)
+        assert oracles.leaf_objects(copied) == oracles.leaf_objects(g)
